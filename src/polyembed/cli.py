@@ -160,7 +160,7 @@ def cmd_facets(args) -> None:
 
 
 WALKS_DEFAULTS = dict(walks_per_node=110, walk_length=11, window=8, seed=0,
-                      weighted=True, workers=1)
+                      weighted=True)
 
 
 def cmd_walks(args) -> None:
@@ -171,8 +171,7 @@ def cmd_walks(args) -> None:
     config = walks.WalkConfig(walks_per_node=params["walks_per_node"],
                               walk_length=params["walk_length"],
                               window=params["window"], seed=params["seed"],
-                              weighted=params["weighted"],
-                              workers=params["workers"])
+                              weighted=params["weighted"])
     corpus = walks.generate_walks(g, config)
     walks.save_corpus(corpus, args.out)
     print(f"wrote {args.out} ({len(corpus)} walks)")
@@ -180,8 +179,7 @@ def cmd_walks(args) -> None:
 
 
 DEEPWALK_DEFAULTS = dict(dim=32, negatives=10, facet_rate=1, epochs=5,
-                         learning_rate=0.025, window=8, seed=0, workers=1,
-                         alpha=0.05)
+                         learning_rate=0.025, window=8, seed=0, alpha=0.05)
 
 
 def cmd_train_deepwalk(args) -> None:
@@ -193,7 +191,7 @@ def cmd_train_deepwalk(args) -> None:
         dim=params["dim"], negatives=params["negatives"],
         facet_rate=params["facet_rate"], epochs=params["epochs"],
         learning_rate=params["learning_rate"], window=params["window"],
-        seed=params["seed"], workers=params["workers"])
+        seed=params["seed"])
     result = polydeepwalk.train(g, prior, corpus, config)
     save_embeddings(args.out, result.tables.u)
     if args.export_context:
@@ -206,8 +204,8 @@ def cmd_train_deepwalk(args) -> None:
 
 
 PTE_DEFAULTS = dict(dim=30, negatives=30, facet_rate=0, total_samples=0,
-                    learning_rate=0.025, seed=0, workers=1,
-                    facet_mode="observation", weighted_edges=False, alpha=0.05)
+                    learning_rate=0.025, seed=0, facet_mode="observation",
+                    weighted_edges=False, alpha=0.05)
 
 
 def cmd_train_pte(args) -> None:
@@ -219,7 +217,7 @@ def cmd_train_pte(args) -> None:
         facet_rate=params["facet_rate"] or None,
         total_samples=params["total_samples"] or None,
         learning_rate=params["learning_rate"], seed=params["seed"],
-        workers=params["workers"], facet_mode=params["facet_mode"],
+        facet_mode=params["facet_mode"],
         weighted_edges=params["weighted_edges"])
     result = polypte.train_pte(g, prior, config)
     save_embeddings(f"{args.out}.a", result.tables.u)
@@ -323,7 +321,7 @@ PIPELINE_DEFAULTS = dict(kind="homogeneous", model="deepwalk", k=5, dim=32,
                          negatives=10, facet_rate=0, epochs=5,
                          total_samples=0, learning_rate=0.0, iterations=400,
                          depth=2, num_negatives=200, ks="10,50,100,200",
-                         seed=0, workers=1, split="")
+                         seed=0, split="")
 
 
 def cmd_pipeline(args) -> None:
@@ -361,15 +359,14 @@ def cmd_pipeline(args) -> None:
     if model == "deepwalk":
         wconfig = walks.WalkConfig(walks_per_node=params["walks_per_node"],
                                    walk_length=params["walk_length"],
-                                   window=params["window"], seed=seed,
-                                   workers=params["workers"])
+                                   window=params["window"], seed=seed)
         corpus = walks.generate_walks(train_g, wconfig)
         walks.save_corpus(corpus, f"{prefix}.walks")
         config = polydeepwalk.TrainConfig(
             dim=params["dim"], negatives=params["negatives"],
             facet_rate=params["facet_rate"] or 1, epochs=params["epochs"],
             learning_rate=params["learning_rate"] or 0.025,
-            window=params["window"], seed=seed, workers=params["workers"])
+            window=params["window"], seed=seed)
         tables = polydeepwalk.train(train_g, prior, corpus, config).tables
         save_embeddings(f"{prefix}.emb", tables.u)
         mode = "homogeneous"
@@ -378,8 +375,7 @@ def cmd_pipeline(args) -> None:
             dim=params["dim"], negatives=params["negatives"],
             facet_rate=params["facet_rate"] or None,
             total_samples=params["total_samples"] or None,
-            learning_rate=params["learning_rate"] or 0.025, seed=seed,
-            workers=params["workers"])
+            learning_rate=params["learning_rate"] or 0.025, seed=seed)
         tables = polypte.train_pte(train_g, prior, config).tables
         save_embeddings(f"{prefix}.emb.a", tables.u)
         save_embeddings(f"{prefix}.emb.b", tables.h)
@@ -449,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int)
     p.add_argument("--uniform", action="store_true",
                    help="ignore edge weights when stepping")
-    p.add_argument("--workers", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_walks)
 
@@ -464,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--window", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--export-context", dest="export_context",
                    help="also write the context table H to this path")
     p.add_argument("--out", required=True)
@@ -484,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["observation", "min"])
     p.add_argument("--weighted-edges", dest="weighted_edges",
                    action="store_const", const=True)
-    p.add_argument("--workers", type=int)
     p.add_argument("--out", required=True,
                    help="output stem; writes <stem>.a and <stem>.b")
     p.set_defaults(func=cmd_train_pte)
@@ -559,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-negatives", dest="num_negatives", type=int)
     p.add_argument("--ks")
     p.add_argument("--labels")
-    p.add_argument("--workers", type=int)
     p.add_argument("--workdir", required=True,
                    help="output prefix for all pipeline artifacts")
     p.set_defaults(func=cmd_pipeline)

@@ -23,3 +23,12 @@ class ProtocolError(PolyembedError):
 
 class NumericsError(PolyembedError):
     """Non-finite values were produced during training."""
+
+
+def parse_numbers(tokens, kind, where: str) -> list:
+    """`kind` (int or float) of every token, or ParseError naming `where`."""
+    try:
+        return [kind(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"{where}: expected {kind.__name__} values, "
+                         f"got {' '.join(tokens)!r}") from None

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, parse_numbers
 from .walks import Observation
 
 _EPS = 1e-12
@@ -208,6 +208,8 @@ def conditional_distribution(p_v, p_o, mode: str = "min") -> np.ndarray:
     mode "min" keeps only facets plausible for both the node and the
     observation (elementwise min, renormalized); an all-zero min falls
     back to the node's own prior. mode "observation" returns p_o itself.
+    Both arguments may also be matching stacks of distributions along the
+    last axis, one conditional per row.
     """
     p_v = np.asarray(p_v, dtype=np.float64)
     p_o = np.asarray(p_o, dtype=np.float64)
@@ -218,24 +220,16 @@ def conditional_distribution(p_v, p_o, mode: str = "min") -> np.ndarray:
     if mode != "min":
         raise ValidationError(f"unknown conditional mode {mode!r}")
     m = np.minimum(p_v, p_o)
-    s = m.sum()
-    if s <= 0.0:
-        return p_v.copy()
-    return m / s
+    s = m.sum(axis=-1, keepdims=True)
+    return np.where(s > 0.0, m / np.where(s > 0.0, s, 1.0), p_v)
 
 
-def sample_facet(dist, rng) -> int:
-    """Draw a facet index by inverse-CDF sampling.
-
-    A length-1 distribution returns 0 without consuming randomness, so a
-    single-facet model uses exactly the same random stream as a model
-    with no facet machinery at all.
-    """
-    if len(dist) == 1:
-        return 0
-    cdf = np.cumsum(dist)
-    k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return min(k, len(dist) - 1)
+def sample_facets(dist, u) -> np.ndarray:
+    """Inverse-CDF facet draws, one per distribution along the last axis of
+    `dist`, from uniforms `u` shaped like `dist` without that axis."""
+    cdf = np.cumsum(dist, axis=-1)
+    below = cdf <= (u * cdf[..., -1])[..., None]
+    return np.minimum(below.sum(axis=-1), cdf.shape[-1] - 1)
 
 
 def entropy(dist) -> float:
@@ -264,7 +258,7 @@ def load_prior_file(path) -> np.ndarray:
         header = fh.readline().split()
         if len(header) != 2:
             raise ParseError(f"{path}: bad header, expected 'N K'")
-        n, k = int(header[0]), int(header[1])
+        n, k = parse_numbers(header, int, f"{path} line 1")
         out = np.zeros((n, k))
         seen = np.zeros(n, dtype=bool)
         for line_no, line in enumerate(fh, start=2):
@@ -273,10 +267,11 @@ def load_prior_file(path) -> np.ndarray:
                 continue
             if len(fields) != k + 1:
                 raise ParseError(f"{path} line {line_no}: expected {k + 1} fields")
-            idx = int(fields[0])
+            where = f"{path} line {line_no}"
+            idx, = parse_numbers(fields[:1], int, where)
             if not 0 <= idx < n:
                 raise ParseError(f"{path} line {line_no}: node id {idx} out of range")
-            out[idx] = [float(v) for v in fields[1:]]
+            out[idx] = parse_numbers(fields[1:], float, where)
             seen[idx] = True
     if not seen.all():
         raise ParseError(f"{path}: missing rows for {int((~seen).sum())} node(s)")

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .errors import CapacityError, ParseError, ValidationError
+from .errors import CapacityError, ParseError, ValidationError, parse_numbers
 
 DENSE_GUARD = 10**8
 
@@ -209,7 +209,8 @@ def load_edge_list(path, kind: str = "homogeneous"):
         if declared is not None:
             if len(declared[1]) != 1:
                 raise ParseError(f"line {declared[0]}: '# nodes' needs one count")
-            declared_n = int(declared[1][0])
+            declared_n, = parse_numbers(declared[1], int,
+                                        f"{path} line {declared[0]}")
         num_nodes, remap, labels = mapper.resolve(declared_n)
         for i, (s, d, _, _) in enumerate(parsed):
             src_ids[i] = remap[s]
@@ -226,7 +227,8 @@ def load_edge_list(path, kind: str = "homogeneous"):
     if declared is not None:
         if len(declared[1]) != 2:
             raise ParseError(f"line {declared[0]}: '# nodes' needs two counts")
-        declared_a, declared_b = int(declared[1][0]), int(declared[1][1])
+        declared_a, declared_b = parse_numbers(declared[1], int,
+                                               f"{path} line {declared[0]}")
     num_a, remap_a, a_labels = mapper_a.resolve(declared_a)
     num_b, remap_b, b_labels = mapper_b.resolve(declared_b)
     a_ids = np.array([remap_a[p[0]] for p in parsed], dtype=np.int64)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, parse_numbers
 from .facets import FacetPrior
 from .tables import EmbeddingTables
 
@@ -122,7 +122,7 @@ def load_joint(path) -> np.ndarray:
         header = fh.readline().split()
         if len(header) != 2:
             raise ParseError(f"{path}: bad header, expected 'N KD'")
-        n, kd = int(header[0]), int(header[1])
+        n, kd = parse_numbers(header, int, f"{path} line 1")
         out = np.zeros((n, kd))
         seen = np.zeros(n, dtype=bool)
         for line_no, line in enumerate(fh, start=2):
@@ -131,10 +131,11 @@ def load_joint(path) -> np.ndarray:
                 continue
             if len(fields) != kd + 1:
                 raise ParseError(f"{path} line {line_no}: expected {kd + 1} fields")
-            idx = int(fields[0])
+            where = f"{path} line {line_no}"
+            idx, = parse_numbers(fields[:1], int, where)
             if not 0 <= idx < n:
                 raise ParseError(f"{path} line {line_no}: node id out of range")
-            out[idx] = [float(v) for v in fields[1:]]
+            out[idx] = parse_numbers(fields[1:], float, where)
             seen[idx] = True
     if not seen.all():
         raise ParseError(f"{path}: missing rows")

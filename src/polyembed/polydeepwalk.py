@@ -4,30 +4,29 @@ For every center-context observation the trainer repeatedly (facet rate R)
 assigns one facet to each node involved, then applies one negative-sampled
 SGD update per (center, context) pair on the selected facet vectors.
 Facets are drawn from the min-rule conditional distribution, so a facet
-the prior rules out for a node is never activated for it. The tractable
-training objective is the Jensen lower bound of the full facet-marginal
-log-likelihood; `exact_objective_small` evaluates both sides exactly on
-enumerable instances.
+the prior rules out for a node is never activated for it. Sampling and
+updating run in the shared `sgd` engine; runs are bit-reproducible for a
+fixed seed. The tractable training objective is the Jensen lower bound
+of the full facet-marginal log-likelihood; `exact_objective_small`
+evaluates both sides exactly on enumerable instances.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import CapacityError, NumericsError, ValidationError
-from .facets import FacetPrior, conditional_distribution, sample_facet
-from .tables import EmbeddingTables, init_tables
-from .walks import Observation, sliding_windows
-
-LR_FLOOR_RATIO = 1e-4
-LOGIT_CLAMP = 30.0
+from . import sgd
+from .errors import CapacityError, ValidationError
+from .facets import FacetPrior, conditional_distribution
+# sgns_loss_and_grads is public here too: the acceptance suite imports it
+from .sgd import NegativeSampler, sgns_loss_and_grads  # noqa: F401
+from .tables import EmbeddingTables
+from .walks import Observation
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,6 @@ class TrainConfig:
     learning_rate: float = 0.025
     window: int = 8
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.dim < 1:
@@ -54,8 +52,6 @@ class TrainConfig:
             raise ValidationError("learning_rate must be positive")
         if self.window < 1:
             raise ValidationError("window must be positive")
-        if self.workers < 1:
-            raise ValidationError("workers must be positive")
 
 
 class TrainResult(NamedTuple):
@@ -63,205 +59,87 @@ class TrainResult(NamedTuple):
     epoch_losses: list[float]
 
 
-def corpus_node_counts(corpus, num_nodes: int) -> np.ndarray:
-    counts = np.zeros(num_nodes, dtype=np.int64)
-    for walk in corpus:
-        np.add.at(counts, walk, 1)
-    return counts
+def _observations(corpus, num_nodes: int, window: int):
+    """The corpus as one flat array, each walk framed by `window` -1 pads
+    on either side, and the index in it of every observation's center,
+    in `walks.sliding_windows` order."""
+    lengths = np.array([len(w) for w in corpus])
+    padded = np.full((len(corpus), lengths.max() + 2 * window), -1, dtype=np.int64)
+    for r, walk in enumerate(corpus):
+        padded[r, window:window + len(walk)] = walk
+    if padded.max() >= num_nodes or (padded >= 0).sum() != lengths.sum():
+        raise ValidationError("corpus node id out of range")
+    # a one-node walk has no context, so it yields no observation
+    return padded.ravel(), np.flatnonzero((padded >= 0) & (lengths >= 2)[:, None])
 
 
-class NegativeSampler:
-    """Draws (node, facet) negatives: node from counts**0.75, facet from
-    that node's prior distribution."""
-
-    def __init__(self, counts, facet_dist, power: float = 0.75):
-        counts = np.asarray(counts, dtype=np.float64)
-        if counts.shape[0] != facet_dist.shape[0]:
-            raise ValidationError("counts and prior disagree on node count")
-        weights = counts ** power
-        if weights.sum() <= 0:
-            raise ValidationError("negative sampler needs a nonzero count vector")
-        self.cdf = np.cumsum(weights)
-        self.facet_dist = facet_dist
-        self.facet_cdf = np.cumsum(facet_dist, axis=1)
-        self.k = facet_dist.shape[1]
-
-    def sample(self, rng) -> tuple[int, int]:
-        u = rng.random() * self.cdf[-1]
-        node = min(int(np.searchsorted(self.cdf, u, side="right")),
-                   len(self.cdf) - 1)
-        return node, sample_facet(self.facet_dist[node], rng)
-
-    def sample_batch(self, rng, count: int):
-        """Vectorized draw of `count` pairs; returns (nodes, facets) arrays.
-
-        Node draws consume `count` uniforms, then (for K > 1) facet draws
-        consume another `count`, so the stream matches a plain node-only
-        sampler exactly when K == 1.
-        """
-        u = rng.random(count) * self.cdf[-1]
-        nodes = np.minimum(np.searchsorted(self.cdf, u, side="right"),
-                           len(self.cdf) - 1)
-        if self.k == 1:
-            return nodes, np.zeros(count, dtype=np.int64)
-        rows = self.facet_cdf[nodes]
-        thresholds = rng.random(count) * rows[:, -1]
-        facet_idx = np.minimum((rows <= thresholds[:, None]).sum(axis=1),
-                               self.k - 1)
-        return nodes, facet_idx
-
-
-def negative_sampler(counts, prior: FacetPrior, seed: int = 0):
-    """Infinite stream of negative (node, facet) pairs."""
-    sampler = NegativeSampler(counts, prior.dist)
-    rng = np.random.default_rng(seed)
-    while True:
-        yield sampler.sample(rng)
-
-
-def sgns_loss_and_grads(u_cen, h_ctx, h_neg):
-    """Negative-sampling pair loss and its gradients.
-
-    u_cen, h_ctx: (D,) vectors; h_neg: (R, D) matrix of negative context
-    vectors. Logits are clamped to +-30 before the logistic, which
-    perturbs the loss by < 1e-13. Returns (loss, g_u, g_ctx, g_neg).
-    """
-    s_pos = float(h_ctx @ u_cen)
-    sp = min(max(s_pos, -LOGIT_CLAMP), LOGIT_CLAMP)
-    s_neg = np.clip(h_neg @ u_cen, -LOGIT_CLAMP, LOGIT_CLAMP)
-    e_neg = np.exp(s_neg)
-    p_neg = e_neg / (1.0 + e_neg)
-    p_pos = 1.0 / (1.0 + math.exp(-sp))
-    loss = math.log1p(math.exp(-sp)) + float(np.log1p(e_neg).sum())
-    g_u = (p_pos - 1.0) * h_ctx + h_neg.T @ p_neg
-    g_ctx = (p_pos - 1.0) * u_cen
-    g_neg = np.outer(p_neg, u_cen)
-    return loss, g_u, g_ctx, g_neg
-
-
-def pair_loss_and_grads(tables: EmbeddingTables, center, context, negatives):
-    """Loss and gradients of one positive pair against its negatives.
-
-    center/context are (node, facet) pairs; negatives a list of them.
-    Gradients come back keyed by parameter role.
-    """
-    ci, ck = center
-    xi, xk = context
-    neg_nodes = np.array([n for n, _ in negatives])
-    neg_facets = np.array([f for _, f in negatives])
-    loss, g_u, g_ctx, g_neg = sgns_loss_and_grads(
-        tables.u[ci, ck], tables.h[xi, xk], tables.h[neg_nodes, neg_facets])
-    return loss, {"u_center": g_u, "h_context": g_ctx, "h_negatives": g_neg}
-
-
-def _observations(corpus, window):
-    out = []
-    for walk in corpus:
-        out.extend(sliding_windows(walk, window))
-    return out
-
-
-def _run_observations(tables, dist, obs_list, sampler, rng, config,
-                      lr_total, step_counter, loss_box, epoch, hook):
-    u, h = tables.u, tables.h
+def _decode_chunk(flat, at, offsets, first, dist, sampler, rng, facet_rate,
+                  negatives):
+    """Draw the uniforms of the observations centred at `at` (numbered
+    from `first`) in one call and decode their steps."""
+    center = flat[at]
+    ctx = flat[at[:, None] + offsets]
+    valid = ctx >= 0
+    width = valid.sum(axis=1)
     k = dist.shape[1]
-    lr0 = config.learning_rate
-    decay = (1.0 - LR_FLOOR_RATIO) / lr_total
-    negatives = config.negatives
-    for oi, obs in enumerate(obs_list):
-        ctx = obs.context
-        p_o = (dist[obs.center] + dist[list(ctx)].sum(axis=0)) / (len(ctx) + 1)
-        cond_center = conditional_distribution(dist[obs.center], p_o)
-        cond_ctx = [conditional_distribution(dist[j], p_o) for j in ctx]
-        for _ in range(config.facet_rate):
-            k_i = sample_facet(cond_center, rng)
-            ctx_facets = [sample_facet(c, rng) for c in cond_ctx]
-            for j, k_j in zip(ctx, ctx_facets):
-                neg_nodes, neg_facets = sampler.sample_batch(rng, negatives)
-                loss, g_u, g_ctx, g_neg = sgns_loss_and_grads(
-                    u[obs.center, k_i], h[j, k_j], h[neg_nodes, neg_facets])
-                if not math.isfinite(loss):
-                    raise NumericsError(
-                        f"training diverged at epoch {epoch}, observation {oi}")
-                step = step_counter[0]
-                lr = lr0 * max(LR_FLOOR_RATIO, 1.0 - decay * step)
-                step_counter[0] = step + 1
-                u[obs.center, k_i] -= lr * g_u
-                h[j, k_j] -= lr * g_ctx
-                np.subtract.at(h, (neg_nodes, neg_facets), lr * g_neg)
-                loss_box[0] += loss
-                loss_box[1] += 1
-                if hook is not None:
-                    hook(step, tables)
+    per_round = sgd.uniforms_per_round(width, k, negatives)
+    per_obs = facet_rate * per_round
+    uniforms = rng.random(int(per_obs.sum()))
+
+    n_steps = facet_rate * width
+    owner = np.repeat(np.arange(len(at)), n_steps)
+    q = np.arange(len(owner)) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
+    rnd, position = np.divmod(q, width[owner])
+    base = (np.cumsum(per_obs) - per_obs)[owner] + rnd * per_round[owner]
+    ctx_index = (np.cumsum(width) - width)[owner] + position
+    contexts = ctx[valid]
+    center_cond = ctx_cond = None
+    if k > 1:
+        # sum the context rows in window order, as the per-observation
+        # formula does, so the conditionals match it bit for bit
+        acc = np.zeros((len(at), k))
+        for col in range(ctx.shape[1]):
+            acc = acc + np.where(valid[:, col, None], dist[ctx[:, col]], 0.0)
+        p_o = (dist[center] + acc) / (width + 1)[:, None]
+        center_cond = conditional_distribution(dist[center], p_o)[owner]
+        ctx_cond = conditional_distribution(
+            dist[contexts], np.repeat(p_o, width, axis=0))[ctx_index]
+    return sgd.decode(uniforms, base, width[owner], position, center[owner],
+                      center_cond, contexts[ctx_index], ctx_cond,
+                      first + owner, sampler, negatives)
 
 
 def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
           hook: Callable | None = None) -> TrainResult:
     """Run the facet-sampled negative-sampling trainer over a walk corpus.
 
-    Single-worker runs are bit-reproducible for a fixed seed. With
-    workers > 1 the observation stream is sharded across threads updating
-    the shared tables without locks; results are then only statistically
-    reproducible.
+    Bit-reproducible for a fixed seed. `hook(step, tables)`, when given,
+    runs after every update.
     """
     n = graph.num_nodes
     if prior.dist.shape[0] != n:
         raise ValidationError("prior row count differs from graph size")
     if not corpus:
         raise ValidationError("empty corpus")
-    obs_list = _observations(corpus, config.window)
-    if not obs_list:
+    flat, centers = _observations(corpus, n, config.window)
+    if not len(centers):
         raise ValidationError("corpus yields no observations")
 
-    root = np.random.SeedSequence(config.seed)
-    init_ss, train_ss = root.spawn(2)
-    tables = init_tables(n, prior.k, config.dim, seed=init_ss)
-    counts = corpus_node_counts(corpus, n)
-    sampler = NegativeSampler(counts, prior.dist)
-
-    pairs_per_epoch = sum(len(o.context) for o in obs_list) * config.facet_rate
-    lr_total = pairs_per_epoch * config.epochs
-    step_counter = [0]
-    epoch_losses = []
-    dist = prior.dist
-
-    if config.workers == 1:
-        rng = np.random.default_rng(train_ss)
-        for epoch in range(config.epochs):
-            loss_box = [0.0, 0]
-            _run_observations(tables, dist, obs_list, sampler, rng, config,
-                              lr_total, step_counter, loss_box, epoch, hook)
-            tables.check_finite(f"after epoch {epoch}")
-            epoch_losses.append(loss_box[0] / max(loss_box[1], 1))
-        return TrainResult(tables, epoch_losses)
-
-    worker_rngs = [np.random.default_rng(s) for s in train_ss.spawn(config.workers)]
-    shards = [obs_list[w::config.workers] for w in range(config.workers)]
+    sampler = NegativeSampler(np.bincount(flat[flat >= 0], minlength=n), prior.dist)
+    offsets = np.r_[-config.window:0, 1:config.window + 1]
+    pairs_per_epoch = config.facet_rate * sum(
+        int((flat[centers + o] >= 0).sum()) for o in offsets)
+    engine = sgd.Engine(n, n, prior.k, config.dim, config.seed,
+                        config.learning_rate, pairs_per_epoch * config.epochs,
+                        pairs_per_epoch, hook)
     for epoch in range(config.epochs):
-        boxes = [[0.0, 0] for _ in range(config.workers)]
-        errors: list[BaseException] = []
-
-        def run(w):
-            try:
-                _run_observations(tables, dist, shards[w], sampler,
-                                  worker_rngs[w], config, lr_total,
-                                  step_counter, boxes[w], epoch, hook)
-            except BaseException as exc:  # surface worker failures
-                errors.append(exc)
-
-        threads = [threading.Thread(target=run, args=(w,))
-                   for w in range(config.workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        tables.check_finite(f"after epoch {epoch}")
-        total = sum(b[0] for b in boxes)
-        count = sum(b[1] for b in boxes)
-        epoch_losses.append(total / max(count, 1))
-    return TrainResult(tables, epoch_losses)
+        for first in range(0, len(centers), sgd.CHUNK):
+            engine.apply(_decode_chunk(
+                flat, centers[first:first + sgd.CHUNK], offsets, first,
+                prior.dist, sampler, engine.rng, config.facet_rate,
+                config.negatives), f"epoch {epoch}, observation")
+        engine.tables.check_finite(f"after epoch {epoch}")
+    return TrainResult(engine.tables, engine.loss_trace())
 
 
 def exact_objective_small(obs: Observation, prior: FacetPrior,

@@ -7,23 +7,25 @@ since an edge has no wider context window), then one negative-sampled
 update runs on the selected facet vectors. The target table U covers
 type-A nodes, the context table H covers type-B nodes, and negatives are
 (type-B node, facet) pairs drawn from item degree**0.75 and the item's
-prior.
+prior. Sampling and updating run in the shared `sgd` engine; runs are
+bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import NumericsError, ValidationError
-from .facets import FacetPrior, conditional_distribution, sample_facet
-from .polydeepwalk import LR_FLOOR_RATIO, NegativeSampler, sgns_loss_and_grads
-from .tables import EmbeddingTables, init_tables
+from . import sgd
+from .errors import ValidationError
+from .facets import (FacetPrior, conditional_distribution,
+                     edge_observation_distribution)
+from .sgd import NegativeSampler
+from .tables import EmbeddingTables
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,6 @@ class PteConfig:
     total_samples: int | None = None   # None: 100 * num_edges
     learning_rate: float = 0.025
     seed: int = 0
-    workers: int = 1
     facet_mode: str = "observation"    # "observation" | "min"
     weighted_edges: bool = False
     trace_points: int = 10
@@ -50,8 +51,6 @@ class PteConfig:
             raise ValidationError("total_samples must be positive")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
-        if self.workers < 1:
-            raise ValidationError("workers must be positive")
         if self.facet_mode not in ("observation", "min"):
             raise ValidationError(f"unknown facet_mode {self.facet_mode!r}")
 
@@ -88,55 +87,48 @@ class AliasTable:
         return int(self.alias[i])
 
 
-def _edge_conditionals(dist_a_row, dist_b_row, mode):
-    p_o = 0.5 * (dist_a_row + dist_b_row)
+def _edge_conditionals(prior, a, b, mode):
+    p_o = edge_observation_distribution(prior, a, b)
     if mode == "observation":
         return p_o, p_o
-    return (conditional_distribution(dist_a_row, p_o),
-            conditional_distribution(dist_b_row, p_o))
+    return (conditional_distribution(prior.dist[a], p_o),
+            conditional_distribution(prior.dist_b[b], p_o))
 
 
-def _run_samples(tables, prior, edges, sampler, rng, config, facet_rate,
-                 n_samples, lr_total, step_counter, losses, hook, edge_alias):
-    u, h = tables.u, tables.h
-    dist_a, dist_b = prior.dist, prior.dist_b
-    lr0 = config.learning_rate
-    decay = (1.0 - LR_FLOOR_RATIO) / lr_total
-    n_edges = len(edges)
-    for si in range(n_samples):
-        if edge_alias is not None:
-            ei = edge_alias.sample(rng)
-        else:
-            ei = int(rng.integers(n_edges))
-        a, b = edges[ei]
-        cond_a, cond_b = _edge_conditionals(dist_a[a], dist_b[b],
-                                            config.facet_mode)
-        for _ in range(facet_rate):
-            k_a = sample_facet(cond_a, rng)
-            k_b = sample_facet(cond_b, rng)
-            neg_nodes, neg_facets = sampler.sample_batch(rng, config.negatives)
-            loss, g_u, g_ctx, g_neg = sgns_loss_and_grads(
-                u[a, k_a], h[b, k_b], h[neg_nodes, neg_facets])
-            if not math.isfinite(loss):
-                raise NumericsError(f"training diverged at edge sample {si}")
-            step = step_counter[0]
-            lr = lr0 * max(LR_FLOOR_RATIO, 1.0 - decay * step)
-            step_counter[0] = step + 1
-            u[a, k_a] -= lr * g_u
-            h[b, k_b] -= lr * g_ctx
-            np.subtract.at(h, (neg_nodes, neg_facets), lr * g_neg)
-            losses.append(loss)
-            if hook is not None:
-                hook(step, tables)
+def _decode_chunk(bipartite, prior, sampler, rng, config, facet_rate, start,
+                  count, edge_alias):
+    """Draw and decode edge samples start .. start + count - 1.
+
+    Each sample takes its edge draw and then its block of uniforms in two
+    calls, because the integer draw shares the generator's buffered state.
+    """
+    per_round = sgd.uniforms_per_round(1, prior.k, config.negatives)
+    edge = np.empty(count, dtype=np.int64)
+    uniforms = np.empty((count, facet_rate * per_round))
+    for s in range(count):
+        edge[s] = (edge_alias.sample(rng) if edge_alias is not None
+                   else rng.integers(bipartite.num_edges))
+        rng.random(out=uniforms[s])
+
+    owner = np.repeat(np.arange(count), facet_rate)
+    a, b = bipartite.edges[edge, 0], bipartite.edges[edge, 1]
+    cond_a = cond_b = None
+    if prior.k > 1:
+        cond_a, cond_b = _edge_conditionals(prior, a, b, config.facet_mode)
+        cond_a, cond_b = cond_a[owner], cond_b[owner]
+    # steps run sample-major, round-minor: step j's round starts at j * per_round
+    return sgd.decode(uniforms.ravel(), np.arange(len(owner)) * per_round, 1, 0,
+                      a[owner], cond_a, b[owner], cond_b, start + owner,
+                      sampler, config.negatives)
 
 
 def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
               hook: Callable | None = None) -> PteResult:
     """Train facet embeddings by repeated edge sampling.
 
-    Deterministic (bit-reproducible) with workers == 1; with more workers
-    the sample stream is split across lock-free threads and only the
-    statistics of the result are reproducible.
+    Bit-reproducible for a fixed seed. `hook(step, tables)`, when given,
+    runs after every update. The loss trace holds the mean loss of
+    consecutive buckets of about total/trace_points steps.
     """
     if prior.dist_b is None:
         raise ValidationError("PTE training needs a bipartite prior (P and Q)")
@@ -151,57 +143,18 @@ def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
     total = (config.total_samples if config.total_samples is not None
              else 100 * bipartite.num_edges)
 
-    root = np.random.SeedSequence(config.seed)
-    init_ss, train_ss = root.spawn(2)
-    tables = init_tables(bipartite.num_a, prior.k, config.dim,
-                         seed=init_ss, num_context=bipartite.num_b)
     sampler = NegativeSampler(bipartite.degrees_b(), prior.dist_b)
     edge_alias = AliasTable(bipartite.weights) if config.weighted_edges else None
-
-    lr_total = total * facet_rate
-    step_counter = [0]
-    edges = bipartite.edges
-
-    if config.workers == 1:
-        rng = np.random.default_rng(train_ss)
-        losses: list[float] = []
-        _run_samples(tables, prior, edges, sampler, rng, config, facet_rate,
-                     total, lr_total, step_counter, losses, hook, edge_alias)
-        tables.check_finite("after training")
-        return PteResult(tables, _bucket_means(losses, config.trace_points))
-
-    shares = [total // config.workers] * config.workers
-    shares[0] += total - sum(shares)
-    all_losses: list[list[float]] = [[] for _ in range(config.workers)]
-    errors: list[BaseException] = []
-    worker_rngs = [np.random.default_rng(s) for s in train_ss.spawn(config.workers)]
-
-    def run(w):
-        try:
-            _run_samples(tables, prior, edges, sampler, worker_rngs[w], config,
-                         facet_rate, shares[w], lr_total, step_counter,
-                         all_losses[w], hook, edge_alias)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(config.workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    tables.check_finite("after training")
-    merged = [x for chunk in all_losses for x in chunk]
-    return PteResult(tables, _bucket_means(merged, config.trace_points))
-
-
-def _bucket_means(losses, points):
-    if not losses:
-        return []
-    width = max(1, len(losses) // max(points, 1))
-    return [float(np.mean(losses[i:i + width]))
-            for i in range(0, len(losses), width)]
+    steps_total = total * facet_rate
+    engine = sgd.Engine(bipartite.num_a, bipartite.num_b, prior.k, config.dim,
+                        config.seed, config.learning_rate, steps_total,
+                        max(1, steps_total // max(config.trace_points, 1)), hook)
+    for start in range(0, total, sgd.CHUNK):
+        engine.apply(_decode_chunk(bipartite, prior, sampler, engine.rng, config,
+                                   facet_rate, start, min(sgd.CHUNK, total - start),
+                                   edge_alias), "edge sample")
+    engine.tables.check_finite("after training")
+    return PteResult(engine.tables, engine.loss_trace())
 
 
 def pte_lower_bound_small(edge, prior: FacetPrior, tables: EmbeddingTables,
@@ -214,7 +167,7 @@ def pte_lower_bound_small(edge, prior: FacetPrior, tables: EmbeddingTables,
     if prior.dist_b is None:
         raise ValidationError("needs a bipartite prior")
     a, b = edge
-    cond_a, cond_b = _edge_conditionals(prior.dist[a], prior.dist_b[b], mode)
+    cond_a, cond_b = _edge_conditionals(prior, a, b, mode)
     k = prior.k
     d = tables.dim
     flat_h = tables.h.reshape(-1, d)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericsError, ParseError, ValidationError
+from .errors import NumericsError, ParseError, ValidationError, parse_numbers
 
 
 @dataclass
@@ -80,7 +80,7 @@ def load_embeddings(path) -> np.ndarray:
         header = fh.readline().split()
         if len(header) != 3:
             raise ParseError(f"{path}: bad header, expected 'N K D'")
-        n, k, d = (int(v) for v in header)
+        n, k, d = parse_numbers(header, int, f"{path} line 1")
         out = np.zeros((n, k, d))
         seen = np.zeros((n, k), dtype=bool)
         for line_no, line in enumerate(fh, start=2):
@@ -89,10 +89,11 @@ def load_embeddings(path) -> np.ndarray:
                 continue
             if len(fields) != d + 2:
                 raise ParseError(f"{path} line {line_no}: expected {d + 2} fields")
-            i, f = int(fields[0]), int(fields[1])
+            where = f"{path} line {line_no}"
+            i, f = parse_numbers(fields[:2], int, where)
             if not (0 <= i < n and 0 <= f < k):
                 raise ParseError(f"{path} line {line_no}: index out of range")
-            out[i, f] = [float(v) for v in fields[2:]]
+            out[i, f] = parse_numbers(fields[2:], float, where)
             seen[i, f] = True
     if not seen.all():
         raise ParseError(f"{path}: missing {int((~seen).sum())} (node, facet) rows")

@@ -1,21 +1,19 @@
 """Random-walk corpus generation and center-context windowing.
 
 Each start node owns an independent generator seeded with
-`seed XOR node_id`, so the corpus is identical no matter how walk
-generation is sharded across workers. Walks are emitted pass-major
-(pass 0 over all nodes, then pass 1, ...) which interleaves start nodes
-the way stochastic training prefers.
+`seed XOR node_id`, so a node's walks do not depend on the other nodes.
+Walks are emitted pass-major (pass 0 over all nodes, then pass 1, ...)
+which interleaves start nodes the way stochastic training prefers.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, parse_numbers
 
 
 @dataclass(frozen=True)
@@ -25,7 +23,6 @@ class WalkConfig:
     window: int = 8
     seed: int = 0
     weighted: bool = True
-    workers: int = 1
 
     def __post_init__(self):
         if self.walks_per_node < 1:
@@ -34,8 +31,6 @@ class WalkConfig:
             raise ValidationError("walk_length must be at least 2")
         if self.window < 1:
             raise ValidationError("window must be positive")
-        if self.workers < 1:
-            raise ValidationError("workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -85,12 +80,7 @@ def generate_walks(graph, config: WalkConfig) -> list[list[int]]:
             out.append(walk)
         return out
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            per_node = list(pool.map(walks_for, starts))
-    else:
-        per_node = [walks_for(v) for v in starts]
-
+    per_node = [walks_for(v) for v in starts]
     return [per_node[i][r]
             for r in range(config.walks_per_node)
             for i in range(len(starts))]
@@ -126,10 +116,10 @@ def save_corpus(walks, path) -> None:
 def load_corpus(path) -> list[list[int]]:
     out = []
     with open(Path(path), "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if fields:
-                out.append([int(v) for v in fields])
+                out.append(parse_numbers(fields, int, f"{path} line {line_no}"))
     if not out:
         raise ValidationError(f"{path}: empty corpus")
     return out

@@ -3,16 +3,21 @@
 The reference trainers here re-implement classic (single-vector)
 skip-gram and edge-sampling training with explicit loops, consuming
 randomness in the documented order, so the facet trainers can be checked
-step-for-step against them at K=1.
+step-for-step against them at K=1. The per-step facet trainers check the
+decode-then-update engine exactly at any K.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from polyembed import graph as graphmod
+from polyembed.errors import NumericsError
 from polyembed.facets import FacetPrior
-from polyembed.polydeepwalk import LR_FLOOR_RATIO, sgns_loss_and_grads
-from polyembed.tables import EmbeddingTables
+from polyembed.polypte import AliasTable
+from polyembed.sgd import LR_FLOOR_RATIO, sgns_loss_and_grads
+from polyembed.tables import EmbeddingTables, init_tables
 from polyembed.walks import sliding_windows
 
 
@@ -151,6 +156,154 @@ def reference_pte_train(g, dim, negatives, total_samples, learning_rate,
         if max_updates is not None and step + 1 >= max_updates:
             break
     return EmbeddingTables(u=u, h=h)
+
+
+# ------------------------------------------- per-step facet trainers
+
+class ReferenceNegativeSampler:
+    """Per-call (node, facet) negative sampler; node from counts**0.75,
+    facet from that node's prior by inverse CDF."""
+
+    def __init__(self, counts, facet_dist, power=0.75):
+        self.cdf = np.cumsum(np.asarray(counts, dtype=np.float64) ** power)
+        self.facet_cdf = np.cumsum(facet_dist, axis=1)
+        self.k = facet_dist.shape[1]
+
+    def sample_batch(self, rng, count):
+        u = rng.random(count) * self.cdf[-1]
+        nodes = np.minimum(np.searchsorted(self.cdf, u, side="right"),
+                           len(self.cdf) - 1)
+        if self.k == 1:
+            return nodes, np.zeros(count, dtype=np.int64)
+        rows = self.facet_cdf[nodes]
+        thresholds = rng.random(count) * rows[:, -1]
+        facet_idx = np.minimum((rows <= thresholds[:, None]).sum(axis=1),
+                               self.k - 1)
+        return nodes, facet_idx
+
+
+def sample_facet(dist, rng):
+    """One inverse-CDF facet draw; a length-1 distribution returns 0
+    without consuming randomness."""
+    if len(dist) == 1:
+        return 0
+    cdf = np.cumsum(dist)
+    k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    return min(k, len(dist) - 1)
+
+
+def reference_conditional(p_v, p_o):
+    """Min-rule conditional of one node within one observation."""
+    m = np.minimum(p_v, p_o)
+    s = m.sum()
+    if s <= 0.0:
+        return p_v.copy()
+    return m / s
+
+
+def reference_polydeepwalk(g, prior, corpus, config, hook=None):
+    """PolyDeepWalk with facet draws, negatives and updates interleaved
+    step by step. Returns (tables, epoch_losses, per-step losses)."""
+    n = g.num_nodes
+    obs_list = []
+    for walk in corpus:
+        obs_list.extend(sliding_windows(walk, config.window))
+    init_ss, train_ss = np.random.SeedSequence(config.seed).spawn(2)
+    tables = init_tables(n, prior.k, config.dim, seed=init_ss)
+    counts = np.zeros(n, dtype=np.int64)
+    for walk in corpus:
+        np.add.at(counts, walk, 1)
+    sampler = ReferenceNegativeSampler(counts, prior.dist)
+    lr_total = (sum(len(o.context) for o in obs_list) * config.facet_rate
+                * config.epochs)
+    rng = np.random.default_rng(train_ss)
+    u, h, dist = tables.u, tables.h, prior.dist
+    lr0 = config.learning_rate
+    decay = (1.0 - LR_FLOOR_RATIO) / lr_total
+    step, losses, epoch_losses = 0, [], []
+    for epoch in range(config.epochs):
+        loss_box = [0.0, 0]
+        for oi, obs in enumerate(obs_list):
+            ctx = obs.context
+            p_o = (dist[obs.center] + dist[list(ctx)].sum(axis=0)) / (len(ctx) + 1)
+            cond_center = reference_conditional(dist[obs.center], p_o)
+            cond_ctx = [reference_conditional(dist[j], p_o) for j in ctx]
+            for _ in range(config.facet_rate):
+                k_i = sample_facet(cond_center, rng)
+                ctx_facets = [sample_facet(c, rng) for c in cond_ctx]
+                for j, k_j in zip(ctx, ctx_facets):
+                    neg_nodes, neg_facets = sampler.sample_batch(rng, config.negatives)
+                    loss, g_u, g_ctx, g_neg = sgns_loss_and_grads(
+                        u[obs.center, k_i], h[j, k_j], h[neg_nodes, neg_facets])
+                    if not math.isfinite(loss):
+                        raise NumericsError(
+                            f"training diverged at epoch {epoch}, observation {oi}")
+                    lr = lr0 * max(LR_FLOOR_RATIO, 1.0 - decay * step)
+                    u[obs.center, k_i] -= lr * g_u
+                    h[j, k_j] -= lr * g_ctx
+                    np.subtract.at(h, (neg_nodes, neg_facets), lr * g_neg)
+                    loss_box[0] += loss
+                    loss_box[1] += 1
+                    losses.append(loss)
+                    if hook is not None:
+                        hook(step, tables)
+                    step += 1
+        epoch_losses.append(loss_box[0] / max(loss_box[1], 1))
+    return tables, epoch_losses, losses
+
+
+def reference_polypte(g, prior, config, hook=None):
+    """PolyPTE with edge draws, facet draws, negatives and updates
+    interleaved step by step. Returns (tables, per-step losses)."""
+    facet_rate = config.facet_rate if config.facet_rate is not None else prior.k ** 2
+    total = (config.total_samples if config.total_samples is not None
+             else 100 * g.num_edges)
+    init_ss, train_ss = np.random.SeedSequence(config.seed).spawn(2)
+    tables = init_tables(g.num_a, prior.k, config.dim, seed=init_ss,
+                         num_context=g.num_b)
+    sampler = ReferenceNegativeSampler(g.degrees_b(), prior.dist_b)
+    edge_alias = AliasTable(g.weights) if config.weighted_edges else None
+    rng = np.random.default_rng(train_ss)
+    u, h = tables.u, tables.h
+    lr0 = config.learning_rate
+    decay = (1.0 - LR_FLOOR_RATIO) / (total * facet_rate)
+    step, losses = 0, []
+    for si in range(total):
+        if edge_alias is not None:
+            ei = edge_alias.sample(rng)
+        else:
+            ei = int(rng.integers(len(g.edges)))
+        a, b = g.edges[ei]
+        p_o = 0.5 * (prior.dist[a] + prior.dist_b[b])
+        if config.facet_mode == "observation":
+            cond_a = cond_b = p_o
+        else:
+            cond_a = reference_conditional(prior.dist[a], p_o)
+            cond_b = reference_conditional(prior.dist_b[b], p_o)
+        for _ in range(facet_rate):
+            k_a = sample_facet(cond_a, rng)
+            k_b = sample_facet(cond_b, rng)
+            neg_nodes, neg_facets = sampler.sample_batch(rng, config.negatives)
+            loss, g_u, g_ctx, g_neg = sgns_loss_and_grads(
+                u[a, k_a], h[b, k_b], h[neg_nodes, neg_facets])
+            if not math.isfinite(loss):
+                raise NumericsError(f"training diverged at edge sample {si}")
+            lr = lr0 * max(LR_FLOOR_RATIO, 1.0 - decay * step)
+            u[a, k_a] -= lr * g_u
+            h[b, k_b] -= lr * g_ctx
+            np.subtract.at(h, (neg_nodes, neg_facets), lr * g_neg)
+            losses.append(loss)
+            if hook is not None:
+                hook(step, tables)
+            step += 1
+    return tables, losses
+
+
+def bucket_means(losses, points):
+    """Means of consecutive buckets of len(losses) // points losses."""
+    width = max(1, len(losses) // max(points, 1))
+    return [float(np.mean(losses[i:i + width]))
+            for i in range(0, len(losses), width)]
 
 
 # ---------------------------------------------------------------- oracles

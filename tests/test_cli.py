@@ -185,3 +185,46 @@ def test_manifest_records_resolved_parameters(tmp_path, sbm_file):
     assert "subcommand=facets" in manifest
     assert "seed=5" in manifest
     assert "alpha=0.05" in manifest
+
+
+MALFORMED = {
+    # name: (files, argv, line the error must name)
+    "edge-list-node-count": (
+        {"g.edges": "# nodes abc\n0 1\n1 2\n"},
+        ["walks", "--input", "g.edges", "--out", "out"], "g.edges line 1"),
+    "embedding-field": (
+        {"e.emb": "2 1 2\n0 0 0.1 0.2\n1 0 0.3 zz\n", "p.prior": "2 1\n0 1\n1 1\n"},
+        ["embed", "--emb", "e.emb", "--prior", "p.prior", "--out", "out"],
+        "e.emb line 3"),
+    "prior-header": (
+        {"e.emb": "2 1 2\n0 0 0.1 0.2\n1 0 0.3 0.4\n", "p.prior": "2 x\n0 1\n1 1\n"},
+        ["embed", "--emb", "e.emb", "--prior", "p.prior", "--out", "out"],
+        "p.prior line 1"),
+    "prior-value": (
+        {"e.emb": "2 1 2\n0 0 0.1 0.2\n1 0 0.3 0.4\n", "p.prior": "2 1\n0 1\n1 abc\n"},
+        ["embed", "--emb", "e.emb", "--prior", "p.prior", "--out", "out"],
+        "p.prior line 3"),
+    "corpus-token": (
+        {"g.edges": "0 1\n1 2\n", "p.prior": "3 1\n0 1\n1 1\n2 1\n",
+         "c.walks": "0 1 2\n1 q\n"},
+        ["train-deepwalk", "--input", "g.edges", "--prior", "p.prior",
+         "--corpus", "c.walks", "--out", "out"], "c.walks line 2"),
+    "joint-field": (
+        {"j.joint": "2 2\n0 1 2\n1 x 3\n", "l.txt": "0 a\n1 b\n"},
+        ["eval-class", "--features", "j.joint", "--labels", "l.txt",
+         "--out", "out"], "j.joint line 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_number_is_a_parse_error(tmp_path, capsys, case):
+    files, argv, where = MALFORMED[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    flags_with_paths = {"--input", "--emb", "--prior", "--corpus", "--out",
+                        "--features", "--labels"}
+    argv = [str(tmp_path / a) if i and argv[i - 1] in flags_with_paths else a
+            for i, a in enumerate(argv)]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and where in err

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import make_two_cliques
+from conftest import make_two_cliques, sample_facet
 
 from polyembed import facets, graph
 from polyembed.errors import ValidationError
@@ -204,15 +204,42 @@ def test_conditional_never_activates_zero_prior_facet():
 # ---------------------------------------------------------------- sampling
 
 def test_sample_facet_degenerate():
-    rng = np.random.default_rng(0)
-    assert all(facets.sample_facet([1.0, 0.0, 0.0], rng) == 0 for _ in range(50))
-    assert all(facets.sample_facet([0.0, 0.0, 1.0], rng) == 2 for _ in range(50))
+    u = np.random.default_rng(0).random(50)
+    dist = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert not facets.sample_facets(np.broadcast_to(dist[0], (50, 3)), u).any()
+    assert (facets.sample_facets(np.broadcast_to(dist[1], (50, 3)), u) == 2).all()
 
 
 def test_sample_facet_frequency():
     rng = np.random.default_rng(123)
-    draws = sum(facets.sample_facet([0.5, 0.5], rng) == 0 for _ in range(100_000))
+    dist = np.broadcast_to([0.5, 0.5], (100_000, 2))
+    draws = (facets.sample_facets(dist, rng.random(100_000)) == 0).sum()
     assert 0.49 <= draws / 100_000 <= 0.51
+
+
+class _Replay:
+    """Stands in for a generator whose next uniform is known."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def test_stacked_rows_match_single_distributions():
+    rng = np.random.default_rng(5)
+    p_v = rng.random((200, 9))
+    p_v[rng.random(p_v.shape) < 0.4] = 0.0
+    p_o = rng.random((200, 9))
+    p_o[:20] = np.where(p_v[:20] > 0, 0.0, 1.0)   # all-zero min rows
+    cond = facets.conditional_distribution(p_v, p_o)
+    u = rng.random(200)
+    draws = facets.sample_facets(cond, u)
+    for i in range(200):
+        row = facets.conditional_distribution(p_v[i], p_o[i])
+        assert np.array_equal(cond[i], row)
+        assert draws[i] == sample_facet(row, _Replay(u[i]))
 
 
 def test_entropy():

@@ -5,7 +5,7 @@ import pytest
 from conftest import (finite_difference, make_two_cliques, reference_sgns_train,
                       rel_error)
 
-from polyembed import facets, graph, polydeepwalk as pdw, walks
+from polyembed import facets, graph, polydeepwalk as pdw, sgd, walks
 from polyembed.errors import CapacityError, NumericsError, ValidationError
 from polyembed.tables import init_tables
 from polyembed.walks import Observation, WalkConfig
@@ -41,19 +41,17 @@ def test_init_tables_deterministic():
 # ---------------------------------------------------------------- pair loss
 
 def test_pair_loss_all_zero_vectors():
-    t = init_tables(2, 1, 4, seed=0)
-    t.u[:] = 0.0
-    loss, grads = pdw.pair_loss_and_grads(t, (0, 0), (1, 0), [(1, 0)])
+    loss, g_u, _, _ = sgd.sgns_loss_and_grads(np.zeros(4), np.zeros(4),
+                                              np.zeros((1, 4)))
     assert loss == pytest.approx(2 * math.log(2))
-    assert grads["u_center"].shape == (4,)
+    assert g_u.shape == (4,)
 
 
 def test_pair_loss_saturation_limit():
-    t = init_tables(2, 1, 2, seed=0)
-    t.u[0, 0] = [40.0, 0.0]
-    t.h[1, 0] = [40.0, 0.0]   # strongly aligned positive
-    t.h[0, 0] = [-40.0, 0.0]  # strongly repelled negative
-    loss, _ = pdw.pair_loss_and_grads(t, (0, 0), (1, 0), [(0, 0)])
+    u = np.array([40.0, 0.0])
+    positive = np.array([40.0, 0.0])      # strongly aligned
+    negative = np.array([[-40.0, 0.0]])   # strongly repelled
+    loss = sgd.sgns_loss_and_grads(u, positive, negative)[0]
     assert loss < 1e-10
 
 
@@ -61,11 +59,9 @@ def test_pair_loss_nonnegative():
     rng = np.random.default_rng(3)
     t = random_tables(4, 2, 3, seed=3)
     for _ in range(20):
-        loss, _ = pdw.pair_loss_and_grads(
-            t, (int(rng.integers(4)), int(rng.integers(2))),
-            (int(rng.integers(4)), int(rng.integers(2))),
-            [(int(rng.integers(4)), int(rng.integers(2)))])
-        assert loss >= 0.0
+        u = t.u[int(rng.integers(4)), int(rng.integers(2))]
+        h = t.h[rng.integers(4, size=2), rng.integers(2, size=2)]
+        assert sgd.sgns_loss_and_grads(u, h[0], h[1:])[0] >= 0.0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -76,10 +72,10 @@ def test_pair_loss_matches_finite_differences(seed):
     u = rng.normal(0, 1, d)
     h_ctx = rng.normal(0, 1, d)
     h_neg = rng.normal(0, 1, (n_neg, d))
-    _, g_u, g_ctx, g_neg = pdw.sgns_loss_and_grads(u, h_ctx, h_neg)
+    _, g_u, g_ctx, g_neg = sgd.sgns_loss_and_grads(u, h_ctx, h_neg)
     for analytic, arr in ((g_u, u), (g_ctx, h_ctx), (g_neg, h_neg)):
         numeric = finite_difference(
-            lambda: pdw.sgns_loss_and_grads(u, h_ctx, h_neg)[0], arr)
+            lambda: sgd.sgns_loss_and_grads(u, h_ctx, h_neg)[0], arr)
         assert rel_error(analytic, numeric) < 1e-5
 
 
@@ -87,7 +83,7 @@ def test_pair_loss_matches_finite_differences(seed):
 
 def test_negative_sampler_degenerate_prior_facet():
     prior = facets.FacetPrior.from_factor(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    sampler = pdw.NegativeSampler(np.array([3, 5]), prior.dist)
+    sampler = sgd.NegativeSampler(np.array([3, 5]), prior.dist)
     rng = np.random.default_rng(0)
     nodes, facet_idx = sampler.sample_batch(rng, 2000)
     assert not facet_idx.any()
@@ -95,7 +91,7 @@ def test_negative_sampler_degenerate_prior_facet():
 
 def test_negative_sampler_power_ratio():
     prior = facets.FacetPrior.uniform(2, 1)
-    sampler = pdw.NegativeSampler(np.array([16, 1]), prior.dist)
+    sampler = sgd.NegativeSampler(np.array([16, 1]), prior.dist)
     rng = np.random.default_rng(1)
     nodes, _ = sampler.sample_batch(rng, 100_000)
     ratio = (nodes == 0).sum() / (nodes == 1).sum()
@@ -104,7 +100,7 @@ def test_negative_sampler_power_ratio():
 
 def test_negative_sampler_uniform_pairs():
     prior = facets.FacetPrior.uniform(3, 2)
-    sampler = pdw.NegativeSampler(np.array([7, 7, 7]), prior.dist)
+    sampler = sgd.NegativeSampler(np.array([7, 7, 7]), prior.dist)
     rng = np.random.default_rng(2)
     nodes, facet_idx = sampler.sample_batch(rng, 120_000)
     for n in range(3):
@@ -113,11 +109,11 @@ def test_negative_sampler_uniform_pairs():
             assert abs(freq - 1 / 6) < 0.05 / 6
 
 
-def test_negative_sampler_stream():
+def test_negative_sampler_batch_in_range():
     prior = facets.FacetPrior.uniform(2, 2)
-    stream = pdw.negative_sampler(np.array([1, 1]), prior, seed=0)
-    pairs = [next(stream) for _ in range(10)]
-    assert all(0 <= n < 2 and 0 <= k < 2 for n, k in pairs)
+    sampler = sgd.NegativeSampler(np.array([1, 1]), prior.dist)
+    nodes, facet_idx = sampler.sample_batch(np.random.default_rng(0), 10)
+    assert ((0 <= nodes) & (nodes < 2) & (0 <= facet_idx) & (facet_idx < 2)).all()
 
 
 # ------------------------------------------------------------------- train
@@ -201,18 +197,18 @@ def test_facet_respect_zero_prior_rows_untouched(clique_setup):
 def test_facet_respect_instrumented_sampler(clique_setup, monkeypatch):
     g, prior, corpus = clique_setup
     drawn = []
-    original = facets.sample_facet
+    original = facets.sample_facets
 
-    def spy(dist, rng):
-        k = original(dist, rng)
-        drawn.append((np.asarray(dist, dtype=float), k))
+    def spy(dist, u):
+        k = original(dist, u)
+        drawn.append(np.take_along_axis(dist, k[..., None], axis=-1))
         return k
 
-    monkeypatch.setattr(pdw, "sample_facet", spy)
+    monkeypatch.setattr(sgd, "sample_facets", spy)
     config = pdw.TrainConfig(dim=4, epochs=1, window=3, seed=2)
     pdw.train(g, prior, corpus, config)
     assert drawn
-    assert all(dist[k] > 0 for dist, k in drawn)
+    assert all((chosen > 0).all() for chosen in drawn)
 
 
 def test_nan_in_tables_aborts_with_diagnostic(clique_setup):
@@ -226,14 +222,6 @@ def test_nan_in_tables_aborts_with_diagnostic(clique_setup):
         pdw.train(g, prior, corpus,
                   pdw.TrainConfig(dim=4, epochs=1, window=3, seed=0),
                   hook=poison)
-
-
-def test_throughput_mode_runs(clique_setup):
-    g, prior, corpus = clique_setup
-    config = pdw.TrainConfig(dim=4, epochs=1, window=3, seed=0, workers=2)
-    result = pdw.train(g, prior, corpus, config)
-    assert np.isfinite(result.tables.u).all()
-    assert len(result.epoch_losses) == 1
 
 
 def test_train_validates_inputs(clique_setup):
