@@ -20,7 +20,7 @@ from scipy.stats import rankdata
 
 from . import graph as graphmod
 from . import inference
-from .errors import ProtocolError, ValidationError
+from .errors import ProtocolError, ValidationError, parse_numbers
 from .facets import FacetPrior
 from .graph import BipartiteGraph, Graph
 from .tables import EmbeddingTables
@@ -246,7 +246,8 @@ def load_labels(path, num_nodes: int):
                 continue
             if len(fields) != 2:
                 raise ValidationError(f"{path} line {line_no}: expected 'node label'")
-            pairs.append((int(fields[0]), fields[1]))
+            node, = parse_numbers(fields[:1], int, f"{path} line {line_no}")
+            pairs.append((node, fields[1]))
     classes = sorted({lab for _, lab in pairs})
     index = {lab: c for c, lab in enumerate(classes)}
     y = np.zeros((num_nodes, len(classes)), dtype=np.float64)

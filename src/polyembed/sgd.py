@@ -4,7 +4,7 @@ Each chunk of observations (walk windows or edge samples) is first
 decoded: its random draws become per-step arrays of flat table rows
 (target, context, negatives). No draw depends on the tables and the
 stream is consumed in per-step order, so results do not depend on CHUNK.
-`Updater.apply` then runs the SGD steps on (rows, D) views of the tables.
+`Engine.apply` then runs the SGD steps on (rows, D) views of the tables.
 
 A facet round of an observation with C contexts draws one uniform for the
 target facet, C for the context facets, then per context R for the
@@ -170,5 +170,6 @@ class Engine:
         np.add.at(self.loss_sums, (index // self.bucket).astype(np.int64), losses)
 
     def loss_trace(self) -> list[float]:
+        """Mean loss per bucket; the last bucket may be shorter."""
         first = self.bucket * np.arange(len(self.loss_sums))
         return (self.loss_sums / np.minimum(self.bucket, self.total - first)).tolist()

@@ -213,6 +213,10 @@ MALFORMED = {
         {"j.joint": "2 2\n0 1 2\n1 x 3\n", "l.txt": "0 a\n1 b\n"},
         ["eval-class", "--features", "j.joint", "--labels", "l.txt",
          "--out", "out"], "j.joint line 3"),
+    "label-node-id": (
+        {"j.joint": "2 2\n0 1 2\n1 3 4\n", "l.txt": "0 a\nx b\n"},
+        ["eval-class", "--features", "j.joint", "--labels", "l.txt",
+         "--out", "out"], "l.txt line 2"),
 }
 
 
