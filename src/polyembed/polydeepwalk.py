@@ -60,9 +60,9 @@ class TrainResult(NamedTuple):
 
 
 def _observations(corpus, num_nodes: int, window: int):
-    """The corpus as one flat array, each walk framed by `window` -1 pads
-    on either side, and the index in it of every observation's center,
-    in `walks.sliding_windows` order."""
+    """The corpus as one flat array, each walk framed by at least `window`
+    -1 pads on either side, and the index in it of every observation's
+    center, in `walks.sliding_windows` order."""
     lengths = np.array([len(w) for w in corpus])
     padded = np.full((len(corpus), lengths.max() + 2 * window), -1, dtype=np.int64)
     for r, walk in enumerate(corpus):
