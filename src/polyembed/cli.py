@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evaluation, facets, inference, polydeepwalk, polygcn, polypte, walks
 from . import graph as graphmod
-from .errors import PolyembedError, ValidationError
+from .errors import ParseError, PolyembedError, ValidationError, parse_numbers
 from .tables import EmbeddingTables, load_embeddings, save_embeddings
 
 
@@ -94,25 +94,28 @@ def _save_test_edges(path, test_edges, g) -> None:
 
 
 def _load_test_edges(path, g) -> list[tuple[int, int]]:
+    """Test edges `a b`, as labels or integer ids of nodes of `g`."""
     if isinstance(g, graphmod.BipartiteGraph):
-        map_a = ({lab: i for i, lab in enumerate(g.a_labels)}
-                 if g.a_labels else None)
-        map_b = ({lab: i for i, lab in enumerate(g.b_labels)}
-                 if g.b_labels else None)
+        sides = ((g.a_labels, g.num_a), (g.b_labels, g.num_b))
     else:
-        map_a = map_b = ({lab: i for i, lab in enumerate(g.node_labels)}
-                         if g.node_labels else None)
+        sides = ((g.node_labels, g.num_nodes),) * 2
+    maps = [{lab: i for i, lab in enumerate(labels)} if labels else None
+            for labels, _ in sides]
     out = []
     with open(Path(path), "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields or fields[0].startswith("#"):
                 continue
+            where = f"{path} line {line_no}"
             if len(fields) != 2:
-                raise ValidationError(f"{path}: test edges need two fields per line")
-            a = map_a[fields[0]] if map_a else int(fields[0])
-            b = map_b[fields[1]] if map_b else int(fields[1])
-            out.append((a, b))
+                raise ParseError(f"{where}: test edges need two fields per line")
+            pair = tuple(index.get(token, -1) if index is not None
+                         else parse_numbers([token], int, where)[0]
+                         for token, index in zip(fields, maps))
+            if not all(0 <= v < limit for v, (_, limit) in zip(pair, sides)):
+                raise ParseError(f"{where}: {line.strip()!r} names a node not in the graph")
+            out.append(pair)
     if not out:
         raise ValidationError(f"{path}: no test edges")
     return out
@@ -138,9 +141,8 @@ def cmd_facets(args) -> None:
     if params["k"] < 1:
         raise ValidationError("--k must be at least 1")
     g = graphmod.load_edge_list(args.input, kind=params["kind"])
-    a = graphmod.adjacency_dense(g)
     if params["kind"] == "homogeneous":
-        result = facets.symmetric_nmf(a, params["k"], alpha=params["alpha"],
+        result = facets.symmetric_nmf(g.adj, params["k"], alpha=params["alpha"],
                                       max_iters=params["max_iters"],
                                       tol=params["tol"], seed=params["seed"])
         dist = facets.normalize_prior(result.factors[0])
@@ -148,7 +150,7 @@ def cmd_facets(args) -> None:
         print(f"wrote {args.out} ({dist.shape[0]} nodes, {params['k']} facets, "
               f"objective {result.objective:.6g}, {result.iterations} iterations)")
     else:
-        result = facets.asymmetric_nmf(a, params["k"], alpha=params["alpha"],
+        result = facets.asymmetric_nmf(g.adj, params["k"], alpha=params["alpha"],
                                        max_iters=params["max_iters"],
                                        tol=params["tol"], seed=params["seed"])
         p, q = result.factors
@@ -237,8 +239,7 @@ def cmd_train_gcn(args) -> None:
     params = resolve_params(args, GCN_DEFAULTS)
     g = graphmod.load_edge_list(args.input, kind="bipartite")
     prior = _load_prior_for("bipartite", args.prior, alpha=params["alpha"])
-    a = graphmod.adjacency_dense(g)
-    fadj = polygcn.decompose_adjacency(a, prior.p, prior.q)
+    fadj = polygcn.decompose_adjacency(g.adj, prior.p, prior.q)
     config = polygcn.GcnConfig(
         dim=params["dim"], depth=params["depth"],
         iterations=params["iterations"],
@@ -341,15 +342,14 @@ def cmd_pipeline(args) -> None:
     graphmod.save_edge_list(train_g, f"{prefix}.train.edges")
     _save_test_edges(f"{prefix}.test.edges", test_edges, g)
 
-    a = graphmod.adjacency_dense(train_g)
     if kind == "homogeneous":
-        nmf = facets.symmetric_nmf(a, params["k"], alpha=params["alpha"],
+        nmf = facets.symmetric_nmf(train_g.adj, params["k"], alpha=params["alpha"],
                                    max_iters=params["max_iters"],
                                    tol=params["tol"], seed=seed)
         prior = facets.FacetPrior.from_factor(nmf.factors[0], alpha=params["alpha"])
         facets.save_prior_file(f"{prefix}.prior", prior.dist)
     else:
-        nmf = facets.asymmetric_nmf(a, params["k"], alpha=params["alpha"],
+        nmf = facets.asymmetric_nmf(train_g.adj, params["k"], alpha=params["alpha"],
                                     max_iters=params["max_iters"],
                                     tol=params["tol"], seed=seed)
         prior = facets.FacetPrior.from_factors(*nmf.factors, alpha=params["alpha"])
@@ -381,7 +381,7 @@ def cmd_pipeline(args) -> None:
         save_embeddings(f"{prefix}.emb.b", tables.h)
         mode = "cross"
     else:
-        fadj = polygcn.decompose_adjacency(a, prior.p, prior.q)
+        fadj = polygcn.decompose_adjacency(train_g.adj, prior.p, prior.q)
         config = polygcn.GcnConfig(
             dim=params["dim"], depth=params["depth"],
             iterations=params["iterations"],

@@ -12,7 +12,7 @@ from a one-vs-rest logistic-regression stand-in classifier.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,82 +78,61 @@ def split_links(g, strategy: str = "one-per-node", seed: int = 0):
     lose their only link. Every edge is removed at most once.
     """
     rng = np.random.default_rng(seed)
+    held = np.zeros(g.num_edges, dtype=bool)
+    test = []
     if strategy == "one-per-node":
         if not isinstance(g, Graph):
             raise ValidationError("one-per-node splitting needs a homogeneous graph")
-        incident: list[list[int]] = [[] for _ in range(g.num_nodes)]
-        for ei, (i, j) in enumerate(g.edges):
-            incident[i].append(ei)
-            incident[j].append(ei)
-        held = np.zeros(g.num_edges, dtype=bool)
-        test = []
+        incident, starts = _incidence(g.edges, g.num_nodes)
         for v in range(g.num_nodes):
-            if len(incident[v]) < 2:
+            mine = incident[starts[v]:starts[v + 1]]
+            if len(mine) < 2:
                 continue
-            eligible = [ei for ei in incident[v] if not held[ei]]
-            if not eligible:
+            eligible = mine[~held[mine]]
+            if len(eligible) == 0:
                 continue
             ei = eligible[int(rng.integers(len(eligible)))]
             held[ei] = True
             i, j = g.edges[ei]
             # orient the pair as (holdout node, other endpoint)
             test.append((v, int(j) if i == v else int(i)))
-        keep = ~held
-        if not keep.any():
-            raise ValidationError("split removed every edge; graph too sparse")
-        train = _rebuild_homogeneous(g, keep)
-        return train, test
-
-    if strategy == "latest-per-user":
+    elif strategy == "latest-per-user":
         if not isinstance(g, BipartiteGraph):
             raise ValidationError("latest-per-user splitting needs a bipartite graph")
-        incident = [[] for _ in range(g.num_a)]
-        for ei, (a, _) in enumerate(g.edges):
-            incident[a].append(ei)
-        held = np.zeros(g.num_edges, dtype=bool)
-        test = []
+        incident, starts = _incidence(g.edges[:, :1], g.num_a)
         for a in range(g.num_a):
-            if len(incident[a]) < 2:
+            mine = incident[starts[a]:starts[a + 1]]
+            if len(mine) < 2:
                 continue
-            if g.timestamps is not None and max(g.timestamps[incident[a]]) >= 0:
-                stamps = g.timestamps[incident[a]]
-                ei = incident[a][int(np.argmax(stamps))]
+            stamps = g.timestamps[mine] if g.timestamps is not None else None
+            if stamps is not None and stamps.max() >= 0:
+                ei = mine[int(np.argmax(stamps))]
             else:
-                ei = incident[a][int(rng.integers(len(incident[a])))]
+                ei = mine[int(rng.integers(len(mine)))]
             held[ei] = True
-            test.append((a, int(g.edges[ei][1])))
-        keep = ~held
-        if not keep.any():
-            raise ValidationError("split removed every edge; graph too sparse")
-        train = _rebuild_bipartite(g, keep)
-        return train, test
-
-    raise ValidationError(f"unknown split strategy {strategy!r}")
-
-
-def _rebuild_homogeneous(g: Graph, keep) -> Graph:
-    rows = [(int(i), int(j), float(w))
-            for (i, j), w in zip(g.edges[keep], g.weights[keep])]
-    out = graphmod.from_edges(rows, num_nodes=g.num_nodes)
-    if g.node_labels is not None:
-        out = Graph(num_nodes=out.num_nodes, edges=out.edges, weights=out.weights,
-                    adj=out.adj, node_labels=list(g.node_labels))
-    return out
-
-
-def _rebuild_bipartite(g: BipartiteGraph, keep) -> BipartiteGraph:
-    rows = [(int(a), int(b), float(w))
-            for (a, b), w in zip(g.edges[keep], g.weights[keep])]
+            test.append((a, int(g.edges[ei, 1])))
+    else:
+        raise ValidationError(f"unknown split strategy {strategy!r}")
+    keep = ~held
+    if not keep.any():
+        raise ValidationError("split removed every edge; graph too sparse")
+    rows = np.column_stack([g.edges[keep], g.weights[keep]])
+    if isinstance(g, Graph):
+        train = graphmod.from_edges(rows, num_nodes=g.num_nodes)
+        return replace(train, node_labels=g.node_labels), test
     ts = g.timestamps[keep] if g.timestamps is not None else None
-    out = graphmod.from_edges(rows, kind="bipartite", num_a=g.num_a,
-                              num_b=g.num_b, timestamps=ts)
-    if g.a_labels is not None or g.b_labels is not None:
-        out = BipartiteGraph(num_a=out.num_a, num_b=out.num_b, edges=out.edges,
-                             weights=out.weights, timestamps=out.timestamps,
-                             adj=out.adj, adj_t=out.adj_t,
-                             a_labels=list(g.a_labels) if g.a_labels else None,
-                             b_labels=list(g.b_labels) if g.b_labels else None)
-    return out
+    train = graphmod.from_edges(rows, kind="bipartite", num_a=g.num_a,
+                                num_b=g.num_b, timestamps=ts)
+    return replace(train, a_labels=g.a_labels, b_labels=g.b_labels), test
+
+
+def _incidence(ends, n):
+    """Edge ids by endpoint: node v's incident edges, ascending, are
+    ids[starts[v]:starts[v + 1]]; `ends` is (E, c), one endpoint per column."""
+    flat = ends.ravel()
+    ids = np.argsort(flat, kind="stable") // ends.shape[1]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=n))])
+    return ids, starts
 
 
 def hit_ratio(ranked, truth: int, ks) -> dict[int, float]:
@@ -187,15 +166,16 @@ def candidate_protocol(test_edge, g, num_negatives: int = 200,
         raise ValidationError("num_negatives must be positive")
     query, truth = test_edge
     rng = np.random.default_rng(seed)
-    if isinstance(g, BipartiteGraph):
-        taken = {j for j, _ in graphmod.neighbors(g, query, side="a")}
-        pool_size = g.num_b
-    else:
-        taken = {j for j, _ in graphmod.neighbors(g, query)}
-        taken.add(query)
-        pool_size = g.num_nodes
-    taken.add(truth)
-    pool = np.array([c for c in range(pool_size) if c not in taken], dtype=np.int64)
+    bipartite = isinstance(g, BipartiteGraph)
+    num_query, pool_size = (g.num_a, g.num_b) if bipartite else (g.num_nodes,) * 2
+    if not (0 <= query < num_query and 0 <= truth < pool_size):
+        raise ValidationError(f"test edge {query} {truth} is outside the graph")
+    free = np.ones(pool_size, dtype=bool)
+    free[g.adj.indices[g.adj.indptr[query]:g.adj.indptr[query + 1]]] = False
+    if not bipartite:
+        free[query] = False
+    free[truth] = False
+    pool = np.flatnonzero(free)
     if len(pool) < num_negatives:
         warnings.warn(f"only {len(pool)} non-neighbors available "
                       f"({num_negatives} requested)", stacklevel=2)
@@ -209,7 +189,10 @@ def link_prediction_report(train_graph, test_edges, tables: EmbeddingTables,
                            prior: FacetPrior, mode: str,
                            num_negatives: int = 200,
                            ks=(10, 50, 100, 200), seed: int = 0) -> EvalReport:
-    """Rank candidates for every test edge and aggregate HR@k and AUC."""
+    """Rank candidates for every test edge and aggregate HR@k and AUC.
+
+    Each query is scored once; candidates rank by descending score, ties
+    by ascending node id, as in `inference.rank_candidates`."""
     if not test_edges:
         raise ValidationError("no test edges")
     hr_sums = {int(k): 0.0 for k in ks}
@@ -219,16 +202,17 @@ def link_prediction_report(train_graph, test_edges, tables: EmbeddingTables,
         child_seed = int(child.generate_state(1)[0])
         candidates = candidate_protocol(edge, train_graph, num_negatives,
                                         seed=child_seed)
-        ranked = inference.rank_candidates(edge[0], candidates, tables, prior, mode)
+        scores = inference.score_candidates(edge[0], candidates, tables, prior, mode)
+        cand = np.asarray(candidates)
+        ranked = cand[np.lexsort((cand, -scores))]
         for k, hit in hit_ratio(ranked, edge[1], ks).items():
             hr_sums[k] += hit
-        scores = inference.score_candidates(edge[0], candidates, tables, prior, mode)
-        pos_scores.append(float(scores[0]))
-        neg_scores.extend(float(s) for s in scores[1:])
+        pos_scores.append(scores[0])
+        neg_scores.append(scores[1:])
     n = len(test_edges)
     report = EvalReport(
         hr_at_k={k: v / n for k, v in hr_sums.items()},
-        auc=auc(pos_scores, neg_scores),
+        auc=auc(pos_scores, np.concatenate(neg_scores)),
         metadata={"num_queries": n, "num_negatives": num_negatives,
                   "seed": seed, "mode": mode},
     )

@@ -15,8 +15,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
-from .errors import ParseError, ValidationError, parse_numbers
+from .errors import ParseError, ValidationError, parse_header, parse_numbers
 from .walks import Observation
 
 _EPS = 1e-12
@@ -86,6 +87,16 @@ def _validate_nonnegative(a, name):
         raise ValidationError(f"{name} contains negative entries")
 
 
+def _sparse_input(a) -> sparse.csr_array:
+    """A dense or sparse matrix as canonical float64 CSR, values checked."""
+    if np.ndim(a) != 2:
+        raise ValidationError("A must be a matrix")
+    a = sparse.csr_array(a, dtype=np.float64)
+    a.sum_duplicates()
+    _validate_nonnegative(a.data, "A")
+    return a
+
+
 def _init_factor(rng, shape, mean, k):
     # zero init is a fixed point of multiplicative updates; draw from (0, 1]
     scale = np.sqrt(mean / k)
@@ -93,85 +104,88 @@ def _init_factor(rng, shape, mean, k):
 
 
 def symmetric_nmf(a, k, alpha=0.05, max_iters=500, tol=1e-5, seed=0) -> NmfResult:
-    """Factorize a symmetric nonnegative matrix as A ~ P P^T.
+    """Factorize a symmetric nonnegative matrix (dense or sparse) as A ~ P P^T.
 
     Minimizes ||A - P P^T||_F^2 + alpha ||P||_F^2 with a damped
     multiplicative update (damping 0.5); the objective never increases.
+    It is evaluated as ||A||^2 - 2 tr(P^T A P) + ||P^T P||^2 + alpha ||P||^2
+    on A's stored entries.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _sparse_input(a)
+    n = a.shape[0]
+    if a.shape[1] != n:
         raise ValidationError("A must be square")
-    _validate_nonnegative(a, "A")
-    asym = np.abs(a - a.T).max() if a.size else 0.0
+    asym = abs(a - a.T).max() if n else 0.0
     if asym > 1e-9:
         raise ValidationError(f"A is not symmetric (max asymmetry {asym:g})")
-    n = a.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"need 1 <= K <= {n}, got {k}")
     if alpha < 0:
         raise ValidationError("alpha must be nonnegative")
 
-    mean = a.mean() if a.size else 0.0
-    if mean == 0.0:
+    total = a.data.sum()
+    if total == 0.0:
         p = np.zeros((n, k))
         return NmfResult((p,), 0.0, 0, np.zeros(1))
 
     rng = np.random.default_rng(seed)
-    p = _init_factor(rng, (n, k), mean, k)
+    p = _init_factor(rng, (n, k), total / (n * n), k)
+    a_sq = float(a.data @ a.data)
 
-    def objective(p):
-        r = a - p @ p.T
-        return float((r * r).sum() + alpha * (p * p).sum())
+    def objective(p, ap, ptp):
+        return float(a_sq - 2.0 * (p * ap).sum() + (ptp * ptp).sum()
+                     + alpha * (p * p).sum())
 
-    trace = [objective(p)]
+    ap, ptp = a @ p, p.T @ p
+    trace = [objective(p, ap, ptp)]
     beta = 0.5
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        ap = a @ p
-        denom = p @ (p.T @ p) + 0.5 * alpha * p + _EPS
+        denom = p @ ptp + 0.5 * alpha * p + _EPS
         p = p * (1.0 - beta + beta * ap / denom)
-        obj = objective(p)
-        trace.append(obj)
-        prev = trace[-2]
-        if prev - obj < tol * max(prev, _EPS):
+        ap, ptp = a @ p, p.T @ p
+        trace.append(objective(p, ap, ptp))
+        if trace[-2] - trace[-1] < tol * max(trace[-2], _EPS):
             break
     return NmfResult((p,), trace[-1], iterations, np.array(trace))
 
 
 def asymmetric_nmf(a, k, alpha=0.05, max_iters=500, tol=1e-5, seed=0) -> NmfResult:
-    """Factorize a nonnegative matrix as A ~ P Q^T (Lee-Seung updates
-    with a Tikhonov term); the objective never increases."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValidationError("A must be a matrix")
-    _validate_nonnegative(a, "A")
+    """Factorize a nonnegative matrix (dense or sparse) as A ~ P Q^T
+    (Lee-Seung updates with a Tikhonov term); the objective never increases.
+    It is evaluated as ||A||^2 - 2 tr(P^T A Q) + <P^T P, Q^T Q>
+    + alpha (||P||^2 + ||Q||^2) on A's stored entries."""
+    a = _sparse_input(a)
     n, m = a.shape
     if not 1 <= k <= min(n, m):
         raise ValidationError(f"need 1 <= K <= {min(n, m)}, got {k}")
     if alpha < 0:
         raise ValidationError("alpha must be nonnegative")
 
-    mean = a.mean() if a.size else 0.0
-    if mean == 0.0:
+    total = a.data.sum()
+    if total == 0.0:
         return NmfResult((np.zeros((n, k)), np.zeros((m, k))), 0.0, 0, np.zeros(1))
 
     rng = np.random.default_rng(seed)
-    p = _init_factor(rng, (n, k), mean, k)
-    q = _init_factor(rng, (m, k), mean, k)
+    p = _init_factor(rng, (n, k), total / (n * m), k)
+    q = _init_factor(rng, (m, k), total / (n * m), k)
+    a_t = a.T.tocsr()
+    a_sq = float(a.data @ a.data)
 
-    def objective(p, q):
-        r = a - p @ q.T
-        return float((r * r).sum() + alpha * ((p * p).sum() + (q * q).sum()))
+    def objective(p, q, atp, ptp, qtq):
+        return float(a_sq - 2.0 * (q * atp).sum() + (ptp * qtq).sum()
+                     + alpha * ((p * p).sum() + (q * q).sum()))
 
-    trace = [objective(p, q)]
+    ptp, qtq = p.T @ p, q.T @ q
+    trace = [objective(p, q, a_t @ p, ptp, qtq)]
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        p = p * (a @ q) / (p @ (q.T @ q) + alpha * p + _EPS)
-        q = q * (a.T @ p) / (q @ (p.T @ p) + alpha * q + _EPS)
-        obj = objective(p, q)
-        trace.append(obj)
-        prev = trace[-2]
-        if prev - obj < tol * max(prev, _EPS):
+        p = p * (a @ q) / (p @ qtq + alpha * p + _EPS)
+        atp, ptp = a_t @ p, p.T @ p
+        q = q * atp / (q @ ptp + alpha * q + _EPS)
+        qtq = q.T @ q
+        trace.append(objective(p, q, atp, ptp, qtq))
+        if trace[-2] - trace[-1] < tol * max(trace[-2], _EPS):
             break
     return NmfResult((p, q), trace[-1], iterations, np.array(trace))
 
@@ -255,10 +269,7 @@ def load_prior_file(path) -> np.ndarray:
     rows are renormalized on load."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ParseError(f"{path}: bad header, expected 'N K'")
-        n, k = parse_numbers(header, int, f"{path} line 1")
+        n, k = parse_header(fh.readline(), path, "N K")
         out = np.zeros((n, k))
         seen = np.zeros(n, dtype=bool)
         for line_no, line in enumerate(fh, start=2):

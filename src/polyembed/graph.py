@@ -301,12 +301,13 @@ def _build_bipartite(num_a, num_b, a_ids, b_ids, weights, timestamps,
 
 def from_edges(edges, num_nodes=None, kind="homogeneous", num_a=None,
                num_b=None, timestamps=None):
-    """Build a graph directly from an iterable of (src, dst[, weight]) ints.
+    """Build a graph directly from (src, dst[, weight]) rows: an (E, 2|3)
+    array, or an iterable of equal-length tuples.
 
     An empty edge list is allowed when the node count is given explicitly.
     """
-    rows = [tuple(e) for e in edges]
-    if not rows:
+    rows = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if len(rows) == 0:
         if kind == "homogeneous" and num_nodes is not None:
             adj = sparse.csr_matrix((num_nodes, num_nodes))
             return Graph(num_nodes=num_nodes,
@@ -319,9 +320,11 @@ def from_edges(edges, num_nodes=None, kind="homogeneous", num_a=None,
                                   weights=np.zeros(0), timestamps=None,
                                   adj=adj, adj_t=adj.T.tocsr())
         raise ValidationError("no edges given")
-    src = np.array([r[0] for r in rows], dtype=np.int64)
-    dst = np.array([r[1] for r in rows], dtype=np.int64)
-    w = np.array([r[2] if len(r) > 2 else 1.0 for r in rows], dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] not in (2, 3):
+        raise ValidationError("edges must be (src, dst[, weight]) rows")
+    src = rows[:, 0].astype(np.int64)
+    dst = rows[:, 1].astype(np.int64)
+    w = rows[:, 2].astype(np.float64) if rows.shape[1] == 3 else np.ones(len(rows))
     if (w < 0).any() or not np.isfinite(w).all():
         raise ValidationError("edge weights must be finite and nonnegative")
     if src.min() < 0 or dst.min() < 0:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, parse_numbers
+from .errors import ParseError, ValidationError, parse_header, parse_numbers
 from .facets import FacetPrior
 from .tables import EmbeddingTables
 
@@ -119,10 +119,7 @@ def save_joint(path, joint: np.ndarray) -> None:
 def load_joint(path) -> np.ndarray:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ParseError(f"{path}: bad header, expected 'N KD'")
-        n, kd = parse_numbers(header, int, f"{path} line 1")
+        n, kd = parse_header(fh.readline(), path, "N KD")
         out = np.zeros((n, kd))
         seen = np.zeros(n, dtype=bool)
         for line_no, line in enumerate(fh, start=2):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import NumericsError, ValidationError
 from .tables import EmbeddingTables
@@ -25,9 +26,9 @@ _ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class FacetAdjacency:
-    """K nonnegative matrices that sum exactly to the adjacency."""
+    """K nonnegative CSR matrices that sum exactly to the adjacency."""
 
-    mats: list[np.ndarray]
+    mats: list[sparse.csr_array]
 
     @property
     def k(self) -> int:
@@ -37,15 +38,16 @@ class FacetAdjacency:
     def shape(self):
         return self.mats[0].shape
 
-    def total(self) -> np.ndarray:
-        return np.sum(self.mats, axis=0)
+    def total(self) -> sparse.csr_array:
+        return sum(self.mats[1:], self.mats[0])
 
 
 def decompose_adjacency(a, p, q) -> FacetAdjacency:
-    """Split A into per-facet matrices A^k with A^k(i,j) proportional to
-    P(i,k) Q(j,k), normalized so that sum_k A^k == A exactly. Cells whose
-    factor product vanishes for every facet split uniformly."""
-    a = np.asarray(a, dtype=np.float64)
+    """Split A (dense or sparse) into per-facet CSR matrices, visiting only
+    its stored cells: A^k(i,j) = A(i,j) P(i,k) Q(j,k) / sum_c P(i,c) Q(j,c),
+    so sum_k A^k == A. Cells whose factor products all vanish split uniformly."""
+    a = sparse.csr_array(a, dtype=np.float64)
+    a.sum_duplicates()
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape[0] != a.shape[0] or q.shape[0] != a.shape[1]:
@@ -55,38 +57,25 @@ def decompose_adjacency(a, p, q) -> FacetAdjacency:
     if (p < 0).any() or (q < 0).any():
         raise ValidationError("factors must be nonnegative")
     k = p.shape[1]
-    denom = p @ q.T
+    rows, cols, values = _cells(a)
+    prod = p[rows] * q[cols]                 # (E, K)
+    denom = prod.sum(axis=1, keepdims=True)
     safe = np.where(denom > 0, denom, 1.0)
+    share = np.where(denom > 0, prod / safe, 1.0 / k)
     mats = []
     for c in range(k):
-        share = np.where(denom > 0, np.outer(p[:, c], q[:, c]) / safe, 1.0 / k)
-        mats.append(a * share)
+        mat = sparse.csr_array((values * share[:, c], (rows, cols)), shape=a.shape)
+        mat.eliminate_zeros()
+        mats.append(mat)
     return FacetAdjacency(mats=mats)
 
 
-def facet_neighborhood(v: int, k: int, facet_adj: FacetAdjacency,
-                       threshold: float = 0.0, side: str = "a",
-                       mode: str = "bipartite") -> list[int]:
-    """Node ids forming v's neighborhood under facet k.
-
-    bipartite mode: other-type nodes j with A^k(v, j) > threshold.
-    co mode: same-type nodes sharing an above-threshold facet-k neighbor.
-    """
-    if threshold < 0:
-        raise ValidationError("threshold must be nonnegative")
-    mat = facet_adj.mats[k]
-    if side == "b":
-        mat = mat.T
-    elif side != "a":
-        raise ValidationError(f"unknown side {side!r}")
-    if mode == "bipartite":
-        return [int(j) for j in np.nonzero(mat[v] > threshold)[0]]
-    if mode == "co":
-        mask = mat > threshold
-        shared = mask @ mask[v]
-        shared[v] = 0
-        return [int(j) for j in np.nonzero(shared)[0]]
-    raise ValidationError(f"unknown neighborhood mode {mode!r}")
+def _cells(mat, threshold=0.0):
+    """(rows, cols, values) of the entries of a canonical CSR matrix above
+    `threshold`, row-major like np.nonzero on the dense matrix."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    live = mat.data > threshold
+    return rows[live], mat.indices[live], mat.data[live]
 
 
 @dataclass(frozen=True)
@@ -169,20 +158,27 @@ def init_gcn_model(num_a: int, num_b: int, facet_adj: FacetAdjacency,
 
 
 def _facet_ops(mat, config):
-    mask_ab = (mat > config.threshold).astype(np.float64)
+    """Aggregation masks (CSR) and inverse neighbourhood sizes of one facet."""
+    mask_ab = sparse.csr_array(mat > config.threshold, dtype=np.float64)
     if config.neighbor_mode == "bipartite":
-        mask_ba = mask_ab.T
-        inv_a = 1.0 / (1.0 + mask_ab.sum(axis=1))
-        inv_b = 1.0 / (1.0 + mask_ba.sum(axis=1))
+        mask_ba = mask_ab.T.tocsr()
         return {"mask_a": mask_ab, "mask_b": mask_ba,
-                "inv_a": inv_a, "inv_b": inv_b, "coupled": True}
-    co_a = ((mask_ab @ mask_ab.T) > 0).astype(np.float64)
-    np.fill_diagonal(co_a, 0.0)
-    co_b = ((mask_ab.T @ mask_ab) > 0).astype(np.float64)
-    np.fill_diagonal(co_b, 0.0)
+                "inv_a": 1.0 / (1.0 + mask_ab.sum(axis=1)),
+                "inv_b": 1.0 / (1.0 + mask_ba.sum(axis=1)), "coupled": True}
+    co_a = _co_mask(mask_ab)
+    co_b = _co_mask(mask_ab.T.tocsr())
     return {"mask_a": co_a, "mask_b": co_b,
             "inv_a": 1.0 / (1.0 + co_a.sum(axis=1)),
             "inv_b": 1.0 / (1.0 + co_b.sum(axis=1)), "coupled": False}
+
+
+def _co_mask(mask):
+    """Rows sharing at least one stored column of `mask`, self pairs
+    excluded: (mask @ mask^T > 0) with a zero diagonal."""
+    co = (mask @ mask.T).tocoo()
+    off = (co.row != co.col) & (co.data > 0)
+    return sparse.csr_array((np.ones(int(off.sum())), (co.row[off], co.col[off])),
+                            shape=co.shape)
 
 
 def _act(s, config):
@@ -245,16 +241,6 @@ def backward_facet(facet: FacetGcn, ops, config, cache, d_u, d_h):
     return grads
 
 
-def gcn_forward(model: GcnModel, facet_adj: FacetAdjacency, k: int,
-                node_type: str, batch) -> np.ndarray:
-    """Final-layer embeddings of `batch` nodes for facet k."""
-    if not model.ops:
-        model.ops = [_facet_ops(m, model.config) for m in facet_adj.mats]
-    u, h = forward_facet(model.facets[k], model.ops[k], model.config)
-    rows = u if node_type == "a" else h
-    return rows[np.asarray(list(batch), dtype=np.int64)]
-
-
 def gcn_loss_and_grads(facet: FacetGcn, ops, config, edge_idx, edge_w,
                        neg_idx):
     """Edge-level loss for one facet and its parameter gradients.
@@ -270,8 +256,8 @@ def gcn_loss_and_grads(facet: FacetGcn, ops, config, edge_idx, edge_w,
     if total_w <= 0:
         raise ValidationError("facet has no positive edges")
     wn = edge_w / total_w
-    u_e = u[ai]                              # (E, D)
-    s_pos = np.clip((u_e * h[bi]).sum(axis=1), -30, 30)
+    u_e, h_e = u[ai], h[bi]                  # (E, D)
+    s_pos = np.clip((u_e * h_e).sum(axis=1), -30, 30)
     h_neg = h[neg_idx]                       # (E, R, D)
     s_neg = np.clip(np.einsum("ed,erd->er", u_e, h_neg), -30, 30)
     e_neg = np.exp(s_neg)
@@ -282,16 +268,25 @@ def gcn_loss_and_grads(facet: FacetGcn, ops, config, edge_idx, edge_w,
     coef_pos = wn * (p_pos - 1.0)            # (E,)
     coef_neg = wn[:, None] * p_neg           # (E, R)
 
-    d_u = np.zeros_like(u)
-    d_h = np.zeros_like(h)
-    np.add.at(d_u, ai, coef_pos[:, None] * h[bi]
-              + np.einsum("er,erd->ed", coef_neg, h_neg))
-    np.add.at(d_h, bi, coef_pos[:, None] * u_e)
-    np.add.at(d_h, neg_idx.reshape(-1),
-              (coef_neg[:, :, None] * u_e[:, None, :]).reshape(-1, u.shape[1]))
+    d_u = _scatter_rows(ai, coef_pos[:, None] * h_e
+                        + np.einsum("er,erd->ed", coef_neg, h_neg), len(u))
+    d_h = _scatter_rows(
+        np.concatenate([bi, neg_idx.reshape(-1)]),
+        np.concatenate([coef_pos[:, None] * u_e,
+                        (coef_neg[:, :, None] * u_e[:, None, :]).reshape(-1, u.shape[1])]),
+        len(h))
 
     grads = backward_facet(facet, ops, config, cache, d_u, d_h)
     return loss, grads
+
+
+def _scatter_rows(idx, vals, n) -> np.ndarray:
+    """Rows of `vals` summed into n rows by `idx`, as one CSR product. It
+    equals np.add.at on zeros bit for bit: each output row adds its terms
+    in index order, each scaled by exactly 1."""
+    scatter = sparse.csr_array((np.ones(len(idx)), (idx, np.arange(len(idx)))),
+                               shape=(n, len(idx)))
+    return scatter @ vals
 
 
 class GcnTrainResult(NamedTuple):
@@ -323,8 +318,7 @@ def train_gcn(bipartite, facet_adj: FacetAdjacency,
     for k in range(facet_adj.k):
         facet = model.facets[k]
         ops = model.ops[k]
-        mat = facet_adj.mats[k]
-        rows, cols = np.nonzero(mat > config.threshold)
+        rows, cols, edge_w = _cells(facet_adj.mats[k], config.threshold)
         trace: list[float] = []
         if len(rows) == 0:
             traces.append(trace)
@@ -332,7 +326,6 @@ def train_gcn(bipartite, facet_adj: FacetAdjacency,
             u_out[:, k], h_out[:, k] = u, h
             continue
         edge_idx = np.stack([rows, cols], axis=1)
-        edge_w = mat[rows, cols]
         rng = np.random.default_rng(facet_ss[k])
         params = facet.params()
         m_state = {n: np.zeros_like(p) for n, p in params.items()}
@@ -366,5 +359,5 @@ def save_facet_adjacency(path, facet_adj: FacetAdjacency) -> None:
     """Sparse triple export: lines `k i j value` for every positive cell."""
     with open(path, "w", encoding="utf-8") as fh:
         for k, mat in enumerate(facet_adj.mats):
-            for i, j in zip(*np.nonzero(mat)):
-                fh.write(f"{k} {i} {j} {mat[i, j]:.17g}\n")
+            for i, j, value in zip(*_cells(mat)):
+                fh.write(f"{k} {i} {j} {value:.17g}\n")

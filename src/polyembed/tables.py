@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericsError, ParseError, ValidationError, parse_numbers
+from .errors import (NumericsError, ParseError, ValidationError, parse_header,
+                     parse_numbers)
 
 
 @dataclass
@@ -77,10 +78,7 @@ def save_embeddings(path, table: np.ndarray) -> None:
 def load_embeddings(path) -> np.ndarray:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ParseError(f"{path}: bad header, expected 'N K D'")
-        n, k, d = parse_numbers(header, int, f"{path} line 1")
+        n, k, d = parse_header(fh.readline(), path, "N K D")
         out = np.zeros((n, k, d))
         seen = np.zeros((n, k), dtype=bool)
         for line_no, line in enumerate(fh, start=2):

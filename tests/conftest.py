@@ -321,6 +321,16 @@ def similarity_double_loop(i, j, tables, prior, mode="homogeneous"):
     return total
 
 
+def dense_decompose(a, p, q):
+    """Dense facet split of A: A^k = A * P(:,k) Q(:,k)^T / (P Q^T), with
+    zero-product cells split uniformly; decompose_adjacency must match."""
+    denom = p @ q.T
+    safe = np.where(denom > 0, denom, 1.0)
+    k = p.shape[1]
+    return [a * np.where(denom > 0, np.outer(p[:, c], q[:, c]) / safe, 1.0 / k)
+            for c in range(k)]
+
+
 def auc_brute_force(pos, neg):
     wins = ties = 0
     for p in pos:

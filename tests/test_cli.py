@@ -187,6 +187,9 @@ def test_manifest_records_resolved_parameters(tmp_path, sbm_file):
     assert "alpha=0.05" in manifest
 
 
+FIVE_NODES = "0 1\n1 2\n2 3\n3 4\n"
+EVAL_LINK = ["eval-link", "--graph", "g.edges", "--test", "t.edges", "--emb", "e",
+             "--prior", "p", "--out", "out"]
 MALFORMED = {
     # name: (files, argv, line the error must name)
     "edge-list-node-count": (
@@ -217,6 +220,28 @@ MALFORMED = {
         {"j.joint": "2 2\n0 1 2\n1 3 4\n", "l.txt": "0 a\nx b\n"},
         ["eval-class", "--features", "j.joint", "--labels", "l.txt",
          "--out", "out"], "l.txt line 2"),
+    # eval-link reads the test edges before the prior and the tables
+    "test-edge-token": (
+        {"g.edges": FIVE_NODES, "t.edges": "0 1\n0 x1\n"}, EVAL_LINK, "t.edges line 2"),
+    "test-edge-out-of-range": (
+        {"g.edges": FIVE_NODES, "t.edges": "0 1\n0 99\n"}, EVAL_LINK, "t.edges line 2"),
+    "test-edge-negative-id": (
+        {"g.edges": FIVE_NODES, "t.edges": "0 1\n-1 2\n"}, EVAL_LINK, "t.edges line 2"),
+    "test-edge-unknown-label": (
+        {"g.edges": "a b\nb c\n", "t.edges": "a b\na zz\n"}, EVAL_LINK,
+        "t.edges line 2"),
+    "prior-negative-count": (
+        {"e.emb": "2 1 2\n0 0 0.1 0.2\n1 0 0.3 0.4\n", "p.prior": "-1 2\n"},
+        ["embed", "--emb", "e.emb", "--prior", "p.prior", "--out", "out"],
+        "p.prior line 1"),
+    "embedding-negative-count": (
+        {"e.emb": "2 -1 2\n", "p.prior": "2 1\n0 1\n1 1\n"},
+        ["embed", "--emb", "e.emb", "--prior", "p.prior", "--out", "out"],
+        "e.emb line 1"),
+    "joint-negative-count": (
+        {"j.joint": "-2 2\n", "l.txt": "0 a\n1 b\n"},
+        ["eval-class", "--features", "j.joint", "--labels", "l.txt",
+         "--out", "out"], "j.joint line 1"),
 }
 
 
@@ -226,9 +251,27 @@ def test_malformed_number_is_a_parse_error(tmp_path, capsys, case):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     flags_with_paths = {"--input", "--emb", "--prior", "--corpus", "--out",
-                        "--features", "--labels"}
+                        "--features", "--labels", "--graph", "--test"}
     argv = [str(tmp_path / a) if i and argv[i - 1] in flags_with_paths else a
             for i, a in enumerate(argv)]
     assert cli.run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and where in err
+
+
+def test_graph_over_the_dense_guard_runs_sparse(tmp_path):
+    # 20,000 x 6,000 cells exceed graph.DENSE_GUARD; only the edges are stored
+    rng = np.random.default_rng(4)
+    num_a, num_b = 20_000, 6_000
+    assert num_a * num_b > graph.DENSE_GUARD
+    a_ids = np.concatenate([np.arange(num_a), rng.integers(0, num_a, 2_000)])
+    b_ids = rng.integers(0, num_b, len(a_ids))
+    path = tmp_path / "wide.edges"
+    path.write_text(f"# nodes {num_a} {num_b}\n"
+                    + "".join(f"{a} {b}\n" for a, b in zip(a_ids, b_ids)))
+    prior = tmp_path / "wide.prior"
+    run_ok(["facets", "--input", str(path), "--kind", "bipartite", "--k", "2",
+            "--max-iters", "20", "--out", str(prior)])
+    run_ok(["train-gcn", "--input", str(path), "--prior", str(prior),
+            "--dim", "2", "--iterations", "2", "--out", str(tmp_path / "wide.emb")])
+    assert load_embeddings(tmp_path / "wide.emb.b").shape == (num_b, 2, 2)

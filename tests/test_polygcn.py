@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
-from conftest import finite_difference, make_planted_bipartite, rel_error
+from conftest import (dense_decompose, finite_difference, make_planted_bipartite,
+                      rel_error)
+from scipy import sparse
 
 from polyembed import evaluation, facets, graph, polygcn
 from polyembed.errors import ValidationError
 from polyembed.polygcn import (FacetAdjacency, GcnConfig, decompose_adjacency,
-                               facet_neighborhood, forward_facet,
-                               gcn_loss_and_grads, init_gcn_model, train_gcn)
+                               forward_facet, gcn_loss_and_grads, init_gcn_model,
+                               train_gcn)
+
+
+def facet_adjacency(*dense):
+    return FacetAdjacency(mats=[sparse.csr_array(m) for m in dense])
 
 
 def random_instance(seed, num_a=5, num_b=4, k=3):
@@ -24,7 +30,7 @@ def random_instance(seed, num_a=5, num_b=4, k=3):
 def test_decompose_k1_returns_adjacency():
     a, _, _ = random_instance(0)
     fa = decompose_adjacency(a, np.ones((5, 1)), np.ones((4, 1)))
-    assert np.allclose(fa.mats[0], a)
+    assert np.allclose(fa.mats[0].toarray(), a)
 
 
 def test_decompose_one_hot_routes_whole_edge():
@@ -40,10 +46,22 @@ def test_decompose_one_hot_routes_whole_edge():
 def test_decompose_partition_of_unity(seed):
     a, p, q = random_instance(seed)
     fa = decompose_adjacency(a, p, q)
-    assert np.abs(fa.total() - a).max() < 1e-12
+    assert np.abs(fa.total().toarray() - a).max() < 1e-12
     for mat in fa.mats:
-        assert (mat[a == 0] == 0).all()
-        assert (mat >= 0).all()
+        dense = mat.toarray()
+        assert (dense[a == 0] == 0).all()
+        assert (dense >= 0).all()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_decompose_matches_dense_formula(seed):
+    a, p, q = random_instance(seed, num_a=7, num_b=6, k=3)
+    p[0] = 0.0          # row 0's cells have a zero factor product: uniform split
+    q[1, :2] = 0.0      # column 1's cells keep only facet 2
+    fa = decompose_adjacency(sparse.csr_array(a), p, q)
+    for mat, ref in zip(fa.mats, dense_decompose(a, p, q)):
+        assert np.abs(mat.toarray() - ref).max() <= 1e-14
+        assert (mat.data > 0).all()
 
 
 def test_decompose_zero_denominator_splits_uniformly():
@@ -61,34 +79,37 @@ def test_decompose_shape_mismatch():
         decompose_adjacency(a, p[:3], q)
 
 
-# ------------------------------------------------------------ neighborhoods
+# ------------------------------------------------------------------- masks
 
-def test_facet_neighborhood_empty():
-    fa = FacetAdjacency(mats=[np.zeros((3, 3))])
-    assert facet_neighborhood(0, 0, fa) == []
-
-
-def test_facet_neighborhood_k1_equals_graph_neighborhood():
-    a, _, _ = random_instance(2)
-    fa = decompose_adjacency(a, np.ones((5, 1)), np.ones((4, 1)))
-    for v in range(5):
-        assert facet_neighborhood(v, 0, fa) == list(np.nonzero(a[v] > 0)[0])
+def dense_co_mask(mask):
+    co = ((mask @ mask.T) > 0).astype(np.float64)
+    np.fill_diagonal(co, 0.0)
+    return co
 
 
-def test_co_neighborhood_via_shared_item():
+@pytest.mark.parametrize("seed", range(6))
+def test_co_masks_match_dense_construction(seed):
+    a, p, q = random_instance(seed, num_a=6, num_b=5, k=2)
+    a[0] = 0.0
+    a[:, 0] = 0.0     # user 0 and item 0 have no edges
+    fa = decompose_adjacency(a, p, q)
+    config = GcnConfig(neighbor_mode="co", threshold=0.05)
+    for mat in fa.mats:
+        ops = polygcn._facet_ops(mat, config)
+        mask = (mat.toarray() > 0.05).astype(np.float64)
+        for side, ref in (("a", dense_co_mask(mask)), ("b", dense_co_mask(mask.T))):
+            assert sparse.issparse(ops[f"mask_{side}"])
+            assert np.array_equal(ops[f"mask_{side}"].toarray(), ref)
+            assert np.array_equal(ops[f"inv_{side}"], 1.0 / (1.0 + ref.sum(axis=1)))
+
+
+def test_co_mask_via_shared_item():
     a = np.zeros((3, 2))
     a[0, 0] = a[1, 0] = 1.0   # users 0 and 1 both link to item 0
-    fa = FacetAdjacency(mats=[a])
-    assert facet_neighborhood(0, 0, fa, mode="co") == [1]
-    assert facet_neighborhood(1, 0, fa, mode="co") == [0]
-    assert facet_neighborhood(2, 0, fa, mode="co") == []
-
-
-def test_facet_neighborhood_b_side():
-    a = np.zeros((3, 2))
-    a[0, 1] = 1.0
-    fa = FacetAdjacency(mats=[a])
-    assert facet_neighborhood(1, 0, fa, side="b") == [0]
+    ops = polygcn._facet_ops(sparse.csr_array(a), GcnConfig(neighbor_mode="co"))
+    assert np.array_equal(ops["mask_a"].toarray(),
+                          [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    assert ops["mask_b"].nnz == 0
 
 
 # ---------------------------------------------------------------- forward
@@ -106,7 +127,7 @@ def identity_model(num_a, num_b, fa, dim, depth=1):
 def test_forward_isolated_node_keeps_layer0_vector():
     a = np.zeros((2, 2))
     a[1, 1] = 1.0   # node 0 isolated under this facet
-    fa = FacetAdjacency(mats=[a])
+    fa = facet_adjacency(a)
     model, config = identity_model(2, 2, fa, dim=3, depth=1)
     u, _ = forward_facet(model.facets[0], model.ops[0], config)
     assert np.allclose(u[0], model.facets[0].x_a[0])
@@ -114,7 +135,7 @@ def test_forward_isolated_node_keeps_layer0_vector():
 
 def test_forward_mean_of_identical_vectors():
     a = np.ones((1, 2))   # one user linked to two items
-    fa = FacetAdjacency(mats=[a])
+    fa = facet_adjacency(a)
     model, config = identity_model(1, 2, fa, dim=3, depth=1)
     x = np.array([0.3, -0.2, 0.5])
     model.facets[0].x_a[0] = x
@@ -156,19 +177,10 @@ def test_forward_matches_dense_reference(seed):
     for k in range(2):
         u, h = forward_facet(model.facets[k], model.ops[k], config)
         ru, rh = dense_reference_forward(model.facets[k],
-                                         (fa.mats[k] > 0).astype(float), config)
+                                         (fa.mats[k].toarray() > 0).astype(float),
+                                         config)
         assert np.abs(u - ru).max() < 1e-10
         assert np.abs(h - rh).max() < 1e-10
-
-
-def test_gcn_forward_batch_lookup():
-    a, p, q = random_instance(3, num_a=4, num_b=4, k=2)
-    fa = decompose_adjacency(a, p, q)
-    config = GcnConfig(dim=3, seed=0)
-    model = init_gcn_model(4, 4, fa, config)
-    rows = polygcn.gcn_forward(model, fa, 1, "a", [2, 0])
-    u, _ = forward_facet(model.facets[1], model.ops[1], config)
-    assert np.allclose(rows, u[[2, 0]])
 
 
 # ---------------------------------------------------------------- gradients
@@ -200,12 +212,22 @@ def test_gcn_gradients_match_finite_differences(seed):
                      np.concatenate(numeric_all)) < 1e-4
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_scatter_rows_equals_add_at(seed):
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, 30, 400)
+    vals = rng.normal(size=(400, 5)) * 10.0 ** rng.integers(-8, 8, (400, 1))
+    expected = np.zeros((37, 5))
+    np.add.at(expected, idx, vals)
+    assert np.array_equal(polygcn._scatter_rows(idx, vals, 37), expected)
+
+
 # ------------------------------------------------------------------- train
 
 def test_empty_facet_stays_at_initialization():
     a = np.zeros((3, 3))
     a[0, 0] = a[1, 1] = 1.0
-    fa = FacetAdjacency(mats=[a, np.zeros((3, 3))])
+    fa = facet_adjacency(a, np.zeros((3, 3)))
     g = graph.from_edges([(0, 0), (1, 1)], kind="bipartite", num_a=3, num_b=3)
     config = GcnConfig(dim=4, iterations=30, seed=5)
     result = train_gcn(g, fa, config)
@@ -284,7 +306,7 @@ def test_co_neighborhood_mode_trains():
 
 def test_facet_adjacency_export(tmp_path):
     a = np.array([[1.5, 0.0], [0.0, 2.5]])
-    fa = FacetAdjacency(mats=[a])
+    fa = facet_adjacency(a)
     out = tmp_path / "fadj.txt"
     polygcn.save_facet_adjacency(out, fa)
     lines = out.read_text().splitlines()
