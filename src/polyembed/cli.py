@@ -18,7 +18,7 @@ import numpy as np
 from . import evaluation, facets, inference, polydeepwalk, polygcn, polypte, walks
 from . import graph as graphmod
 from .errors import ParseError, PolyembedError, ValidationError, parse_numbers
-from .tables import EmbeddingTables, load_embeddings, save_embeddings
+from .tables import EmbeddingTables, load_matrix, save_matrix
 
 
 def parse_config_file(path) -> dict:
@@ -46,8 +46,13 @@ def _coerce(value, like):
 
 
 def resolve_params(args, defaults: dict) -> dict:
-    """Flags beat config-file entries beat defaults."""
+    """Flags beat config-file entries beat defaults; a config-file key
+    that is not a parameter of the subcommand is a ValidationError."""
     config = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(config.keys() - defaults.keys())
+    if unknown:
+        raise ValidationError(f"{args.config}: unknown config key(s) "
+                              f"{', '.join(unknown)}")
     resolved = {}
     for key, default in defaults.items():
         cli_value = getattr(args, key, None)
@@ -75,10 +80,10 @@ def _load_prior_for(kind: str, path, alpha=0.05):
 
 def _load_tables_for(mode: str, path) -> EmbeddingTables:
     if mode == "homogeneous":
-        u = load_embeddings(path)
+        u = load_matrix(path, "N K D")
         return EmbeddingTables(u=u, h=np.zeros_like(u))
-    return EmbeddingTables(u=load_embeddings(f"{path}.a"),
-                           h=load_embeddings(f"{path}.b"))
+    return EmbeddingTables(u=load_matrix(f"{path}.a", "N K D"),
+                           h=load_matrix(f"{path}.b", "N K D"))
 
 
 def _save_test_edges(path, test_edges, g) -> None:
@@ -146,7 +151,7 @@ def cmd_facets(args) -> None:
                                       max_iters=params["max_iters"],
                                       tol=params["tol"], seed=params["seed"])
         dist = facets.normalize_prior(result.factors[0])
-        facets.save_prior_file(args.out, dist)
+        save_matrix(args.out, dist)
         print(f"wrote {args.out} ({dist.shape[0]} nodes, {params['k']} facets, "
               f"objective {result.objective:.6g}, {result.iterations} iterations)")
     else:
@@ -154,8 +159,8 @@ def cmd_facets(args) -> None:
                                        max_iters=params["max_iters"],
                                        tol=params["tol"], seed=params["seed"])
         p, q = result.factors
-        facets.save_prior_file(f"{args.out}.a", facets.normalize_prior(p))
-        facets.save_prior_file(f"{args.out}.b", facets.normalize_prior(q))
+        save_matrix(f"{args.out}.a", facets.normalize_prior(p))
+        save_matrix(f"{args.out}.b", facets.normalize_prior(q))
         print(f"wrote {args.out}.a / {args.out}.b "
               f"(objective {result.objective:.6g}, {result.iterations} iterations)")
     write_manifest(args.out, "facets", dict(params, input=args.input, out=args.out))
@@ -195,9 +200,9 @@ def cmd_train_deepwalk(args) -> None:
         learning_rate=params["learning_rate"], window=params["window"],
         seed=params["seed"])
     result = polydeepwalk.train(g, prior, corpus, config)
-    save_embeddings(args.out, result.tables.u)
+    save_matrix(args.out, result.tables.u)
     if args.export_context:
-        save_embeddings(args.export_context, result.tables.h)
+        save_matrix(args.export_context, result.tables.h)
     losses = ", ".join(f"{x:.4f}" for x in result.epoch_losses)
     print(f"wrote {args.out} (epoch losses: {losses})")
     write_manifest(args.out, "train-deepwalk",
@@ -222,8 +227,8 @@ def cmd_train_pte(args) -> None:
         facet_mode=params["facet_mode"],
         weighted_edges=params["weighted_edges"])
     result = polypte.train_pte(g, prior, config)
-    save_embeddings(f"{args.out}.a", result.tables.u)
-    save_embeddings(f"{args.out}.b", result.tables.h)
+    save_matrix(f"{args.out}.a", result.tables.u)
+    save_matrix(f"{args.out}.b", result.tables.h)
     print(f"wrote {args.out}.a / {args.out}.b "
           f"(final loss {result.loss_trace[-1]:.4f})")
     write_manifest(args.out, "train-pte",
@@ -247,8 +252,8 @@ def cmd_train_gcn(args) -> None:
         threshold=params["threshold"], neighbor_mode=params["neighbor_mode"],
         seed=params["seed"])
     result = polygcn.train_gcn(g, fadj, config)
-    save_embeddings(f"{args.out}.a", result.tables.u)
-    save_embeddings(f"{args.out}.b", result.tables.h)
+    save_matrix(f"{args.out}.a", result.tables.u)
+    save_matrix(f"{args.out}.b", result.tables.h)
     if args.export_fadj:
         polygcn.save_facet_adjacency(args.export_fadj, fadj)
     print(f"wrote {args.out}.a / {args.out}.b")
@@ -260,11 +265,11 @@ def cmd_embed(args) -> None:
     params = resolve_params(args, dict(weighted=True, alpha=0.05))
     if getattr(args, "plain", False):
         params["weighted"] = False
-    u = load_embeddings(args.emb)
+    u = load_matrix(args.emb, "N K D")
     prior = facets.load_prior(args.prior, alpha=params["alpha"])
     tables = EmbeddingTables(u=u, h=np.zeros_like(u))
     joint = inference.concat(tables, prior, weighted=params["weighted"])
-    inference.save_joint(args.out, joint)
+    save_matrix(args.out, joint)
     print(f"wrote {args.out} ({joint.shape[0]} x {joint.shape[1]})")
     write_manifest(args.out, "embed",
                    dict(params, emb=args.emb, prior=args.prior, out=args.out))
@@ -300,7 +305,7 @@ def cmd_eval_class(args) -> None:
     params = resolve_params(args, EVAL_CLASS_DEFAULTS)
     if getattr(args, "no_shuffle", False):
         params["shuffle"] = False
-    features = inference.load_joint(args.features)
+    features = load_matrix(args.features, "N KD")
     labels, classes = evaluation.load_labels(args.labels, features.shape[0])
     micro, macro = evaluation.classify(features, labels,
                                        train_fraction=params["train_fraction"],
@@ -347,14 +352,14 @@ def cmd_pipeline(args) -> None:
                                    max_iters=params["max_iters"],
                                    tol=params["tol"], seed=seed)
         prior = facets.FacetPrior.from_factor(nmf.factors[0], alpha=params["alpha"])
-        facets.save_prior_file(f"{prefix}.prior", prior.dist)
+        save_matrix(f"{prefix}.prior", prior.dist)
     else:
         nmf = facets.asymmetric_nmf(train_g.adj, params["k"], alpha=params["alpha"],
                                     max_iters=params["max_iters"],
                                     tol=params["tol"], seed=seed)
         prior = facets.FacetPrior.from_factors(*nmf.factors, alpha=params["alpha"])
-        facets.save_prior_file(f"{prefix}.prior.a", prior.dist)
-        facets.save_prior_file(f"{prefix}.prior.b", prior.dist_b)
+        save_matrix(f"{prefix}.prior.a", prior.dist)
+        save_matrix(f"{prefix}.prior.b", prior.dist_b)
 
     if model == "deepwalk":
         wconfig = walks.WalkConfig(walks_per_node=params["walks_per_node"],
@@ -368,7 +373,7 @@ def cmd_pipeline(args) -> None:
             learning_rate=params["learning_rate"] or 0.025,
             window=params["window"], seed=seed)
         tables = polydeepwalk.train(train_g, prior, corpus, config).tables
-        save_embeddings(f"{prefix}.emb", tables.u)
+        save_matrix(f"{prefix}.emb", tables.u)
         mode = "homogeneous"
     elif model == "pte":
         config = polypte.PteConfig(
@@ -377,8 +382,8 @@ def cmd_pipeline(args) -> None:
             total_samples=params["total_samples"] or None,
             learning_rate=params["learning_rate"] or 0.025, seed=seed)
         tables = polypte.train_pte(train_g, prior, config).tables
-        save_embeddings(f"{prefix}.emb.a", tables.u)
-        save_embeddings(f"{prefix}.emb.b", tables.h)
+        save_matrix(f"{prefix}.emb.a", tables.u)
+        save_matrix(f"{prefix}.emb.b", tables.h)
         mode = "cross"
     else:
         fadj = polygcn.decompose_adjacency(train_g.adj, prior.p, prior.q)
@@ -388,8 +393,8 @@ def cmd_pipeline(args) -> None:
             learning_rate=params["learning_rate"] or 0.01,
             negatives=1, seed=seed)
         tables = polygcn.train_gcn(train_g, fadj, config).tables
-        save_embeddings(f"{prefix}.emb.a", tables.u)
-        save_embeddings(f"{prefix}.emb.b", tables.h)
+        save_matrix(f"{prefix}.emb.a", tables.u)
+        save_matrix(f"{prefix}.emb.b", tables.h)
         mode = "cross-diagonal"
 
     report = evaluation.link_prediction_report(
@@ -399,7 +404,7 @@ def cmd_pipeline(args) -> None:
 
     if args.labels and kind == "homogeneous":
         joint = inference.concat(tables, prior, weighted=True)
-        inference.save_joint(f"{prefix}.joint", joint)
+        save_matrix(f"{prefix}.joint", joint)
         y, classes = evaluation.load_labels(args.labels, train_g.num_nodes)
         micro, macro = evaluation.classify(joint, y, seed=seed, shuffle=True)
         report.micro_f1, report.macro_f1 = micro, macro

@@ -33,14 +33,3 @@ def parse_numbers(tokens, kind, where: str) -> list:
         raise ParseError(f"{where}: expected {kind.__name__} values, "
                          f"got {' '.join(tokens)!r}") from None
 
-
-def parse_header(line: str, path, names: str) -> list[int]:
-    """The counts of a matrix file's header line, laid out as `names` (such
-    as "N K"): nonnegative ints, or ParseError naming the file."""
-    fields = line.split()
-    if len(fields) != len(names.split()):
-        raise ParseError(f"{path}: bad header, expected {names!r}")
-    counts = parse_numbers(fields, int, f"{path} line 1")
-    if min(counts) < 0:
-        raise ParseError(f"{path} line 1: negative count in {line.strip()!r}")
-    return counts

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import graph as graphmod
 from . import inference
@@ -151,7 +150,12 @@ def auc(pos_scores, neg_scores) -> float:
     neg = np.asarray(neg_scores, dtype=np.float64)
     if len(pos) == 0 or len(neg) == 0:
         raise ValidationError("AUC needs nonempty score lists")
-    ranks = rankdata(np.concatenate([pos, neg]))
+    scores = np.concatenate([pos, neg])
+    if np.isnan(scores).any():
+        return float("nan")
+    # midranks: a tie group ending at rank r with c members averages r - (c-1)/2
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[group]
     pos_rank_sum = ranks[:len(pos)].sum()
     n_pos, n_neg = len(pos), len(neg)
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
@@ -192,7 +196,7 @@ def link_prediction_report(train_graph, test_edges, tables: EmbeddingTables,
     """Rank candidates for every test edge and aggregate HR@k and AUC.
 
     Each query is scored once; candidates rank by descending score, ties
-    by ascending node id, as in `inference.rank_candidates`."""
+    by ascending node id, so rankings are reproducible."""
     if not test_edges:
         raise ValidationError("no test edges")
     hr_sums = {int(k): 0.0 for k in ks}

@@ -11,13 +11,13 @@ facet sampling) is derived from those rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from .errors import ParseError, ValidationError, parse_header, parse_numbers
+from .errors import ValidationError
+from .tables import load_matrix
 from .walks import Observation
 
 _EPS = 1e-12
@@ -253,47 +253,12 @@ def entropy(dist) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def save_prior_file(path, dist) -> None:
-    """Write one facet distribution matrix: header `N K`, rows
-    `node_id p_1 ... p_K`."""
-    dist = np.asarray(dist, dtype=np.float64)
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{dist.shape[0]} {dist.shape[1]}\n")
-        for i, row in enumerate(dist):
-            fh.write(" ".join([str(i)] + [f"{v:.17g}" for v in row]) + "\n")
-
-
-def load_prior_file(path) -> np.ndarray:
-    """Read a facet distribution matrix written by save_prior_file;
-    rows are renormalized on load."""
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        n, k = parse_header(fh.readline(), path, "N K")
-        out = np.zeros((n, k))
-        seen = np.zeros(n, dtype=bool)
-        for line_no, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != k + 1:
-                raise ParseError(f"{path} line {line_no}: expected {k + 1} fields")
-            where = f"{path} line {line_no}"
-            idx, = parse_numbers(fields[:1], int, where)
-            if not 0 <= idx < n:
-                raise ParseError(f"{path} line {line_no}: node id {idx} out of range")
-            out[idx] = parse_numbers(fields[1:], float, where)
-            seen[idx] = True
-    if not seen.all():
-        raise ParseError(f"{path}: missing rows for {int((~seen).sum())} node(s)")
-    return normalize_prior(out)
-
-
 def load_prior(path, path_b=None, alpha=0.05) -> FacetPrior:
     """Assemble a FacetPrior from one (homogeneous) or two (bipartite)
-    prior files."""
-    p = load_prior_file(path)
+    prior files (`tables.load_matrix` layout "N K"); rows are renormalized
+    on load."""
+    p = normalize_prior(load_matrix(path, "N K"))
     if path_b is None:
         return FacetPrior.from_factor(p, alpha=alpha)
-    q = load_prior_file(path_b)
+    q = normalize_prior(load_matrix(path_b, "N K"))
     return FacetPrior.from_factors(p, q, alpha=alpha)

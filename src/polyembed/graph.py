@@ -387,18 +387,3 @@ def adjacency_dense(graph) -> np.ndarray:
             "use a sparse factorization path instead")
     return graph.adj.toarray().astype(np.float64)
 
-
-def neighbors(graph, v: int, side: str = "a") -> list[tuple[int, float]]:
-    """Neighbors of node v as (id, weight) pairs sorted by id.
-
-    For bipartite graphs, side "a" treats v as a type-A id and returns
-    type-B neighbors; side "b" is the reverse.
-    """
-    if isinstance(graph, BipartiteGraph):
-        mat, limit = (graph.adj, graph.num_a) if side == "a" else (graph.adj_t, graph.num_b)
-    else:
-        mat, limit = graph.adj, graph.num_nodes
-    if not 0 <= v < limit:
-        raise IndexError(f"node id {v} out of range [0, {limit})")
-    lo, hi = mat.indptr[v], mat.indptr[v + 1]
-    return [(int(j), float(w)) for j, w in zip(mat.indices[lo:hi], mat.data[lo:hi])]

@@ -10,11 +10,9 @@ sums, which is the path used here.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from .errors import ParseError, ValidationError, parse_header, parse_numbers
+from .errors import ValidationError
 from .facets import FacetPrior
 from .tables import EmbeddingTables
 
@@ -31,13 +29,6 @@ def concat(tables: EmbeddingTables, prior: FacetPrior,
     if weighted:
         u = u * prior.dist[:, :, None]
     return u.reshape(u.shape[0], -1).copy()
-
-
-def weighted_vectors(table: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Prior-weighted facet sums, shape (N, D): sum_k p(k|v) T[v, k]."""
-    if table.shape[0] != dist.shape[0] or table.shape[1] != dist.shape[1]:
-        raise ValidationError("table and distribution shapes disagree")
-    return np.einsum("nk,nkd->nd", dist, table)
 
 
 def similarity(i: int, j: int, tables: EmbeddingTables, prior: FacetPrior,
@@ -91,49 +82,3 @@ def score_candidates(query: int, candidates, tables: EmbeddingTables,
     else:
         raise ValidationError(f"unknown similarity mode {mode!r}")
     return cvecs @ qvec
-
-
-def rank_candidates(query: int, candidates, tables: EmbeddingTables,
-                    prior: FacetPrior, mode: str = "homogeneous") -> list[int]:
-    """Candidates sorted by descending similarity; ties break by
-    ascending node id so rankings are reproducible."""
-    cand = list(candidates)
-    if not cand:
-        raise ValidationError("empty candidate list")
-    scores = score_candidates(query, cand, tables, prior, mode)
-    order = sorted(range(len(cand)), key=lambda idx: (-scores[idx], cand[idx]))
-    return [cand[idx] for idx in order]
-
-
-def save_joint(path, joint: np.ndarray) -> None:
-    """Joint-embedding export: header `N KD`, rows `node_id v_1 ... v_KD`."""
-    joint = np.asarray(joint)
-    if joint.ndim != 2:
-        raise ValidationError("expected a 2-D joint embedding matrix")
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        fh.write(f"{joint.shape[0]} {joint.shape[1]}\n")
-        for i, row in enumerate(joint):
-            fh.write(" ".join([str(i)] + [f"{v:.17g}" for v in row]) + "\n")
-
-
-def load_joint(path) -> np.ndarray:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        n, kd = parse_header(fh.readline(), path, "N KD")
-        out = np.zeros((n, kd))
-        seen = np.zeros(n, dtype=bool)
-        for line_no, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != kd + 1:
-                raise ParseError(f"{path} line {line_no}: expected {kd + 1} fields")
-            where = f"{path} line {line_no}"
-            idx, = parse_numbers(fields[:1], int, where)
-            if not 0 <= idx < n:
-                raise ParseError(f"{path} line {line_no}: node id out of range")
-            out[idx] = parse_numbers(fields[1:], float, where)
-            seen[idx] = True
-    if not seen.all():
-        raise ParseError(f"{path}: missing rows")
-    return out

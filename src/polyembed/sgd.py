@@ -74,12 +74,6 @@ class NegativeSampler:
             return nodes, np.zeros_like(nodes)
         return nodes, sample_facets(self.facet_dist[nodes], u_facets)
 
-    def sample_batch(self, rng, count: int):
-        """Draw `count` (nodes, facets): `count` node uniforms, then for
-        K > 1 another `count` facet uniforms."""
-        u_nodes = rng.random(count)
-        return self.decode(u_nodes, rng.random(count) if self.k > 1 else None)
-
 
 def uniforms_per_round(contexts, k: int, negatives: int):
     """Uniforms one facet round draws, for `contexts` contexts."""

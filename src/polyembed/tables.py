@@ -2,20 +2,25 @@
 
 Both tables are dense float64 arrays of shape (nodes, facets, dim). The
 target table starts uniform in (-0.5/D, 0.5/D) and the context table at
-zero, the usual skip-gram convention. The text export format is
+zero, the usual skip-gram convention.
+
+`save_matrix` and `load_matrix` are the one text format of the pipeline's
+priors, embedding tables and joint vectors: the header is the array's
+shape, then each row of the last axis follows its integer index tuple,
     N K D
     node_id facet_id v_1 ... v_D
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (NumericsError, ParseError, ValidationError, parse_header,
-                     parse_numbers)
+from .errors import NumericsError, ParseError, ValidationError, parse_numbers
 
 
 @dataclass
@@ -61,38 +66,68 @@ def init_tables(num_nodes, k, d, seed=0, num_context=None) -> EmbeddingTables:
     return EmbeddingTables(u=u, h=h)
 
 
-def save_embeddings(path, table: np.ndarray) -> None:
-    """Write one (N, K, D) table in the text format above."""
-    table = np.asarray(table)
-    if table.ndim != 3:
-        raise ValidationError("expected a (nodes, facets, dim) array")
-    n, k, d = table.shape
+def save_matrix(path, array) -> None:
+    """Write an array of shape (c_1, ..., c_m, w) as text: a header line of
+    its shape, then one line `i_1 ... i_m v_1 ... v_w` per index tuple in
+    row-major order, values as `%.17g` (exact for float64)."""
+    array = np.asarray(array, dtype=np.float64)
+    if array.ndim < 2:
+        raise ValidationError("expected an array with index and value axes")
+    *counts, width = array.shape
+    line = " ".join(["%d"] * len(counts) + ["%.17g"] * width) + "\n"
+    rows = array.reshape(math.prod(counts), width)
     with open(Path(path), "w", encoding="utf-8") as fh:
-        fh.write(f"{n} {k} {d}\n")
-        for i in range(n):
-            for f in range(k):
-                row = " ".join(f"{v:.17g}" for v in table[i, f])
-                fh.write(f"{i} {f} {row}\n")
+        fh.write(" ".join(map(str, array.shape)) + "\n")
+        index = itertools.product(*map(range, counts))
+        fh.writelines(line % (*i, *v.tolist()) for i, v in zip(index, rows))
 
 
-def load_embeddings(path) -> np.ndarray:
+def parse_header(line: str, path, names: str) -> list[int]:
+    """The counts of a matrix file's header line, laid out as `names` (such
+    as "N K"): nonnegative ints, or ParseError naming the file and line."""
+    fields = line.split()
+    if len(fields) != len(names.split()):
+        raise ParseError(f"{path} line 1: bad header, expected {names!r}")
+    counts = parse_numbers(fields, int, f"{path} line 1")
+    if min(counts) < 0:
+        raise ParseError(f"{path} line 1: negative count in {line.strip()!r}")
+    return counts
+
+
+def load_matrix(path, layout: str) -> np.ndarray:
+    """Read a file written by save_matrix whose header is laid out as
+    `layout`: "N K" (priors), "N K D" (embedding tables) or "N KD" (joint
+    vectors). Every row must appear, a repeated row replaces the earlier
+    one, and a malformed header, field or index raises ParseError naming
+    the file and line. Rows are collected before the array is built, so
+    memory follows the file's contents rather than its header."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        n, k, d = parse_header(fh.readline(), path, "N K D")
-        out = np.zeros((n, k, d))
-        seen = np.zeros((n, k), dtype=bool)
-        for line_no, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != d + 2:
-                raise ParseError(f"{path} line {line_no}: expected {d + 2} fields")
-            where = f"{path} line {line_no}"
-            i, f = parse_numbers(fields[:2], int, where)
-            if not (0 <= i < n and 0 <= f < k):
-                raise ParseError(f"{path} line {line_no}: index out of range")
-            out[i, f] = parse_numbers(fields[2:], float, where)
-            seen[i, f] = True
-    if not seen.all():
-        raise ParseError(f"{path}: missing {int((~seen).sum())} (node, facet) rows")
+    rows = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            shape = parse_header(fh.readline(), path, layout)
+            *counts, width = shape
+            m = len(counts)
+            for line_no, line in enumerate(fh, start=2):
+                tokens = line.split()
+                if not tokens:
+                    continue
+                where = f"{path} line {line_no}"
+                if len(tokens) != m + width:
+                    raise ParseError(f"{where}: expected {m + width} fields")
+                index = tuple(parse_numbers(tokens[:m], int, where))
+                if not all(0 <= i < c for i, c in zip(index, counts)):
+                    raise ParseError(f"{where}: index {' '.join(tokens[:m])} out of range")
+                rows[index] = parse_numbers(tokens[m:], float, where)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    missing = math.prod(counts) - len(rows)
+    if missing:
+        raise ParseError(f"{path}: missing {missing} of {math.prod(counts)} rows")
+    try:
+        out = np.zeros(shape)
+    except ValueError:   # a zero count beside one beyond numpy's limits
+        raise ParseError(f"{path} line 1: shape {tuple(shape)} is too large") from None
+    if rows:
+        out[tuple(np.array(list(rows)).T)] = list(rows.values())
     return out

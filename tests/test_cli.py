@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from polyembed import cli, facets, graph, inference, walks
-from polyembed.tables import load_embeddings
+from polyembed import cli, facets, graph, walks
+from polyembed.tables import load_matrix
 
 
 @pytest.fixture
@@ -43,7 +48,7 @@ def test_facets_shape_contract(tmp_path, sbm_file):
     out = tmp_path / "g.prior"
     run_ok(["facets", "--input", str(sbm_file), "--k", "6",
             "--alpha", "0.05", "--out", str(out)])
-    dist = facets.load_prior_file(out)
+    dist = load_matrix(out, "N K")
     assert dist.shape == (24, 6)
     assert (tmp_path / "g.prior.manifest").exists()
 
@@ -65,9 +70,9 @@ def test_walks_and_train_and_embed_round_trip(tmp_path, sbm_file):
             "--out", str(joint_path)])
     corpus = walks.load_corpus(corpus_path)
     assert corpus and all(len(w) <= 6 for w in corpus)
-    table = load_embeddings(emb_path)
+    table = load_matrix(emb_path, "N K D")
     assert table.shape == (24, 2, 6)
-    joint = inference.load_joint(joint_path)
+    joint = load_matrix(joint_path, "N KD")
     assert joint.shape == (24, 12)
 
 
@@ -102,7 +107,7 @@ def test_pipeline_bipartite_pte_report(tmp_path, bipartite_file):
     assert train_g.num_a == 20
     prior = facets.load_prior(tmp_path / "run.prior.a", tmp_path / "run.prior.b")
     assert prior.k == 2
-    assert load_embeddings(tmp_path / "run.emb.a").shape == (20, 2, 6)
+    assert load_matrix(tmp_path / "run.emb.a", "N K D").shape == (20, 2, 6)
 
 
 def test_pipeline_homogeneous_with_labels(tmp_path, sbm_file):
@@ -150,11 +155,30 @@ def test_config_file_precedence(tmp_path, sbm_file):
     out = tmp_path / "p1"
     run_ok(["facets", "--input", str(sbm_file), "--config", str(config),
             "--out", str(out)])
-    assert facets.load_prior_file(out).shape[1] == 3  # config beats default
+    assert load_matrix(out, "N K").shape[1] == 3  # config beats default
     out2 = tmp_path / "p2"
     run_ok(["facets", "--input", str(sbm_file), "--config", str(config),
             "--k", "4", "--out", str(out2)])
-    assert facets.load_prior_file(out2).shape[1] == 4  # flag beats config
+    assert load_matrix(out2, "N K").shape[1] == 4  # flag beats config
+
+
+def test_unknown_config_key_is_an_error(tmp_path, capsys, sbm_file):
+    config = tmp_path / "run.cfg"
+    config.write_text("k=3\ndimm=64\n")
+    rc = cli.run(["facets", "--input", str(sbm_file), "--config", str(config),
+                  "--out", str(tmp_path / "p")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(config) in err and "dimm" in err
+    assert not (tmp_path / "p").exists()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats alone takes about half a second to import
+    code = ("import sys, polyembed.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_missing_file_returns_nonzero(tmp_path, capsys):
@@ -274,4 +298,4 @@ def test_graph_over_the_dense_guard_runs_sparse(tmp_path):
             "--max-iters", "20", "--out", str(prior)])
     run_ok(["train-gcn", "--input", str(path), "--prior", str(prior),
             "--dim", "2", "--iterations", "2", "--out", str(tmp_path / "wide.emb")])
-    assert load_embeddings(tmp_path / "wide.emb.b").shape == (num_b, 2, 2)
+    assert load_matrix(tmp_path / "wide.emb.b", "N K D").shape == (num_b, 2, 2)

@@ -128,6 +128,10 @@ def test_auc_matches_brute_force():
                                               abs=1e-12)
 
 
+def test_auc_of_a_nan_score_is_nan():
+    assert np.isnan(auc([np.nan, 1.0], [0.5]))
+
+
 def test_auc_rejects_empty():
     with pytest.raises(ValidationError):
         auc([], [1.0])
@@ -146,7 +150,7 @@ def test_candidates_never_include_training_neighbors():
     rng = np.random.default_rng(2)
     rows = [(int(i), int(j)) for i, j in rng.integers(0, 20, (40, 2)) if i != j]
     g = graph.from_edges(rows, num_nodes=20)
-    nbrs = {j for j, _ in graph.neighbors(g, 0)}
+    nbrs = set(g.adj.indices[g.adj.indptr[0]:g.adj.indptr[1]].tolist())
     cands = candidate_protocol((0, list(nbrs)[0]), g, num_negatives=5, seed=1)
     assert not (set(cands[1:]) & nbrs)
     assert 0 not in cands[1:]

@@ -5,6 +5,7 @@ from scipy import sparse
 
 from polyembed import facets, graph
 from polyembed.errors import ValidationError
+from polyembed.tables import save_matrix
 from polyembed.walks import Observation
 
 
@@ -274,21 +275,11 @@ def test_entropy():
 
 # ---------------------------------------------------------------- file io
 
-def test_prior_file_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    dist = facets.normalize_prior(rng.random((7, 3)))
-    path = tmp_path / "g.prior"
-    facets.save_prior_file(path, dist)
-    header = path.read_text().splitlines()[0]
-    assert header == "7 3"
-    assert np.allclose(facets.load_prior_file(path), dist, atol=1e-15)
-
-
 def test_load_prior_bipartite(tmp_path):
     p = facets.normalize_prior(np.random.default_rng(1).random((4, 2)))
     q = facets.normalize_prior(np.random.default_rng(2).random((3, 2)))
-    facets.save_prior_file(tmp_path / "pr.a", p)
-    facets.save_prior_file(tmp_path / "pr.b", q)
+    save_matrix(tmp_path / "pr.a", p)
+    save_matrix(tmp_path / "pr.b", q)
     prior = facets.load_prior(tmp_path / "pr.a", tmp_path / "pr.b")
     assert prior.bipartite
     assert np.allclose(prior.dist, p) and np.allclose(prior.dist_b, q)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import similarity_double_loop
 
-from polyembed import facets, inference
+from polyembed import evaluation, facets, graph, inference
 from polyembed.errors import ValidationError
 from polyembed.tables import EmbeddingTables, init_tables
 
@@ -121,16 +121,20 @@ def test_cross_diagonal_keeps_matching_facets_only():
 
 def test_factorized_equals_weighted_sum_then_dot():
     prior, tables = random_setup(4, 3, 5, seed=9)
-    wa = inference.weighted_vectors(tables.u, prior.dist)
+    wa = np.einsum("nk,nkd->nd", prior.dist, tables.u)
     assert float(wa[0] @ wa[2]) == pytest.approx(
         inference.similarity(0, 2, tables, prior), abs=1e-12)
 
 
 # ----------------------------------------------------------------- ranking
+# Candidates are ranked by evaluation.link_prediction_report; HR@1 shows
+# which candidate it puts first.
 
-def test_rank_single_candidate():
-    prior, tables = random_setup(3, 2, 4, seed=10)
-    assert inference.rank_candidates(0, [2], tables, prior) == [2]
+def hr_at_1(g, test_edge, tables, prior, num_negatives):
+    report = evaluation.link_prediction_report(
+        g, [test_edge], tables, prior, "homogeneous",
+        num_negatives=num_negatives, ks=(1,))
+    return report.hr_at_k[1]
 
 
 def test_rank_twin_above_stranger():
@@ -140,38 +144,14 @@ def test_rank_twin_above_stranger():
     u[1, 0] = [2.0, 0.0]    # colinear twin
     u[2, 0] = [0.0, 1.0]    # orthogonal stranger
     tables = EmbeddingTables(u=u, h=np.zeros_like(u))
-    assert inference.rank_candidates(0, [2, 1], tables, prior) == [1, 2]
+    g = graph.from_edges([(1, 2)], num_nodes=3)   # candidates of (0, 1): 1, 2
+    assert hr_at_1(g, (0, 1), tables, prior, num_negatives=1) == 1.0
 
 
 def test_rank_ties_break_by_ascending_id():
     prior = facets.FacetPrior.uniform(4, 1)
     tables = EmbeddingTables(u=np.zeros((4, 1, 2)), h=np.zeros((4, 1, 2)))
-    assert inference.rank_candidates(0, [3, 1, 2], tables, prior) == [1, 2, 3]
-
-
-def test_ranking_invariant_under_monotone_transform():
-    prior, tables = random_setup(6, 2, 3, seed=11)
-    cands = [1, 2, 3, 4, 5]
-    ranked = inference.rank_candidates(0, cands, tables, prior)
-    scores = inference.score_candidates(0, cands, tables, prior)
-    transformed = np.exp(0.5 * scores)  # strictly increasing
-    order = sorted(range(len(cands)),
-                   key=lambda idx: (-transformed[idx], cands[idx]))
-    assert [cands[i] for i in order] == ranked
-
-
-def test_rank_empty_candidates_rejected():
-    prior, tables = random_setup(3, 2, 4, seed=12)
-    with pytest.raises(ValidationError):
-        inference.rank_candidates(0, [], tables, prior)
-
-
-# ---------------------------------------------------------------- file io
-
-def test_joint_round_trip(tmp_path):
-    prior, tables = random_setup(4, 2, 3, seed=13)
-    joint = inference.concat(tables, prior)
-    path = tmp_path / "joint.txt"
-    inference.save_joint(path, joint)
-    assert path.read_text().splitlines()[0] == "4 6"
-    assert np.allclose(inference.load_joint(path), joint, atol=0)
+    g = graph.from_edges([(1, 2), (2, 3)], num_nodes=4)   # node 0 has no edges
+    # every score ties, so node 1 ranks first among candidates 1, 2, 3
+    assert hr_at_1(g, (0, 1), tables, prior, num_negatives=2) == 1.0
+    assert hr_at_1(g, (0, 3), tables, prior, num_negatives=2) == 0.0

@@ -85,7 +85,7 @@ def test_negative_sampler_degenerate_prior_facet():
     prior = facets.FacetPrior.from_factor(np.array([[1.0, 0.0], [1.0, 0.0]]))
     sampler = sgd.NegativeSampler(np.array([3, 5]), prior.dist)
     rng = np.random.default_rng(0)
-    nodes, facet_idx = sampler.sample_batch(rng, 2000)
+    nodes, facet_idx = sampler.decode(rng.random(2000), rng.random(2000))
     assert not facet_idx.any()
 
 
@@ -93,7 +93,7 @@ def test_negative_sampler_power_ratio():
     prior = facets.FacetPrior.uniform(2, 1)
     sampler = sgd.NegativeSampler(np.array([16, 1]), prior.dist)
     rng = np.random.default_rng(1)
-    nodes, _ = sampler.sample_batch(rng, 100_000)
+    nodes, _ = sampler.decode(rng.random(100_000))
     ratio = (nodes == 0).sum() / (nodes == 1).sum()
     assert 0.95 * 8 <= ratio <= 1.05 * 8
 
@@ -102,7 +102,7 @@ def test_negative_sampler_uniform_pairs():
     prior = facets.FacetPrior.uniform(3, 2)
     sampler = sgd.NegativeSampler(np.array([7, 7, 7]), prior.dist)
     rng = np.random.default_rng(2)
-    nodes, facet_idx = sampler.sample_batch(rng, 120_000)
+    nodes, facet_idx = sampler.decode(rng.random(120_000), rng.random(120_000))
     for n in range(3):
         for k in range(2):
             freq = ((nodes == n) & (facet_idx == k)).mean()
@@ -112,7 +112,8 @@ def test_negative_sampler_uniform_pairs():
 def test_negative_sampler_batch_in_range():
     prior = facets.FacetPrior.uniform(2, 2)
     sampler = sgd.NegativeSampler(np.array([1, 1]), prior.dist)
-    nodes, facet_idx = sampler.sample_batch(np.random.default_rng(0), 10)
+    rng = np.random.default_rng(0)
+    nodes, facet_idx = sampler.decode(rng.random(10), rng.random(10))
     assert ((0 <= nodes) & (nodes < 2) & (0 <= facet_idx) & (facet_idx < 2)).all()
 
 
