@@ -17,31 +17,37 @@ import numpy as np
 
 from . import evaluation, facets, inference, polydeepwalk, polygcn, polypte, walks
 from . import graph as graphmod
-from .errors import ParseError, PolyembedError, ValidationError, parse_numbers
+from .errors import (ParseError, PolyembedError, ValidationError, parse_numbers,
+                     text_lines)
 from .tables import EmbeddingTables, load_matrix, save_matrix
 
 
 def parse_config_file(path) -> dict:
     out = {}
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path} line {line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for line_no, raw in text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path} line {line_no}: expected key=value")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
-def _coerce(value, like):
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(value: str, like):
+    """`value` as the type of `like`; ValueError when it does not parse."""
     if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
+        word = value.lower()
+        if word not in BOOL_WORDS:
+            raise ValueError(value)
+        return BOOL_WORDS[word]
+    if isinstance(like, (int, float)):
+        return type(like)(value)
     return value
 
 
@@ -59,7 +65,12 @@ def resolve_params(args, defaults: dict) -> dict:
         if cli_value is not None:
             resolved[key] = cli_value
         elif key in config:
-            resolved[key] = _coerce(config[key], default)
+            try:
+                resolved[key] = _coerce(config[key], default)
+            except ValueError:
+                raise ValidationError(
+                    f"{args.config}: {key}={config[key]!r} is not a valid "
+                    f"{type(default).__name__}") from None
         else:
             resolved[key] = default
     return resolved
@@ -107,20 +118,19 @@ def _load_test_edges(path, g) -> list[tuple[int, int]]:
     maps = [{lab: i for i, lab in enumerate(labels)} if labels else None
             for labels, _ in sides]
     out = []
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields or fields[0].startswith("#"):
-                continue
-            where = f"{path} line {line_no}"
-            if len(fields) != 2:
-                raise ParseError(f"{where}: test edges need two fields per line")
-            pair = tuple(index.get(token, -1) if index is not None
-                         else parse_numbers([token], int, where)[0]
-                         for token, index in zip(fields, maps))
-            if not all(0 <= v < limit for v, (_, limit) in zip(pair, sides)):
-                raise ParseError(f"{where}: {line.strip()!r} names a node not in the graph")
-            out.append(pair)
+    for line_no, line in text_lines(path):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        where = f"{path} line {line_no}"
+        if len(fields) != 2:
+            raise ParseError(f"{where}: test edges need two fields per line")
+        pair = tuple(index.get(token, -1) if index is not None
+                     else parse_numbers([token], int, where)[0]
+                     for token, index in zip(fields, maps))
+        if not all(0 <= v < limit for v, (_, limit) in zip(pair, sides)):
+            raise ParseError(f"{where}: {line.strip()!r} names a node not in the graph")
+        out.append(pair)
     if not out:
         raise ValidationError(f"{path}: no test edges")
     return out
@@ -129,7 +139,10 @@ def _load_test_edges(path, g) -> list[tuple[int, int]]:
 def _parse_ks(text) -> tuple[int, ...]:
     if isinstance(text, (tuple, list)):
         return tuple(int(k) for k in text)
-    ks = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+    try:
+        ks = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+    except ValueError:
+        ks = ()
     if not ks or any(k < 1 for k in ks):
         raise ValidationError(f"bad --ks value {text!r}")
     return ks
@@ -207,7 +220,7 @@ def cmd_train_deepwalk(args) -> None:
     print(f"wrote {args.out} (epoch losses: {losses})")
     write_manifest(args.out, "train-deepwalk",
                    dict(params, input=args.input, prior=args.prior,
-                        corpus=args.corpus, out=args.out))
+                        corpus=args.corpus, out=args.out, engine=result.engine))
 
 
 PTE_DEFAULTS = dict(dim=30, negatives=30, facet_rate=0, total_samples=0,
@@ -232,7 +245,8 @@ def cmd_train_pte(args) -> None:
     print(f"wrote {args.out}.a / {args.out}.b "
           f"(final loss {result.loss_trace[-1]:.4f})")
     write_manifest(args.out, "train-pte",
-                   dict(params, input=args.input, prior=args.prior, out=args.out))
+                   dict(params, input=args.input, prior=args.prior, out=args.out,
+                        engine=result.engine))
 
 
 GCN_DEFAULTS = dict(dim=16, depth=2, iterations=400, learning_rate=0.01,
@@ -372,7 +386,8 @@ def cmd_pipeline(args) -> None:
             facet_rate=params["facet_rate"] or 1, epochs=params["epochs"],
             learning_rate=params["learning_rate"] or 0.025,
             window=params["window"], seed=seed)
-        tables = polydeepwalk.train(train_g, prior, corpus, config).tables
+        result = polydeepwalk.train(train_g, prior, corpus, config)
+        tables, engine = result.tables, {"engine": result.engine}
         save_matrix(f"{prefix}.emb", tables.u)
         mode = "homogeneous"
     elif model == "pte":
@@ -381,7 +396,8 @@ def cmd_pipeline(args) -> None:
             facet_rate=params["facet_rate"] or None,
             total_samples=params["total_samples"] or None,
             learning_rate=params["learning_rate"] or 0.025, seed=seed)
-        tables = polypte.train_pte(train_g, prior, config).tables
+        result = polypte.train_pte(train_g, prior, config)
+        tables, engine = result.tables, {"engine": result.engine}
         save_matrix(f"{prefix}.emb.a", tables.u)
         save_matrix(f"{prefix}.emb.b", tables.h)
         mode = "cross"
@@ -392,7 +408,7 @@ def cmd_pipeline(args) -> None:
             iterations=params["iterations"],
             learning_rate=params["learning_rate"] or 0.01,
             negatives=1, seed=seed)
-        tables = polygcn.train_gcn(train_g, fadj, config).tables
+        tables, engine = polygcn.train_gcn(train_g, fadj, config).tables, {}
         save_matrix(f"{prefix}.emb.a", tables.u)
         save_matrix(f"{prefix}.emb.b", tables.h)
         mode = "cross-diagonal"
@@ -415,7 +431,7 @@ def cmd_pipeline(args) -> None:
     print(f"wrote {prefix}.report")
     write_manifest(f"{prefix}.report", "pipeline",
                    dict(params, input=args.input, workdir=prefix,
-                        labels=args.labels or ""))
+                        labels=args.labels or "", **engine))
 
 
 # ------------------------------------------------------------------- parser

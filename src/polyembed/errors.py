@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-input helpers
+that raise them."""
 
 
 class PolyembedError(Exception):
@@ -33,3 +34,12 @@ def parse_numbers(tokens, kind, where: str) -> list:
         raise ParseError(f"{where}: expected {kind.__name__} values, "
                          f"got {' '.join(tokens)!r}") from None
 
+
+def text_lines(path):
+    """Yield (line_no, line) of a UTF-8 text file, numbered from 1, or
+    raise ParseError naming the file when it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import graph as graphmod
 from . import inference
-from .errors import ProtocolError, ValidationError, parse_numbers
+from .errors import ProtocolError, ValidationError, parse_numbers, text_lines
 from .facets import FacetPrior
 from .graph import BipartiteGraph, Graph
 from .tables import EmbeddingTables
@@ -227,15 +227,14 @@ def load_labels(path, num_nodes: int):
     """Label file: lines `node_id label`; repeated node ids make a
     multi-label node. Returns (binary matrix (N, C), class names)."""
     pairs = []
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields or fields[0].startswith("#"):
-                continue
-            if len(fields) != 2:
-                raise ValidationError(f"{path} line {line_no}: expected 'node label'")
-            node, = parse_numbers(fields[:1], int, f"{path} line {line_no}")
-            pairs.append((node, fields[1]))
+    for line_no, line in text_lines(path):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 2:
+            raise ValidationError(f"{path} line {line_no}: expected 'node label'")
+        node, = parse_numbers(fields[:1], int, f"{path} line {line_no}")
+        pairs.append((node, fields[1]))
     classes = sorted({lab for _, lab in pairs})
     index = {lab: c for c, lab in enumerate(classes)}
     y = np.zeros((num_nodes, len(classes)), dtype=np.float64)

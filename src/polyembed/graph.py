@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .errors import CapacityError, ParseError, ValidationError, parse_numbers
+from .errors import (CapacityError, ParseError, ValidationError, parse_numbers,
+                     text_lines)
 
 DENSE_GUARD = 10**8
 
@@ -50,10 +51,6 @@ class Graph:
     def total_weight(self) -> float:
         """Total undirected edge weight."""
         return float(self.weights.sum())
-
-    def degrees(self) -> np.ndarray:
-        """Unweighted degree per node."""
-        return np.diff(self.adj.indptr)
 
 
 @dataclass(frozen=True)
@@ -80,9 +77,6 @@ class BipartiteGraph:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def degrees_a(self) -> np.ndarray:
-        return np.diff(self.adj.indptr)
-
     def degrees_b(self) -> np.ndarray:
         return np.diff(self.adj_t.indptr)
 
@@ -91,19 +85,18 @@ def _parse_lines(path):
     """Yield (line_no, fields) for data lines; collect comment directives."""
     directives = {"nodes": None, "node": [], "anode": [], "bnode": []}
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip().split()
-                if body[:1] == ["nodes"]:
-                    directives["nodes"] = (line_no, body[1:])
-                elif body[:1] in (["node"], ["anode"], ["bnode"]) and len(body) == 2:
-                    directives[body[0]].append(body[1])
-                continue
-            rows.append((line_no, line.split()))
+    for line_no, raw in text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip().split()
+            if body[:1] == ["nodes"]:
+                directives["nodes"] = (line_no, body[1:])
+            elif body[:1] in (["node"], ["anode"], ["bnode"]) and len(body) == 2:
+                directives[body[0]].append(body[1])
+            continue
+        rows.append((line_no, line.split()))
     return rows, directives
 
 

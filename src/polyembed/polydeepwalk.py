@@ -57,6 +57,7 @@ class TrainConfig:
 class TrainResult(NamedTuple):
     tables: EmbeddingTables
     epoch_losses: list[float]
+    engine: str              # "c" or "numpy", as sgd.Engine.kind
 
 
 def _observations(corpus, num_nodes: int, window: int):
@@ -139,7 +140,7 @@ def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
                 prior.dist, sampler, engine.rng, config.facet_rate,
                 config.negatives), f"epoch {epoch}, observation")
         engine.tables.check_finite(f"after epoch {epoch}")
-    return TrainResult(engine.tables, engine.loss_trace())
+    return TrainResult(engine.tables, engine.loss_trace(), engine.kind)
 
 
 def exact_objective_small(obs: Observation, prior: FacetPrior,

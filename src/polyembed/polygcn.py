@@ -132,10 +132,6 @@ class GcnModel:
     ops: list[dict] = field(default_factory=list)  # per-facet aggregation masks
 
 
-def _identity_weights(dim, depth):
-    return [np.eye(dim) for _ in range(depth)]
-
-
 def init_gcn_model(num_a: int, num_b: int, facet_adj: FacetAdjacency,
                    config: GcnConfig, seed=None) -> GcnModel:
     if isinstance(seed, np.random.SeedSequence):

@@ -58,6 +58,7 @@ class PteConfig:
 class PteResult(NamedTuple):
     tables: EmbeddingTables
     loss_trace: list[float]
+    engine: str              # "c" or "numpy", as sgd.Engine.kind
 
 
 class AliasTable:
@@ -154,7 +155,7 @@ def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
                                    facet_rate, start, min(sgd.CHUNK, total - start),
                                    edge_alias), "edge sample")
     engine.tables.check_finite("after training")
-    return PteResult(engine.tables, engine.loss_trace())
+    return PteResult(engine.tables, engine.loss_trace(), engine.kind)
 
 
 def pte_lower_bound_small(edge, prior: FacetPrior, tables: EmbeddingTables,

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericsError, ParseError, ValidationError, parse_numbers
+from .errors import (NumericsError, ParseError, ValidationError, parse_numbers,
+                     text_lines)
 
 
 @dataclass
@@ -103,24 +104,21 @@ def load_matrix(path, layout: str) -> np.ndarray:
     memory follows the file's contents rather than its header."""
     path = Path(path)
     rows = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            shape = parse_header(fh.readline(), path, layout)
-            *counts, width = shape
-            m = len(counts)
-            for line_no, line in enumerate(fh, start=2):
-                tokens = line.split()
-                if not tokens:
-                    continue
-                where = f"{path} line {line_no}"
-                if len(tokens) != m + width:
-                    raise ParseError(f"{where}: expected {m + width} fields")
-                index = tuple(parse_numbers(tokens[:m], int, where))
-                if not all(0 <= i < c for i, c in zip(index, counts)):
-                    raise ParseError(f"{where}: index {' '.join(tokens[:m])} out of range")
-                rows[index] = parse_numbers(tokens[m:], float, where)
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text") from None
+    lines = text_lines(path)
+    shape = parse_header(next(lines, (1, ""))[1], path, layout)
+    *counts, width = shape
+    m = len(counts)
+    for line_no, line in lines:
+        tokens = line.split()
+        if not tokens:
+            continue
+        where = f"{path} line {line_no}"
+        if len(tokens) != m + width:
+            raise ParseError(f"{where}: expected {m + width} fields")
+        index = tuple(parse_numbers(tokens[:m], int, where))
+        if not all(0 <= i < c for i, c in zip(index, counts)):
+            raise ParseError(f"{where}: index {' '.join(tokens[:m])} out of range")
+        rows[index] = parse_numbers(tokens[m:], float, where)
     missing = math.prod(counts) - len(rows)
     if missing:
         raise ParseError(f"{path}: missing {missing} of {math.prod(counts)} rows")

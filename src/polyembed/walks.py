@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, parse_numbers
+from .errors import ValidationError, parse_numbers, text_lines
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,10 @@ def save_corpus(walks, path) -> None:
 
 def load_corpus(path) -> list[list[int]]:
     out = []
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            fields = line.split()
-            if fields:
-                out.append(parse_numbers(fields, int, f"{path} line {line_no}"))
+    for line_no, line in text_lines(path):
+        fields = line.split()
+        if fields:
+            out.append(parse_numbers(fields, int, f"{path} line {line_no}"))
     if not out:
         raise ValidationError(f"{path}: empty corpus")
     return out

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyembed import cli, facets, graph, walks
+from polyembed import cli, facets, graph, sgd, walks
 from polyembed.tables import load_matrix
 
 
@@ -42,6 +42,11 @@ def bipartite_file(tmp_path):
 
 def run_ok(argv):
     assert cli.run(argv) == 0
+
+
+def engine_line():
+    """The manifest line of the SGD engine that runs here."""
+    return f"engine={'numpy' if sgd._kernel() is None else 'c'}\n"
 
 
 def test_facets_shape_contract(tmp_path, sbm_file):
@@ -108,6 +113,7 @@ def test_pipeline_bipartite_pte_report(tmp_path, bipartite_file):
     prior = facets.load_prior(tmp_path / "run.prior.a", tmp_path / "run.prior.b")
     assert prior.k == 2
     assert load_matrix(tmp_path / "run.emb.a", "N K D").shape == (20, 2, 6)
+    assert engine_line() in (tmp_path / "run.report.manifest").read_text()
 
 
 def test_pipeline_homogeneous_with_labels(tmp_path, sbm_file):
@@ -131,6 +137,7 @@ def test_pipeline_gcn(tmp_path, bipartite_file):
             "--num-negatives", "8", "--ks", "3", "--workdir", str(workdir),
             "--seed", "0"])
     assert "auc=" in (tmp_path / "gcn.report").read_text()
+    assert "engine=" not in (tmp_path / "gcn.report.manifest").read_text()
 
 
 def test_eval_link_standalone(tmp_path, bipartite_file):
@@ -211,7 +218,27 @@ def test_manifest_records_resolved_parameters(tmp_path, sbm_file):
     assert "alpha=0.05" in manifest
 
 
+def test_manifest_records_the_engine(tmp_path, sbm_file, bipartite_file):
+    run_ok(["facets", "--input", str(sbm_file), "--k", "2",
+            "--out", str(tmp_path / "g.prior")])
+    run_ok(["walks", "--input", str(sbm_file), "--walks-per-node", "2",
+            "--walk-length", "4", "--out", str(tmp_path / "g.walks")])
+    run_ok(["train-deepwalk", "--input", str(sbm_file),
+            "--prior", str(tmp_path / "g.prior"),
+            "--corpus", str(tmp_path / "g.walks"), "--dim", "3", "--epochs", "1",
+            "--out", str(tmp_path / "dw")])
+    run_ok(["facets", "--input", str(bipartite_file), "--kind", "bipartite",
+            "--k", "2", "--out", str(tmp_path / "b.prior")])
+    run_ok(["train-pte", "--input", str(bipartite_file),
+            "--prior", str(tmp_path / "b.prior"), "--dim", "3",
+            "--total-samples", "200", "--out", str(tmp_path / "pte")])
+    for out in ("dw", "pte"):
+        assert engine_line() in (tmp_path / f"{out}.manifest").read_text()
+
+
 FIVE_NODES = "0 1\n1 2\n2 3\n3 4\n"
+NOT_UTF8 = b"0 1\n1 \xff\n"
+FACETS = ["facets", "--input", "g.edges", "--config", "c.cfg", "--out", "out"]
 EVAL_LINK = ["eval-link", "--graph", "g.edges", "--test", "t.edges", "--emb", "e",
              "--prior", "p", "--out", "out"]
 MALFORMED = {
@@ -266,6 +293,33 @@ MALFORMED = {
         {"j.joint": "-2 2\n", "l.txt": "0 a\n1 b\n"},
         ["eval-class", "--features", "j.joint", "--labels", "l.txt",
          "--out", "out"], "j.joint line 1"),
+    # a config value must parse as the type of the key's default
+    "config-int": ({"g.edges": FIVE_NODES, "c.cfg": "k=abc\n"}, FACETS,
+                   "c.cfg: k='abc'"),
+    "config-float": ({"g.edges": FIVE_NODES, "c.cfg": "alpha=0.1x\n"}, FACETS,
+                     "c.cfg: alpha='0.1x'"),
+    "config-bool": (
+        {"g.edges": FIVE_NODES, "c.cfg": "weighted=maybe\n"},
+        ["walks", "--input", "g.edges", "--config", "c.cfg", "--out", "out"],
+        "c.cfg: weighted='maybe'"),
+    # every text input must be UTF-8
+    "edge-list-not-utf8": (
+        {"g.edges": NOT_UTF8}, ["walks", "--input", "g.edges", "--out", "out"],
+        "g.edges: not UTF-8"),
+    "labels-not-utf8": (
+        {"j.joint": "2 2\n0 1 2\n1 3 4\n", "l.txt": NOT_UTF8},
+        ["eval-class", "--features", "j.joint", "--labels", "l.txt",
+         "--out", "out"], "l.txt: not UTF-8"),
+    "corpus-not-utf8": (
+        {"g.edges": "0 1\n1 2\n", "p.prior": "3 1\n0 1\n1 1\n2 1\n",
+         "c.walks": NOT_UTF8},
+        ["train-deepwalk", "--input", "g.edges", "--prior", "p.prior",
+         "--corpus", "c.walks", "--out", "out"], "c.walks: not UTF-8"),
+    "test-edges-not-utf8": (
+        {"g.edges": FIVE_NODES, "t.edges": NOT_UTF8}, EVAL_LINK,
+        "t.edges: not UTF-8"),
+    "config-not-utf8": ({"g.edges": FIVE_NODES, "c.cfg": NOT_UTF8}, FACETS,
+                        "c.cfg: not UTF-8"),
 }
 
 
@@ -273,9 +327,11 @@ MALFORMED = {
 def test_malformed_number_is_a_parse_error(tmp_path, capsys, case):
     files, argv, where = MALFORMED[case]
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes)
+                                      else text.encode())
     flags_with_paths = {"--input", "--emb", "--prior", "--corpus", "--out",
-                        "--features", "--labels", "--graph", "--test"}
+                        "--features", "--labels", "--graph", "--test",
+                        "--config"}
     argv = [str(tmp_path / a) if i and argv[i - 1] in flags_with_paths else a
             for i, a in enumerate(argv)]
     assert cli.run(argv) == 1

@@ -1,11 +1,18 @@
-"""The decode-then-update engine against the per-step facet trainers.
+"""The decode-then-update engine against the per-step facet trainers,
+and the compiled kernel against the numpy loop.
 
 Tables must be bit-identical and the hook must see the same steps, at
 the default chunk size and at a chunk size that leaves every run ending
-off a chunk boundary.
+off a chunk boundary. A hook runs the numpy loop; without one the
+compiled kernel runs, and its tables and loss traces must agree with the
+numpy loop's to 1e-12 relative to the largest entry.
 """
 
+import functools
 import math
+import os
+import shutil
+import stat
 import tracemalloc
 
 import numpy as np
@@ -136,3 +143,108 @@ def test_sgns_loss_matches_textbook_formula():
             args[2][0, 0] = np.nan
         for got, want in zip(sgd.sgns_loss_and_grads(*args), textbook(*args)):
             assert np.array_equal(got, want, equal_nan=True)
+
+
+KERNEL_RTOL = 1e-12
+
+
+@pytest.fixture
+def kernel():
+    """The compiled kernel; it must load wherever a C compiler exists."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    assert sgd._kernel() is not None
+    return sgd._kernel
+
+
+def deepwalk_run(k):
+    g = make_two_cliques(clique=4)
+    p = np.random.default_rng(1).random((g.num_nodes, k))
+    p[0, :k - 1] = 0.0
+    corpus = walks.generate_walks(
+        g, walks.WalkConfig(walks_per_node=5, walk_length=7, seed=1))
+    config = pdw.TrainConfig(dim=5, negatives=3, facet_rate=2, epochs=2,
+                             window=3, seed=4)
+    return lambda: pdw.train(g, facets.FacetPrior.from_factor(p), corpus, config)
+
+
+def pte_run(g, k):
+    config = polypte.PteConfig(dim=4, negatives=3, total_samples=301, seed=2,
+                               facet_mode="min")
+    return lambda: polypte.train_pte(g, bipartite_prior(g, k, seed=k), config)
+
+
+def assert_close(got, want):
+    scale = np.abs(want).max()
+    assert np.abs(np.asarray(got) - want).max() <= KERNEL_RTOL * scale
+
+
+@pytest.mark.parametrize("model,k", [("deepwalk", 4), ("deepwalk", 1),
+                                     ("pte", 3), ("pte", 1)])
+def test_kernel_matches_numpy_engine(model, k, kernel, weighted_bipartite,
+                                     monkeypatch):
+    run = deepwalk_run(k) if model == "deepwalk" else pte_run(weighted_bipartite, k)
+    compiled, again = run(), run()
+    monkeypatch.setattr(sgd, "_kernel", lambda: None)
+    reference = run()
+    assert (compiled.engine, reference.engine) == ("c", "numpy")
+    assert_close(compiled.tables.u, reference.tables.u)
+    assert_close(compiled.tables.h, reference.tables.h)
+    assert_close(compiled[1], reference[1])   # epoch losses / loss trace
+    assert np.array_equal(compiled.tables.u, again.tables.u)
+    assert np.array_equal(compiled.tables.h, again.tables.h)
+    assert compiled[1] == again[1]
+
+
+def poisoned_engine():
+    engine = sgd.Engine(6, 5, 2, 3, seed=0, learning_rate=0.1,
+                        total_steps=8, bucket=4)
+    engine.u[7] = np.nan
+    rows = np.array([0, 3, 7, 1])
+    return engine, sgd.Steps(rows, rows, np.array([[1, 2]] * 4),
+                             np.array([20, 21, 22, 23]))
+
+
+def test_nan_row_raises_at_its_step_on_both_engines(kernel, monkeypatch):
+    engine, steps = poisoned_engine()
+    before = engine.tables.h.copy()
+    with pytest.raises(NumericsError, match="edge sample 22"):
+        engine.apply(steps, "edge sample")
+    assert not np.array_equal(engine.tables.h, before)   # steps 0, 1 ran
+    assert np.isfinite(engine.tables.h).all()
+    monkeypatch.setattr(sgd, "_kernel", lambda: None)
+    engine, steps = poisoned_engine()
+    with pytest.raises(NumericsError, match="edge sample 22"):
+        engine.apply(steps, "edge sample")
+
+
+@pytest.mark.parametrize("field", ["target", "context", "negatives"])
+def test_kernel_rejects_rows_outside_the_tables(field, kernel):
+    engine, steps = poisoned_engine()
+    engine.u[7] = 0.0
+    bad = getattr(steps, field).copy()
+    bad.flat[-1] = len(engine.u) if field == "target" else -1
+    with pytest.raises(IndexError):
+        engine.apply(steps._replace(**{field: bad}), "edge sample")
+
+
+def test_without_a_compiler_training_falls_back_to_numpy(tmp_path, monkeypatch):
+    monkeypatch.setattr(sgd, "_kernel", functools.cache(sgd._kernel.__wrapped__))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", "")
+    with pytest.warns(RuntimeWarning, match="numpy engine"):
+        result = deepwalk_run(2)()
+    assert result.engine == "numpy"
+    assert np.isfinite(result.tables.u).all()
+
+
+def test_kernel_is_cached_in_a_private_directory(tmp_path, monkeypatch, kernel):
+    monkeypatch.setattr(sgd, "_kernel", functools.cache(sgd._kernel.__wrapped__))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert sgd._kernel() is not None
+    cache = tmp_path / "polyembed"
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    assert [p.name[:4] for p in cache.iterdir()] == ["sgd-"]
+    os.chmod(cache, 0o777)
+    with pytest.raises(OSError, match="not private"):
+        sgd._build()
