@@ -3,15 +3,22 @@
 Subcommands: facets, walks, train-deepwalk, train-pte, train-gcn, embed,
 eval-link, eval-class, pipeline. Every run resolves its parameters as
 command-line flags over config-file entries (`key=value` lines, `#`
-comments) over built-in defaults, writes its outputs, and drops a
+comments) over defaults, writes its outputs, and drops a
 `<output>.manifest` recording every resolved parameter and the seed.
+
+Each parameter is declared once, in PARAMS; COMMANDS lists the parameters
+each subcommand takes. The flags, the config keys and their types, the
+manifest and the trainer configs are all built from these two tables, and
+a default that a config dataclass owns is read from that dataclass.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +27,96 @@ from . import graph as graphmod
 from .errors import (ParseError, PolyembedError, ValidationError, parse_numbers,
                      text_lines)
 from .tables import EmbeddingTables, load_matrix, save_matrix
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter; its config key is `dest`, else its name. A default of
+    None means: from the subcommand's config dataclasses, else unset. A
+    switch (`const` set) is a flag without a value that stores `const`."""
+
+    type: type
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    const: object = None
+    dest: str | None = None
+
+
+SPLITS = {"homogeneous": "one-per-node", "bipartite": "latest-per-user"}
+
+PARAMS = {
+    "kind": Param(str, "homogeneous", choices=tuple(SPLITS)),
+    "model": Param(str, "deepwalk", choices=("deepwalk", "pte", "gcn")),
+    "k": Param(int, 5, "number of facets K"),
+    "alpha": Param(float, help="NMF penalty and prior smoothing"),
+    "max_iters": Param(int, 500, "NMF iteration limit"),
+    "tol": Param(float, 1e-5, "NMF relative tolerance"),
+    "split": Param(str, help="held-out link split; default: by --kind",
+                   choices=tuple(SPLITS.values())),
+    "walks_per_node": Param(int),
+    "walk_length": Param(int),
+    "window": Param(int),
+    "uniform": Param(bool, help="ignore edge weights when stepping",
+                     const=False, dest="weighted"),
+    "dim": Param(int, help="dimensions per facet"),
+    "negatives": Param(int, help="negative samples per positive"),
+    "facet_rate": Param(int, help="facet draws per observation"),
+    "epochs": Param(int),
+    "total_samples": Param(int, help="edge samples; default: 100 per edge"),
+    "learning_rate": Param(float),
+    "facet_mode": Param(str, choices=("observation", "min")),
+    "weighted_edges": Param(bool, help="sample edges by weight", const=True),
+    "depth": Param(int, help="GCN layers"),
+    "iterations": Param(int, help="GCN training iterations"),
+    "threshold": Param(float, help="facet adjacency threshold"),
+    "neighbor_mode": Param(str, choices=("bipartite", "co")),
+    "plain": Param(bool, True, "concatenate without prior weighting",
+                   const=False, dest="weighted"),
+    "mode": Param(str, "homogeneous",
+                  choices=("homogeneous", "cross", "cross-diagonal")),
+    "num_negatives": Param(int, 200, "sampled non-neighbours per query"),
+    "ks": Param(str, "10,50,100,200", "comma-separated HR@k cut-offs"),
+    "train_fraction": Param(float, 0.8),
+    "no_shuffle": Param(bool, True, "keep the rows in file order",
+                        const=False, dest="shuffle"),
+    "seed": Param(int, 0),
+}
+
+PATHS = {
+    "input": "edge list",
+    "graph": "training graph",
+    "test": "held-out edge list",
+    "prior": "prior file, or the stem of <stem>.a and <stem>.b",
+    "corpus": "walk corpus",
+    "emb": "embedding file, or the stem of <stem>.a and <stem>.b",
+    "features": "joint embedding",
+    "labels": "node labels",
+    "export_context": "also write the context table H to this path",
+    "export_fadj": "write the facet adjacency as `k i j value` triples",
+    "out": "output file, or the stem of <stem>.a and <stem>.b",
+    "workdir": "output prefix for all pipeline artifacts",
+}
+
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
+
+
+def _field_defaults(*sources) -> dict:
+    """Field name -> default of the first source that has it. A source is a
+    config dataclass, or a (dataclass, "names") pair taking only those."""
+    out = {}
+    for source in reversed(sources):
+        cls, names = source if isinstance(source, tuple) else (source, None)
+        out.update((f.name, f.default) for f in fields(cls)
+                   if f.default is not MISSING
+                   and (names is None or f.name in names.split()))
+    return out
+
+
+def _config(cls, params: dict):
+    """A `cls` config from the parameters named like its fields."""
+    return cls(**{f.name: params[f.name] for f in fields(cls) if f.name in params})
 
 
 def parse_config_file(path) -> dict:
@@ -35,66 +132,98 @@ def parse_config_file(path) -> dict:
     return out
 
 
-BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-              "0": False, "false": False, "no": False, "off": False}
+def _coerce(path, key: str, text: str, param: Param):
+    """Config value `text` as the parameter's type, or a ValidationError."""
+    try:
+        value = BOOL_WORDS[text.lower()] if param.type is bool else param.type(text)
+        if param.choices is None or value in param.choices:
+            return value
+    except (KeyError, ValueError):
+        pass
+    expected = (f"one of {', '.join(param.choices)}" if param.choices
+                else f"a valid {param.type.__name__}")
+    raise ValidationError(f"{path}: {key}={text!r} is not {expected}")
 
 
-def _coerce(value: str, like):
-    """`value` as the type of `like`; ValueError when it does not parse."""
-    if isinstance(like, bool):
-        word = value.lower()
-        if word not in BOOL_WORDS:
-            raise ValueError(value)
-        return BOOL_WORDS[word]
-    if isinstance(like, (int, float)):
-        return type(like)(value)
-    return value
-
-
-def resolve_params(args, defaults: dict) -> dict:
+def resolve_params(args) -> dict:
     """Flags beat config-file entries beat defaults; a config-file key
     that is not a parameter of the subcommand is a ValidationError."""
-    config = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(config.keys() - defaults.keys())
+    cmd = COMMANDS[args.subcommand]
+    keys = {PARAMS[name].dest or name: PARAMS[name]
+            for name in cmd.params.split() + cmd.config_only.split()}
+    config = parse_config_file(args.config) if args.config else {}
+    unknown = sorted(config.keys() - keys.keys())
     if unknown:
         raise ValidationError(f"{args.config}: unknown config key(s) "
                               f"{', '.join(unknown)}")
-    resolved = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in config:
-            try:
-                resolved[key] = _coerce(config[key], default)
-            except ValueError:
-                raise ValidationError(
-                    f"{args.config}: {key}={config[key]!r} is not a valid "
-                    f"{type(default).__name__}") from None
-        else:
-            resolved[key] = default
-    return resolved
+    params = {}
+    for key, param in keys.items():
+        params[key] = getattr(args, key, None)
+        if params[key] is None and key in config:
+            params[key] = _coerce(args.config, key, config[key], param)
+        if params[key] is None:
+            params[key] = param.default
+    defaults = (cmd.configs(params) if callable(cmd.configs)
+                else _field_defaults(*cmd.configs, facets.FacetPrior))
+    return {key: defaults.get(key) if value is None else value
+            for key, value in params.items()}
 
 
-def write_manifest(out_path, subcommand: str, params: dict) -> None:
-    lines = [f"subcommand={subcommand}"]
-    lines += [f"{k}={params[k]}" for k in sorted(params)]
+def write_manifest(out_path, args, params: dict, **extra) -> None:
+    """Every resolved parameter, the input and output paths (not the
+    optional `export_*` side outputs) and `extra`, one `key=value` a line."""
+    record = dict(params, **extra)
+    for name, _ in COMMANDS[args.subcommand].path_flags():
+        if not name.startswith("export_"):
+            record[name] = getattr(args, name) or ""
+    lines = [f"subcommand={args.subcommand}"]
+    lines += [f"{k}={record[k]}" for k in sorted(record)]
     Path(str(out_path) + ".manifest").write_text("\n".join(lines) + "\n",
                                                  encoding="utf-8")
 
 
-def _load_prior_for(kind: str, path, alpha=0.05):
+def _estimate_prior(kind: str, adj, params: dict):
+    """(FacetPrior, NmfResult) of a symmetric or asymmetric NMF of `adj`."""
+    homogeneous = kind == "homogeneous"
+    nmf = facets.symmetric_nmf if homogeneous else facets.asymmetric_nmf
+    result = nmf(adj, params["k"], alpha=params["alpha"],
+                 max_iters=params["max_iters"], tol=params["tol"],
+                 seed=params["seed"])
+    build = (facets.FacetPrior.from_factor if homogeneous
+             else facets.FacetPrior.from_factors)
+    return build(*result.factors, alpha=params["alpha"]), result
+
+
+def _save_prior(path, prior) -> None:
+    if prior.bipartite:
+        save_matrix(f"{path}.a", prior.dist)
+        save_matrix(f"{path}.b", prior.dist_b)
+    else:
+        save_matrix(path, prior.dist)
+
+
+def _load_prior_for(kind: str, path, alpha):
     if kind == "bipartite":
         return facets.load_prior(f"{path}.a", f"{path}.b", alpha=alpha)
     return facets.load_prior(path, alpha=alpha)
 
 
-def _load_tables_for(mode: str, path) -> EmbeddingTables:
-    if mode == "homogeneous":
+def _load_tables_for(kind: str, path) -> EmbeddingTables:
+    if kind == "homogeneous":
         u = load_matrix(path, "N K D")
         return EmbeddingTables(u=u, h=np.zeros_like(u))
     return EmbeddingTables(u=load_matrix(f"{path}.a", "N K D"),
                            h=load_matrix(f"{path}.b", "N K D"))
+
+
+def _save_tables_for(kind: str, path, tables: EmbeddingTables) -> None:
+    """The target table U alone for a homogeneous graph, else U and H as
+    <path>.a and <path>.b."""
+    if kind == "homogeneous":
+        save_matrix(path, tables.u)
+    else:
+        save_matrix(f"{path}.a", tables.u)
+        save_matrix(f"{path}.b", tables.h)
 
 
 def _save_test_edges(path, test_edges, g) -> None:
@@ -137,8 +266,6 @@ def _load_test_edges(path, g) -> list[tuple[int, int]]:
 
 
 def _parse_ks(text) -> tuple[int, ...]:
-    if isinstance(text, (tuple, list)):
-        return tuple(int(k) for k in text)
     try:
         ks = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
     except ValueError:
@@ -150,291 +277,220 @@ def _parse_ks(text) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------- subcommands
 
-FACETS_DEFAULTS = dict(kind="homogeneous", k=5, alpha=0.05, max_iters=500,
-                       tol=1e-5, seed=0)
-
-
-def cmd_facets(args) -> None:
-    params = resolve_params(args, FACETS_DEFAULTS)
+def cmd_facets(args, params) -> None:
     if params["k"] < 1:
         raise ValidationError("--k must be at least 1")
     g = graphmod.load_edge_list(args.input, kind=params["kind"])
-    if params["kind"] == "homogeneous":
-        result = facets.symmetric_nmf(g.adj, params["k"], alpha=params["alpha"],
-                                      max_iters=params["max_iters"],
-                                      tol=params["tol"], seed=params["seed"])
-        dist = facets.normalize_prior(result.factors[0])
-        save_matrix(args.out, dist)
-        print(f"wrote {args.out} ({dist.shape[0]} nodes, {params['k']} facets, "
-              f"objective {result.objective:.6g}, {result.iterations} iterations)")
-    else:
-        result = facets.asymmetric_nmf(g.adj, params["k"], alpha=params["alpha"],
-                                       max_iters=params["max_iters"],
-                                       tol=params["tol"], seed=params["seed"])
-        p, q = result.factors
-        save_matrix(f"{args.out}.a", facets.normalize_prior(p))
-        save_matrix(f"{args.out}.b", facets.normalize_prior(q))
-        print(f"wrote {args.out}.a / {args.out}.b "
-              f"(objective {result.objective:.6g}, {result.iterations} iterations)")
-    write_manifest(args.out, "facets", dict(params, input=args.input, out=args.out))
+    prior, result = _estimate_prior(params["kind"], g.adj, params)
+    _save_prior(args.out, prior)
+    print(f"wrote {args.out} ({params['kind']} prior, {params['k']} facets, "
+          f"objective {result.objective:.6g}, {result.iterations} iterations)")
+    write_manifest(args.out, args, params)
 
 
-WALKS_DEFAULTS = dict(walks_per_node=110, walk_length=11, window=8, seed=0,
-                      weighted=True)
-
-
-def cmd_walks(args) -> None:
-    params = resolve_params(args, WALKS_DEFAULTS)
-    if getattr(args, "uniform", False):
-        params["weighted"] = False
+def cmd_walks(args, params) -> None:
     g = graphmod.load_edge_list(args.input, kind="homogeneous")
-    config = walks.WalkConfig(walks_per_node=params["walks_per_node"],
-                              walk_length=params["walk_length"],
-                              window=params["window"], seed=params["seed"],
-                              weighted=params["weighted"])
-    corpus = walks.generate_walks(g, config)
+    corpus = walks.generate_walks(g, _config(walks.WalkConfig, params))
     walks.save_corpus(corpus, args.out)
     print(f"wrote {args.out} ({len(corpus)} walks)")
-    write_manifest(args.out, "walks", dict(params, input=args.input, out=args.out))
+    write_manifest(args.out, args, params)
 
 
-DEEPWALK_DEFAULTS = dict(dim=32, negatives=10, facet_rate=1, epochs=5,
-                         learning_rate=0.025, window=8, seed=0, alpha=0.05)
-
-
-def cmd_train_deepwalk(args) -> None:
-    params = resolve_params(args, DEEPWALK_DEFAULTS)
+def cmd_train_deepwalk(args, params) -> None:
     g = graphmod.load_edge_list(args.input, kind="homogeneous")
     prior = facets.load_prior(args.prior, alpha=params["alpha"])
     corpus = walks.load_corpus(args.corpus)
-    config = polydeepwalk.TrainConfig(
-        dim=params["dim"], negatives=params["negatives"],
-        facet_rate=params["facet_rate"], epochs=params["epochs"],
-        learning_rate=params["learning_rate"], window=params["window"],
-        seed=params["seed"])
-    result = polydeepwalk.train(g, prior, corpus, config)
-    save_matrix(args.out, result.tables.u)
+    result = polydeepwalk.train(g, prior, corpus,
+                                _config(polydeepwalk.TrainConfig, params))
+    _save_tables_for("homogeneous", args.out, result.tables)
     if args.export_context:
         save_matrix(args.export_context, result.tables.h)
     losses = ", ".join(f"{x:.4f}" for x in result.epoch_losses)
     print(f"wrote {args.out} (epoch losses: {losses})")
-    write_manifest(args.out, "train-deepwalk",
-                   dict(params, input=args.input, prior=args.prior,
-                        corpus=args.corpus, out=args.out, engine=result.engine))
+    write_manifest(args.out, args, params, engine=result.engine)
 
 
-PTE_DEFAULTS = dict(dim=30, negatives=30, facet_rate=0, total_samples=0,
-                    learning_rate=0.025, seed=0, facet_mode="observation",
-                    weighted_edges=False, alpha=0.05)
-
-
-def cmd_train_pte(args) -> None:
-    params = resolve_params(args, PTE_DEFAULTS)
+def cmd_train_pte(args, params) -> None:
     g = graphmod.load_edge_list(args.input, kind="bipartite")
-    prior = _load_prior_for("bipartite", args.prior, alpha=params["alpha"])
-    config = polypte.PteConfig(
-        dim=params["dim"], negatives=params["negatives"],
-        facet_rate=params["facet_rate"] or None,
-        total_samples=params["total_samples"] or None,
-        learning_rate=params["learning_rate"], seed=params["seed"],
-        facet_mode=params["facet_mode"],
-        weighted_edges=params["weighted_edges"])
-    result = polypte.train_pte(g, prior, config)
-    save_matrix(f"{args.out}.a", result.tables.u)
-    save_matrix(f"{args.out}.b", result.tables.h)
+    prior = _load_prior_for("bipartite", args.prior, params["alpha"])
+    result = polypte.train_pte(g, prior, _config(polypte.PteConfig, params))
+    _save_tables_for("bipartite", args.out, result.tables)
     print(f"wrote {args.out}.a / {args.out}.b "
           f"(final loss {result.loss_trace[-1]:.4f})")
-    write_manifest(args.out, "train-pte",
-                   dict(params, input=args.input, prior=args.prior, out=args.out,
-                        engine=result.engine))
+    write_manifest(args.out, args, params, engine=result.engine)
 
 
-GCN_DEFAULTS = dict(dim=16, depth=2, iterations=400, learning_rate=0.01,
-                    negatives=1, threshold=0.0, neighbor_mode="bipartite",
-                    seed=0, alpha=0.05)
-
-
-def cmd_train_gcn(args) -> None:
-    params = resolve_params(args, GCN_DEFAULTS)
+def cmd_train_gcn(args, params) -> None:
     g = graphmod.load_edge_list(args.input, kind="bipartite")
-    prior = _load_prior_for("bipartite", args.prior, alpha=params["alpha"])
+    prior = _load_prior_for("bipartite", args.prior, params["alpha"])
     fadj = polygcn.decompose_adjacency(g.adj, prior.p, prior.q)
-    config = polygcn.GcnConfig(
-        dim=params["dim"], depth=params["depth"],
-        iterations=params["iterations"],
-        learning_rate=params["learning_rate"], negatives=params["negatives"],
-        threshold=params["threshold"], neighbor_mode=params["neighbor_mode"],
-        seed=params["seed"])
-    result = polygcn.train_gcn(g, fadj, config)
-    save_matrix(f"{args.out}.a", result.tables.u)
-    save_matrix(f"{args.out}.b", result.tables.h)
+    result = polygcn.train_gcn(g, fadj, _config(polygcn.GcnConfig, params))
+    _save_tables_for("bipartite", args.out, result.tables)
     if args.export_fadj:
         polygcn.save_facet_adjacency(args.export_fadj, fadj)
     print(f"wrote {args.out}.a / {args.out}.b")
-    write_manifest(args.out, "train-gcn",
-                   dict(params, input=args.input, prior=args.prior, out=args.out))
+    write_manifest(args.out, args, params)
 
 
-def cmd_embed(args) -> None:
-    params = resolve_params(args, dict(weighted=True, alpha=0.05))
-    if getattr(args, "plain", False):
-        params["weighted"] = False
-    u = load_matrix(args.emb, "N K D")
+def cmd_embed(args, params) -> None:
     prior = facets.load_prior(args.prior, alpha=params["alpha"])
-    tables = EmbeddingTables(u=u, h=np.zeros_like(u))
+    tables = _load_tables_for("homogeneous", args.emb)
     joint = inference.concat(tables, prior, weighted=params["weighted"])
     save_matrix(args.out, joint)
     print(f"wrote {args.out} ({joint.shape[0]} x {joint.shape[1]})")
-    write_manifest(args.out, "embed",
-                   dict(params, emb=args.emb, prior=args.prior, out=args.out))
+    write_manifest(args.out, args, params)
 
 
-EVAL_LINK_DEFAULTS = dict(mode="homogeneous", num_negatives=200,
-                          ks="10,50,100,200", seed=0, alpha=0.05)
-
-
-def cmd_eval_link(args) -> None:
-    params = resolve_params(args, EVAL_LINK_DEFAULTS)
+def cmd_eval_link(args, params) -> None:
     kind = "homogeneous" if params["mode"] == "homogeneous" else "bipartite"
     g = graphmod.load_edge_list(args.graph, kind=kind)
     test_edges = _load_test_edges(args.test, g)
-    prior = _load_prior_for(kind, args.prior, alpha=params["alpha"])
-    tables = _load_tables_for(params["mode"] if kind == "homogeneous" else "bipartite",
-                              args.emb)
+    prior = _load_prior_for(kind, args.prior, params["alpha"])
+    tables = _load_tables_for(kind, args.emb)
     report = evaluation.link_prediction_report(
         g, test_edges, tables, prior, params["mode"],
         num_negatives=params["num_negatives"], ks=_parse_ks(params["ks"]),
         seed=params["seed"])
     evaluation.write_report(report, args.out)
     print(report.table())
-    write_manifest(args.out, "eval-link",
-                   dict(params, graph=args.graph, test=args.test,
-                        emb=args.emb, prior=args.prior, out=args.out))
+    write_manifest(args.out, args, params)
 
 
-EVAL_CLASS_DEFAULTS = dict(train_fraction=0.8, seed=0, shuffle=True)
-
-
-def cmd_eval_class(args) -> None:
-    params = resolve_params(args, EVAL_CLASS_DEFAULTS)
-    if getattr(args, "no_shuffle", False):
-        params["shuffle"] = False
+def cmd_eval_class(args, params) -> None:
     features = load_matrix(args.features, "N KD")
     labels, classes = evaluation.load_labels(args.labels, features.shape[0])
-    micro, macro = evaluation.classify(features, labels,
-                                       train_fraction=params["train_fraction"],
-                                       seed=params["seed"],
-                                       shuffle=params["shuffle"])
+    micro, macro = evaluation.classify(features, labels, **params)
     report = evaluation.EvalReport(micro_f1=micro, macro_f1=macro,
                                    metadata={"num_classes": len(classes),
                                              "seed": params["seed"]})
     evaluation.write_report(report, args.out)
     print(report.table())
-    write_manifest(args.out, "eval-class",
-                   dict(params, features=args.features, labels=args.labels,
-                        out=args.out))
+    write_manifest(args.out, args, params)
 
 
-PIPELINE_DEFAULTS = dict(kind="homogeneous", model="deepwalk", k=5, dim=32,
-                         alpha=0.05, max_iters=500, tol=1e-5,
-                         walks_per_node=110, walk_length=11, window=8,
-                         negatives=10, facet_rate=0, epochs=5,
-                         total_samples=0, learning_rate=0.0, iterations=400,
-                         depth=2, num_negatives=200, ks="10,50,100,200",
-                         seed=0, split="")
+def _pipeline_defaults(params: dict) -> dict:
+    """The defaults `pipeline` has always run with, kept so that its outputs
+    stay the same: TrainConfig's dim for every model and its negatives for
+    both table trainers (PteConfig alone would give pte 30 and 30), the
+    rest from the model's own config, and the split the kind supports."""
+    model = {"deepwalk": (),
+             "pte": ((polydeepwalk.TrainConfig, "dim negatives"), polypte.PteConfig),
+             "gcn": ((polydeepwalk.TrainConfig, "dim"), polygcn.GcnConfig)}
+    return dict(_field_defaults(*model[params["model"]], polydeepwalk.TrainConfig,
+                                walks.WalkConfig, polygcn.GcnConfig,
+                                facets.FacetPrior),
+                split=SPLITS[params["kind"]])
 
 
-def cmd_pipeline(args) -> None:
-    params = resolve_params(args, PIPELINE_DEFAULTS)
+def cmd_pipeline(args, params) -> None:
     kind, model = params["kind"], params["model"]
     if model in ("pte", "gcn") and kind != "bipartite":
         raise ValidationError(f"model {model!r} needs --kind bipartite")
     if model == "deepwalk" and kind != "homogeneous":
         raise ValidationError("model 'deepwalk' needs --kind homogeneous")
-    prefix = str(args.workdir)
-    seed = params["seed"]
+    prefix = args.workdir
     g = graphmod.load_edge_list(args.input, kind=kind)
 
-    split = params["split"] or ("one-per-node" if kind == "homogeneous"
-                                else "latest-per-user")
-    train_g, test_edges = evaluation.split_links(g, split, seed=seed)
+    train_g, test_edges = evaluation.split_links(g, params["split"],
+                                                 seed=params["seed"])
     graphmod.save_edge_list(train_g, f"{prefix}.train.edges")
     _save_test_edges(f"{prefix}.test.edges", test_edges, g)
 
-    if kind == "homogeneous":
-        nmf = facets.symmetric_nmf(train_g.adj, params["k"], alpha=params["alpha"],
-                                   max_iters=params["max_iters"],
-                                   tol=params["tol"], seed=seed)
-        prior = facets.FacetPrior.from_factor(nmf.factors[0], alpha=params["alpha"])
-        save_matrix(f"{prefix}.prior", prior.dist)
-    else:
-        nmf = facets.asymmetric_nmf(train_g.adj, params["k"], alpha=params["alpha"],
-                                    max_iters=params["max_iters"],
-                                    tol=params["tol"], seed=seed)
-        prior = facets.FacetPrior.from_factors(*nmf.factors, alpha=params["alpha"])
-        save_matrix(f"{prefix}.prior.a", prior.dist)
-        save_matrix(f"{prefix}.prior.b", prior.dist_b)
+    prior, _ = _estimate_prior(kind, train_g.adj, params)
+    _save_prior(f"{prefix}.prior", prior)
 
     if model == "deepwalk":
-        wconfig = walks.WalkConfig(walks_per_node=params["walks_per_node"],
-                                   walk_length=params["walk_length"],
-                                   window=params["window"], seed=seed)
-        corpus = walks.generate_walks(train_g, wconfig)
+        corpus = walks.generate_walks(train_g, _config(walks.WalkConfig, params))
         walks.save_corpus(corpus, f"{prefix}.walks")
-        config = polydeepwalk.TrainConfig(
-            dim=params["dim"], negatives=params["negatives"],
-            facet_rate=params["facet_rate"] or 1, epochs=params["epochs"],
-            learning_rate=params["learning_rate"] or 0.025,
-            window=params["window"], seed=seed)
-        result = polydeepwalk.train(train_g, prior, corpus, config)
-        tables, engine = result.tables, {"engine": result.engine}
-        save_matrix(f"{prefix}.emb", tables.u)
-        mode = "homogeneous"
+        result = polydeepwalk.train(train_g, prior, corpus,
+                                    _config(polydeepwalk.TrainConfig, params))
     elif model == "pte":
-        config = polypte.PteConfig(
-            dim=params["dim"], negatives=params["negatives"],
-            facet_rate=params["facet_rate"] or None,
-            total_samples=params["total_samples"] or None,
-            learning_rate=params["learning_rate"] or 0.025, seed=seed)
-        result = polypte.train_pte(train_g, prior, config)
-        tables, engine = result.tables, {"engine": result.engine}
-        save_matrix(f"{prefix}.emb.a", tables.u)
-        save_matrix(f"{prefix}.emb.b", tables.h)
-        mode = "cross"
+        result = polypte.train_pte(train_g, prior,
+                                   _config(polypte.PteConfig, params))
     else:
         fadj = polygcn.decompose_adjacency(train_g.adj, prior.p, prior.q)
-        config = polygcn.GcnConfig(
-            dim=params["dim"], depth=params["depth"],
-            iterations=params["iterations"],
-            learning_rate=params["learning_rate"] or 0.01,
-            negatives=1, seed=seed)
-        tables, engine = polygcn.train_gcn(train_g, fadj, config).tables, {}
-        save_matrix(f"{prefix}.emb.a", tables.u)
-        save_matrix(f"{prefix}.emb.b", tables.h)
-        mode = "cross-diagonal"
+        result = polygcn.train_gcn(train_g, fadj, _config(polygcn.GcnConfig, params))
+    tables = result.tables
+    _save_tables_for(kind, f"{prefix}.emb", tables)
+    engine = {} if model == "gcn" else {"engine": result.engine}
+    mode = {"deepwalk": "homogeneous", "pte": "cross", "gcn": "cross-diagonal"}[model]
 
     report = evaluation.link_prediction_report(
         train_g, test_edges, tables, prior, mode,
         num_negatives=params["num_negatives"], ks=_parse_ks(params["ks"]),
-        seed=seed)
+        seed=params["seed"])
 
     if args.labels and kind == "homogeneous":
         joint = inference.concat(tables, prior, weighted=True)
         save_matrix(f"{prefix}.joint", joint)
         y, classes = evaluation.load_labels(args.labels, train_g.num_nodes)
-        micro, macro = evaluation.classify(joint, y, seed=seed, shuffle=True)
+        micro, macro = evaluation.classify(joint, y, seed=params["seed"],
+                                           shuffle=True)
         report.micro_f1, report.macro_f1 = micro, macro
         report.metadata["num_classes"] = len(classes)
 
     evaluation.write_report(report, f"{prefix}.report")
     print(report.table())
     print(f"wrote {prefix}.report")
-    write_manifest(f"{prefix}.report", "pipeline",
-                   dict(params, input=args.input, workdir=prefix,
-                        labels=args.labels or "", **engine))
+    write_manifest(f"{prefix}.report", args, params, **engine)
 
 
 # ------------------------------------------------------------------- parser
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its path flags (`[name]` optional), the parameters it
+    takes as flags and as config keys, the parameters it takes from
+    `--config` only, and the config dataclasses its defaults come from (or
+    a function of the parameters resolved so far that gives the defaults)."""
+
+    func: Callable
+    help: str
+    paths: str
+    params: str
+    config_only: str = ""
+    configs: tuple | Callable = ()
+
+    def path_flags(self) -> list[tuple[str, bool]]:
+        """(name, required) of each path flag."""
+        return [(p.strip("[]"), not p.startswith("[")) for p in self.paths.split()]
+
+
+COMMANDS = {
+    "facets": Command(cmd_facets, "estimate node-facet priors via NMF",
+                      "input out", "kind k alpha max_iters tol seed"),
+    "walks": Command(cmd_walks, "generate a random-walk corpus", "input out",
+                     "walks_per_node walk_length window uniform seed",
+                     configs=(walks.WalkConfig,)),
+    "train-deepwalk": Command(
+        cmd_train_deepwalk, "train walk-based facet embeddings",
+        "input prior corpus [export_context] out",
+        "dim negatives facet_rate epochs learning_rate window seed", "alpha",
+        (polydeepwalk.TrainConfig,)),
+    "train-pte": Command(
+        cmd_train_pte, "train edge-sampling facet embeddings", "input prior out",
+        "dim negatives facet_rate total_samples learning_rate facet_mode "
+        "weighted_edges seed", "alpha", (polypte.PteConfig,)),
+    "train-gcn": Command(
+        cmd_train_gcn, "train per-facet GCN encoders",
+        "input prior [export_fadj] out",
+        "dim depth iterations learning_rate negatives threshold neighbor_mode "
+        "seed", "alpha", (polygcn.GcnConfig,)),
+    "embed": Command(cmd_embed, "export joint (concatenated) embeddings",
+                     "emb prior out", "plain", "alpha"),
+    "eval-link": Command(cmd_eval_link, "held-out link prediction metrics",
+                         "graph test emb prior out",
+                         "mode num_negatives ks seed", "alpha"),
+    "eval-class": Command(cmd_eval_class, "classification on joint embeddings",
+                          "features labels out", "train_fraction no_shuffle seed"),
+    "pipeline": Command(
+        cmd_pipeline, "split, estimate facets, train and evaluate",
+        "input [labels] workdir",
+        "kind model k dim alpha split walks_per_node walk_length window "
+        "negatives facet_rate epochs total_samples learning_rate iterations "
+        "depth num_negatives ks seed", "max_iters tol", _pipeline_defaults),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -442,140 +498,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-facet node embeddings: facet estimation, training, "
                     "inference export and evaluation.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        p.set_defaults(func=cmd.func)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("facets", help="estimate node-facet priors via NMF")
-    add_common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--kind", choices=["homogeneous", "bipartite"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_facets)
-
-    p = sub.add_parser("walks", help="generate a random-walk corpus")
-    add_common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--walks-per-node", dest="walks_per_node", type=int)
-    p.add_argument("--walk-length", dest="walk_length", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--uniform", action="store_true",
-                   help="ignore edge weights when stepping")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_walks)
-
-    p = sub.add_parser("train-deepwalk", help="train walk-based facet embeddings")
-    add_common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--prior", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--facet-rate", dest="facet_rate", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--window", type=int)
-    p.add_argument("--export-context", dest="export_context",
-                   help="also write the context table H to this path")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_deepwalk)
-
-    p = sub.add_parser("train-pte", help="train edge-sampling facet embeddings")
-    add_common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--prior", required=True,
-                   help="prior stem; reads <stem>.a and <stem>.b")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--facet-rate", dest="facet_rate", type=int)
-    p.add_argument("--total-samples", dest="total_samples", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--facet-mode", dest="facet_mode",
-                   choices=["observation", "min"])
-    p.add_argument("--weighted-edges", dest="weighted_edges",
-                   action="store_const", const=True)
-    p.add_argument("--out", required=True,
-                   help="output stem; writes <stem>.a and <stem>.b")
-    p.set_defaults(func=cmd_train_pte)
-
-    p = sub.add_parser("train-gcn", help="train per-facet GCN encoders")
-    add_common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--prior", required=True)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--neighbor-mode", dest="neighbor_mode",
-                   choices=["bipartite", "co"])
-    p.add_argument("--export-fadj", dest="export_fadj",
-                   help="write the facet adjacency as `k i j value` triples")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_gcn)
-
-    p = sub.add_parser("embed", help="export joint (concatenated) embeddings")
-    add_common(p)
-    p.add_argument("--emb", required=True)
-    p.add_argument("--prior", required=True)
-    p.add_argument("--plain", action="store_true",
-                   help="concatenate without prior weighting")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("eval-link", help="held-out link prediction metrics")
-    add_common(p)
-    p.add_argument("--graph", required=True, help="training graph")
-    p.add_argument("--test", required=True, help="held-out edge list")
-    p.add_argument("--emb", required=True)
-    p.add_argument("--prior", required=True)
-    p.add_argument("--mode", choices=["homogeneous", "cross", "cross-diagonal"])
-    p.add_argument("--num-negatives", dest="num_negatives", type=int)
-    p.add_argument("--ks")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval_link)
-
-    p = sub.add_parser("eval-class", help="classification on joint embeddings")
-    add_common(p)
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--no-shuffle", dest="no_shuffle", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval_class)
-
-    p = sub.add_parser("pipeline",
-                       help="split, estimate facets, train and evaluate")
-    add_common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--kind", choices=["homogeneous", "bipartite"])
-    p.add_argument("--model", choices=["deepwalk", "pte", "gcn"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--split", choices=["one-per-node", "latest-per-user"])
-    p.add_argument("--walks-per-node", dest="walks_per_node", type=int)
-    p.add_argument("--walk-length", dest="walk_length", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--facet-rate", dest="facet_rate", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--total-samples", dest="total_samples", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--num-negatives", dest="num_negatives", type=int)
-    p.add_argument("--ks")
-    p.add_argument("--labels")
-    p.add_argument("--workdir", required=True,
-                   help="output prefix for all pipeline artifacts")
-    p.set_defaults(func=cmd_pipeline)
+        for dest, required in cmd.path_flags():
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                           required=required, help=PATHS[dest])
+        # every subcommand takes --seed, also embed, which draws nothing
+        for key in dict.fromkeys(["seed", *cmd.params.split()]):
+            param = PARAMS[key]
+            flag = "--" + key.replace("_", "-")
+            if param.const is not None:
+                p.add_argument(flag, dest=param.dest or key, action="store_const",
+                               const=param.const, help=param.help)
+            else:
+                p.add_argument(flag, dest=key, type=param.type,
+                               choices=param.choices, help=param.help)
     return parser
 
 
@@ -583,7 +522,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        args.func(args, resolve_params(args))
     except PolyembedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

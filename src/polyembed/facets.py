@@ -18,7 +18,6 @@ from scipy import sparse
 
 from .errors import ValidationError
 from .tables import load_matrix
-from .walks import Observation
 
 _EPS = 1e-12
 
@@ -198,15 +197,6 @@ def normalize_prior(p) -> np.ndarray:
     k = p.shape[1]
     out = np.where(sums > 0, p / np.where(sums > 0, sums, 1.0), 1.0 / k)
     return out
-
-
-def observation_distribution(obs: Observation, prior: FacetPrior) -> np.ndarray:
-    """Facet distribution of a walk-window observation: the average of the
-    center's and all context nodes' distributions."""
-    if len(obs.context) == 0:
-        raise ValidationError("observation has an empty context")
-    rows = prior.dist[list(obs.context)]
-    return (prior.dist[obs.center] + rows.sum(axis=0)) / (len(obs.context) + 1)
 
 
 def edge_observation_distribution(prior: FacetPrior, a: int, b: int) -> np.ndarray:

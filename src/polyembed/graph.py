@@ -47,11 +47,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def total_weight(self) -> float:
-        """Total undirected edge weight."""
-        return float(self.weights.sum())
-
 
 @dataclass(frozen=True)
 class BipartiteGraph:
@@ -72,10 +67,6 @@ class BipartiteGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
 
     def degrees_b(self) -> np.ndarray:
         return np.diff(self.adj_t.indptr)
@@ -100,9 +91,10 @@ def _parse_lines(path):
     return rows, directives
 
 
-def _parse_edge_fields(line_no, fields):
+def _parse_edge_fields(path, line_no, fields):
     if len(fields) < 2 or len(fields) > 4:
-        raise ParseError(f"line {line_no}: expected 2-4 fields, got {len(fields)}")
+        raise ParseError(f"{path} line {line_no}: expected 2-4 fields, "
+                         f"got {len(fields)}")
     src, dst = fields[0], fields[1]
     weight = 1.0
     timestamp = None
@@ -110,16 +102,18 @@ def _parse_edge_fields(line_no, fields):
         try:
             weight = float(fields[2])
         except ValueError:
-            raise ParseError(f"line {line_no}: bad weight {fields[2]!r}") from None
+            raise ParseError(f"{path} line {line_no}: bad weight "
+                             f"{fields[2]!r}") from None
     if len(fields) == 4:
         try:
             timestamp = int(fields[3])
         except ValueError:
-            raise ParseError(f"line {line_no}: bad timestamp {fields[3]!r}") from None
+            raise ParseError(f"{path} line {line_no}: bad timestamp "
+                             f"{fields[3]!r}") from None
     if not np.isfinite(weight):
-        raise ValidationError(f"line {line_no}: non-finite weight {weight}")
+        raise ValidationError(f"{path} line {line_no}: non-finite weight {weight}")
     if weight < 0:
-        raise ValidationError(f"line {line_no}: negative weight {weight}")
+        raise ValidationError(f"{path} line {line_no}: negative weight {weight}")
     return src, dst, weight, timestamp
 
 
@@ -188,9 +182,16 @@ def load_edge_list(path, kind: str = "homogeneous"):
     if not rows:
         raise ValidationError(f"{path}: no edges found")
 
-    parsed = [_parse_edge_fields(line_no, fields) for line_no, fields in rows]
+    parsed = [_parse_edge_fields(path, line_no, fields) for line_no, fields in rows]
 
-    declared = directives["nodes"]
+    declared = None
+    if directives["nodes"] is not None:
+        line_no, tokens = directives["nodes"]
+        where = f"{path} line {line_no}"
+        counts = "one count" if kind == "homogeneous" else "two counts"
+        if len(tokens) != (1 if kind == "homogeneous" else 2):
+            raise ParseError(f"{where}: '# nodes' needs {counts}")
+        declared = parse_numbers(tokens, int, where)
     if kind == "homogeneous":
         mapper = _IdMapper(directives["node"] or None)
         src_ids = np.empty(len(parsed), dtype=np.int64)
@@ -198,13 +199,7 @@ def load_edge_list(path, kind: str = "homogeneous"):
         for i, (s, d, _, _) in enumerate(parsed):
             mapper.add(s)
             mapper.add(d)
-        declared_n = None
-        if declared is not None:
-            if len(declared[1]) != 1:
-                raise ParseError(f"line {declared[0]}: '# nodes' needs one count")
-            declared_n, = parse_numbers(declared[1], int,
-                                        f"{path} line {declared[0]}")
-        num_nodes, remap, labels = mapper.resolve(declared_n)
+        num_nodes, remap, labels = mapper.resolve(declared[0] if declared else None)
         for i, (s, d, _, _) in enumerate(parsed):
             src_ids[i] = remap[s]
             dst_ids[i] = remap[d]
@@ -216,12 +211,7 @@ def load_edge_list(path, kind: str = "homogeneous"):
     for s, d, _, _ in parsed:
         mapper_a.add(s)
         mapper_b.add(d)
-    declared_a = declared_b = None
-    if declared is not None:
-        if len(declared[1]) != 2:
-            raise ParseError(f"line {declared[0]}: '# nodes' needs two counts")
-        declared_a, declared_b = parse_numbers(declared[1], int,
-                                               f"{path} line {declared[0]}")
+    declared_a, declared_b = declared or (None, None)
     num_a, remap_a, a_labels = mapper_a.resolve(declared_a)
     num_b, remap_b, b_labels = mapper_b.resolve(declared_b)
     a_ids = np.array([remap_a[p[0]] for p in parsed], dtype=np.int64)

@@ -236,6 +236,45 @@ def test_manifest_records_the_engine(tmp_path, sbm_file, bipartite_file):
         assert engine_line() in (tmp_path / f"{out}.manifest").read_text()
 
 
+def test_manifest_records_the_values_that_ran(tmp_path, sbm_file, bipartite_file):
+    small = ["--k", "2", "--dim", "3", "--num-negatives", "5", "--ks", "3"]
+    run_ok(["pipeline", "--input", str(sbm_file), "--walks-per-node", "2",
+            "--epochs", "1", *small, "--workdir", str(tmp_path / "dw")])
+    run_ok(["pipeline", "--input", str(bipartite_file), "--kind", "bipartite",
+            "--model", "pte", "--total-samples", "300", *small,
+            "--workdir", str(tmp_path / "pte")])
+    run_ok(["pipeline", "--input", str(bipartite_file), "--kind", "bipartite",
+            "--model", "gcn", "--iterations", "3", *small,
+            "--workdir", str(tmp_path / "gcn")])
+    expected = {
+        "dw": ["learning_rate=0.025", "facet_rate=1", "split=one-per-node"],
+        "pte": ["learning_rate=0.025", "facet_rate=None",
+                "split=latest-per-user"],
+        "gcn": ["learning_rate=0.01", "negatives=1"],
+    }
+    for run, lines in expected.items():
+        manifest = (tmp_path / f"{run}.report.manifest").read_text().splitlines()
+        assert set(lines) <= set(manifest), run
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--input", "g.edges", "--facet-rate", "0", "--workdir", "o"],
+    ["pipeline", "--input", "g.edges", "--learning-rate", "0", "--workdir", "o"],
+    ["pipeline", "--input", "b.edges", "--kind", "bipartite", "--model", "pte",
+     "--total-samples", "0", "--workdir", "o"],
+    ["train-pte", "--input", "b.edges", "--prior", "b.prior", "--facet-rate", "0",
+     "--out", "o"],
+])
+def test_explicit_zero_is_an_error(tmp_path, capsys, sbm_file, bipartite_file,
+                                   argv):
+    run_ok(["facets", "--input", str(bipartite_file), "--kind", "bipartite",
+            "--k", "2", "--out", str(tmp_path / "b.prior")])
+    capsys.readouterr()
+    files = {"g.edges", "b.edges", "b.prior", "o"}
+    assert cli.run([str(tmp_path / a) if a in files else a for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 FIVE_NODES = "0 1\n1 2\n2 3\n3 4\n"
 NOT_UTF8 = b"0 1\n1 \xff\n"
 FACETS = ["facets", "--input", "g.edges", "--config", "c.cfg", "--out", "out"]
@@ -245,6 +284,18 @@ MALFORMED = {
     # name: (files, argv, line the error must name)
     "edge-list-node-count": (
         {"g.edges": "# nodes abc\n0 1\n1 2\n"},
+        ["walks", "--input", "g.edges", "--out", "out"], "g.edges line 1"),
+    "edge-list-weight": (
+        {"g.edges": "0 1\n1 2 x\n"},
+        ["walks", "--input", "g.edges", "--out", "out"], "g.edges line 2"),
+    "edge-list-field-count": (
+        {"g.edges": "0 1\n1 2 1 5 9\n"},
+        ["walks", "--input", "g.edges", "--out", "out"], "g.edges line 2"),
+    "edge-list-negative-weight": (
+        {"g.edges": "0 1\n1 2 -1\n"},
+        ["walks", "--input", "g.edges", "--out", "out"], "g.edges line 2"),
+    "edge-list-nodes-count": (
+        {"g.edges": "# nodes 3 4\n0 1\n1 2\n"},
         ["walks", "--input", "g.edges", "--out", "out"], "g.edges line 1"),
     "embedding-field": (
         {"e.emb": "2 1 2\n0 0 0.1 0.2\n1 0 0.3 zz\n", "p.prior": "2 1\n0 1\n1 1\n"},
@@ -293,11 +344,13 @@ MALFORMED = {
         {"j.joint": "-2 2\n", "l.txt": "0 a\n1 b\n"},
         ["eval-class", "--features", "j.joint", "--labels", "l.txt",
          "--out", "out"], "j.joint line 1"),
-    # a config value must parse as the type of the key's default
+    # a config value must parse as the key's type and be one of its choices
     "config-int": ({"g.edges": FIVE_NODES, "c.cfg": "k=abc\n"}, FACETS,
                    "c.cfg: k='abc'"),
     "config-float": ({"g.edges": FIVE_NODES, "c.cfg": "alpha=0.1x\n"}, FACETS,
                      "c.cfg: alpha='0.1x'"),
+    "config-choice": ({"g.edges": FIVE_NODES, "c.cfg": "kind=tree\n"}, FACETS,
+                      "c.cfg: kind='tree'"),
     "config-bool": (
         {"g.edges": FIVE_NODES, "c.cfg": "weighted=maybe\n"},
         ["walks", "--input", "g.edges", "--config", "c.cfg", "--out", "out"],
@@ -355,3 +408,60 @@ def test_graph_over_the_dense_guard_runs_sparse(tmp_path):
     run_ok(["train-gcn", "--input", str(path), "--prior", str(prior),
             "--dim", "2", "--iterations", "2", "--out", str(tmp_path / "wide.emb")])
     assert load_matrix(tmp_path / "wide.emb.b", "N K D").shape == (num_b, 2, 2)
+
+
+# Every long flag and every config key of each subcommand. `--config` and
+# `--seed` are on every subcommand; `seed` is a config key of all but embed.
+CLI_SURFACE = {
+    "facets": ("--input --kind --k --alpha --max-iters --tol --out",
+               "kind k alpha max_iters tol seed"),
+    "walks": ("--input --walks-per-node --walk-length --window --uniform --out",
+              "walks_per_node walk_length window weighted seed"),
+    "train-deepwalk": (
+        "--input --prior --corpus --dim --negatives --facet-rate --epochs "
+        "--learning-rate --window --export-context --out",
+        "dim negatives facet_rate epochs learning_rate window alpha seed"),
+    "train-pte": (
+        "--input --prior --dim --negatives --facet-rate --total-samples "
+        "--learning-rate --facet-mode --weighted-edges --out",
+        "dim negatives facet_rate total_samples learning_rate facet_mode "
+        "weighted_edges alpha seed"),
+    "train-gcn": (
+        "--input --prior --dim --depth --iterations --learning-rate --negatives "
+        "--threshold --neighbor-mode --export-fadj --out",
+        "dim depth iterations learning_rate negatives threshold neighbor_mode "
+        "alpha seed"),
+    "embed": ("--emb --prior --plain --out", "weighted alpha"),
+    "eval-link": ("--graph --test --emb --prior --mode --num-negatives --ks --out",
+                  "mode num_negatives ks alpha seed"),
+    "eval-class": ("--features --labels --train-fraction --no-shuffle --out",
+                   "train_fraction shuffle seed"),
+    "pipeline": (
+        "--input --kind --model --k --dim --alpha --split --walks-per-node "
+        "--walk-length --window --negatives --facet-rate --epochs "
+        "--total-samples --learning-rate --iterations --depth --num-negatives "
+        "--ks --labels --workdir",
+        "kind model k dim alpha max_iters tol walks_per_node walk_length window "
+        "negatives facet_rate epochs total_samples learning_rate iterations "
+        "depth num_negatives ks split seed"),
+}
+
+
+def test_cli_surface_is_pinned(tmp_path, capsys):
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(CLI_SURFACE)
+    every_key = {k for _, keys in CLI_SURFACE.values() for k in keys.split()}
+    config = tmp_path / "all.cfg"
+    config.write_text("".join(f"{k}=1\n" for k in sorted(every_key | {"zz"})))
+    for name, (flags, keys) in CLI_SURFACE.items():
+        actions = subparsers[name]._actions
+        long_flags = {s for a in actions for s in a.option_strings
+                      if s.startswith("--")}
+        assert long_flags == set(flags.split()) | {"--config", "--seed", "--help"}
+        # the unknown-key error names exactly the keys the subcommand lacks
+        argv = [name, "--config", str(config)]
+        argv += [s for a in actions if a.required for s in (a.option_strings[0], "x")]
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        unknown = set(err.split("unknown config key(s) ", 1)[1].strip().split(", "))
+        assert every_key - unknown == set(keys.split()), name

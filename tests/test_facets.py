@@ -6,7 +6,6 @@ from scipy import sparse
 from polyembed import facets, graph
 from polyembed.errors import ValidationError
 from polyembed.tables import save_matrix
-from polyembed.walks import Observation
 
 
 # ------------------------------------------------------------ symmetric NMF
@@ -159,24 +158,6 @@ def test_column_permutation_equivariance():
 
 def _prior_from_dist(rows):
     return facets.FacetPrior.from_factor(np.array(rows, dtype=float))
-
-
-def test_observation_distribution_average():
-    prior = _prior_from_dist([[1.0, 0.0], [0.0, 1.0]])
-    p_o = facets.observation_distribution(Observation(0, (1,)), prior)
-    assert np.allclose(p_o, [0.5, 0.5])
-
-
-def test_observation_distribution_idempotent_on_shared_prior():
-    prior = _prior_from_dist([[0.3, 0.7]] * 4)
-    p_o = facets.observation_distribution(Observation(0, (1, 2, 3)), prior)
-    assert np.allclose(p_o, [0.3, 0.7])
-
-
-def test_observation_distribution_empty_context_rejected():
-    prior = _prior_from_dist([[1.0]])
-    with pytest.raises(ValidationError):
-        facets.observation_distribution(Observation(0, ()), prior)
 
 
 def test_edge_observation_distribution():

@@ -84,12 +84,12 @@ def test_dense_exactly_symmetric():
 
 def test_dense_sum_is_twice_total_weight():
     g = graph.from_edges([(0, 1, 2.0), (1, 2, 3.5)])
-    assert graph.adjacency_dense(g).sum() == 2 * g.total_weight
+    assert graph.adjacency_dense(g).sum() == 2 * g.weights.sum()
 
 
 def test_dense_sum_equals_total_weight_bipartite():
     g = graph.from_edges([(0, 0, 2.0), (1, 1, 3.5)], kind="bipartite")
-    assert graph.adjacency_dense(g).sum() == g.total_weight
+    assert graph.adjacency_dense(g).sum() == g.weights.sum()
 
 
 @pytest.mark.parametrize("text,kind", [
