@@ -227,23 +227,16 @@ def _save_tables_for(kind: str, path, tables: EmbeddingTables) -> None:
 
 
 def _save_test_edges(path, test_edges, g) -> None:
+    sides = graphmod.sides(g)
     with open(Path(path), "w", encoding="utf-8") as fh:
-        for a, b in test_edges:
-            if isinstance(g, graphmod.BipartiteGraph):
-                a_tok = g.a_labels[a] if g.a_labels else str(a)
-                b_tok = g.b_labels[b] if g.b_labels else str(b)
-            else:
-                a_tok = g.node_labels[a] if g.node_labels else str(a)
-                b_tok = g.node_labels[b] if g.node_labels else str(b)
-            fh.write(f"{a_tok} {b_tok}\n")
+        for pair in test_edges:
+            fh.write(" ".join(labels[v] if labels else str(v)
+                              for v, (labels, _) in zip(pair, sides)) + "\n")
 
 
 def _load_test_edges(path, g) -> list[tuple[int, int]]:
     """Test edges `a b`, as labels or integer ids of nodes of `g`."""
-    if isinstance(g, graphmod.BipartiteGraph):
-        sides = ((g.a_labels, g.num_a), (g.b_labels, g.num_b))
-    else:
-        sides = ((g.node_labels, g.num_nodes),) * 2
+    sides = graphmod.sides(g)
     maps = [{lab: i for i, lab in enumerate(labels)} if labels else None
             for labels, _ in sides]
     out = []
@@ -388,6 +381,8 @@ def cmd_pipeline(args, params) -> None:
         raise ValidationError(f"model {model!r} needs --kind bipartite")
     if model == "deepwalk" and kind != "homogeneous":
         raise ValidationError("model 'deepwalk' needs --kind homogeneous")
+    if args.labels and kind != "homogeneous":
+        raise ValidationError("--labels needs --kind homogeneous")
     prefix = args.workdir
     g = graphmod.load_edge_list(args.input, kind=kind)
 
@@ -420,7 +415,7 @@ def cmd_pipeline(args, params) -> None:
         num_negatives=params["num_negatives"], ks=_parse_ks(params["ks"]),
         seed=params["seed"])
 
-    if args.labels and kind == "homogeneous":
+    if args.labels:
         joint = inference.concat(tables, prior, weighted=True)
         save_matrix(f"{prefix}.joint", joint)
         y, classes = evaluation.load_labels(args.labels, train_g.num_nodes)

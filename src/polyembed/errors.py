@@ -26,6 +26,9 @@ class NumericsError(PolyembedError):
     """Non-finite values were produced during training."""
 
 
+INT64 = range(-2**63, 2**63)   # the ids and counts a numpy index can hold
+
+
 def parse_numbers(tokens, kind, where: str) -> list:
     """`kind` (int or float) of every token, or ParseError naming `where`."""
     try:

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, parse_numbers, text_lines
+from .errors import (INT64, ParseError, ValidationError, parse_numbers,
+                     text_lines)
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,16 @@ def save_corpus(walks, path) -> None:
 
 
 def load_corpus(path) -> list[list[int]]:
+    """The walks of a corpus file; node ids must fit in int64."""
     out = []
     for line_no, line in text_lines(path):
         fields = line.split()
         if fields:
-            out.append(parse_numbers(fields, int, f"{path} line {line_no}"))
+            where = f"{path} line {line_no}"
+            walk = parse_numbers(fields, int, where)
+            if min(walk) not in INT64 or max(walk) not in INT64:
+                raise ParseError(f"{where}: node id does not fit in int64")
+            out.append(walk)
     if not out:
         raise ValidationError(f"{path}: empty corpus")
     return out

@@ -264,13 +264,17 @@ def test_manifest_records_the_values_that_ran(tmp_path, sbm_file, bipartite_file
      "--total-samples", "0", "--workdir", "o"],
     ["train-pte", "--input", "b.edges", "--prior", "b.prior", "--facet-rate", "0",
      "--out", "o"],
+    # node labels classify homogeneous nodes only; they are not dropped silently
+    ["pipeline", "--input", "b.edges", "--kind", "bipartite", "--model", "pte",
+     "--labels", "l.txt", "--workdir", "o"],
 ])
 def test_explicit_zero_is_an_error(tmp_path, capsys, sbm_file, bipartite_file,
                                    argv):
     run_ok(["facets", "--input", str(bipartite_file), "--kind", "bipartite",
             "--k", "2", "--out", str(tmp_path / "b.prior")])
+    (tmp_path / "l.txt").write_text("0 x\n1 y\n")
     capsys.readouterr()
-    files = {"g.edges", "b.edges", "b.prior", "o"}
+    files = {"g.edges", "b.edges", "b.prior", "o", "l.txt"}
     assert cli.run([str(tmp_path / a) if a in files else a for a in argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
@@ -297,6 +301,22 @@ MALFORMED = {
     "edge-list-nodes-count": (
         {"g.edges": "# nodes 3 4\n0 1\n1 2\n"},
         ["walks", "--input", "g.edges", "--out", "out"], "g.edges line 1"),
+    # integers beyond int64
+    "edge-list-id-beyond-int64": (
+        {"g.edges": "0 1\n0 99999999999999999999\n"},
+        ["walks", "--input", "g.edges", "--out", "out"], "g.edges line 2"),
+    "edge-list-count-beyond-int64": (
+        {"g.edges": "# nodes 99999999999999999999\n0 1\n"},
+        ["walks", "--input", "g.edges", "--out", "out"], "g.edges line 1"),
+    "edge-list-timestamp-beyond-int64": (
+        {"g.edges": "0 1 1 99999999999999999999\n"},
+        ["facets", "--input", "g.edges", "--kind", "bipartite", "--out", "out"],
+        "g.edges line 1"),
+    "corpus-id-beyond-int64": (
+        {"g.edges": "0 1\n1 2\n", "p.prior": "3 1\n0 1\n1 1\n2 1\n",
+         "c.walks": "0 1 99999999999999999999\n"},
+        ["train-deepwalk", "--input", "g.edges", "--prior", "p.prior",
+         "--corpus", "c.walks", "--out", "out"], "c.walks line 1"),
     "embedding-field": (
         {"e.emb": "2 1 2\n0 0 0.1 0.2\n1 0 0.3 zz\n", "p.prior": "2 1\n0 1\n1 1\n"},
         ["embed", "--emb", "e.emb", "--prior", "p.prior", "--out", "out"],

@@ -18,10 +18,22 @@ def test_load_symmetrizes(tmp_path):
     assert g.num_edges == 2
 
 
-def test_duplicate_edges_merge_by_weight_sum(tmp_path):
-    g = graph.load_edge_list(write(tmp_path, "0 1 2.0\n0 1 3.0\n"))
+@pytest.mark.parametrize("text,kind,weight,timestamp", [
+    pytest.param("0 1 2.0\n0 1 3.0\n", "homogeneous", 5.0, None, id="repeat"),
+    # summed in file order: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    pytest.param("0 1 0.1\n1 0 0.2\n0 1 0.3\n", "homogeneous",
+                 (0.1 + 0.2) + 0.3, None, id="file-order"),
+    pytest.param("u i 1 7\nu i 2 3\nu i 4\n", "bipartite", 7.0, 7,
+                 id="latest-timestamp"),
+])
+def test_duplicate_edges_merge_by_weight_sum(tmp_path, text, kind, weight,
+                                            timestamp):
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    g = graph.load_edge_list(write(tmp_path, text), kind=kind)
     assert g.num_edges == 1
-    assert g.weights[0] == 5.0
+    assert g.weights[0] == weight
+    if timestamp is not None:
+        assert g.timestamps[0] == timestamp
 
 
 def test_reverse_duplicates_merge(tmp_path):
@@ -96,20 +108,46 @@ def test_dense_sum_equals_total_weight_bipartite():
     ("0 1\n0 2\n5 9 2.5\n", "homogeneous"),
     ("a b\nb c\nc a 2.0\n", "homogeneous"),
     ("u0 i0 1.0 5\nu1 i0 2.0 9\nu1 i1\n", "bipartite"),
+    pytest.param("# nodes 12\n0 1\n3 2\n", "homogeneous", id="isolated-nodes"),
+    pytest.param("# node solo\n# node b\na b\n", "homogeneous",
+                 id="preset-labels"),
+    pytest.param("# nodes 4 3\n0 0 1 5\n1 2\n3 1 2.5 -1\n3 0 1 8\n", "bipartite",
+                 id="some-timestamps"),
 ])
 def test_round_trip(tmp_path, text, kind):
     g = graph.load_edge_list(write(tmp_path, text), kind=kind)
-    out = tmp_path / "out.edges"
+    out, again = tmp_path / "out.edges", tmp_path / "again.edges"
     graph.save_edge_list(g, out)
     g2 = graph.load_edge_list(out, kind=kind)
     assert np.array_equal(g.adj.toarray(), g2.adj.toarray())
+    assert graph.sides(g) == graph.sides(g2)
     if kind == "bipartite" and g.timestamps is not None:
         assert np.array_equal(g.timestamps, g2.timestamps)
+    graph.save_edge_list(g2, again)
+    assert again.read_bytes() == out.read_bytes()
 
 
-def test_string_ids_first_appearance(tmp_path):
-    g = graph.load_edge_list(write(tmp_path, "zeta alpha\nalpha beta\n"))
-    assert g.node_labels == ["zeta", "alpha", "beta"]
+@pytest.mark.parametrize("text,kind,expected", [
+    # (labels or None, node count) of each side
+    pytest.param("zeta alpha\nalpha beta\n", "homogeneous",
+                 [(["zeta", "alpha", "beta"], 3)], id="labels"),
+    # integer mode: the tokens are the ids, so `1` and `01` are one node
+    pytest.param("0 1\n01 2\n", "homogeneous", [(None, 3)], id="integers"),
+    # one negative or non-integer token switches the side to labels
+    pytest.param("0 1\n-1 2\n", "homogeneous", [(["0", "1", "-1", "2"], 4)],
+                 id="negative"),
+    pytest.param("0 1\n1 2.0\n", "homogeneous", [(["0", "1", "2.0"], 3)],
+                 id="non-integer"),
+    # `# node` directives come first, in their own order
+    pytest.param("# node 5\n# node x\n0 x\n", "homogeneous",
+                 [(["5", "x", "0"], 3)], id="preset-first"),
+    # each bipartite side picks its own rule
+    pytest.param("3 apple\n0 pear\n3 pear\n", "bipartite",
+                 [(None, 4), (["apple", "pear"], 2)], id="per-side"),
+])
+def test_string_ids_first_appearance(tmp_path, text, kind, expected):
+    g = graph.load_edge_list(write(tmp_path, text), kind=kind)
+    assert list(graph.sides(g))[:len(expected)] == expected
 
 
 def test_self_loops_dropped_with_warning(tmp_path):
