@@ -385,6 +385,9 @@ def cmd_pipeline(args, params) -> None:
         raise ValidationError("--labels needs --kind homogeneous")
     prefix = args.workdir
     g = graphmod.load_edge_list(args.input, kind=kind)
+    if args.labels:
+        (names, num_nodes), _ = graphmod.sides(g)
+        y, classes = evaluation.load_labels(args.labels, num_nodes, names)
 
     train_g, test_edges = evaluation.split_links(g, params["split"],
                                                  seed=params["seed"])
@@ -418,7 +421,6 @@ def cmd_pipeline(args, params) -> None:
     if args.labels:
         joint = inference.concat(tables, prior, weighted=True)
         save_matrix(f"{prefix}.joint", joint)
-        y, classes = evaluation.load_labels(args.labels, train_g.num_nodes)
         micro, macro = evaluation.classify(joint, y, seed=params["seed"],
                                            shuffle=True)
         report.micro_f1, report.macro_f1 = micro, macro

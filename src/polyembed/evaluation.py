@@ -19,7 +19,8 @@ import numpy as np
 
 from . import graph as graphmod
 from . import inference
-from .errors import ProtocolError, ValidationError, parse_numbers, text_lines
+from .errors import (ParseError, ProtocolError, ValidationError, parse_numbers,
+                     text_lines)
 from .facets import FacetPrior
 from .graph import BipartiteGraph, Graph
 from .tables import EmbeddingTables
@@ -223,24 +224,29 @@ def link_prediction_report(train_graph, test_edges, tables: EmbeddingTables,
     return report
 
 
-def load_labels(path, num_nodes: int):
-    """Label file: lines `node_id label`; repeated node ids make a
-    multi-label node. Returns (binary matrix (N, C), class names)."""
+def load_labels(path, num_nodes: int, names=None):
+    """Label file: lines `node label`; repeated nodes make a multi-label
+    node. A node is an integer id, or a name from `names` (the graph's node
+    labels, when its edge list names its nodes). Returns (binary matrix
+    (N, C), class names)."""
+    ids = None if names is None else {name: i for i, name in enumerate(names)}
     pairs = []
     for line_no, line in text_lines(path):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
             continue
+        where = f"{path} line {line_no}"
         if len(fields) != 2:
-            raise ValidationError(f"{path} line {line_no}: expected 'node label'")
-        node, = parse_numbers(fields[:1], int, f"{path} line {line_no}")
+            raise ValidationError(f"{where}: expected 'node label'")
+        node = (parse_numbers(fields[:1], int, where)[0] if ids is None
+                else ids.get(fields[0], -1))
+        if not 0 <= node < num_nodes:
+            raise ParseError(f"{where}: unknown node {fields[0]!r}")
         pairs.append((node, fields[1]))
     classes = sorted({lab for _, lab in pairs})
     index = {lab: c for c, lab in enumerate(classes)}
     y = np.zeros((num_nodes, len(classes)), dtype=np.float64)
     for node, lab in pairs:
-        if not 0 <= node < num_nodes:
-            raise ValidationError(f"label for unknown node {node}")
         y[node, index[lab]] = 1.0
     return y, classes
 

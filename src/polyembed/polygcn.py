@@ -4,9 +4,10 @@ The adjacency is split into K facet matrices (an exact partition guided
 by the NMF factors), and each facet gets its own pair of mean-aggregator
 encoders, one per node type. Layer-0 inputs are free trainable vectors
 (the datasets carry no node attributes). Each facet trains independently
-on an edge-level negative-sampling loss over its own facet matrix, with
-gradients propagated through the aggregation stack by hand-written
-reverse accumulation.
+on an edge-level negative-sampling loss over its own facet matrix. The
+loss's gradients at the encoder outputs come from one sparse matrix of
+per-pair score coefficients, and flow back through the aggregation stack
+by hand-written reverse accumulation.
 """
 
 from __future__ import annotations
@@ -252,37 +253,23 @@ def gcn_loss_and_grads(facet: FacetGcn, ops, config, edge_idx, edge_w,
     if total_w <= 0:
         raise ValidationError("facet has no positive edges")
     wn = edge_w / total_w
-    u_e, h_e = u[ai], h[bi]                  # (E, D)
-    s_pos = np.clip((u_e * h_e).sum(axis=1), -30, 30)
-    h_neg = h[neg_idx]                       # (E, R, D)
-    s_neg = np.clip(np.einsum("ed,erd->er", u_e, h_neg), -30, 30)
+    u_e = u[ai]                              # (E, D)
+    s_pos = np.clip((u_e * h[bi]).sum(axis=1), -30, 30)
+    s_neg = np.clip(np.einsum("ed,erd->er", u_e, h[neg_idx]), -30, 30)  # (E, R)
     e_neg = np.exp(s_neg)
     loss = float(wn @ (np.log1p(np.exp(-s_pos)) + np.log1p(e_neg).sum(axis=1)))
 
-    p_pos = 1.0 / (1.0 + np.exp(-s_pos))
-    p_neg = e_neg / (1.0 + e_neg)
-    coef_pos = wn * (p_pos - 1.0)            # (E,)
-    coef_neg = wn[:, None] * p_neg           # (E, R)
-
-    d_u = _scatter_rows(ai, coef_pos[:, None] * h_e
-                        + np.einsum("er,erd->ed", coef_neg, h_neg), len(u))
-    d_h = _scatter_rows(
-        np.concatenate([bi, neg_idx.reshape(-1)]),
-        np.concatenate([coef_pos[:, None] * u_e,
-                        (coef_neg[:, :, None] * u_e[:, None, :]).reshape(-1, u.shape[1])]),
-        len(h))
-
-    grads = backward_facet(facet, ops, config, cache, d_u, d_h)
+    # d loss / d score of every scored pair: edge e's positive (a, b), then
+    # its R negatives (a, n). As one sparse (num_a, num_b) matrix C, whose
+    # repeated pairs add, the output gradients are C @ H and C^T @ U.
+    coef = wn[:, None] * np.column_stack([1.0 / (1.0 + np.exp(-s_pos)) - 1.0,
+                                          e_neg / (1.0 + e_neg)])
+    pairs = sparse.coo_array(
+        (coef.ravel(), (np.repeat(ai, coef.shape[1]),
+                        np.column_stack([bi, neg_idx]).ravel())),
+        shape=(len(u), len(h)))
+    grads = backward_facet(facet, ops, config, cache, pairs @ h, pairs.T @ u)
     return loss, grads
-
-
-def _scatter_rows(idx, vals, n) -> np.ndarray:
-    """Rows of `vals` summed into n rows by `idx`, as one CSR product. It
-    equals np.add.at on zeros bit for bit: each output row adds its terms
-    in index order, each scaled by exactly 1."""
-    scatter = sparse.csr_array((np.ones(len(idx)), (idx, np.arange(len(idx)))),
-                               shape=(n, len(idx)))
-    return scatter @ vals
 
 
 class GcnTrainResult(NamedTuple):

@@ -4,7 +4,8 @@ The reference trainers here re-implement classic (single-vector)
 skip-gram and edge-sampling training with explicit loops, consuming
 randomness in the documented order, so the facet trainers can be checked
 step-for-step against them at K=1. The per-step facet trainers check the
-decode-then-update engine exactly at any K.
+decode-then-update engine exactly at any K. The per-edge PolyGCN loss
+checks the sparse pair-coefficient gradient within 1e-12 relative.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 from polyembed import graph as graphmod
 from polyembed.errors import NumericsError
 from polyembed.facets import FacetPrior
+from polyembed.polygcn import backward_facet, forward_facet
 from polyembed.polypte import AliasTable
 from polyembed.sgd import LR_FLOOR_RATIO, sgns_loss_and_grads
 from polyembed.tables import EmbeddingTables, init_tables
@@ -297,6 +299,32 @@ def reference_polypte(g, prior, config, hook=None):
                 hook(step, tables)
             step += 1
     return tables, losses
+
+
+def reference_gcn_loss_and_grads(facet, ops, config, edge_idx, edge_w, neg_idx):
+    """PolyGCN's edge loss with the output gradients built per scored pair:
+    each edge's (D,) terms are gathered, then added into their rows in
+    edge order, positives before negatives (np.add.at)."""
+    u, h, cache = forward_facet(facet, ops, config, keep_cache=True)
+    ai, bi = edge_idx[:, 0], edge_idx[:, 1]
+    wn = edge_w / edge_w.sum()
+    u_e, h_e = u[ai], h[bi]                  # (E, D)
+    s_pos = np.clip((u_e * h_e).sum(axis=1), -30, 30)
+    h_neg = h[neg_idx]                       # (E, R, D)
+    s_neg = np.clip(np.einsum("ed,erd->er", u_e, h_neg), -30, 30)
+    e_neg = np.exp(s_neg)
+    loss = float(wn @ (np.log1p(np.exp(-s_pos)) + np.log1p(e_neg).sum(axis=1)))
+
+    coef_pos = wn * (1.0 / (1.0 + np.exp(-s_pos)) - 1.0)    # (E,)
+    coef_neg = wn[:, None] * (e_neg / (1.0 + e_neg))         # (E, R)
+    d_u = np.zeros_like(u)
+    np.add.at(d_u, ai, coef_pos[:, None] * h_e
+              + np.einsum("er,erd->ed", coef_neg, h_neg))
+    d_h = np.zeros_like(h)
+    np.add.at(d_h, bi, coef_pos[:, None] * u_e)
+    np.add.at(d_h, neg_idx.reshape(-1),
+              (coef_neg[:, :, None] * u_e[:, None, :]).reshape(-1, u.shape[1]))
+    return loss, backward_facet(facet, ops, config, cache, d_u, d_h)
 
 
 def bucket_means(losses, points):

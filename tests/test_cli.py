@@ -130,6 +130,36 @@ def test_pipeline_homogeneous_with_labels(tmp_path, sbm_file):
     assert "auc=" in report and "micro_f1=" in report
 
 
+def test_pipeline_labels_name_the_nodes_of_a_named_graph(tmp_path, sbm_file,
+                                                         monkeypatch):
+    # node i is named 23 - i, and node 23 is "a", so the graph's ids are
+    # names in first-appearance order and a name like "0" is not node 0
+    def name(i):
+        return "a" if i == 23 else str(23 - i)
+    edges = tmp_path / "named.edges"
+    edges.write_text("".join(" ".join(name(int(v)) for v in line.split()) + "\n"
+                             for line in sbm_file.read_text().splitlines()))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{name(i)} {'x' if i < 12 else 'y'}\n"
+                              for i in range(24)))
+    seen = []
+
+    def classify(features, y, **kwargs):
+        seen.append(y)
+        return 1.0, 1.0
+    monkeypatch.setattr(cli.evaluation, "classify", classify)
+    run_ok(["pipeline", "--input", str(edges), "--kind", "homogeneous",
+            "--model", "deepwalk", "--k", "2", "--dim", "4",
+            "--walks-per-node", "2", "--walk-length", "4", "--window", "2",
+            "--epochs", "1", "--num-negatives", "8", "--ks", "3",
+            "--labels", str(labels), "--workdir", str(tmp_path / "dw")])
+    names = graph.load_edge_list(edges, kind="homogeneous").node_labels
+    expected = np.zeros((24, 2))
+    for i in range(24):
+        expected[names.index(name(i)), int(i >= 12)] = 1.0
+    assert np.array_equal(seen[0], expected)
+
+
 def test_pipeline_gcn(tmp_path, bipartite_file):
     workdir = tmp_path / "gcn"
     run_ok(["pipeline", "--input", str(bipartite_file), "--kind", "bipartite",
@@ -342,6 +372,15 @@ MALFORMED = {
         {"j.joint": "2 2\n0 1 2\n1 3 4\n", "l.txt": "0 a\nx b\n"},
         ["eval-class", "--features", "j.joint", "--labels", "l.txt",
          "--out", "out"], "l.txt line 2"),
+    "label-node-out-of-range": (
+        {"j.joint": "2 2\n0 1 2\n1 3 4\n", "l.txt": "0 a\n5 b\n"},
+        ["eval-class", "--features", "j.joint", "--labels", "l.txt",
+         "--out", "out"], "l.txt line 2"),
+    # pipeline resolves label-file nodes through the graph's names
+    "label-unknown-name": (
+        {"g.edges": "3 2\n2 1\n1 0\na 3\n", "l.txt": "a x\nzz y\n"},
+        ["pipeline", "--input", "g.edges", "--labels", "l.txt", "--workdir", "out"],
+        "l.txt line 2"),
     # eval-link reads the test edges before the prior and the tables
     "test-edge-token": (
         {"g.edges": FIVE_NODES, "t.edges": "0 1\n0 x1\n"}, EVAL_LINK, "t.edges line 2"),
@@ -404,7 +443,7 @@ def test_malformed_number_is_a_parse_error(tmp_path, capsys, case):
                                       else text.encode())
     flags_with_paths = {"--input", "--emb", "--prior", "--corpus", "--out",
                         "--features", "--labels", "--graph", "--test",
-                        "--config"}
+                        "--config", "--workdir"}
     argv = [str(tmp_path / a) if i and argv[i - 1] in flags_with_paths else a
             for i, a in enumerate(argv)]
     assert cli.run(argv) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import (dense_decompose, finite_difference, make_planted_bipartite,
-                      rel_error)
+                      reference_gcn_loss_and_grads, rel_error)
 from scipy import sparse
 
 from polyembed import evaluation, facets, graph, polygcn
@@ -212,14 +212,37 @@ def test_gcn_gradients_match_finite_differences(seed):
                      np.concatenate(numeric_all)) < 1e-4
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_scatter_rows_equals_add_at(seed):
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("negatives", [1, 3])
+@pytest.mark.parametrize("activation", ["leaky_relu", "linear"])
+@pytest.mark.parametrize("neighbor_mode", ["bipartite", "co"])
+def test_gcn_gradients_match_reference(seed, negatives, activation, neighbor_mode):
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, 30, 400)
-    vals = rng.normal(size=(400, 5)) * 10.0 ** rng.integers(-8, 8, (400, 1))
-    expected = np.zeros((37, 5))
-    np.add.at(expected, idx, vals)
-    assert np.array_equal(polygcn._scatter_rows(idx, vals, 37), expected)
+    a, p, q = random_instance(seed, num_a=7, num_b=6, k=2)
+    fa = decompose_adjacency(a, p, q)
+    config = GcnConfig(dim=4, depth=2, activation=activation,
+                       neighbor_mode=neighbor_mode, negatives=negatives, seed=seed)
+    model = init_gcn_model(7, 6, fa, config)
+    # at initialisation every score is about 1e-4, so each gradient's
+    # positive and negative terms all but cancel; scaled up, scores are O(0.1)
+    for p_arr in model.facets[0].params().values():
+        p_arr *= 4.0
+    rows, cols, edge_w = polygcn._cells(fa.mats[0])
+    # rows repeated and out of order; edge 0's first negative is its own
+    # positive, and with R > 1 edge 1 draws the same negative twice
+    order = rng.integers(0, len(rows), 2 * len(rows))
+    edge_idx = np.stack([rows, cols], axis=1)[order]
+    edge_w = edge_w[order]
+    neg_idx = rng.integers(0, 6, (len(order), negatives))
+    neg_idx[0, 0] = edge_idx[0, 1]
+    neg_idx[1, -1] = neg_idx[1, 0]
+    args = (model.facets[0], model.ops[0], config, edge_idx, edge_w, neg_idx)
+    loss, grads = gcn_loss_and_grads(*args)
+    ref_loss, ref_grads = reference_gcn_loss_and_grads(*args)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert np.abs(grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 # ------------------------------------------------------------------- train
@@ -280,6 +303,21 @@ def test_planted_fixture_auc():
         train_g, test_edges, result.tables, prior, "cross-diagonal",
         num_negatives=35, ks=(10,), seed=0)
     assert report.auc >= 0.75
+
+
+def test_train_matches_reference_gradients(monkeypatch):
+    g = make_planted_bipartite(4, n_side=20, p_in=0.5, p_out=0.05)
+    a = graph.adjacency_dense(g)
+    nmf = facets.asymmetric_nmf(a, 3, alpha=0.05, seed=4)
+    fa = decompose_adjacency(a, *nmf.factors)
+    config = GcnConfig(dim=8, iterations=60, negatives=2, seed=4)
+    result = train_gcn(g, fa, config)
+    monkeypatch.setattr(polygcn, "gcn_loss_and_grads", reference_gcn_loss_and_grads)
+    ref = train_gcn(g, fa, config)
+    for got, want in ((result.tables.u, ref.tables.u), (result.tables.h, ref.tables.h),
+                      (result.loss_traces, ref.loss_traces)):
+        got, want = np.asarray(got), np.asarray(want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_train_deterministic():
