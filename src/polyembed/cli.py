@@ -194,36 +194,17 @@ def _estimate_prior(kind: str, adj, params: dict):
     return build(*result.factors, alpha=params["alpha"]), result
 
 
-def _save_prior(path, prior) -> None:
-    if prior.bipartite:
-        save_matrix(f"{path}.a", prior.dist)
-        save_matrix(f"{path}.b", prior.dist_b)
-    else:
-        save_matrix(path, prior.dist)
+def _files(kind: str, path) -> list[str]:
+    """An artifact's files: `path` alone for a homogeneous graph, else
+    <path>.a for the type-A side and <path>.b for the type-B side."""
+    return [str(path)] if kind == "homogeneous" else [f"{path}.a", f"{path}.b"]
 
 
-def _load_prior_for(kind: str, path, alpha):
-    if kind == "bipartite":
-        return facets.load_prior(f"{path}.a", f"{path}.b", alpha=alpha)
-    return facets.load_prior(path, alpha=alpha)
-
-
-def _load_tables_for(kind: str, path) -> EmbeddingTables:
-    if kind == "homogeneous":
-        u = load_matrix(path, "N K D")
-        return EmbeddingTables(u=u, h=np.zeros_like(u))
-    return EmbeddingTables(u=load_matrix(f"{path}.a", "N K D"),
-                           h=load_matrix(f"{path}.b", "N K D"))
-
-
-def _save_tables_for(kind: str, path, tables: EmbeddingTables) -> None:
-    """The target table U alone for a homogeneous graph, else U and H as
-    <path>.a and <path>.b."""
-    if kind == "homogeneous":
-        save_matrix(path, tables.u)
-    else:
-        save_matrix(f"{path}.a", tables.u)
-        save_matrix(f"{path}.b", tables.h)
+def _save(kind: str, path, *arrays) -> None:
+    """Each array into its file of `_files`: a homogeneous graph keeps the
+    first alone."""
+    for file, array in zip(_files(kind, path), arrays):
+        save_matrix(file, array)
 
 
 def _save_test_edges(path, test_edges, g) -> None:
@@ -275,7 +256,7 @@ def cmd_facets(args, params) -> None:
         raise ValidationError("--k must be at least 1")
     g = graphmod.load_edge_list(args.input, kind=params["kind"])
     prior, result = _estimate_prior(params["kind"], g.adj, params)
-    _save_prior(args.out, prior)
+    _save(params["kind"], args.out, prior.dist, prior.dist_b)
     print(f"wrote {args.out} ({params['kind']} prior, {params['k']} facets, "
           f"objective {result.objective:.6g}, {result.iterations} iterations)")
     write_manifest(args.out, args, params)
@@ -295,7 +276,7 @@ def cmd_train_deepwalk(args, params) -> None:
     corpus = walks.load_corpus(args.corpus)
     result = polydeepwalk.train(g, prior, corpus,
                                 _config(polydeepwalk.TrainConfig, params))
-    _save_tables_for("homogeneous", args.out, result.tables)
+    save_matrix(args.out, result.tables.u)
     if args.export_context:
         save_matrix(args.export_context, result.tables.h)
     losses = ", ".join(f"{x:.4f}" for x in result.epoch_losses)
@@ -305,9 +286,9 @@ def cmd_train_deepwalk(args, params) -> None:
 
 def cmd_train_pte(args, params) -> None:
     g = graphmod.load_edge_list(args.input, kind="bipartite")
-    prior = _load_prior_for("bipartite", args.prior, params["alpha"])
+    prior = facets.load_prior(*_files("bipartite", args.prior), alpha=params["alpha"])
     result = polypte.train_pte(g, prior, _config(polypte.PteConfig, params))
-    _save_tables_for("bipartite", args.out, result.tables)
+    _save("bipartite", args.out, result.tables.u, result.tables.h)
     print(f"wrote {args.out}.a / {args.out}.b "
           f"(final loss {result.loss_trace[-1]:.4f})")
     write_manifest(args.out, args, params, engine=result.engine)
@@ -315,10 +296,10 @@ def cmd_train_pte(args, params) -> None:
 
 def cmd_train_gcn(args, params) -> None:
     g = graphmod.load_edge_list(args.input, kind="bipartite")
-    prior = _load_prior_for("bipartite", args.prior, params["alpha"])
+    prior = facets.load_prior(*_files("bipartite", args.prior), alpha=params["alpha"])
     fadj = polygcn.decompose_adjacency(g.adj, prior.p, prior.q)
     result = polygcn.train_gcn(g, fadj, _config(polygcn.GcnConfig, params))
-    _save_tables_for("bipartite", args.out, result.tables)
+    _save("bipartite", args.out, result.tables.u, result.tables.h)
     if args.export_fadj:
         polygcn.save_facet_adjacency(args.export_fadj, fadj)
     print(f"wrote {args.out}.a / {args.out}.b")
@@ -327,8 +308,9 @@ def cmd_train_gcn(args, params) -> None:
 
 def cmd_embed(args, params) -> None:
     prior = facets.load_prior(args.prior, alpha=params["alpha"])
-    tables = _load_tables_for("homogeneous", args.emb)
-    joint = inference.concat(tables, prior, weighted=params["weighted"])
+    u = load_matrix(args.emb, "N K D")
+    joint = inference.concat(EmbeddingTables(u=u, h=np.zeros_like(u)), prior,
+                             weighted=params["weighted"])
     save_matrix(args.out, joint)
     print(f"wrote {args.out} ({joint.shape[0]} x {joint.shape[1]})")
     write_manifest(args.out, args, params)
@@ -338,8 +320,9 @@ def cmd_eval_link(args, params) -> None:
     kind = "homogeneous" if params["mode"] == "homogeneous" else "bipartite"
     g = graphmod.load_edge_list(args.graph, kind=kind)
     test_edges = _load_test_edges(args.test, g)
-    prior = _load_prior_for(kind, args.prior, params["alpha"])
-    tables = _load_tables_for(kind, args.emb)
+    prior = facets.load_prior(*_files(kind, args.prior), alpha=params["alpha"])
+    u, *h = (load_matrix(file, "N K D") for file in _files(kind, args.emb))
+    tables = EmbeddingTables(u=u, h=h[0] if h else np.zeros_like(u))
     report = evaluation.link_prediction_report(
         g, test_edges, tables, prior, params["mode"],
         num_negatives=params["num_negatives"], ks=_parse_ks(params["ks"]),
@@ -395,7 +378,7 @@ def cmd_pipeline(args, params) -> None:
     _save_test_edges(f"{prefix}.test.edges", test_edges, g)
 
     prior, _ = _estimate_prior(kind, train_g.adj, params)
-    _save_prior(f"{prefix}.prior", prior)
+    _save(kind, f"{prefix}.prior", prior.dist, prior.dist_b)
 
     if model == "deepwalk":
         corpus = walks.generate_walks(train_g, _config(walks.WalkConfig, params))
@@ -409,7 +392,7 @@ def cmd_pipeline(args, params) -> None:
         fadj = polygcn.decompose_adjacency(train_g.adj, prior.p, prior.q)
         result = polygcn.train_gcn(train_g, fadj, _config(polygcn.GcnConfig, params))
     tables = result.tables
-    _save_tables_for(kind, f"{prefix}.emb", tables)
+    _save(kind, f"{prefix}.emb", tables.u, tables.h)
     engine = {} if model == "gcn" else {"engine": result.engine}
     mode = {"deepwalk": "homogeneous", "pte": "cross", "gcn": "cross-diagonal"}[model]
 

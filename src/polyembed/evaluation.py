@@ -77,42 +77,39 @@ def split_links(g, strategy: str = "one-per-node", seed: int = 0):
     Nodes (type-A users for the bipartite strategy) of degree < 2 never
     lose their only link. Every edge is removed at most once.
     """
-    rng = np.random.default_rng(seed)
-    held = np.zeros(g.num_edges, dtype=bool)
-    test = []
     if strategy == "one-per-node":
         if not isinstance(g, Graph):
             raise ValidationError("one-per-node splitting needs a homogeneous graph")
+        # a node owns the edges at both its ends
         incident, starts = _incidence(g.edges, g.num_nodes)
-        for v in range(g.num_nodes):
-            mine = incident[starts[v]:starts[v + 1]]
-            if len(mine) < 2:
-                continue
-            eligible = mine[~held[mine]]
-            if len(eligible) == 0:
-                continue
-            ei = eligible[int(rng.integers(len(eligible)))]
-            held[ei] = True
-            i, j = g.edges[ei]
-            # orient the pair as (holdout node, other endpoint)
-            test.append((v, int(j) if i == v else int(i)))
+        stamps = None
     elif strategy == "latest-per-user":
         if not isinstance(g, BipartiteGraph):
             raise ValidationError("latest-per-user splitting needs a bipartite graph")
+        # a user owns the edges it starts, so none is held out by another
         incident, starts = _incidence(g.edges[:, :1], g.num_a)
-        for a in range(g.num_a):
-            mine = incident[starts[a]:starts[a + 1]]
-            if len(mine) < 2:
-                continue
-            stamps = g.timestamps[mine] if g.timestamps is not None else None
-            if stamps is not None and stamps.max() >= 0:
-                ei = mine[int(np.argmax(stamps))]
-            else:
-                ei = mine[int(rng.integers(len(mine)))]
-            held[ei] = True
-            test.append((a, int(g.edges[ei, 1])))
+        stamps = g.timestamps
     else:
         raise ValidationError(f"unknown split strategy {strategy!r}")
+    rng = np.random.default_rng(seed)
+    held = np.zeros(g.num_edges, dtype=bool)
+    test = []
+    for v in range(len(starts) - 1):
+        mine = incident[starts[v]:starts[v + 1]]
+        if len(mine) < 2:
+            continue
+        eligible = mine[~held[mine]]
+        if len(eligible) == 0:
+            continue
+        latest = stamps[eligible] if stamps is not None else None
+        if latest is not None and latest.max() >= 0:
+            ei = eligible[int(np.argmax(latest))]
+        else:
+            ei = eligible[int(rng.integers(len(eligible)))]
+        held[ei] = True
+        i, j = g.edges[ei]
+        # orient the pair as (holdout node, other endpoint)
+        test.append((v, int(j) if i == v else int(i)))
     keep = ~held
     if not keep.any():
         raise ValidationError("split removed every edge; graph too sparse")

@@ -199,13 +199,6 @@ def normalize_prior(p) -> np.ndarray:
     return out
 
 
-def edge_observation_distribution(prior: FacetPrior, a: int, b: int) -> np.ndarray:
-    """Facet distribution of an edge observation: average of both endpoints."""
-    if prior.dist_b is None:
-        raise ValidationError("edge observations need a bipartite prior")
-    return 0.5 * (prior.dist[a] + prior.dist_b[b])
-
-
 def conditional_distribution(p_v, p_o, mode: str = "min") -> np.ndarray:
     """Distribution a node's facet is sampled from within one observation.
 

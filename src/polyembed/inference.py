@@ -43,22 +43,7 @@ def similarity(i: int, j: int, tables: EmbeddingTables, prior: FacetPrior,
     combiner for encoders whose facets were trained independently, where
     cross-facet inner products carry no signal.
     """
-    if mode == "homogeneous":
-        d_i, d_j = prior.dist[i], prior.dist[j]
-        t_i, t_j = tables.u[i], tables.u[j]
-    elif mode in ("cross", "cross-diagonal"):
-        if prior.dist_b is None:
-            raise ValidationError("cross-type similarity needs a bipartite prior")
-        if prior.dist_b.shape[0] != tables.num_context:
-            raise ValidationError("context table does not match the type-B prior")
-        d_i, d_j = prior.dist[i], prior.dist_b[j]
-        t_i, t_j = tables.u[i], tables.h[j]
-        if mode == "cross-diagonal":
-            per_facet = (t_i * t_j).sum(axis=1)
-            return float((d_i * d_j) @ per_facet)
-    else:
-        raise ValidationError(f"unknown similarity mode {mode!r}")
-    return float((d_i @ t_i) @ (d_j @ t_j))
+    return float(score_candidates(i, [j], tables, prior, mode)[0])
 
 
 def score_candidates(query: int, candidates, tables: EmbeddingTables,
@@ -66,19 +51,18 @@ def score_candidates(query: int, candidates, tables: EmbeddingTables,
     """Similarity of one query against many candidates in a single pass."""
     cand = np.asarray(list(candidates), dtype=np.int64)
     if mode == "homogeneous":
-        qvec = prior.dist[query] @ tables.u[query]
-        cvecs = np.einsum("nk,nkd->nd", prior.dist[cand], tables.u[cand])
-    elif mode == "cross":
+        d_c, t_c = prior.dist, tables.u
+    elif mode in ("cross", "cross-diagonal"):
         if prior.dist_b is None:
             raise ValidationError("cross-type similarity needs a bipartite prior")
-        qvec = prior.dist[query] @ tables.u[query]
-        cvecs = np.einsum("nk,nkd->nd", prior.dist_b[cand], tables.h[cand])
-    elif mode == "cross-diagonal":
-        if prior.dist_b is None:
-            raise ValidationError("cross-type similarity needs a bipartite prior")
-        qblocks = tables.u[query] * prior.dist[query][:, None]   # (K, D)
-        per_facet = np.einsum("kd,ckd->ck", qblocks, tables.h[cand])
-        return (per_facet * prior.dist_b[cand]).sum(axis=1)
+        if prior.dist_b.shape[0] != tables.num_context:
+            raise ValidationError("context table does not match the type-B prior")
+        d_c, t_c = prior.dist_b, tables.h
     else:
         raise ValidationError(f"unknown similarity mode {mode!r}")
-    return cvecs @ qvec
+    if mode == "cross-diagonal":
+        qblocks = tables.u[query] * prior.dist[query][:, None]   # (K, D)
+        per_facet = np.einsum("kd,ckd->ck", qblocks, t_c[cand])
+        return (per_facet * d_c[cand]).sum(axis=1)
+    qvec = prior.dist[query] @ tables.u[query]
+    return np.einsum("nk,nkd->nd", d_c[cand], t_c[cand]) @ qvec

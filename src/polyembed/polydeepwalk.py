@@ -4,25 +4,24 @@ For every center-context observation the trainer repeatedly (facet rate R)
 assigns one facet to each node involved, then applies one negative-sampled
 SGD update per (center, context) pair on the selected facet vectors.
 Facets are drawn from the min-rule conditional distribution, so a facet
-the prior rules out for a node is never activated for it. Sampling and
-updating run in the shared `sgd` engine; runs are bit-reproducible for a
-fixed seed. The tractable training objective is the Jensen lower bound
-of the full facet-marginal log-likelihood; `exact_objective_small`
-evaluates both sides exactly on enumerable instances.
+the prior rules out for a node is never activated for it. The trainer
+frames the corpus into windows; the shared `sgd` engine decodes and
+applies them. Runs are bit-reproducible for a fixed seed. The tractable
+training objective is the Jensen lower bound of the full facet-marginal
+log-likelihood; `exact_objective_small` evaluates both sides exactly on
+enumerable instances.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import sgd
-from .errors import CapacityError, ValidationError
-from .facets import FacetPrior, conditional_distribution
+from .errors import ValidationError
+from .facets import FacetPrior
 # sgns_loss_and_grads is public here too: the acceptance suite imports it
 from .sgd import NegativeSampler, sgns_loss_and_grads  # noqa: F401
 from .tables import EmbeddingTables
@@ -78,36 +77,12 @@ def _decode_chunk(flat, at, offsets, first, dist, sampler, rng, facet_rate,
                   negatives):
     """Draw the uniforms of the observations centred at `at` (numbered
     from `first`) in one call and decode their steps."""
-    center = flat[at]
     ctx = flat[at[:, None] + offsets]
-    valid = ctx >= 0
-    width = valid.sum(axis=1)
-    k = dist.shape[1]
-    per_round = sgd.uniforms_per_round(width, k, negatives)
-    per_obs = facet_rate * per_round
-    uniforms = rng.random(int(per_obs.sum()))
-
-    n_steps = facet_rate * width
-    owner = np.repeat(np.arange(len(at)), n_steps)
-    q = np.arange(len(owner)) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
-    rnd, position = np.divmod(q, width[owner])
-    base = (np.cumsum(per_obs) - per_obs)[owner] + rnd * per_round[owner]
-    ctx_index = (np.cumsum(width) - width)[owner] + position
-    contexts = ctx[valid]
-    center_cond = ctx_cond = None
-    if k > 1:
-        # sum the context rows in window order, as the per-observation
-        # formula does, so the conditionals match it bit for bit
-        acc = np.zeros((len(at), k))
-        for col in range(ctx.shape[1]):
-            acc = acc + np.where(valid[:, col, None], dist[ctx[:, col]], 0.0)
-        p_o = (dist[center] + acc) / (width + 1)[:, None]
-        center_cond = conditional_distribution(dist[center], p_o)[owner]
-        ctx_cond = conditional_distribution(
-            dist[contexts], np.repeat(p_o, width, axis=0))[ctx_index]
-    return sgd.decode(uniforms, base, width[owner], position, center[owner],
-                      center_cond, contexts[ctx_index], ctx_cond,
-                      first + owner, sampler, negatives)
+    per_round = sgd.uniforms_per_round((ctx >= 0).sum(axis=1), dist.shape[1],
+                                       negatives)
+    return sgd.decode(rng.random(int(facet_rate * per_round.sum())), flat[at],
+                      ctx, dist, dist, facet_rate, "min", first, sampler,
+                      negatives)
 
 
 def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
@@ -147,42 +122,7 @@ def exact_objective_small(obs: Observation, prior: FacetPrior,
                           tables: EmbeddingTables,
                           enumeration_cap: int = 10**5):
     """Exact facet-marginal log-likelihood of one observation and its
-    Jensen lower bound, by enumerating every facet assignment.
-
-    The softmax normalizer runs over all (node, facet) context vectors;
-    no negative sampling is involved. Returns (l_exact, l_lower) with
-    l_lower <= l_exact.
-    """
-    k = prior.k
-    positions = 1 + len(obs.context)
-    if k ** positions > enumeration_cap:
-        raise CapacityError(
-            f"{k}^{positions} facet assignments exceed cap {enumeration_cap}")
-    dist = prior.dist
-    p_o = (dist[obs.center] + dist[list(obs.context)].sum(axis=0)) / positions
-    cond_center = conditional_distribution(dist[obs.center], p_o)
-    cond_ctx = [conditional_distribution(dist[j], p_o) for j in obs.context]
-
-    d = tables.dim
-    flat_h = tables.h.reshape(-1, d)
-    log_z = np.array([logsumexp(flat_h @ tables.u[obs.center, kc])
-                      for kc in range(k)])
-
-    log_ps_terms = []
-    log_po_terms = []
-    for assign in itertools.product(range(k), repeat=positions):
-        kc, kctx = assign[0], assign[1:]
-        ps = cond_center[kc]
-        for cj, kj in zip(cond_ctx, kctx):
-            ps *= cj[kj]
-        if ps <= 0.0:
-            continue
-        log_po = sum(float(tables.h[j, kj] @ tables.u[obs.center, kc]) - log_z[kc]
-                     for j, kj in zip(obs.context, kctx))
-        log_ps_terms.append(np.log(ps))
-        log_po_terms.append(log_po)
-    log_ps_arr = np.array(log_ps_terms)
-    log_po_arr = np.array(log_po_terms)
-    l_lower = float(np.exp(log_ps_arr) @ log_po_arr)
-    l_exact = float(logsumexp(log_ps_arr + log_po_arr))
-    return l_exact, l_lower
+    Jensen lower bound under the min rule, as `sgd.jensen_bound`. Returns
+    (l_exact, l_lower) with l_lower <= l_exact."""
+    return sgd.jensen_bound(obs.center, tuple(obs.context), prior.dist,
+                            prior.dist, tables, "min", enumeration_cap)

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import NumericsError, ValidationError
+from .sgd import NegativeSampler
 from .tables import EmbeddingTables
 
 _ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -289,11 +290,7 @@ def train_gcn(bipartite, facet_adj: FacetAdjacency,
     init_ss, *facet_ss = root.spawn(1 + facet_adj.k)
     model = init_gcn_model(num_a, num_b, facet_adj, config, seed=init_ss)
 
-    deg_b = bipartite.degrees_b().astype(np.float64)
-    neg_weights = deg_b ** 0.75
-    if neg_weights.sum() <= 0:
-        raise ValidationError("graph has no type-B edges")
-    neg_cdf = np.cumsum(neg_weights)
+    sampler = NegativeSampler(bipartite.degrees_b(), np.ones((num_b, 1)))
 
     traces: list[list[float]] = []
     u_out = np.zeros((num_a, facet_adj.k, config.dim))
@@ -314,9 +311,7 @@ def train_gcn(bipartite, facet_adj: FacetAdjacency,
         m_state = {n: np.zeros_like(p) for n, p in params.items()}
         v_state = {n: np.zeros_like(p) for n, p in params.items()}
         for it in range(1, config.iterations + 1):
-            draws = rng.random((len(rows), config.negatives)) * neg_cdf[-1]
-            neg_idx = np.minimum(np.searchsorted(neg_cdf, draws, side="right"),
-                                 num_b - 1)
+            neg_idx, _ = sampler.decode(rng.random((len(rows), config.negatives)))
             loss, grads = gcn_loss_and_grads(facet, ops, config,
                                              edge_idx, edge_w, neg_idx)
             if not math.isfinite(loss):

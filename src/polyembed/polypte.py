@@ -2,28 +2,26 @@
 
 Observations are single edges (type-A node, type-B node). Each sampled
 edge gets `facet_rate` rounds of facet assignment; both endpoints draw
-their facet from the edge's facet distribution (the observation rule,
-since an edge has no wider context window), then one negative-sampled
+their facet from the edge's facet distribution (facet_mode "observation")
+or from its min-rule conditional ("min"), then one negative-sampled
 update runs on the selected facet vectors. The target table U covers
 type-A nodes, the context table H covers type-B nodes, and negatives are
 (type-B node, facet) pairs drawn from item degree**0.75 and the item's
-prior. Sampling and updating run in the shared `sgd` engine; runs are
+prior. The trainer draws the edges; an edge is an `sgd` observation with
+one context, decoded and applied by the shared engine. Runs are
 bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import sgd
 from .errors import ValidationError
-from .facets import (FacetPrior, conditional_distribution,
-                     edge_observation_distribution)
+from .facets import FacetPrior
 from .sgd import NegativeSampler
 from .tables import EmbeddingTables
 
@@ -88,14 +86,6 @@ class AliasTable:
         return int(self.alias[i])
 
 
-def _edge_conditionals(prior, a, b, mode):
-    p_o = edge_observation_distribution(prior, a, b)
-    if mode == "observation":
-        return p_o, p_o
-    return (conditional_distribution(prior.dist[a], p_o),
-            conditional_distribution(prior.dist_b[b], p_o))
-
-
 def _decode_chunk(bipartite, prior, sampler, rng, config, facet_rate, start,
                   count, edge_alias):
     """Draw and decode edge samples start .. start + count - 1.
@@ -110,17 +100,10 @@ def _decode_chunk(bipartite, prior, sampler, rng, config, facet_rate, start,
         edge[s] = (edge_alias.sample(rng) if edge_alias is not None
                    else rng.integers(bipartite.num_edges))
         rng.random(out=uniforms[s])
-
-    owner = np.repeat(np.arange(count), facet_rate)
     a, b = bipartite.edges[edge, 0], bipartite.edges[edge, 1]
-    cond_a = cond_b = None
-    if prior.k > 1:
-        cond_a, cond_b = _edge_conditionals(prior, a, b, config.facet_mode)
-        cond_a, cond_b = cond_a[owner], cond_b[owner]
-    # steps run sample-major, round-minor: step j's round starts at j * per_round
-    return sgd.decode(uniforms.ravel(), np.arange(len(owner)) * per_round, 1, 0,
-                      a[owner], cond_a, b[owner], cond_b, start + owner,
-                      sampler, config.negatives)
+    return sgd.decode(uniforms.ravel(), a, b[:, None], prior.dist, prior.dist_b,
+                      facet_rate, config.facet_mode, start, sampler,
+                      config.negatives)
 
 
 def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
@@ -160,30 +143,10 @@ def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
 
 def pte_lower_bound_small(edge, prior: FacetPrior, tables: EmbeddingTables,
                           mode: str = "observation"):
-    """Exact log-likelihood of one edge and its Jensen lower bound.
-
-    Enumerates all K*K facet pairs with an exact softmax over every
-    (type-B node, facet) context vector. Returns (l_exact, l_lower).
-    """
+    """Exact log-likelihood of one edge and its Jensen lower bound, as
+    `sgd.jensen_bound` with the edge's type-B node as the one context.
+    Returns (l_exact, l_lower)."""
     if prior.dist_b is None:
         raise ValidationError("needs a bipartite prior")
     a, b = edge
-    cond_a, cond_b = _edge_conditionals(prior, a, b, mode)
-    k = prior.k
-    d = tables.dim
-    flat_h = tables.h.reshape(-1, d)
-    log_z = np.array([logsumexp(flat_h @ tables.u[a, ka]) for ka in range(k)])
-
-    log_ps, log_po = [], []
-    for ka in range(k):
-        for kb in range(k):
-            ps = cond_a[ka] * cond_b[kb]
-            if ps <= 0.0:
-                continue
-            log_ps.append(math.log(ps))
-            log_po.append(float(tables.h[b, kb] @ tables.u[a, ka]) - log_z[ka])
-    log_ps_arr = np.array(log_ps)
-    log_po_arr = np.array(log_po)
-    l_lower = float(np.exp(log_ps_arr) @ log_po_arr)
-    l_exact = float(logsumexp(log_ps_arr + log_po_arr))
-    return l_exact, l_lower
+    return sgd.jensen_bound(a, (b,), prior.dist, prior.dist_b, tables, mode)

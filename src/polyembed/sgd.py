@@ -1,10 +1,15 @@
 """The SGD engine shared by PolyDeepWalk and PolyPTE.
 
-Each chunk of observations (walk windows or edge samples) is first
-decoded: its random draws become per-step arrays of flat table rows
-(target, context, negatives). No draw depends on the tables and the
-stream is consumed in per-step order, so results do not depend on CHUNK.
-`Engine.apply` then runs the SGD steps on (rows, D) views of the tables.
+The trainers describe observations: a target node and up to C context
+nodes, a walk window or an edge (C = 1). `decode` owns what the paper
+makes common to both: an observation's facet distribution is the mean
+prior of its nodes, each node's facet is drawn from the conditional of
+its own prior and that mean, and one negative-sampled step runs per
+(target, context) pair. It turns a chunk of observations and their
+random draws into per-step arrays of flat table rows (target, context,
+negatives). No draw depends on the tables and the stream is consumed in
+per-step order, so results do not depend on CHUNK. `Engine.apply` then
+runs the SGD steps on (rows, D) views of the tables.
 
 The steps run in a compiled kernel (`sgd_kernel.c`), built with the
 system C compiler on first use and cached as
@@ -26,6 +31,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import itertools
 import math
 import os
 import platform
@@ -37,10 +43,11 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import logsumexp
 
-from .errors import NumericsError, ValidationError
-from .facets import sample_facets
-from .tables import init_tables
+from .errors import CapacityError, NumericsError, ValidationError
+from .facets import conditional_distribution, sample_facets
+from .tables import EmbeddingTables, init_tables
 
 LR_FLOOR_RATIO = 1e-4
 LOGIT_CLAMP = 30.0
@@ -106,7 +113,7 @@ def uniforms_per_round(contexts, k: int, negatives: int):
 
 class Steps(NamedTuple):
     """Decoded steps: rows of the (nodes*K, D) tables, and the observation
-    or edge sample each step belongs to."""
+    each step belongs to."""
 
     target: np.ndarray      # (S,)
     context: np.ndarray     # (S,)
@@ -114,25 +121,89 @@ class Steps(NamedTuple):
     unit: np.ndarray        # (S,)
 
 
-def decode(uniforms, base, contexts, position, target, target_cond,
-           context, context_cond, unit, sampler: NegativeSampler,
+def observation_distribution(target, context, dist, dist_context):
+    """Facet distribution of each observation: the mean prior of its
+    target and contexts, the context rows summed in column order. `target`
+    is (n,), `context` (n, C) with -1 where there is no context."""
+    valid = context >= 0
+    acc = np.zeros((len(target), dist.shape[1]))
+    for col in range(context.shape[1]):
+        acc = acc + np.where(valid[:, col, None], dist_context[context[:, col]], 0.0)
+    return (dist[target] + acc) / (valid.sum(axis=1) + 1)[:, None]
+
+
+def decode(uniforms, target, context, dist, dist_context, facet_rate: int,
+           mode: str, first: int, sampler: NegativeSampler,
            negatives: int) -> Steps:
-    """Decode one chunk's steps. Per step, `base` is the offset of its
-    facet round in `uniforms`, which has `contexts` contexts, the step's
-    being at `position`; `*_cond` are the facet distributions of `target`
-    and `context` (unused at K == 1)."""
+    """Decode the steps of observations numbered from `first`: targets
+    (n,) and contexts (n, C), -1 where there is none, of nodes whose facet
+    priors are the rows of `dist` and `dist_context`. Each observation
+    takes `facet_rate` facet rounds of `uniforms_per_round` uniforms, laid
+    out observation by observation in `uniforms`; a round runs one step per
+    context, in column order. Facets come from
+    `conditional_distribution(prior, observation distribution, mode)`."""
+    valid = context >= 0
+    width = valid.sum(axis=1)
     k = sampler.k
+    per_round = uniforms_per_round(width, k, negatives)
+    per_obs = facet_rate * per_round
+    # one step per (observation, round, context present), in that order
+    owner, rnd, col = np.nonzero(np.broadcast_to(
+        valid[:, None], (len(target), facet_rate, context.shape[1])))
+    position = (np.cumsum(valid, axis=1) - 1)[owner, col]
+    base = (np.cumsum(per_obs) - per_obs)[owner] + rnd * per_round[owner]
+    t_node, c_node = target[owner], context[owner, col]
     offsets = np.arange(negatives)
     if k == 1:
-        first = base + position * negatives
-        nodes, _ = sampler.decode(uniforms[first[:, None] + offsets])
-        return Steps(target, context, nodes, unit)
-    t_facet = sample_facets(target_cond, uniforms[base])
-    c_facet = sample_facets(context_cond, uniforms[base + 1 + position])
-    first = (base + 1 + contexts + 2 * negatives * position)[:, None] + offsets
-    nodes, facets = sampler.decode(uniforms[first], uniforms[first + negatives])
-    return Steps(target * k + t_facet, context * k + c_facet,
-                 nodes * k + facets, unit)
+        draws = (base + position * negatives)[:, None] + offsets
+        nodes, _ = sampler.decode(uniforms[draws])
+        return Steps(t_node, c_node, nodes, first + owner)
+    p_o = observation_distribution(target, context, dist, dist_context)
+    t_cond = conditional_distribution(dist[target], p_o, mode)[owner]
+    c_cond = conditional_distribution(
+        dist_context[context], np.broadcast_to(p_o[:, None], (*context.shape, k)),
+        mode)[owner, col]
+    t_facet = sample_facets(t_cond, uniforms[base])
+    c_facet = sample_facets(c_cond, uniforms[base + 1 + position])
+    draws = (base + 1 + width[owner] + 2 * negatives * position)[:, None] + offsets
+    nodes, facets = sampler.decode(uniforms[draws], uniforms[draws + negatives])
+    return Steps(t_node * k + t_facet, c_node * k + c_facet,
+                 nodes * k + facets, first + owner)
+
+
+def jensen_bound(target: int, contexts, dist, dist_context,
+                 tables: EmbeddingTables, mode: str, enumeration_cap=None):
+    """Exact facet-marginal log-likelihood of one observation and its
+    Jensen lower bound, by enumerating every facet assignment; facets are
+    drawn as in `decode`. The softmax normalizer runs over all (node,
+    facet) context vectors; no negative sampling is involved. Returns
+    (l_exact, l_lower) with l_lower <= l_exact; CapacityError when there
+    are more than `enumeration_cap` assignments."""
+    k = dist.shape[1]
+    positions = 1 + len(contexts)
+    if enumeration_cap is not None and k ** positions > enumeration_cap:
+        raise CapacityError(
+            f"{k}^{positions} facet assignments exceed cap {enumeration_cap}")
+    p_o = observation_distribution(np.array([target]), np.array([contexts]),
+                                   dist, dist_context)[0]
+    cond_target = conditional_distribution(dist[target], p_o, mode)
+    cond_ctx = [conditional_distribution(dist_context[j], p_o, mode)
+                for j in contexts]
+
+    u_t, flat_h = tables.u[target], tables.h.reshape(-1, tables.dim)
+    log_z = np.array([logsumexp(flat_h @ u_t[kt]) for kt in range(k)])
+    log_ps_terms, log_po_terms = [], []
+    for kt, *kctx in itertools.product(range(k), repeat=positions):
+        ps = cond_target[kt]
+        for cj, kj in zip(cond_ctx, kctx):
+            ps *= cj[kj]
+        if ps <= 0.0:
+            continue
+        log_ps_terms.append(np.log(ps))
+        log_po_terms.append(sum(float(tables.h[j, kj] @ u_t[kt]) - log_z[kt]
+                                for j, kj in zip(contexts, kctx)))
+    log_ps, log_po = np.array(log_ps_terms), np.array(log_po_terms)
+    return float(logsumexp(log_ps + log_po)), float(np.exp(log_ps) @ log_po)
 
 
 def _cache_dir() -> Path:

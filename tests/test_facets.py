@@ -154,25 +154,6 @@ def test_column_permutation_equivariance():
                        facets.normalize_prior(p[:, perm]))
 
 
-# ------------------------------------------------ observation distributions
-
-def _prior_from_dist(rows):
-    return facets.FacetPrior.from_factor(np.array(rows, dtype=float))
-
-
-def test_edge_observation_distribution():
-    prior = facets.FacetPrior.from_factors(
-        np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]]))
-    p_o = facets.edge_observation_distribution(prior, 0, 0)
-    assert np.allclose(p_o, [0.5, 0.0, 0.5])
-
-
-def test_edge_observation_needs_bipartite_prior():
-    prior = _prior_from_dist([[1.0, 0.0]])
-    with pytest.raises(ValidationError):
-        facets.edge_observation_distribution(prior, 0, 0)
-
-
 # ------------------------------------------------- conditional distribution
 
 def test_conditional_min_rule():

@@ -44,25 +44,28 @@ def weighted_bipartite():
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_deepwalk_matches_per_step_trainer(chunk, monkeypatch):
+    """At K=3, and at K=1 (uniform prior), where decode draws no facets."""
     monkeypatch.setattr(sgd, "CHUNK", chunk)
     g = make_two_cliques(clique=4)
     p = np.random.default_rng(1).random((g.num_nodes, 3))
     p[0, :2] = 0.0
-    prior = facets.FacetPrior.from_factor(p)
     corpus = walks.generate_walks(
         g, walks.WalkConfig(walks_per_node=5, walk_length=7, seed=1))
     corpus.append([3])      # a one-node walk yields no observation
     config = pdw.TrainConfig(dim=5, negatives=3, facet_rate=2, epochs=2,
                              window=3, seed=4)
-    steps, ref_steps = [], []
-    result = pdw.train(g, prior, corpus, config,
-                       hook=lambda step, tables: steps.append(step))
-    ref_tables, ref_epoch_losses, _ = reference_polydeepwalk(
-        g, prior, corpus, config, hook=lambda step, tables: ref_steps.append(step))
-    assert np.array_equal(result.tables.u, ref_tables.u)
-    assert np.array_equal(result.tables.h, ref_tables.h)
-    assert steps == ref_steps
-    assert result.epoch_losses == ref_epoch_losses
+    for prior in (facets.FacetPrior.from_factor(p),
+                  facets.FacetPrior.uniform(g.num_nodes)):
+        steps, ref_steps = [], []
+        result = pdw.train(g, prior, corpus, config,
+                           hook=lambda step, tables: steps.append(step))
+        ref_tables, ref_epoch_losses, _ = reference_polydeepwalk(
+            g, prior, corpus, config,
+            hook=lambda step, tables: ref_steps.append(step))
+        assert np.array_equal(result.tables.u, ref_tables.u)
+        assert np.array_equal(result.tables.h, ref_tables.h)
+        assert steps == ref_steps
+        assert result.epoch_losses == ref_epoch_losses
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -87,6 +90,15 @@ def test_pte_matches_per_step_trainer(chunk, k, mode, weighted,
     expected = bucket_means(ref_losses, config.trace_points)
     assert len(result.loss_trace) == len(expected)
     np.testing.assert_allclose(result.loss_trace, expected, rtol=1e-12, atol=0)
+
+
+def test_observation_distribution_is_the_mean_prior():
+    """An edge's is the mean of its endpoints' priors; a window's averages
+    its target and the contexts present, skipping -1 pads."""
+    dist = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    p_o = sgd.observation_distribution(np.array([0, 0]),
+                                       np.array([[1, -1], [1, 2]]), dist, dist)
+    np.testing.assert_allclose(p_o, [[0.5, 0.0, 0.5], [1 / 3, 1 / 3, 1 / 3]])
 
 
 def test_pte_nan_aborts_with_edge_sample(weighted_bipartite):
