@@ -9,7 +9,10 @@ comments) over defaults, writes its outputs, and drops a
 Each parameter is declared once, in PARAMS; COMMANDS lists the parameters
 each subcommand takes. The flags, the config keys and their types, the
 manifest and the trainer configs are all built from these two tables, and
-a default that a config dataclass owns is read from that dataclass.
+a default that a config dataclass owns is read from that dataclass. A run
+accepts only the settings it reads: a parameter with no default for the
+run (such as `epochs` for `pipeline --model gcn`) is an error when given
+and is left out of the manifest otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .tables import EmbeddingTables, load_matrix, save_matrix
 @dataclass(frozen=True)
 class Param:
     """One parameter; its config key is `dest`, else its name. A default of
-    None means: from the subcommand's config dataclasses, else unset. A
+    None means: from the subcommand's config dataclasses, else not read. A
     switch (`const` set) is a flag without a value that stores `const`."""
 
     type: type
@@ -49,7 +52,7 @@ PARAMS = {
     "kind": Param(str, "homogeneous", choices=tuple(SPLITS)),
     "model": Param(str, "deepwalk", choices=("deepwalk", "pte", "gcn")),
     "k": Param(int, 5, "number of facets K"),
-    "alpha": Param(float, help="NMF penalty and prior smoothing"),
+    "alpha": Param(float, 0.05, "NMF penalty"),
     "max_iters": Param(int, 500, "NMF iteration limit"),
     "tol": Param(float, 1e-5, "NMF relative tolerance"),
     "split": Param(str, help="held-out link split; default: by --kind",
@@ -147,10 +150,12 @@ def _coerce(path, key: str, text: str, param: Param):
 
 def resolve_params(args) -> dict:
     """Flags beat config-file entries beat defaults; a config-file key
-    that is not a parameter of the subcommand is a ValidationError."""
+    that is not a parameter of the subcommand is a ValidationError. A
+    parameter with a default neither in PARAMS nor from the command's
+    configs is one the run does not read: a ValidationError when given,
+    else left out."""
     cmd = COMMANDS[args.subcommand]
-    keys = {PARAMS[name].dest or name: PARAMS[name]
-            for name in cmd.params.split() + cmd.config_only.split()}
+    keys = {PARAMS[name].dest or name: PARAMS[name] for name in cmd.params.split()}
     config = parse_config_file(args.config) if args.config else {}
     unknown = sorted(config.keys() - keys.keys())
     if unknown:
@@ -164,9 +169,14 @@ def resolve_params(args) -> dict:
         if params[key] is None:
             params[key] = param.default
     defaults = (cmd.configs(params) if callable(cmd.configs)
-                else _field_defaults(*cmd.configs, facets.FacetPrior))
+                else _field_defaults(*cmd.configs))
+    unread = {key for key, param in keys.items()
+              if param.default is None and key not in defaults}
+    given = sorted(key for key in unread if params[key] is not None)
+    if given:
+        raise ValidationError(f"this run does not read {', '.join(given)}")
     return {key: defaults.get(key) if value is None else value
-            for key, value in params.items()}
+            for key, value in params.items() if key not in unread}
 
 
 def write_manifest(out_path, args, params: dict, **extra) -> None:
@@ -191,7 +201,7 @@ def _estimate_prior(kind: str, adj, params: dict):
                  seed=params["seed"])
     build = (facets.FacetPrior.from_factor if homogeneous
              else facets.FacetPrior.from_factors)
-    return build(*result.factors, alpha=params["alpha"]), result
+    return build(*result.factors), result
 
 
 def _files(kind: str, path) -> list[str]:
@@ -272,7 +282,7 @@ def cmd_walks(args, params) -> None:
 
 def cmd_train_deepwalk(args, params) -> None:
     g = graphmod.load_edge_list(args.input, kind="homogeneous")
-    prior = facets.load_prior(args.prior, alpha=params["alpha"])
+    prior = facets.load_prior(args.prior)
     corpus = walks.load_corpus(args.corpus)
     result = polydeepwalk.train(g, prior, corpus,
                                 _config(polydeepwalk.TrainConfig, params))
@@ -286,7 +296,7 @@ def cmd_train_deepwalk(args, params) -> None:
 
 def cmd_train_pte(args, params) -> None:
     g = graphmod.load_edge_list(args.input, kind="bipartite")
-    prior = facets.load_prior(*_files("bipartite", args.prior), alpha=params["alpha"])
+    prior = facets.load_prior(*_files("bipartite", args.prior))
     result = polypte.train_pte(g, prior, _config(polypte.PteConfig, params))
     _save("bipartite", args.out, result.tables.u, result.tables.h)
     print(f"wrote {args.out}.a / {args.out}.b "
@@ -296,7 +306,7 @@ def cmd_train_pte(args, params) -> None:
 
 def cmd_train_gcn(args, params) -> None:
     g = graphmod.load_edge_list(args.input, kind="bipartite")
-    prior = facets.load_prior(*_files("bipartite", args.prior), alpha=params["alpha"])
+    prior = facets.load_prior(*_files("bipartite", args.prior))
     fadj = polygcn.decompose_adjacency(g.adj, prior.p, prior.q)
     result = polygcn.train_gcn(g, fadj, _config(polygcn.GcnConfig, params))
     _save("bipartite", args.out, result.tables.u, result.tables.h)
@@ -307,7 +317,7 @@ def cmd_train_gcn(args, params) -> None:
 
 
 def cmd_embed(args, params) -> None:
-    prior = facets.load_prior(args.prior, alpha=params["alpha"])
+    prior = facets.load_prior(args.prior)
     u = load_matrix(args.emb, "N K D")
     joint = inference.concat(EmbeddingTables(u=u, h=np.zeros_like(u)), prior,
                              weighted=params["weighted"])
@@ -320,7 +330,7 @@ def cmd_eval_link(args, params) -> None:
     kind = "homogeneous" if params["mode"] == "homogeneous" else "bipartite"
     g = graphmod.load_edge_list(args.graph, kind=kind)
     test_edges = _load_test_edges(args.test, g)
-    prior = facets.load_prior(*_files(kind, args.prior), alpha=params["alpha"])
+    prior = facets.load_prior(*_files(kind, args.prior))
     u, *h = (load_matrix(file, "N K D") for file in _files(kind, args.emb))
     tables = EmbeddingTables(u=u, h=h[0] if h else np.zeros_like(u))
     report = evaluation.link_prediction_report(
@@ -348,13 +358,12 @@ def _pipeline_defaults(params: dict) -> dict:
     """The defaults `pipeline` has always run with, kept so that its outputs
     stay the same: TrainConfig's dim for every model and its negatives for
     both table trainers (PteConfig alone would give pte 30 and 30), the
-    rest from the model's own config, and the split the kind supports."""
-    model = {"deepwalk": (),
+    rest from the model's own configs, and the split the kind supports.
+    A parameter of another model has no default here, so it is not read."""
+    model = {"deepwalk": (polydeepwalk.TrainConfig, walks.WalkConfig),
              "pte": ((polydeepwalk.TrainConfig, "dim negatives"), polypte.PteConfig),
              "gcn": ((polydeepwalk.TrainConfig, "dim"), polygcn.GcnConfig)}
-    return dict(_field_defaults(*model[params["model"]], polydeepwalk.TrainConfig,
-                                walks.WalkConfig, polygcn.GcnConfig,
-                                facets.FacetPrior),
+    return dict(_field_defaults(*model[params["model"]]),
                 split=SPLITS[params["kind"]])
 
 
@@ -420,15 +429,15 @@ def cmd_pipeline(args, params) -> None:
 @dataclass(frozen=True)
 class Command:
     """A subcommand: its path flags (`[name]` optional), the parameters it
-    takes as flags and as config keys, the parameters it takes from
-    `--config` only, and the config dataclasses its defaults come from (or
-    a function of the parameters resolved so far that gives the defaults)."""
+    takes as flags and as config keys, and the config dataclasses its
+    defaults come from (or a function of the parameters resolved so far
+    that gives the defaults). A parameter without a default in PARAMS or
+    from `configs` is not read by the run, which then rejects it."""
 
     func: Callable
     help: str
     paths: str
     params: str
-    config_only: str = ""
     configs: tuple | Callable = ()
 
     def path_flags(self) -> list[tuple[str, bool]]:
@@ -440,35 +449,33 @@ COMMANDS = {
     "facets": Command(cmd_facets, "estimate node-facet priors via NMF",
                       "input out", "kind k alpha max_iters tol seed"),
     "walks": Command(cmd_walks, "generate a random-walk corpus", "input out",
-                     "walks_per_node walk_length window uniform seed",
-                     configs=(walks.WalkConfig,)),
+                     "walks_per_node walk_length uniform seed", (walks.WalkConfig,)),
     "train-deepwalk": Command(
         cmd_train_deepwalk, "train walk-based facet embeddings",
         "input prior corpus [export_context] out",
-        "dim negatives facet_rate epochs learning_rate window seed", "alpha",
+        "dim negatives facet_rate epochs learning_rate window seed",
         (polydeepwalk.TrainConfig,)),
     "train-pte": Command(
         cmd_train_pte, "train edge-sampling facet embeddings", "input prior out",
         "dim negatives facet_rate total_samples learning_rate facet_mode "
-        "weighted_edges seed", "alpha", (polypte.PteConfig,)),
+        "weighted_edges seed", (polypte.PteConfig,)),
     "train-gcn": Command(
         cmd_train_gcn, "train per-facet GCN encoders",
         "input prior [export_fadj] out",
         "dim depth iterations learning_rate negatives threshold neighbor_mode "
-        "seed", "alpha", (polygcn.GcnConfig,)),
+        "seed", (polygcn.GcnConfig,)),
     "embed": Command(cmd_embed, "export joint (concatenated) embeddings",
-                     "emb prior out", "plain", "alpha"),
+                     "emb prior out", "plain"),
     "eval-link": Command(cmd_eval_link, "held-out link prediction metrics",
-                         "graph test emb prior out",
-                         "mode num_negatives ks seed", "alpha"),
+                         "graph test emb prior out", "mode num_negatives ks seed"),
     "eval-class": Command(cmd_eval_class, "classification on joint embeddings",
                           "features labels out", "train_fraction no_shuffle seed"),
     "pipeline": Command(
         cmd_pipeline, "split, estimate facets, train and evaluate",
         "input [labels] workdir",
-        "kind model k dim alpha split walks_per_node walk_length window "
-        "negatives facet_rate epochs total_samples learning_rate iterations "
-        "depth num_negatives ks seed", "max_iters tol", _pipeline_defaults),
+        "kind model k dim alpha max_iters tol split walks_per_node walk_length "
+        "window negatives facet_rate epochs total_samples learning_rate "
+        "iterations depth num_negatives ks seed", _pipeline_defaults),
 }
 
 
@@ -485,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         for dest, required in cmd.path_flags():
             p.add_argument("--" + dest.replace("_", "-"), dest=dest,
                            required=required, help=PATHS[dest])
-        # every subcommand takes --seed, also embed, which draws nothing
-        for key in dict.fromkeys(["seed", *cmd.params.split()]):
+        for key in cmd.params.split():
             param = PARAMS[key]
             flag = "--" + key.replace("_", "-")
             if param.const is not None:

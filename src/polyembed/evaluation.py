@@ -34,30 +34,21 @@ class EvalReport:
     macro_f1: float | None = None
     metadata: dict = field(default_factory=dict)
 
+    def _metrics(self) -> list[tuple[str, str, float]]:
+        """(key, table name, value) of each metric present, in report order."""
+        rows = [(f"hr@{k}", f"HR@{k}", self.hr_at_k[k]) for k in sorted(self.hr_at_k)]
+        rows += [(key, name, value) for key, name, value in (
+            ("auc", "AUC", self.auc), ("micro_f1", "micro-F1", self.micro_f1),
+            ("macro_f1", "macro-F1", self.macro_f1)) if value is not None]
+        return rows
+
     def lines(self) -> list[str]:
-        out = []
-        for k in sorted(self.hr_at_k):
-            out.append(f"hr@{k}={self.hr_at_k[k]:.6f}")
-        if self.auc is not None:
-            out.append(f"auc={self.auc:.6f}")
-        if self.micro_f1 is not None:
-            out.append(f"micro_f1={self.micro_f1:.6f}")
-        if self.macro_f1 is not None:
-            out.append(f"macro_f1={self.macro_f1:.6f}")
-        for key in sorted(self.metadata):
-            out.append(f"{key}={self.metadata[key]}")
-        return out
+        return ([f"{key}={value:.6f}" for key, _, value in self._metrics()]
+                + [f"{key}={self.metadata[key]}" for key in sorted(self.metadata)])
 
     def table(self) -> str:
         rows = [("metric", "value")]
-        for k in sorted(self.hr_at_k):
-            rows.append((f"HR@{k}", f"{self.hr_at_k[k]:.4f}"))
-        if self.auc is not None:
-            rows.append(("AUC", f"{self.auc:.4f}"))
-        if self.micro_f1 is not None:
-            rows.append(("micro-F1", f"{self.micro_f1:.4f}"))
-        if self.macro_f1 is not None:
-            rows.append(("macro-F1", f"{self.macro_f1:.4f}"))
+        rows += [(name, f"{value:.4f}") for _, name, value in self._metrics()]
         width = max(len(r[0]) for r in rows)
         sep = "-" * (width + 12)
         body = "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
@@ -253,10 +244,9 @@ def _sigmoid(x):
 
 
 def classify(features: np.ndarray, labels: np.ndarray,
-             train_fraction: float = 0.8, seed: int = 0,
-             epochs: int = 200, l2: float = 1e-4, lr: float = 0.5,
-             shuffle: bool = False):
-    """One-vs-rest logistic regression on joint embeddings.
+             train_fraction: float = 0.8, seed: int = 0, shuffle: bool = False):
+    """One-vs-rest logistic regression on joint embeddings, fitted by 200
+    full-batch gradient steps of rate 0.5 with an L2 penalty of 1e-4.
 
     labels is a binary (N, C) indicator matrix. The split is positional
     (first `train_fraction` of the rows train) unless shuffle=True, which
@@ -290,10 +280,10 @@ def classify(features: np.ndarray, labels: np.ndarray,
     xt, yt = xs[train_idx], y[train_idx]
     w = np.zeros((xs.shape[1], y.shape[1]))
     m = len(train_idx)
-    for _ in range(epochs):
+    for _ in range(200):
         p = _sigmoid(xt @ w)
-        grad = xt.T @ (p - yt) / m + l2 * w
-        w -= lr * grad
+        grad = xt.T @ (p - yt) / m + 1e-4 * w
+        w -= 0.5 * grad
 
     scores = xs[test_idx] @ w
     y_test = y[test_idx]

@@ -32,7 +32,6 @@ class FacetPrior:
 
     p: np.ndarray                 # (N, K) nonnegative factor
     dist: np.ndarray              # (N, K) row-stochastic
-    alpha: float = 0.05
     q: np.ndarray | None = None   # (M, K)
     dist_b: np.ndarray | None = None
 
@@ -40,36 +39,26 @@ class FacetPrior:
     def k(self) -> int:
         return self.p.shape[1]
 
-    @property
-    def num_nodes(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def bipartite(self) -> bool:
-        return self.q is not None
-
     @classmethod
-    def from_factor(cls, p, alpha=0.05):
+    def from_factor(cls, p):
         p = np.asarray(p, dtype=np.float64)
-        return cls(p=p, dist=normalize_prior(p), alpha=alpha)
+        return cls(p=p, dist=normalize_prior(p))
 
     @classmethod
-    def from_factors(cls, p, q, alpha=0.05):
+    def from_factors(cls, p, q):
         p = np.asarray(p, dtype=np.float64)
         q = np.asarray(q, dtype=np.float64)
         if p.shape[1] != q.shape[1]:
             raise ValidationError("P and Q must share the facet dimension")
-        return cls(p=p, dist=normalize_prior(p), alpha=alpha,
-                   q=q, dist_b=normalize_prior(q))
+        return cls(p=p, dist=normalize_prior(p), q=q, dist_b=normalize_prior(q))
 
     @classmethod
-    def uniform(cls, num_nodes, k=1, num_b=None, alpha=0.05):
+    def uniform(cls, num_nodes, k=1, num_b=None):
         """Maximum-uncertainty prior; the K=1 case is the single-facet model."""
         p = np.ones((num_nodes, k))
-        q = np.ones((num_b, k)) if num_b is not None else None
-        if q is None:
-            return cls.from_factor(p, alpha=alpha)
-        return cls.from_factors(p, q, alpha=alpha)
+        if num_b is None:
+            return cls.from_factor(p)
+        return cls.from_factors(p, np.ones((num_b, k)))
 
 
 class NmfResult(NamedTuple):
@@ -236,12 +225,12 @@ def entropy(dist) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def load_prior(path, path_b=None, alpha=0.05) -> FacetPrior:
+def load_prior(path, path_b=None) -> FacetPrior:
     """Assemble a FacetPrior from one (homogeneous) or two (bipartite)
     prior files (`tables.load_matrix` layout "N K"); rows are renormalized
     on load."""
     p = normalize_prior(load_matrix(path, "N K"))
     if path_b is None:
-        return FacetPrior.from_factor(p, alpha=alpha)
+        return FacetPrior.from_factor(p)
     q = normalize_prior(load_matrix(path_b, "N K"))
-    return FacetPrior.from_factors(p, q, alpha=alpha)
+    return FacetPrior.from_factors(p, q)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -45,7 +46,7 @@ class Graph:
     adj: sparse.csr_matrix        # num_nodes x num_nodes, symmetric
     node_labels: list[str] | None = None
 
-    kind: str = "homogeneous"
+    kind: ClassVar[str] = "homogeneous"
 
     @property
     def num_edges(self) -> int:
@@ -66,7 +67,7 @@ class BipartiteGraph:
     a_labels: list[str] | None = None
     b_labels: list[str] | None = None
 
-    kind: str = "bipartite"
+    kind: ClassVar[str] = "bipartite"
 
     @property
     def num_edges(self) -> int:

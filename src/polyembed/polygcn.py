@@ -40,9 +40,6 @@ class FacetAdjacency:
     def shape(self):
         return self.mats[0].shape
 
-    def total(self) -> sparse.csr_array:
-        return sum(self.mats[1:], self.mats[0])
-
 
 def decompose_adjacency(a, p, q) -> FacetAdjacency:
     """Split A (dense or sparse) into per-facet CSR matrices, visiting only

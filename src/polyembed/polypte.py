@@ -25,6 +25,8 @@ from .facets import FacetPrior
 from .sgd import NegativeSampler
 from .tables import EmbeddingTables
 
+TRACE_POINTS = 10   # loss-trace buckets per run
+
 
 @dataclass(frozen=True)
 class PteConfig:
@@ -36,7 +38,6 @@ class PteConfig:
     seed: int = 0
     facet_mode: str = "observation"    # "observation" | "min"
     weighted_edges: bool = False
-    trace_points: int = 10
 
     def __post_init__(self):
         if self.dim < 1:
@@ -96,9 +97,10 @@ def _decode_chunk(bipartite, prior, sampler, rng, config, facet_rate, start,
     per_round = sgd.uniforms_per_round(1, prior.k, config.negatives)
     edge = np.empty(count, dtype=np.int64)
     uniforms = np.empty((count, facet_rate * per_round))
+    num_edges = bipartite.num_edges
     for s in range(count):
         edge[s] = (edge_alias.sample(rng) if edge_alias is not None
-                   else rng.integers(bipartite.num_edges))
+                   else rng.integers(num_edges))
         rng.random(out=uniforms[s])
     a, b = bipartite.edges[edge, 0], bipartite.edges[edge, 1]
     return sgd.decode(uniforms.ravel(), a, b[:, None], prior.dist, prior.dist_b,
@@ -112,7 +114,7 @@ def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
 
     Bit-reproducible for a fixed seed. `hook(step, tables)`, when given,
     runs after every update. The loss trace holds the mean loss of
-    consecutive buckets of about total/trace_points steps.
+    consecutive buckets of about total/TRACE_POINTS steps.
     """
     if prior.dist_b is None:
         raise ValidationError("PTE training needs a bipartite prior (P and Q)")
@@ -132,7 +134,7 @@ def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
     steps_total = total * facet_rate
     engine = sgd.Engine(bipartite.num_a, bipartite.num_b, prior.k, config.dim,
                         config.seed, config.learning_rate, steps_total,
-                        max(1, steps_total // max(config.trace_points, 1)), hook)
+                        max(1, steps_total // TRACE_POINTS), hook)
     for start in range(0, total, sgd.CHUNK):
         engine.apply(_decode_chunk(bipartite, prior, sampler, engine.rng, config,
                                    facet_rate, start, min(sgd.CHUNK, total - start),

@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CapacityError, NumericsError, ValidationError
 from .facets import conditional_distribution, sample_facets
@@ -83,11 +82,11 @@ class NegativeSampler:
     """Draws (node, facet) negatives: node from counts**0.75, facet from
     that node's prior distribution."""
 
-    def __init__(self, counts, facet_dist, power: float = 0.75):
+    def __init__(self, counts, facet_dist):
         counts = np.asarray(counts, dtype=np.float64)
         if counts.shape[0] != facet_dist.shape[0]:
             raise ValidationError("counts and prior disagree on node count")
-        weights = counts ** power
+        weights = counts ** 0.75
         if weights.sum() <= 0:
             raise ValidationError("negative sampler needs a nonzero count vector")
         self.cdf = np.cumsum(weights)
@@ -171,6 +170,12 @@ def decode(uniforms, target, context, dist, dist_context, facet_rate: int,
                  nodes * k + facets, first + owner)
 
 
+def _logsumexp(x) -> float:
+    """log(sum(exp(x))), shifted by the maximum so that no term overflows."""
+    top = x.max()
+    return float(top + np.log(np.exp(x - top).sum()))
+
+
 def jensen_bound(target: int, contexts, dist, dist_context,
                  tables: EmbeddingTables, mode: str, enumeration_cap=None):
     """Exact facet-marginal log-likelihood of one observation and its
@@ -191,7 +196,7 @@ def jensen_bound(target: int, contexts, dist, dist_context,
                 for j in contexts]
 
     u_t, flat_h = tables.u[target], tables.h.reshape(-1, tables.dim)
-    log_z = np.array([logsumexp(flat_h @ u_t[kt]) for kt in range(k)])
+    log_z = np.array([_logsumexp(flat_h @ u_t[kt]) for kt in range(k)])
     log_ps_terms, log_po_terms = [], []
     for kt, *kctx in itertools.product(range(k), repeat=positions):
         ps = cond_target[kt]
@@ -203,7 +208,7 @@ def jensen_bound(target: int, contexts, dist, dist_context,
         log_po_terms.append(sum(float(tables.h[j, kj] @ u_t[kt]) - log_z[kt]
                                 for j, kj in zip(contexts, kctx)))
     log_ps, log_po = np.array(log_ps_terms), np.array(log_po_terms)
-    return float(logsumexp(log_ps + log_po)), float(np.exp(log_ps) @ log_po)
+    return _logsumexp(log_ps + log_po), float(np.exp(log_ps) @ log_po)
 
 
 def _cache_dir() -> Path:

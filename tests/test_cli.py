@@ -210,10 +210,11 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys, sbm_file):
     assert not (tmp_path / "p").exists()
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats alone takes about half a second to import
+def test_cli_import_leaves_out_scipy_stats_and_special():
+    # scipy.stats alone takes about half a second to import, scipy.special
+    # about a tenth
     code = ("import sys, polyembed.cli; "
-            "sys.exit('scipy.stats' in sys.modules)")
+            "sys.exit('scipy.stats' in sys.modules or 'scipy.special' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -285,6 +286,23 @@ def test_manifest_records_the_values_that_ran(tmp_path, sbm_file, bipartite_file
     for run, lines in expected.items():
         manifest = (tmp_path / f"{run}.report.manifest").read_text().splitlines()
         assert set(lines) <= set(manifest), run
+    # a parameter the model does not read is left out
+    gcn = (tmp_path / "gcn.report.manifest").read_text()
+    assert "\nepochs=" not in gcn and "\nwindow=" not in gcn
+
+
+def test_pipeline_rejects_the_parameters_of_another_model(tmp_path, capsys,
+                                                         bipartite_file):
+    config = tmp_path / "c.cfg"
+    config.write_text("walk_length=4\n")
+    gcn = ["pipeline", "--input", str(bipartite_file), "--kind", "bipartite",
+           "--model", "gcn", "--workdir", str(tmp_path / "gcn")]
+    for extra, name in ((["--epochs", "3"], "epochs"),
+                        (["--config", str(config)], "walk_length")):
+        assert cli.run(gcn + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+    assert not list(tmp_path.glob("gcn*"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -469,37 +487,37 @@ def test_graph_over_the_dense_guard_runs_sparse(tmp_path):
     assert load_matrix(tmp_path / "wide.emb.b", "N K D").shape == (num_b, 2, 2)
 
 
-# Every long flag and every config key of each subcommand. `--config` and
-# `--seed` are on every subcommand; `seed` is a config key of all but embed.
+# Every long flag (besides `--config`, which every subcommand has) and every
+# config key of each subcommand.
 CLI_SURFACE = {
-    "facets": ("--input --kind --k --alpha --max-iters --tol --out",
+    "facets": ("--input --kind --k --alpha --max-iters --tol --seed --out",
                "kind k alpha max_iters tol seed"),
-    "walks": ("--input --walks-per-node --walk-length --window --uniform --out",
-              "walks_per_node walk_length window weighted seed"),
+    "walks": ("--input --walks-per-node --walk-length --uniform --seed --out",
+              "walks_per_node walk_length weighted seed"),
     "train-deepwalk": (
         "--input --prior --corpus --dim --negatives --facet-rate --epochs "
-        "--learning-rate --window --export-context --out",
-        "dim negatives facet_rate epochs learning_rate window alpha seed"),
+        "--learning-rate --window --seed --export-context --out",
+        "dim negatives facet_rate epochs learning_rate window seed"),
     "train-pte": (
         "--input --prior --dim --negatives --facet-rate --total-samples "
-        "--learning-rate --facet-mode --weighted-edges --out",
+        "--learning-rate --facet-mode --weighted-edges --seed --out",
         "dim negatives facet_rate total_samples learning_rate facet_mode "
-        "weighted_edges alpha seed"),
+        "weighted_edges seed"),
     "train-gcn": (
         "--input --prior --dim --depth --iterations --learning-rate --negatives "
-        "--threshold --neighbor-mode --export-fadj --out",
+        "--threshold --neighbor-mode --seed --export-fadj --out",
         "dim depth iterations learning_rate negatives threshold neighbor_mode "
-        "alpha seed"),
-    "embed": ("--emb --prior --plain --out", "weighted alpha"),
-    "eval-link": ("--graph --test --emb --prior --mode --num-negatives --ks --out",
-                  "mode num_negatives ks alpha seed"),
-    "eval-class": ("--features --labels --train-fraction --no-shuffle --out",
+        "seed"),
+    "embed": ("--emb --prior --plain --out", "weighted"),
+    "eval-link": ("--graph --test --emb --prior --mode --num-negatives --ks "
+                  "--seed --out", "mode num_negatives ks seed"),
+    "eval-class": ("--features --labels --train-fraction --no-shuffle --seed --out",
                    "train_fraction shuffle seed"),
     "pipeline": (
-        "--input --kind --model --k --dim --alpha --split --walks-per-node "
-        "--walk-length --window --negatives --facet-rate --epochs "
-        "--total-samples --learning-rate --iterations --depth --num-negatives "
-        "--ks --labels --workdir",
+        "--input --kind --model --k --dim --alpha --max-iters --tol --split "
+        "--walks-per-node --walk-length --window --negatives --facet-rate "
+        "--epochs --total-samples --learning-rate --iterations --depth "
+        "--num-negatives --ks --seed --labels --workdir",
         "kind model k dim alpha max_iters tol walks_per_node walk_length window "
         "negatives facet_rate epochs total_samples learning_rate iterations "
         "depth num_negatives ks split seed"),
@@ -516,7 +534,7 @@ def test_cli_surface_is_pinned(tmp_path, capsys):
         actions = subparsers[name]._actions
         long_flags = {s for a in actions for s in a.option_strings
                       if s.startswith("--")}
-        assert long_flags == set(flags.split()) | {"--config", "--seed", "--help"}
+        assert long_flags == set(flags.split()) | {"--config", "--help"}
         # the unknown-key error names exactly the keys the subcommand lacks
         argv = [name, "--config", str(config)]
         argv += [s for a in actions if a.required for s in (a.option_strings[0], "x")]
@@ -524,3 +542,129 @@ def test_cli_surface_is_pinned(tmp_path, capsys):
         err = capsys.readouterr().err
         unknown = set(err.split("unknown config key(s) ", 1)[1].strip().split(", "))
         assert every_key - unknown == set(keys.split()), name
+
+
+# ------------------------------------------------------------ settings sweep
+
+# The changed value of each parameter that takes a number or text. A switch
+# is given bare, and a parameter with choices takes the choice after the one
+# the base run used, as its manifest records it.
+CHANGED = {"k": 3, "alpha": 0.5, "max_iters": 3, "tol": 0.1, "walks_per_node": 3,
+           "walk_length": 5, "window": 3, "dim": 4, "negatives": 3,
+           "facet_rate": 2, "epochs": 2, "total_samples": 300,
+           "learning_rate": 0.05, "depth": 1, "iterations": 4, "threshold": 0.3,
+           "num_negatives": 6, "ks": "2", "train_fraction": 0.6, "seed": 1}
+# settings that these subcommands took and never read; they must stay rejected
+DROPPED = [("walks", "window"), ("embed", "seed")] + [
+    (name, "alpha") for name in ("train-deepwalk", "train-pte", "train-gcn",
+                                 "embed", "eval-link")]
+SMALL = ["--k", "2", "--dim", "3", "--negatives", "2", "--num-negatives", "5",
+         "--ks", "3"]
+SWEEP_RUNS = {
+    "facets": ["facets", "--input", "g.edges", "--k", "2"],
+    "walks": ["walks", "--input", "g.edges", "--walks-per-node", "2",
+              "--walk-length", "4"],
+    "train-deepwalk": ["train-deepwalk", "--input", "g.edges", "--prior", "g.prior",
+                       "--corpus", "g.walks", "--dim", "3", "--negatives", "2",
+                       "--epochs", "1", "--window", "2"],
+    "train-pte": ["train-pte", "--input", "b.edges", "--prior", "b.prior",
+                  "--dim", "3", "--negatives", "2", "--total-samples", "200"],
+    "train-gcn": ["train-gcn", "--input", "b.edges", "--prior", "b.prior",
+                  "--dim", "3", "--iterations", "3"],
+    "embed": ["embed", "--emb", "g.emb", "--prior", "g.prior"],
+    "eval-link": ["eval-link", "--graph", "w.train.edges", "--test", "w.test.edges",
+                  "--emb", "w.emb", "--prior", "w.prior", "--mode", "cross",
+                  "--num-negatives", "5", "--ks", "3"],
+    "eval-class": ["eval-class", "--features", "g.joint", "--labels", "g.labels"],
+    "pipeline-deepwalk": ["pipeline", "--input", "g.edges", "--model", "deepwalk",
+                          *SMALL, "--walks-per-node", "2", "--walk-length", "4",
+                          "--window", "2", "--epochs", "1"],
+    "pipeline-pte": ["pipeline", "--input", "b.edges", "--kind", "bipartite",
+                     "--model", "pte", *SMALL, "--total-samples", "200"],
+    "pipeline-gcn": ["pipeline", "--input", "b.edges", "--kind", "bipartite",
+                     "--model", "gcn", *SMALL, "--iterations", "3"],
+}
+SWEEP_CASES = [pytest.param(run, key, id=f"{run}-{key}")
+               for run, argv in SWEEP_RUNS.items()
+               for key in dict.fromkeys(cli.COMMANDS[argv[0]].params.split()
+                                        + [k for n, k in DROPPED if n == argv[0]])]
+
+
+PATH_FLAGS = {"--input", "--prior", "--corpus", "--emb", "--graph", "--test",
+              "--features", "--labels", "--out", "--workdir"}
+
+
+def in_dir(argv, d):
+    """`argv` with the value of each path flag taken as a name in `d`."""
+    return [str(d / a) if i and argv[i - 1] in PATH_FLAGS else a
+            for i, a in enumerate(argv)]
+
+
+def out_flag(argv):
+    return "--workdir" if argv[0] == "pipeline" else "--out"
+
+
+def outputs(argv):
+    """Exit code of `argv`, then the bytes of each file under its output
+    prefix but the manifest, and the manifest as a dict."""
+    code = cli.run(argv)
+    prefix = Path(argv[argv.index(out_flag(argv)) + 1])
+    files = {p.name[len(prefix.name):]: p.read_bytes()
+             for p in prefix.parent.glob(prefix.name + "*")}
+    manifest = files.pop((".report" if argv[0] == "pipeline" else "") + ".manifest",
+                         b"").decode()
+    return code, files, dict(line.split("=", 1) for line in manifest.splitlines())
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """The directory of the small weighted fixtures the sweep runs on, and
+    the outputs of each base run, computed once."""
+    d = tmp_path_factory.mktemp("sweep")
+    rng = np.random.default_rng(3)
+    for name, offset in (("g.edges", 1), ("b.edges", 0)):
+        (d / name).write_text("".join(
+            f"{i} {j} {rng.integers(1, 4)}\n" for i in range(20)
+            for j in range(i + offset, 20)
+            if rng.random() < (0.5 if (i < 10) == (j < 10) else 0.05)))
+    (d / "g.labels").write_text("".join(f"{i} {'xy'[i >= 10]}\n" for i in range(20)))
+    for argv in (SWEEP_RUNS["facets"] + ["--out", "g.prior"],
+                 ["facets", "--input", "b.edges", "--kind", "bipartite", "--k", "2",
+                  "--out", "b.prior"],
+                 SWEEP_RUNS["walks"] + ["--out", "g.walks"],
+                 SWEEP_RUNS["train-deepwalk"] + ["--out", "g.emb"],
+                 SWEEP_RUNS["embed"] + ["--out", "g.joint"],
+                 SWEEP_RUNS["pipeline-pte"] + ["--workdir", "w"]):
+        assert cli.run(in_dir(argv, d)) == 0
+    base = {run: outputs(in_dir(argv + [out_flag(argv), f"base-{run}"], d))
+            for run, argv in SWEEP_RUNS.items()}
+    return d, base
+
+
+@pytest.mark.parametrize("run, key", SWEEP_CASES)
+def test_every_parameter_changes_the_run(tmp_path, capsys, sweep, run, key):
+    """Every setting a run accepts changes an output byte or is rejected."""
+    d, base = sweep
+    code, files, manifest = base[run]
+    assert code == 0 and files
+    argv = SWEEP_RUNS[run]
+    param = cli.PARAMS[key]
+    if param.const is not None:
+        value = param.const
+    elif param.choices:
+        used = manifest.get(key, param.choices[-1])
+        value = param.choices[(param.choices.index(used) + 1) % len(param.choices)]
+    else:
+        value = CHANGED[key]
+        assert str(value) != manifest.get(key)
+    flag = "--" + key.replace("_", "-")
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    if flag in subparsers[argv[0]]._option_string_actions:
+        change = [flag] if param.const is not None else [flag, str(value)]
+    else:
+        (tmp_path / "c.cfg").write_text(f"{param.dest or key}={value}\n")
+        change = ["--config", str(tmp_path / "c.cfg")]
+    changed_code, changed_files, _ = outputs(
+        in_dir(argv, d) + change + [out_flag(argv), str(tmp_path / "o")])
+    capsys.readouterr()
+    assert changed_code == 1 or (changed_code == 0 and changed_files != files)

@@ -243,5 +243,5 @@ def test_load_prior_bipartite(tmp_path):
     save_matrix(tmp_path / "pr.a", p)
     save_matrix(tmp_path / "pr.b", q)
     prior = facets.load_prior(tmp_path / "pr.a", tmp_path / "pr.b")
-    assert prior.bipartite
+    assert prior.q is not None
     assert np.allclose(prior.dist, p) and np.allclose(prior.dist_b, q)

@@ -87,7 +87,7 @@ def test_pte_matches_per_step_trainer(chunk, k, mode, weighted,
     assert np.array_equal(result.tables.u, ref_tables.u)
     assert np.array_equal(result.tables.h, ref_tables.h)
     assert steps == ref_steps
-    expected = bucket_means(ref_losses, config.trace_points)
+    expected = bucket_means(ref_losses, polypte.TRACE_POINTS)
     assert len(result.loss_trace) == len(expected)
     np.testing.assert_allclose(result.loss_trace, expected, rtol=1e-12, atol=0)
 

@@ -91,7 +91,7 @@ def test_save_rejects_a_vector():
 
 def test_asymmetric_context_count():
     t = init_tables(3, 2, 4, seed=0, num_context=7)
-    assert t.num_target == 3 and t.num_context == 7
+    assert t.u.shape[0] == 3 and t.num_context == 7
 
 
 def test_check_finite():
