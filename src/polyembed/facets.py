@@ -213,7 +213,11 @@ def conditional_distribution(p_v, p_o, mode: str = "min") -> np.ndarray:
 def sample_facets(dist, u) -> np.ndarray:
     """Inverse-CDF facet draws, one per distribution along the last axis of
     `dist`, from uniforms `u` shaped like `dist` without that axis."""
-    cdf = np.cumsum(dist, axis=-1)
+    return facets_from_cdf(np.cumsum(dist, axis=-1), u)
+
+
+def facets_from_cdf(cdf, u) -> np.ndarray:
+    """`sample_facets` given the cumulative sums of the distributions."""
     below = cdf <= (u * cdf[..., -1])[..., None]
     return np.minimum(below.sum(axis=-1), cdf.shape[-1] - 1)
 

@@ -60,34 +60,45 @@ class TrainResult(NamedTuple):
 
 
 def _observations(corpus, num_nodes: int, window: int):
-    """The corpus as one flat array, each walk framed by at least `window`
-    -1 pads on either side, and the index in it of every observation's
-    center, in `walks.sliding_windows` order."""
-    lengths = np.array([len(w) for w in corpus])
-    padded = np.full((len(corpus), lengths.max() + 2 * window), -1, dtype=np.int64)
-    for r, walk in enumerate(corpus):
-        padded[r, window:window + len(walk)] = walk
-    if padded.max() >= num_nodes or (padded >= 0).sum() != lengths.sum():
+    """The corpus framed as one flat array, walk after walk with one run of
+    `window` -1 pads before each walk and after the last, and the index in
+    it of every observation's center, in `walks.sliding_windows` order.
+    The ids are int32 when every node id fits."""
+    corpus = np.asarray(corpus)
+    if (corpus.ndim != 2 or not corpus.size
+            or not np.issubdtype(corpus.dtype, np.integer)):
+        raise ValidationError("corpus must be a nonempty integer matrix")
+    present = corpus >= 0
+    if corpus.max() >= num_nodes or corpus.min() < -1:
         raise ValidationError("corpus node id out of range")
+    if (present[:, 1:] > present[:, :-1]).any():
+        raise ValidationError("corpus -1 pads must follow each walk")
+    rows, width = len(corpus), window + corpus.shape[1]
+    flat = np.full(rows * width + window, -1,
+                   dtype=np.int32 if num_nodes < 2**31 else np.int64)
+    framed = flat[:rows * width].reshape(rows, width)
+    framed[:, window:] = corpus
     # a one-node walk has no context, so it yields no observation
-    return padded.ravel(), np.flatnonzero((padded >= 0) & (lengths >= 2)[:, None])
+    return flat, np.flatnonzero((framed >= 0) & (present.sum(axis=1) >= 2)[:, None])
 
 
 def _decode_chunk(flat, at, offsets, first, dist, sampler, rng, facet_rate,
                   negatives):
     """Draw the uniforms of the observations centred at `at` (numbered
     from `first`) in one call and decode their steps."""
-    ctx = flat[at[:, None] + offsets]
+    ctx = flat[at[:, None] + offsets].astype(np.int64)
     per_round = sgd.uniforms_per_round((ctx >= 0).sum(axis=1), dist.shape[1],
                                        negatives)
-    return sgd.decode(rng.random(int(facet_rate * per_round.sum())), flat[at],
+    return sgd.decode(rng.random(int(facet_rate * per_round.sum())),
+                      flat[at].astype(np.int64),
                       ctx, dist, dist, facet_rate, "min", first, sampler,
                       negatives)
 
 
 def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
           hook: Callable | None = None) -> TrainResult:
-    """Run the facet-sampled negative-sampling trainer over a walk corpus.
+    """Run the facet-sampled negative-sampling trainer over a walk corpus:
+    an int matrix with one walk per row, -1 pads after a shorter walk.
 
     Bit-reproducible for a fixed seed. `hook(step, tables)`, when given,
     runs after every update.
@@ -95,8 +106,6 @@ def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
     n = graph.num_nodes
     if prior.dist.shape[0] != n:
         raise ValidationError("prior row count differs from graph size")
-    if not corpus:
-        raise ValidationError("empty corpus")
     flat, centers = _observations(corpus, n, config.window)
     if not len(centers):
         raise ValidationError("corpus yields no observations")

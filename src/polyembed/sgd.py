@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CapacityError, NumericsError, ValidationError
-from .facets import conditional_distribution, sample_facets
+from .facets import conditional_distribution, facets_from_cdf, sample_facets
 from .tables import EmbeddingTables, init_tables
 
 LR_FLOOR_RATIO = 1e-4
@@ -90,7 +90,9 @@ class NegativeSampler:
         if weights.sum() <= 0:
             raise ValidationError("negative sampler needs a nonzero count vector")
         self.cdf = np.cumsum(weights)
-        self.facet_dist = facet_dist
+        # each node's facet CDF, summed once: gathering its rows gives the
+        # sums that summing the gathered prior rows would
+        self.facet_cdf = np.cumsum(facet_dist, axis=1)
         self.k = facet_dist.shape[1]
 
     def decode(self, u_nodes, u_facets=None):
@@ -100,7 +102,7 @@ class NegativeSampler:
                                            side="right"), len(self.cdf) - 1)
         if self.k == 1:
             return nodes, np.zeros_like(nodes)
-        return nodes, sample_facets(self.facet_dist[nodes], u_facets)
+        return nodes, facets_from_cdf(self.facet_cdf[nodes], u_facets)
 
 
 def uniforms_per_round(contexts, k: int, negatives: int):

@@ -1,9 +1,10 @@
 """Shared fixtures: planted graphs, reference implementations, oracles.
 
-The reference trainers here re-implement classic (single-vector)
-skip-gram and edge-sampling training with explicit loops, consuming
-randomness in the documented order, so the facet trainers can be checked
-step-for-step against them at K=1. The per-step facet trainers check the
+The reference walk generator takes one step at a time; the vectorised
+generator must reproduce its walks exactly. The reference trainers
+re-implement classic (single-vector) skip-gram and edge-sampling training
+with explicit loops, consuming randomness in the documented order, so the
+facet trainers can be checked step-for-step against them at K=1. The per-step facet trainers check the
 decode-then-update engine exactly at any K. The per-edge PolyGCN loss
 checks the sparse pair-coefficient gradient within 1e-12 relative.
 """
@@ -77,6 +78,59 @@ def triangle():
     return graphmod.from_edges([(0, 1), (1, 2), (0, 2)])
 
 
+# ------------------------------------------------------- reference walks
+
+def reference_walks(g, config):
+    """Random walks one step at a time: the scalar loop that
+    `walks.generate_walks` must reproduce. Weighted walks start from the
+    nodes whose row weights add up to more than 0, uniform walks from every
+    node with an edge; a walk stops at a node without neighbors. Returns
+    the walks as lists, pass-major."""
+    adj = g.adj
+    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    cumw = np.cumsum(data)
+    row_offset = np.concatenate([[0.0], cumw])[indptr]
+
+    def total(v):
+        lo, hi = indptr[v], indptr[v + 1]
+        return cumw[hi - 1] - row_offset[v] if lo < hi else 0.0
+
+    starts = [v for v in range(g.num_nodes)
+              if (total(v) > 0 if config.weighted else indptr[v] < indptr[v + 1])]
+
+    def walks_for(v):
+        rng = np.random.default_rng(config.seed ^ v)
+        out = []
+        for _ in range(config.walks_per_node):
+            walk = [v]
+            cur = v
+            for _ in range(config.walk_length - 1):
+                lo, hi = indptr[cur], indptr[cur + 1]
+                if lo == hi:
+                    break
+                if config.weighted:
+                    u = rng.random() * total(cur)
+                    step = np.searchsorted(cumw[lo:hi] - row_offset[cur], u,
+                                           side="right")
+                    assert step < hi - lo, "weighted step left its row"
+                    cur = int(indices[lo + step])
+                else:
+                    cur = int(indices[lo + rng.integers(hi - lo)])
+                walk.append(cur)
+            out.append(walk)
+        return out
+
+    per_node = [walks_for(v) for v in starts]
+    return [per_node[i][r]
+            for r in range(config.walks_per_node)
+            for i in range(len(starts))]
+
+
+def walk_lists(corpus):
+    """The walks of a -1-padded corpus matrix as lists, pads stripped."""
+    return [[v for v in row if v >= 0] for row in np.asarray(corpus).tolist()]
+
+
 # ------------------------------------------------------- reference trainers
 
 def reference_sgns_train(g, corpus, dim, negatives, epochs, learning_rate,
@@ -94,6 +148,7 @@ def reference_sgns_train(g, corpus, dim, negatives, epochs, learning_rate,
     h = np.zeros((n, 1, dim))
     rng = np.random.default_rng(train_ss)
 
+    corpus = walk_lists(corpus)
     counts = np.zeros(n)
     for walk in corpus:
         for v in walk:
@@ -207,6 +262,7 @@ def reference_polydeepwalk(g, prior, corpus, config, hook=None):
     """PolyDeepWalk with facet draws, negatives and updates interleaved
     step by step. Returns (tables, epoch_losses, per-step losses)."""
     n = g.num_nodes
+    corpus = walk_lists(corpus)
     obs_list = []
     for walk in corpus:
         obs_list.extend(sliding_windows(walk, config.window))

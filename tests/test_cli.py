@@ -74,7 +74,7 @@ def test_walks_and_train_and_embed_round_trip(tmp_path, sbm_file):
     run_ok(["embed", "--emb", str(emb_path), "--prior", str(prior_path),
             "--out", str(joint_path)])
     corpus = walks.load_corpus(corpus_path)
-    assert corpus and all(len(w) <= 6 for w in corpus)
+    assert len(corpus) and corpus.shape[1] <= 6
     table = load_matrix(emb_path, "N K D")
     assert table.shape == (24, 2, 6)
     joint = load_matrix(joint_path, "N KD")
@@ -380,6 +380,11 @@ MALFORMED = {
     "corpus-token": (
         {"g.edges": "0 1\n1 2\n", "p.prior": "3 1\n0 1\n1 1\n2 1\n",
          "c.walks": "0 1 2\n1 q\n"},
+        ["train-deepwalk", "--input", "g.edges", "--prior", "p.prior",
+         "--corpus", "c.walks", "--out", "out"], "c.walks line 2"),
+    "corpus-negative-id": (
+        {"g.edges": "0 1\n1 2\n", "p.prior": "3 1\n0 1\n1 1\n2 1\n",
+         "c.walks": "0 1 2\n1 -1\n"},
         ["train-deepwalk", "--input", "g.edges", "--prior", "p.prior",
          "--corpus", "c.walks", "--out", "out"], "c.walks line 2"),
     "joint-field": (

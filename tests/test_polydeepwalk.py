@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 from conftest import (finite_difference, make_two_cliques, reference_sgns_train,
-                      rel_error)
+                      rel_error, walk_lists)
 
 from polyembed import facets, graph, polydeepwalk as pdw, sgd, walks
 from polyembed.errors import CapacityError, NumericsError, ValidationError
 from polyembed.tables import init_tables
-from polyembed.walks import Observation, WalkConfig
+from polyembed.walks import Observation, WalkConfig, sliding_windows
 
 
 def random_prior(n, k, seed):
@@ -232,6 +232,45 @@ def test_train_validates_inputs(clique_setup):
     short = facets.FacetPrior.uniform(g.num_nodes - 1, 2)
     with pytest.raises(ValidationError):
         pdw.train(g, short, corpus, pdw.TrainConfig())
+
+
+def test_train_rejects_pads_inside_a_walk_and_other_negative_ids(clique_setup):
+    g, prior, corpus = clique_setup
+    config = pdw.TrainConfig(dim=4, epochs=1, window=3)
+    gap, below = corpus.copy(), corpus.copy()
+    gap[0, 2] = -1
+    below[0, -1] = -2
+    with pytest.raises(ValidationError, match="pads"):
+        pdw.train(g, prior, gap, config)
+    with pytest.raises(ValidationError, match="out of range"):
+        pdw.train(g, prior, below, config)
+
+
+@pytest.mark.parametrize("window", [1, 2, 6])
+def test_observations_frame_ragged_walks_as_sliding_windows(window):
+    corpus = np.array([[0, 1, 2, 3, 4], [5, 6, -1, -1, -1], [7, -1, -1, -1, -1],
+                       [1, 2, 3, -1, -1], [4, 4, 4, 4, 0]])
+    flat, centers = pdw._observations(corpus, 8, window)
+    assert flat.dtype == np.int32
+    offsets = np.r_[-window:0, 1:window + 1]
+    got = [Observation(int(flat[c]), tuple(int(v) for v in flat[c + offsets]
+                                           if v >= 0)) for c in centers]
+    assert got == [o for walk in walk_lists(corpus)
+                   for o in sliding_windows(walk, window)]
+
+
+def test_decode_sees_int64_ids_from_an_int32_frame(clique_setup, monkeypatch):
+    """node * K + facet must not wrap around in int32."""
+    g, prior, corpus = clique_setup
+    dtypes, decode = set(), sgd.decode
+
+    def spy(uniforms, target, context, *rest):
+        dtypes.add((target.dtype, context.dtype))
+        return decode(uniforms, target, context, *rest)
+
+    monkeypatch.setattr(sgd, "decode", spy)
+    pdw.train(g, prior, corpus, pdw.TrainConfig(dim=4, epochs=1, window=3))
+    assert dtypes == {(np.dtype(np.int64), np.dtype(np.int64))}
 
 
 # ------------------------------------------------------ exact objective

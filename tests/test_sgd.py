@@ -51,7 +51,8 @@ def test_deepwalk_matches_per_step_trainer(chunk, monkeypatch):
     p[0, :2] = 0.0
     corpus = walks.generate_walks(
         g, walks.WalkConfig(walks_per_node=5, walk_length=7, seed=1))
-    corpus.append([3])      # a one-node walk yields no observation
+    # a one-node walk, -1-padded, yields no observation
+    corpus = np.vstack([corpus, [3] + [-1] * (corpus.shape[1] - 1)])
     config = pdw.TrainConfig(dim=5, negatives=3, facet_rate=2, epochs=2,
                              window=3, seed=4)
     for prior in (facets.FacetPrior.from_factor(p),
