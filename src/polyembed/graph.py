@@ -191,13 +191,8 @@ def load_edge_list(path, kind: str = "homogeneous"):
                 for tokens, name, count in zip(columns, names, declared)]
     if not all(num in INT64 for _, num, _ in resolved):   # a declared count
         raise ParseError(f"{where}: node count does not fit in int64")
-    if kind == "homogeneous":
-        (ids, num_nodes, labels), = resolved
-        return _build_homogeneous(num_nodes, ids[0::2], ids[1::2], weights, labels)
-
-    (a_ids, num_a, a_labels), (b_ids, num_b, b_labels) = resolved
     timestamps = None
-    if len(stamped):
+    if kind == "bipartite" and len(stamped):
         timestamps = np.full(len(rows), -1, dtype=np.int64)
         try:
             timestamps[stamped] = stamps
@@ -205,8 +200,18 @@ def load_edge_list(path, kind: str = "homogeneous"):
             i = next(i for i, t in zip(stamped, stamps) if t not in INT64)
             raise ParseError(f"{path} line {line_nos[i]}: timestamp "
                              f"{rows[i][3]!r} does not fit in int64") from None
-    return _build_bipartite(num_a, num_b, a_ids, b_ids, weights, timestamps,
-                            a_labels, b_labels)
+    try:
+        if kind == "homogeneous":
+            (ids, num_nodes, labels), = resolved
+            return _build_homogeneous(num_nodes, ids[0::2], ids[1::2], weights,
+                                      labels)
+        (a_ids, num_a, a_labels), (b_ids, num_b, b_labels) = resolved
+        return _build_bipartite(num_a, num_b, a_ids, b_ids, weights, timestamps,
+                                a_labels, b_labels)
+    except (ValueError, MemoryError):   # numpy cannot allocate the CSR arrays
+        counts = " and ".join(str(num) for _, num, _ in resolved)
+        raise CapacityError(f"{path}: a graph of {counts} nodes does not fit "
+                            "in memory") from None
 
 
 def _merge(a, b, weights, timestamps=None):

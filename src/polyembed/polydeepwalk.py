@@ -112,8 +112,11 @@ def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
 
     sampler = NegativeSampler(np.bincount(flat[flat >= 0], minlength=n), prior.dist)
     offsets = np.r_[-config.window:0, 1:config.window + 1]
-    pairs_per_epoch = config.facet_rate * sum(
-        int((flat[centers + o] >= 0).sum()) for o in offsets)
+    # a walk of l nodes has 2 * sum(l - d for d in 1..min(window, l - 1)) pairs
+    lengths = (np.asarray(corpus) >= 0).sum(axis=1)
+    d = np.minimum(config.window, lengths - 1)
+    pairs_per_epoch = config.facet_rate * int(
+        (2 * (d * lengths - d * (d + 1) // 2)).sum())
     engine = sgd.Engine(n, n, prior.k, config.dim, config.seed,
                         config.learning_rate, pairs_per_epoch * config.epochs,
                         pairs_per_epoch, hook)

@@ -1,19 +1,23 @@
 """Per-facet graph-convolution embeddings for bipartite networks.
 
 The adjacency is split into K facet matrices (an exact partition guided
-by the NMF factors), and each facet gets its own pair of mean-aggregator
-encoders, one per node type. Layer-0 inputs are free trainable vectors
-(the datasets carry no node attributes). Each facet trains independently
-on an edge-level negative-sampling loss over its own facet matrix. The
-loss's gradients at the encoder outputs come from one sparse matrix of
-per-pair score coefficients, and flow back through the aggregation stack
-by hand-written reverse accumulation.
+by the NMF factors). Each facet has its own encoder over the stacked node
+set [A; B] with one aggregation operator, the mean of a node and its
+neighbours: (I + M) z / (1 + deg), where the symmetric 0/1 mask M holds
+the facet's edges ("bipartite") or links same-type nodes that share a
+facet neighbour ("co"). A layer aggregates, applies type A's or type B's
+weights, then a leaky ReLU of slope 0.2. Layer-0 inputs are free
+trainable vectors (the datasets carry no node attributes). Each facet
+trains independently on an edge-level negative-sampling loss over its own
+facet matrix; the loss's gradients at the encoder outputs come from one
+sparse matrix of per-pair score coefficients and flow back through the
+same operator by hand-written reverse accumulation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +27,7 @@ from .errors import NumericsError, ValidationError
 from .sgd import NegativeSampler
 from .tables import EmbeddingTables
 
+LEAKY_SLOPE = 0.2
 _ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -81,8 +86,6 @@ def _cells(mat, threshold=0.0):
 class GcnConfig:
     dim: int = 16                 # output dimension per facet
     depth: int = 2
-    activation: str = "leaky_relu"   # or "linear"
-    leaky_slope: float = 0.2
     threshold: float = 0.0
     neighbor_mode: str = "bipartite"  # or "co"
     # one negative per edge per full-batch pass keeps positive and
@@ -96,8 +99,6 @@ class GcnConfig:
     def __post_init__(self):
         if self.dim < 1 or self.depth < 1:
             raise ValidationError("dim and depth must be positive")
-        if self.activation not in ("leaky_relu", "linear"):
-            raise ValidationError(f"unknown activation {self.activation!r}")
         if self.neighbor_mode not in ("bipartite", "co"):
             raise ValidationError(f"unknown neighbor_mode {self.neighbor_mode!r}")
         if self.threshold < 0:
@@ -116,55 +117,55 @@ class FacetGcn:
     w_b: list[np.ndarray]
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {"x_a": self.x_a, "x_b": self.x_b}
-        for d, w in enumerate(self.w_a):
-            out[f"w_a{d}"] = w
-        for d, w in enumerate(self.w_b):
-            out[f"w_b{d}"] = w
-        return out
+        return {"x_a": self.x_a, "x_b": self.x_b,
+                **{f"w_a{d}": w for d, w in enumerate(self.w_a)},
+                **{f"w_b{d}": w for d, w in enumerate(self.w_b)}}
 
 
-@dataclass
-class GcnModel:
+class FacetOps(NamedTuple):
+    """One facet's mean aggregation over the stacked node set [A; B]:
+    m = (z + agg @ z) * inv[:, None]."""
+
+    agg: sparse.csr_array   # symmetric 0/1 neighbour mask, sorted rows
+    inv: np.ndarray         # 1 / (1 + neighbour count) per node
+    num_a: int              # the first num_a nodes are type A
+
+
+class GcnModel(NamedTuple):
     facets: list[FacetGcn]
-    config: GcnConfig
-    ops: list[dict] = field(default_factory=list)  # per-facet aggregation masks
+    ops: list[FacetOps]
 
 
 def init_gcn_model(num_a: int, num_b: int, facet_adj: FacetAdjacency,
                    config: GcnConfig, seed=None) -> GcnModel:
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(config.seed if seed is None else seed)
+    """Draw every facet's parameters from `seed`, a SeedSequence (default:
+    SeedSequence(config.seed)), and build its aggregation operator."""
+    root = np.random.SeedSequence(config.seed) if seed is None else seed
     facet_models = []
     d = config.dim
+    bound = 1.0 / math.sqrt(d)
     for ss in root.spawn(facet_adj.k):
         rng = np.random.default_rng(ss)
-        bound = 1.0 / math.sqrt(d)
         x_a = rng.uniform(-bound, bound, (num_a, d))
         x_b = rng.uniform(-bound, bound, (num_b, d))
         w_a = [rng.uniform(-bound, bound, (d, d)) for _ in range(config.depth)]
         w_b = [rng.uniform(-bound, bound, (d, d)) for _ in range(config.depth)]
         facet_models.append(FacetGcn(x_a, x_b, w_a, w_b))
-    model = GcnModel(facets=facet_models, config=config)
-    model.ops = [_facet_ops(facet_adj.mats[k], config) for k in range(facet_adj.k)]
-    return model
+    return GcnModel(facet_models,
+                    [_facet_ops(mat, config) for mat in facet_adj.mats])
 
 
-def _facet_ops(mat, config):
-    """Aggregation masks (CSR) and inverse neighbourhood sizes of one facet."""
-    mask_ab = sparse.csr_array(mat > config.threshold, dtype=np.float64)
+def _facet_ops(mat, config) -> FacetOps:
+    """The aggregation operator of one facet matrix. "bipartite": each node's
+    neighbours are its facet edges' other ends; "co": the nodes of its own
+    type that share a facet neighbour with it."""
+    mask = sparse.csr_array(mat > config.threshold, dtype=np.float64)
     if config.neighbor_mode == "bipartite":
-        mask_ba = mask_ab.T.tocsr()
-        return {"mask_a": mask_ab, "mask_b": mask_ba,
-                "inv_a": 1.0 / (1.0 + mask_ab.sum(axis=1)),
-                "inv_b": 1.0 / (1.0 + mask_ba.sum(axis=1)), "coupled": True}
-    co_a = _co_mask(mask_ab)
-    co_b = _co_mask(mask_ab.T.tocsr())
-    return {"mask_a": co_a, "mask_b": co_b,
-            "inv_a": 1.0 / (1.0 + co_a.sum(axis=1)),
-            "inv_b": 1.0 / (1.0 + co_b.sum(axis=1)), "coupled": False}
+        agg = sparse.block_array([[None, mask], [mask.T, None]], format="csr")
+    else:
+        agg = sparse.block_diag([_co_mask(mask), _co_mask(mask.T.tocsr())],
+                                format="csr")
+    return FacetOps(agg, 1.0 / (1.0 + agg.sum(axis=1)), mask.shape[0])
 
 
 def _co_mask(mask):
@@ -176,76 +177,55 @@ def _co_mask(mask):
                             shape=co.shape)
 
 
-def _act(s, config):
-    if config.activation == "linear":
-        return s
-    return np.where(s > 0, s, config.leaky_slope * s)
-
-
-def _act_grad(s, config):
-    if config.activation == "linear":
-        return np.ones_like(s)
-    return np.where(s > 0, 1.0, config.leaky_slope)
-
-
-def forward_facet(facet: FacetGcn, ops, config, keep_cache: bool = False):
-    """Run both towers of one facet; returns (U, H[, cache])."""
-    z_a, z_b = facet.x_a, facet.x_b
-    cache = {"agg": [], "pre": [], "inputs": []}
-    for d in range(config.depth):
-        cache["inputs"].append((z_a, z_b))
-        other_a = z_b if ops["coupled"] else z_a
-        other_b = z_a if ops["coupled"] else z_b
-        m_a = (z_a + ops["mask_a"] @ other_a) * ops["inv_a"][:, None]
-        m_b = (z_b + ops["mask_b"] @ other_b) * ops["inv_b"][:, None]
-        s_a = m_a @ facet.w_a[d].T
-        s_b = m_b @ facet.w_b[d].T
-        cache["agg"].append((m_a, m_b))
-        cache["pre"].append((s_a, s_b))
-        z_a, z_b = _act(s_a, config), _act(s_b, config)
+def forward_facet(facet: FacetGcn, ops: FacetOps, keep_cache: bool = False):
+    """Run one facet's encoders on the stacked nodes: per layer, aggregate,
+    apply each node type's weights, then the leaky ReLU. Returns
+    (U, H[, cache])."""
+    n = ops.num_a
+    z = np.vstack([facet.x_a, facet.x_b])
+    cache = []                   # per layer: (aggregated m, pre-activation s)
+    for w_a, w_b in zip(facet.w_a, facet.w_b):
+        m = (z + ops.agg @ z) * ops.inv[:, None]
+        s = np.vstack([m[:n] @ w_a.T, m[n:] @ w_b.T])
+        cache.append((m, s))
+        z = np.where(s > 0, s, LEAKY_SLOPE * s)
     if keep_cache:
-        return z_a, z_b, cache
-    return z_a, z_b
+        return z[:n], z[n:], cache
+    return z[:n], z[n:]
 
 
-def backward_facet(facet: FacetGcn, ops, config, cache, d_u, d_h):
-    """Reverse accumulation through the aggregation stack.
+def backward_facet(facet: FacetGcn, ops: FacetOps, cache, d_u, d_h):
+    """Reverse accumulation through the aggregation stack; `agg` is
+    symmetric, so it is its own transpose.
 
     d_u/d_h are the loss gradients at the final layer outputs. Returns a
     dict of gradients matching facet.params()."""
-    grads = {f"w_a{d}": np.zeros_like(facet.w_a[d]) for d in range(config.depth)}
-    grads.update({f"w_b{d}": np.zeros_like(facet.w_b[d]) for d in range(config.depth)})
-    dz_a, dz_b = d_u, d_h
-    for d in reversed(range(config.depth)):
-        s_a, s_b = cache["pre"][d]
-        m_a, m_b = cache["agg"][d]
-        ds_a = dz_a * _act_grad(s_a, config)
-        ds_b = dz_b * _act_grad(s_b, config)
-        grads[f"w_a{d}"] += ds_a.T @ m_a
-        grads[f"w_b{d}"] += ds_b.T @ m_b
-        t_a = (ds_a @ facet.w_a[d]) * ops["inv_a"][:, None]
-        t_b = (ds_b @ facet.w_b[d]) * ops["inv_b"][:, None]
-        if ops["coupled"]:
-            dz_a = t_a + ops["mask_b"].T @ t_b
-            dz_b = t_b + ops["mask_a"].T @ t_a
-        else:
-            dz_a = t_a + ops["mask_a"].T @ t_a
-            dz_b = t_b + ops["mask_b"].T @ t_b
-    grads["x_a"] = dz_a
-    grads["x_b"] = dz_b
+    n = ops.num_a
+    grads = {}
+    dz = np.vstack([d_u, d_h])
+    for d in reversed(range(len(cache))):
+        m, s = cache[d]
+        ds = dz * np.where(s > 0, 1.0, LEAKY_SLOPE)
+        grads[f"w_a{d}"] = ds[:n].T @ m[:n]
+        grads[f"w_b{d}"] = ds[n:].T @ m[n:]
+        t = np.vstack([ds[:n] @ facet.w_a[d], ds[n:] @ facet.w_b[d]])
+        t *= ops.inv[:, None]
+        dz = t + ops.agg @ t
+    grads["x_a"], grads["x_b"] = dz[:n], dz[n:]
     return grads
 
 
-def gcn_loss_and_grads(facet: FacetGcn, ops, config, edge_idx, edge_w,
+def gcn_loss_and_grads(facet: FacetGcn, ops: FacetOps, config, edge_idx, edge_w,
                        neg_idx):
     """Edge-level loss for one facet and its parameter gradients.
 
     edge_idx: (E, 2) int array of (a, b) pairs with positive facet mass;
     edge_w: (E,) weights (the facet matrix entries); neg_idx: (E, R) of
     type-B negatives per edge. The loss is the weight-normalized sum of
-    per-edge negative-sampling losses.
+    per-edge negative-sampling losses. `config` is not read: the facet
+    and its operator carry every shape.
     """
-    u, h, cache = forward_facet(facet, ops, config, keep_cache=True)
+    u, h, cache = forward_facet(facet, ops, keep_cache=True)
     ai, bi = edge_idx[:, 0], edge_idx[:, 1]
     total_w = edge_w.sum()
     if total_w <= 0:
@@ -266,7 +246,7 @@ def gcn_loss_and_grads(facet: FacetGcn, ops, config, edge_idx, edge_w,
         (coef.ravel(), (np.repeat(ai, coef.shape[1]),
                         np.column_stack([bi, neg_idx]).ravel())),
         shape=(len(u), len(h)))
-    grads = backward_facet(facet, ops, config, cache, pairs @ h, pairs.T @ u)
+    grads = backward_facet(facet, ops, cache, pairs @ h, pairs.T @ u)
     return loss, grads
 
 
@@ -292,22 +272,15 @@ def train_gcn(bipartite, facet_adj: FacetAdjacency,
     traces: list[list[float]] = []
     u_out = np.zeros((num_a, facet_adj.k, config.dim))
     h_out = np.zeros((num_b, facet_adj.k, config.dim))
-    for k in range(facet_adj.k):
-        facet = model.facets[k]
-        ops = model.ops[k]
+    for k, (facet, ops) in enumerate(zip(model.facets, model.ops)):
         rows, cols, edge_w = _cells(facet_adj.mats[k], config.threshold)
-        trace: list[float] = []
-        if len(rows) == 0:
-            traces.append(trace)
-            u, h = forward_facet(facet, ops, config)
-            u_out[:, k], h_out[:, k] = u, h
-            continue
         edge_idx = np.stack([rows, cols], axis=1)
         rng = np.random.default_rng(facet_ss[k])
         params = facet.params()
-        m_state = {n: np.zeros_like(p) for n, p in params.items()}
-        v_state = {n: np.zeros_like(p) for n, p in params.items()}
-        for it in range(1, config.iterations + 1):
+        moments = {name: (np.zeros_like(p), np.zeros_like(p))
+                   for name, p in params.items()}
+        trace: list[float] = []
+        for it in range(1, (config.iterations if len(rows) else 0) + 1):
             neg_idx, _ = sampler.decode(rng.random((len(rows), config.negatives)))
             loss, grads = gcn_loss_and_grads(facet, ops, config,
                                              edge_idx, edge_w, neg_idx)
@@ -315,15 +288,16 @@ def train_gcn(bipartite, facet_adj: FacetAdjacency,
                 raise NumericsError(f"facet {k} diverged at iteration {it}")
             trace.append(loss)
             for name, p in params.items():
-                g = grads[name]
-                m_state[name] = _ADAM_B1 * m_state[name] + (1 - _ADAM_B1) * g
-                v_state[name] = _ADAM_B2 * v_state[name] + (1 - _ADAM_B2) * g * g
-                m_hat = m_state[name] / (1 - _ADAM_B1 ** it)
-                v_hat = v_state[name] / (1 - _ADAM_B2 ** it)
+                g, (m, v) = grads[name], moments[name]
+                m *= _ADAM_B1
+                m += (1 - _ADAM_B1) * g
+                v *= _ADAM_B2
+                v += (1 - _ADAM_B2) * g * g
+                m_hat = m / (1 - _ADAM_B1 ** it)
+                v_hat = v / (1 - _ADAM_B2 ** it)
                 p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         traces.append(trace)
-        u, h = forward_facet(facet, ops, config)
-        u_out[:, k], h_out[:, k] = u, h
+        u_out[:, k], h_out[:, k] = forward_facet(facet, ops)
 
     tables = EmbeddingTables(u=u_out, h=h_out)
     tables.check_finite("after GCN training")

@@ -361,7 +361,7 @@ def reference_gcn_loss_and_grads(facet, ops, config, edge_idx, edge_w, neg_idx):
     """PolyGCN's edge loss with the output gradients built per scored pair:
     each edge's (D,) terms are gathered, then added into their rows in
     edge order, positives before negatives (np.add.at)."""
-    u, h, cache = forward_facet(facet, ops, config, keep_cache=True)
+    u, h, cache = forward_facet(facet, ops, keep_cache=True)
     ai, bi = edge_idx[:, 0], edge_idx[:, 1]
     wn = edge_w / edge_w.sum()
     u_e, h_e = u[ai], h[bi]                  # (E, D)
@@ -380,7 +380,7 @@ def reference_gcn_loss_and_grads(facet, ops, config, edge_idx, edge_w, neg_idx):
     np.add.at(d_h, bi, coef_pos[:, None] * u_e)
     np.add.at(d_h, neg_idx.reshape(-1),
               (coef_neg[:, :, None] * u_e[:, None, :]).reshape(-1, u.shape[1]))
-    return loss, backward_facet(facet, ops, config, cache, d_u, d_h)
+    return loss, backward_facet(facet, ops, cache, d_u, d_h)
 
 
 def bucket_means(losses, points):

@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyembed import cli, facets, graph, sgd, walks
+from polyembed import cli, facets, graph, polydeepwalk, polygcn, polypte, sgd, walks
 from polyembed.tables import load_matrix
 
 
@@ -360,6 +361,15 @@ MALFORMED = {
         {"g.edges": "0 1 1 99999999999999999999\n"},
         ["facets", "--input", "g.edges", "--kind", "bipartite", "--out", "out"],
         "g.edges line 1"),
+    # ids and counts within int64 whose graph numpy cannot allocate
+    "edge-list-id-beyond-memory": (
+        {"g.edges": "0 4611686018427387904\n"},
+        ["walks", "--input", "g.edges", "--out", "out"],
+        "g.edges: a graph of 4611686018427387905 nodes"),
+    "edge-list-count-beyond-memory": (
+        {"g.edges": "# nodes 4611686018427387904\n0 1\n"},
+        ["walks", "--input", "g.edges", "--out", "out"],
+        "g.edges: a graph of 4611686018427387904 nodes"),
     "corpus-id-beyond-int64": (
         {"g.edges": "0 1\n1 2\n", "p.prior": "3 1\n0 1\n1 1\n2 1\n",
          "c.walks": "0 1 99999999999999999999\n"},
@@ -673,3 +683,14 @@ def test_every_parameter_changes_the_run(tmp_path, capsys, sweep, run, key):
         in_dir(argv, d) + change + [out_flag(argv), str(tmp_path / "o")])
     capsys.readouterr()
     assert changed_code == 1 or (changed_code == 0 and changed_files != files)
+
+
+def test_every_config_field_is_a_parameter():
+    """A trainer setting no run can set is a hidden knob: every field of the
+    CLI's config dataclasses is a PARAMS key, by its `dest` or its name."""
+    keys = {param.dest or name for name, param in cli.PARAMS.items()}
+    hidden = [f"{cls.__name__}.{f.name}"
+              for cls in (walks.WalkConfig, polydeepwalk.TrainConfig,
+                          polypte.PteConfig, polygcn.GcnConfig)
+              for f in fields(cls) if f.name not in keys]
+    assert hidden == []

@@ -87,6 +87,12 @@ def dense_co_mask(mask):
     return co
 
 
+def agg_blocks(ops):
+    """The four (A|B) x (A|B) blocks of a facet operator, dense."""
+    agg, n = ops.agg.toarray(), ops.num_a
+    return agg[:n, :n], agg[:n, n:], agg[n:, :n], agg[n:, n:]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_co_masks_match_dense_construction(seed):
     a, p, q = random_instance(seed, num_a=6, num_b=5, k=2)
@@ -97,74 +103,101 @@ def test_co_masks_match_dense_construction(seed):
     for mat in fa.mats:
         ops = polygcn._facet_ops(mat, config)
         mask = (mat.toarray() > 0.05).astype(np.float64)
-        for side, ref in (("a", dense_co_mask(mask)), ("b", dense_co_mask(mask.T))):
-            assert sparse.issparse(ops[f"mask_{side}"])
-            assert np.array_equal(ops[f"mask_{side}"].toarray(), ref)
-            assert np.array_equal(ops[f"inv_{side}"], 1.0 / (1.0 + ref.sum(axis=1)))
+        co_a, co_b = dense_co_mask(mask), dense_co_mask(mask.T)
+        assert sparse.issparse(ops.agg)
+        aa, ab, ba, bb = agg_blocks(ops)
+        assert np.array_equal(aa, co_a) and np.array_equal(bb, co_b)
+        assert not ab.any() and not ba.any()
+        assert np.array_equal(ops.inv, 1.0 / (1.0 + np.r_[co_a.sum(axis=1),
+                                                          co_b.sum(axis=1)]))
 
 
 def test_co_mask_via_shared_item():
     a = np.zeros((3, 2))
     a[0, 0] = a[1, 0] = 1.0   # users 0 and 1 both link to item 0
     ops = polygcn._facet_ops(sparse.csr_array(a), GcnConfig(neighbor_mode="co"))
-    assert np.array_equal(ops["mask_a"].toarray(),
-                          [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    assert ops["mask_b"].nnz == 0
+    aa, ab, ba, bb = agg_blocks(ops)
+    assert np.array_equal(aa, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    assert not bb.any() and not ab.any() and not ba.any()
+
+
+def test_bipartite_operator_blocks():
+    a, p, q = random_instance(2, num_a=6, num_b=5, k=1)
+    mat = decompose_adjacency(a, p, q).mats[0]
+    ops = polygcn._facet_ops(mat, GcnConfig(threshold=0.05))
+    mask = (mat.toarray() > 0.05).astype(np.float64)
+    aa, ab, ba, bb = agg_blocks(ops)
+    assert np.array_equal(ab, mask) and np.array_equal(ba, mask.T)
+    assert not aa.any() and not bb.any()
+    assert np.array_equal(ops.inv, 1.0 / (1.0 + np.r_[mask.sum(axis=1),
+                                                      mask.sum(axis=0)]))
+
+
+@pytest.mark.parametrize("neighbor_mode", ["bipartite", "co"])
+@pytest.mark.parametrize("seed", range(4))
+def test_operator_is_symmetric(seed, neighbor_mode):
+    # backward_facet applies agg in place of its transpose
+    a, p, q = random_instance(seed, num_a=7, num_b=5, k=2)
+    fa = decompose_adjacency(a, p, q)
+    for mat in fa.mats:
+        agg = polygcn._facet_ops(mat, GcnConfig(neighbor_mode=neighbor_mode)).agg
+        assert agg.shape == (12, 12)
+        assert (agg != agg.T).nnz == 0
 
 
 # ---------------------------------------------------------------- forward
 
+def leaky(x):
+    return np.where(x > 0, x, polygcn.LEAKY_SLOPE * x)
+
+
 def identity_model(num_a, num_b, fa, dim, depth=1):
-    config = GcnConfig(dim=dim, depth=depth, activation="linear", seed=0)
+    config = GcnConfig(dim=dim, depth=depth, seed=0)
     model = init_gcn_model(num_a, num_b, fa, config)
     for facet in model.facets:
         for d in range(depth):
             facet.w_a[d] = np.eye(dim)
             facet.w_b[d] = np.eye(dim)
-    return model, config
+    return model
 
 
 def test_forward_isolated_node_keeps_layer0_vector():
     a = np.zeros((2, 2))
     a[1, 1] = 1.0   # node 0 isolated under this facet
     fa = facet_adjacency(a)
-    model, config = identity_model(2, 2, fa, dim=3, depth=1)
-    u, _ = forward_facet(model.facets[0], model.ops[0], config)
-    assert np.allclose(u[0], model.facets[0].x_a[0])
+    model = identity_model(2, 2, fa, dim=3, depth=1)
+    u, _ = forward_facet(model.facets[0], model.ops[0])
+    assert np.allclose(u[0], leaky(model.facets[0].x_a[0]))
 
 
 def test_forward_mean_of_identical_vectors():
     a = np.ones((1, 2))   # one user linked to two items
     fa = facet_adjacency(a)
-    model, config = identity_model(1, 2, fa, dim=3, depth=1)
+    model = identity_model(1, 2, fa, dim=3, depth=1)
     x = np.array([0.3, -0.2, 0.5])
     model.facets[0].x_a[0] = x
     model.facets[0].x_b[0] = x
     model.facets[0].x_b[1] = x
-    u, _ = forward_facet(model.facets[0], model.ops[0], config)
-    assert np.allclose(u[0], x)
+    u, _ = forward_facet(model.facets[0], model.ops[0])
+    assert np.allclose(u[0], leaky(x))
 
 
-def dense_reference_forward(facet, mask_ab, config):
-    """Independent dense implementation of the two-tower forward pass."""
-    mask_ba = mask_ab.T
+def dense_reference_forward(facet, mask_ab, neighbor_mode, depth):
+    """Independent dense implementation of the forward pass: a type-A node
+    averages itself with its neighbours, which are its facet items
+    ("bipartite") or the users sharing a facet item with it ("co")."""
+    if neighbor_mode == "bipartite":
+        nbr_a, nbr_b = mask_ab, mask_ab.T
+    else:
+        nbr_a, nbr_b = dense_co_mask(mask_ab), dense_co_mask(mask_ab.T)
     za, zb = facet.x_a.copy(), facet.x_b.copy()
-    for d in range(config.depth):
-        na, nb = za.shape[0], zb.shape[0]
-        ma = np.zeros_like(za)
-        for i in range(na):
-            stack = [za[i]] + [zb[j] for j in range(nb) if mask_ab[i, j] > 0]
-            ma[i] = np.mean(stack, axis=0)
-        mb = np.zeros_like(zb)
-        for j in range(nb):
-            stack = [zb[j]] + [za[i] for i in range(na) if mask_ba[j, i] > 0]
-            mb[j] = np.mean(stack, axis=0)
-        sa, sb = ma @ facet.w_a[d].T, mb @ facet.w_b[d].T
-        if config.activation == "leaky_relu":
-            za = np.where(sa > 0, sa, config.leaky_slope * sa)
-            zb = np.where(sb > 0, sb, config.leaky_slope * sb)
-        else:
-            za, zb = sa, sb
+    for d in range(depth):
+        src_a, src_b = (zb, za) if neighbor_mode == "bipartite" else (za, zb)
+        ma = np.array([np.mean([za[i]] + [src_a[j] for j in np.flatnonzero(row)],
+                               axis=0) for i, row in enumerate(nbr_a)])
+        mb = np.array([np.mean([zb[j]] + [src_b[i] for i in np.flatnonzero(row)],
+                               axis=0) for j, row in enumerate(nbr_b)])
+        za, zb = leaky(ma @ facet.w_a[d].T), leaky(mb @ facet.w_b[d].T)
     return za, zb
 
 
@@ -172,15 +205,16 @@ def dense_reference_forward(facet, mask_ab, config):
 def test_forward_matches_dense_reference(seed):
     a, p, q = random_instance(seed, num_a=4, num_b=4, k=2)
     fa = decompose_adjacency(a, p, q)
-    config = GcnConfig(dim=3, depth=2, seed=seed)
-    model = init_gcn_model(4, 4, fa, config)
-    for k in range(2):
-        u, h = forward_facet(model.facets[k], model.ops[k], config)
-        ru, rh = dense_reference_forward(model.facets[k],
-                                         (fa.mats[k].toarray() > 0).astype(float),
-                                         config)
-        assert np.abs(u - ru).max() < 1e-10
-        assert np.abs(h - rh).max() < 1e-10
+    for neighbor_mode in ("bipartite", "co"):
+        config = GcnConfig(dim=3, depth=2, seed=seed, neighbor_mode=neighbor_mode)
+        model = init_gcn_model(4, 4, fa, config)
+        for k in range(2):
+            u, h = forward_facet(model.facets[k], model.ops[k])
+            ru, rh = dense_reference_forward(
+                model.facets[k], (fa.mats[k].toarray() > 0).astype(float),
+                neighbor_mode, config.depth)
+            assert np.abs(u - ru).max() < 1e-10
+            assert np.abs(h - rh).max() < 1e-10
 
 
 # ---------------------------------------------------------------- gradients
@@ -214,14 +248,15 @@ def test_gcn_gradients_match_finite_differences(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("negatives", [1, 3])
-@pytest.mark.parametrize("activation", ["leaky_relu", "linear"])
-@pytest.mark.parametrize("neighbor_mode", ["bipartite", "co"])
-def test_gcn_gradients_match_reference(seed, negatives, activation, neighbor_mode):
+# the ids name the activation too, as when it was a setting
+@pytest.mark.parametrize("neighbor_mode", ["bipartite", "co"],
+                         ids=["bipartite-leaky_relu", "co-leaky_relu"])
+def test_gcn_gradients_match_reference(seed, negatives, neighbor_mode):
     rng = np.random.default_rng(seed)
     a, p, q = random_instance(seed, num_a=7, num_b=6, k=2)
     fa = decompose_adjacency(a, p, q)
-    config = GcnConfig(dim=4, depth=2, activation=activation,
-                       neighbor_mode=neighbor_mode, negatives=negatives, seed=seed)
+    config = GcnConfig(dim=4, depth=2, neighbor_mode=neighbor_mode,
+                       negatives=negatives, seed=seed)
     model = init_gcn_model(7, 6, fa, config)
     # at initialisation every score is about 1e-4, so each gradient's
     # positive and negative terms all but cancel; scaled up, scores are O(0.1)
