@@ -217,9 +217,15 @@ def sample_facets(dist, u) -> np.ndarray:
 
 
 def facets_from_cdf(cdf, u) -> np.ndarray:
-    """`sample_facets` given the cumulative sums of the distributions."""
-    below = cdf <= (u * cdf[..., -1])[..., None]
-    return np.minimum(below.sum(axis=-1), cdf.shape[-1] - 1)
+    """`sample_facets` given the cumulative sums of the distributions: the
+    number of the first K - 1 sums at or below `u` times the last. Rows
+    do not decrease, so that is the count of all K sums at or below it,
+    clamped to K - 1, counted one column at a time."""
+    x = u * cdf[..., -1]
+    out = np.zeros(x.shape, dtype=np.intp)
+    for c in range(cdf.shape[-1] - 1):
+        out += cdf[..., c] <= x
+    return out
 
 
 def entropy(dist) -> float:

@@ -110,10 +110,14 @@ def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
     if not len(centers):
         raise ValidationError("corpus yields no observations")
 
-    sampler = NegativeSampler(np.bincount(flat[flat >= 0], minlength=n), prior.dist)
+    corpus = np.asarray(corpus)
+    # one walk position at a time: no mask, gather or int64 copy of the
+    # whole corpus
+    sampler = NegativeSampler(sum(np.bincount(col[col >= 0], minlength=n)
+                                  for col in corpus.T), prior.dist)
     offsets = np.r_[-config.window:0, 1:config.window + 1]
     # a walk of l nodes has 2 * sum(l - d for d in 1..min(window, l - 1)) pairs
-    lengths = (np.asarray(corpus) >= 0).sum(axis=1)
+    lengths = (corpus >= 0).sum(axis=1)
     d = np.minimum(config.window, lengths - 1)
     pairs_per_epoch = config.facet_rate * int(
         (2 * (d * lengths - d * (d + 1) // 2)).sum())

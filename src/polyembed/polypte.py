@@ -87,21 +87,89 @@ class AliasTable:
         return int(self.alias[i])
 
 
-def _decode_chunk(bipartite, prior, sampler, rng, config, facet_rate, start,
-                  count, edge_alias):
-    """Draw and decode edge samples start .. start + count - 1.
-
-    Each sample takes its edge draw and then its block of uniforms in two
-    calls, because the integer draw shares the generator's buffered state.
-    """
-    per_round = sgd.uniforms_per_round(1, prior.k, config.negatives)
+def _scalar_draws(rng, count, width, num_edges, edge_alias):
+    """`count` samples' edges, (count,), and uniforms, (count, width): each
+    sample draws its edge and then its uniforms. The reference for
+    `_raw_draws`, and its fallback."""
     edge = np.empty(count, dtype=np.int64)
-    uniforms = np.empty((count, facet_rate * per_round))
-    num_edges = bipartite.num_edges
+    uniforms = np.empty((count, width))
     for s in range(count):
         edge[s] = (edge_alias.sample(rng) if edge_alias is not None
                    else rng.integers(num_edges))
         rng.random(out=uniforms[s])
+    return edge, uniforms
+
+
+def _raw_draws(rng, count, width, bound):
+    """`count` times `rng.integers(bound)` and then `width` uniforms, as
+    (count,) integers and (count, width) uniforms, with `rng` left as those
+    calls leave it; None, with `rng` untouched, where this cannot replay
+    them.
+
+    The replay reads numpy's PCG64 draws from one `random_raw` call. A
+    uniform is a word's top 53 bits times 2**-53. An integer below 2**32
+    takes one 32-bit half, the low half of a fresh word, whose high half is
+    buffered (`has_uint32`, `uinteger`) for the next integer draw, and
+    uniforms never touch that buffer. The half becomes Lemire's multiply-
+    shift `(half * bound) >> 32`, which numpy rejects and draws again when
+    the low product word is below `(2**32 - bound) % bound` (Lemire, ACM
+    TOMACS 2019): a chunk with such a draw is not replayed."""
+    if bound == 1:   # numpy draws no integer below 1
+        return np.zeros(count, dtype=np.int64), rng.random((count, width))
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64 or bound >= 2**32:
+        return None
+    saved = bitgen.state
+    buffered = saved["has_uint32"]
+    # sample s takes the buffered half when s + buffered is odd, else a
+    # fresh word, which comes first in its block of words
+    fresh = (np.arange(count) + buffered) % 2 == 0
+    sizes = width + fresh
+    raw = bitgen.random_raw(int(sizes.sum()))
+    is_int = np.zeros(len(raw), dtype=bool)
+    is_int[(np.cumsum(sizes) - sizes)[fresh]] = True
+    words = raw[is_int]
+    doubles = raw[~is_int]
+    del raw
+    halves = np.empty(buffered + 2 * len(words), dtype=np.uint64)
+    halves[:buffered] = saved["uinteger"]
+    halves[buffered::2] = words & 0xFFFFFFFF
+    halves[buffered + 1::2] = words >> 32
+    product = halves[:count] * np.uint64(bound)
+    if ((product & 0xFFFFFFFF) < (2**32 - bound) % bound).any():
+        bitgen.state = saved
+        return None
+    state = bitgen.state
+    state["has_uint32"] = len(halves) - count
+    state["uinteger"] = int(halves[-1])
+    bitgen.state = state
+    doubles >>= 11
+    uniforms = doubles * 2.0**-53
+    return (product >> 32).astype(np.int64), uniforms.reshape(count, width)
+
+
+def _decode_chunk(bipartite, prior, sampler, rng, config, facet_rate, start,
+                  count, edge_alias):
+    """Draw and decode edge samples start .. start + count - 1.
+
+    Each sample draws its edge (`rng.integers`, and a uniform for the alias
+    test with `weighted_edges`) and then its block of uniforms, replayed by
+    `_raw_draws` where it can and by `_scalar_draws` where it cannot.
+    """
+    per_round = sgd.uniforms_per_round(1, prior.k, config.negatives)
+    width = facet_rate * per_round
+    alias = edge_alias is not None
+    drawn = _raw_draws(rng, count, width + alias, bipartite.num_edges)
+    if drawn is None:
+        edge, uniforms = _scalar_draws(rng, count, width, bipartite.num_edges,
+                                       edge_alias)
+    elif alias:
+        index, uniforms = drawn
+        edge = np.where(uniforms[:, 0] < edge_alias.prob[index], index,
+                        edge_alias.alias[index])
+        uniforms = uniforms[:, 1:]
+    else:
+        edge, uniforms = drawn
     a, b = bipartite.edges[edge, 0], bipartite.edges[edge, 1]
     return sgd.decode(uniforms.ravel(), a, b[:, None], prior.dist, prior.dist_b,
                       facet_rate, config.facet_mode, start, sampler,

@@ -16,14 +16,22 @@ system C compiler on first use and cached as
 `$XDG_CACHE_HOME/polyembed/sgd-<hash>.so` (`~/.cache/polyembed/` when
 XDG_CACHE_HOME is unset). It does the arithmetic of `sgns_loss_and_grads`
 in another summation order, so its tables agree with the numpy loop
-within 1e-12 of the largest entry (about 1e-14 measured), not bit for bit. The numpy loop is the reference: it runs when a
-`hook` is given, which needs per-step tables, and when the kernel cannot
-be built or loaded.
+within 1e-12 of the largest entry (about 1e-14 measured), not bit for
+bit. The numpy loop is the reference: it runs when a `hook` is given,
+which needs per-step tables, and when the kernel cannot be built or
+loaded.
 
 A facet round of an observation with C contexts draws one uniform for the
 target facet, C for the context facets, then per context R for the
 negative nodes and R for their facets. At K = 1 no facet is drawn, so the
 single-facet model draws the stream of classic skip-gram / PTE.
+
+Every draw costs O(1) vectorised work. A negative's node comes from a
+guide table over the degree CDF (Chen and Asau's indexed search, AIIE
+Transactions 1974): the table gives a lower bound, one linear step
+settles most draws and a binary search the rest, and the index is the
+one `searchsorted` gives. A facet is the count of a row's CDF columns at
+or below its threshold, one column at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CapacityError, NumericsError, ValidationError
-from .facets import conditional_distribution, facets_from_cdf, sample_facets
+from .facets import conditional_distribution, sample_facets
 from .tables import EmbeddingTables, init_tables
 
 LR_FLOOR_RATIO = 1e-4
@@ -89,20 +97,48 @@ class NegativeSampler:
         weights = counts ** 0.75
         if weights.sum() <= 0:
             raise ValidationError("negative sampler needs a nonzero count vector")
-        self.cdf = np.cumsum(weights)
-        # each node's facet CDF, summed once: gathering its rows gives the
-        # sums that summing the gathered prior rows would
-        self.facet_cdf = np.cumsum(facet_dist, axis=1)
+        cdf = np.cumsum(weights)
+        self.total = cdf[-1]
+        # guide table: bucket j of M holds the uniforms in [j/M, (j+1)/M),
+        # whose node index is at least guide[j]; M is a power of two, 2 to
+        # 4 buckets per node, so j/M and u*M are exact
+        m = 1 << (2 * len(cdf) - 1).bit_length()
+        self.guide = np.searchsorted(cdf, np.arange(m + 1) / m * self.total,
+                                     side="right")
+        self.m = m
+        # an infinite last entry stops every search at the node count
+        self.cdf = np.append(cdf, np.inf)
+        # each node's facet CDF, summed once, stored column by column so
+        # that each column is one 1-D gather
+        self.facet_cdf = np.cumsum(facet_dist, axis=1).T.copy()
         self.k = facet_dist.shape[1]
 
     def decode(self, u_nodes, u_facets=None):
         """(nodes, facets) arrays shaped like `u_nodes`, by inverse CDF of
-        the node uniforms and, for K > 1, of the facet uniforms."""
-        nodes = np.minimum(np.searchsorted(self.cdf, u_nodes * self.cdf[-1],
-                                           side="right"), len(self.cdf) - 1)
+        the node uniforms and, for K > 1, of the facet uniforms.
+
+        A node is `searchsorted(cdf, u * total, side="right")`, clamped to
+        the last node, found from the guide table. `fl(a * total)` does
+        not decrease as `a` grows, so `u * total` lies at or above bucket
+        j's lower edge and the guide entry never passes the answer. One
+        linear step settles most draws, and a binary search the rest."""
+        cdf = self.cdf
+        x = u_nodes * self.total
+        nodes = self.guide[(u_nodes * self.m).astype(np.intp)]
+        nodes += cdf[nodes] <= x
+        open_ = cdf[nodes] <= x
+        if open_.any():
+            nodes[open_] = np.searchsorted(cdf, x[open_], side="right")
+        np.minimum(nodes, len(cdf) - 2, out=nodes)   # the last node
         if self.k == 1:
             return nodes, np.zeros_like(nodes)
-        return nodes, facets_from_cdf(self.facet_cdf[nodes], u_facets)
+        # column counts: facets_from_cdf on the gathered rows, one column
+        # gathered at a time
+        x = u_facets * self.facet_cdf[-1][nodes]
+        facets = np.zeros_like(nodes)
+        for column in self.facet_cdf[:-1]:
+            facets += column[nodes] <= x
+        return nodes, facets
 
 
 def uniforms_per_round(contexts, k: int, negatives: int):

@@ -559,6 +559,36 @@ def test_cli_surface_is_pinned(tmp_path, capsys):
         assert every_key - unknown == set(keys.split()), name
 
 
+def parse_output(parser, argv, capsys):
+    """(exit code, stdout, stderr) of parsing `argv`, which must exit."""
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(argv)
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_parser_for_one_command_reads_as_the_full_parser(name, capsys):
+    """`build_parser(argv)` adds flags only to the subcommand argv names;
+    its help and its errors equal those of the parser with every flag."""
+    for argv in ([name, "--help"], [name, "--bogus", "1"], [name]):
+        assert (parse_output(cli.build_parser(argv), argv, capsys)
+                == parse_output(cli.build_parser(), argv, capsys)), argv
+    subparsers = cli.build_parser([name])._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(cli.COMMANDS)
+    assert [len(p._actions) > 1 for p in subparsers.values()] == [
+        other == name for other in cli.COMMANDS]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["nope"], [], ["-x"]])
+def test_parser_without_a_command_builds_every_flag(argv, capsys):
+    parser = cli.build_parser(argv)
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert all(len(p._actions) > 1 for p in subparsers.values())
+    assert (parse_output(parser, argv, capsys)
+            == parse_output(cli.build_parser(), argv, capsys))
+
+
 # ------------------------------------------------------------ settings sweep
 
 # The changed value of each parameter that takes a number or text. A switch

@@ -205,6 +205,22 @@ def test_sample_facet_frequency():
     assert 0.49 <= draws / 100_000 <= 0.51
 
 
+@pytest.mark.parametrize("k", [1, 3, 9])
+def test_column_counts_equal_the_clamped_comparison_sum(k):
+    """Counting the first K - 1 columns equals counting all K sums at or
+    below the threshold and clamping to K - 1, flat and zero rows included."""
+    rng = np.random.default_rng(k)
+    dist = rng.random((30, 4, k))
+    dist[rng.random(dist.shape) < 0.4] = 0.0
+    dist[0, 0] = 0.0
+    cdf = np.cumsum(dist, axis=-1)
+    u = rng.random((30, 4))
+    u[1, :] = 0.0
+    below = cdf <= (u * cdf[..., -1])[..., None]
+    expected = np.minimum(below.sum(axis=-1), k - 1)
+    assert np.array_equal(facets.facets_from_cdf(cdf, u), expected)
+
+
 class _Replay:
     """Stands in for a generator whose next uniform is known."""
 

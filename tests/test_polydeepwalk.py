@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from conftest import (finite_difference, make_two_cliques, reference_sgns_train,
                       rel_error, walk_lists)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyembed import facets, graph, polydeepwalk as pdw, sgd, walks
 from polyembed.errors import CapacityError, NumericsError, ValidationError
@@ -115,6 +117,87 @@ def test_negative_sampler_batch_in_range():
     rng = np.random.default_rng(0)
     nodes, facet_idx = sampler.decode(rng.random(10), rng.random(10))
     assert ((0 <= nodes) & (nodes < 2) & (0 <= facet_idx) & (facet_idx < 2)).all()
+
+
+def assert_guide_table_is_binary_search(counts, u):
+    """The guide-table draw is searchsorted on the degree**0.75 CDF, clamped
+    to the last node, at `u` and at both edges of every bucket."""
+    counts = np.asarray(counts, dtype=np.float64)
+    sampler = sgd.NegativeSampler(counts, np.ones((len(counts), 1)))
+    m = sampler.m
+    assert m & (m - 1) == 0 and 2 * len(counts) <= m < 4 * len(counts)
+    j = np.arange(m)
+    u = np.concatenate([u, j / m, np.nextafter((j + 1) / m, 0)])
+    cdf = np.cumsum(counts ** 0.75)
+    expected = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"),
+                          len(cdf) - 1)
+    nodes, _ = sampler.decode(u)
+    assert np.array_equal(nodes, expected)
+    # the (S, R) shape of a decode
+    nodes, _ = sampler.decode(u[:len(u) // 2 * 2].reshape(-1, 2))
+    assert np.array_equal(nodes.ravel(), expected[:len(u) // 2 * 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.one_of(st.sampled_from([0.0, 1e-300, 1.0, 1e6]),
+                                 st.floats(0, 1e9)), min_size=1, max_size=60)
+       .filter(lambda c: sum(c) > 0),
+       u=st.lists(st.floats(0, 1, exclude_max=True), max_size=50))
+def test_guide_table_equals_binary_search(counts, u):
+    """Zero and 1e-300 counts leave steps of the CDF flat or below its
+    rounding, and a large count next to small ones puts many nodes in one
+    bucket, past the one linear step."""
+    assert_guide_table_is_binary_search(counts, np.array(u, dtype=np.float64))
+
+
+@pytest.mark.parametrize("counts", [
+    [1e6] + [1.0] * 50,          # 50 nodes share the last buckets
+    [0.0] * 10 + [1.0] + [0.0] * 10,
+    [1e-300] * 5 + [1.0],
+    [3.0],
+])
+def test_guide_table_edge_cases(counts):
+    u = np.random.default_rng(0).random(5_000)
+    assert_guide_table_is_binary_search(counts, u)
+
+
+def test_negative_facets_count_columns_of_the_prior_cdf():
+    """The sampler's facets equal the inverse-CDF draw over all K sums of
+    each negative's prior row, clamped to K - 1."""
+    rng = np.random.default_rng(3)
+    for k in (2, 3, 9):
+        dist = rng.random((40, k))
+        dist[rng.random(dist.shape) < 0.3] = 0.0
+        prior = facets.FacetPrior.from_factor(dist)
+        sampler = sgd.NegativeSampler(rng.integers(1, 9, 40), prior.dist)
+        u_nodes, u_facets = rng.random((500, 7)), rng.random((500, 7))
+        nodes, facet_idx = sampler.decode(u_nodes, u_facets)
+        rows = np.cumsum(prior.dist, axis=1)[nodes]
+        below = rows <= (u_facets * rows[..., -1])[..., None]
+        assert np.array_equal(facet_idx, np.minimum(below.sum(axis=-1), k - 1))
+
+
+def test_negative_counts_skip_pads(monkeypatch):
+    """The sampler counts each node once per corpus occurrence, as the
+    framed corpus does, -1 pads left out."""
+    g = make_two_cliques(clique=4)
+    corpus = walks.generate_walks(g, WalkConfig(walks_per_node=3, walk_length=6,
+                                                seed=2))
+    corpus[::3, 4:] = -1
+    corpus[1, 1:] = -1
+    flat, _ = pdw._observations(corpus, g.num_nodes, 2)
+    seen = []
+
+    class Recording(sgd.NegativeSampler):
+        def __init__(self, counts, dist):
+            seen.append(counts)
+            super().__init__(counts, dist)
+
+    monkeypatch.setattr(pdw, "NegativeSampler", Recording)
+    pdw.train(g, facets.FacetPrior.uniform(g.num_nodes), corpus,
+              pdw.TrainConfig(dim=2, negatives=1, epochs=1, window=2))
+    assert np.array_equal(seen[0], np.bincount(flat[flat >= 0],
+                                               minlength=g.num_nodes))
 
 
 # ------------------------------------------------------------------- train

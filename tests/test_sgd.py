@@ -72,7 +72,8 @@ def test_deepwalk_matches_per_step_trainer(chunk, monkeypatch):
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("k,mode,weighted", [(3, "observation", False),
                                              (3, "min", True),
-                                             (1, "observation", False)])
+                                             (1, "observation", False),
+                                             (1, "observation", True)])
 def test_pte_matches_per_step_trainer(chunk, k, mode, weighted,
                                       weighted_bipartite, monkeypatch):
     monkeypatch.setattr(sgd, "CHUNK", chunk)
