@@ -7,6 +7,14 @@ timestamps are absent. Candidates for a test query are its true endpoint
 plus uniform non-neighbor negatives. Metrics: HR@k over the ranked
 candidates, exact tie-aware AUC over pooled scores, and micro/macro F1
 from a one-vs-rest logistic-regression stand-in classifier.
+
+Link evaluation is one pass over all queries. Per query, Python only
+draws the negatives, with `default_rng(child seed).choice`, where the
+child seeds are those of `SeedSequence(seed).spawn`, computed at once.
+Scoring is one `inference.score_candidates` call over the (Q, C+1)
+candidate matrix, which that function works through in bounded blocks,
+and the truth's rank is a count, not a sort. Every report is the same as
+the per-query loop's, byte for byte.
 """
 
 from __future__ import annotations
@@ -71,36 +79,13 @@ def split_links(g, strategy: str = "one-per-node", seed: int = 0):
     if strategy == "one-per-node":
         if not isinstance(g, Graph):
             raise ValidationError("one-per-node splitting needs a homogeneous graph")
-        # a node owns the edges at both its ends
-        incident, starts = _incidence(g.edges, g.num_nodes)
-        stamps = None
+        held, test = _one_per_node(g, np.random.default_rng(seed))
     elif strategy == "latest-per-user":
         if not isinstance(g, BipartiteGraph):
             raise ValidationError("latest-per-user splitting needs a bipartite graph")
-        # a user owns the edges it starts, so none is held out by another
-        incident, starts = _incidence(g.edges[:, :1], g.num_a)
-        stamps = g.timestamps
+        held, test = _latest_per_user(g, np.random.default_rng(seed))
     else:
         raise ValidationError(f"unknown split strategy {strategy!r}")
-    rng = np.random.default_rng(seed)
-    held = np.zeros(g.num_edges, dtype=bool)
-    test = []
-    for v in range(len(starts) - 1):
-        mine = incident[starts[v]:starts[v + 1]]
-        if len(mine) < 2:
-            continue
-        eligible = mine[~held[mine]]
-        if len(eligible) == 0:
-            continue
-        latest = stamps[eligible] if stamps is not None else None
-        if latest is not None and latest.max() >= 0:
-            ei = eligible[int(np.argmax(latest))]
-        else:
-            ei = eligible[int(rng.integers(len(eligible)))]
-        held[ei] = True
-        i, j = g.edges[ei]
-        # orient the pair as (holdout node, other endpoint)
-        test.append((v, int(j) if i == v else int(i)))
     keep = ~held
     if not keep.any():
         raise ValidationError("split removed every edge; graph too sparse")
@@ -112,6 +97,56 @@ def split_links(g, strategy: str = "one-per-node", seed: int = 0):
     train = graphmod.from_edges(rows, kind="bipartite", num_a=g.num_a,
                                 num_b=g.num_b, timestamps=ts)
     return replace(train, a_labels=g.a_labels, b_labels=g.b_labels), test
+
+
+def _one_per_node(g, rng):
+    """Held-edge mask and test pairs (v, other end) of "one-per-node": node
+    by node, a random incident edge not yet held by an earlier node. A
+    node owns the edges at both its ends, so each choice depends on the
+    ones before it."""
+    incident, starts = _incidence(g.edges, g.num_nodes)
+    held = np.zeros(g.num_edges, dtype=bool)
+    test = []
+    for v in range(g.num_nodes):
+        mine = incident[starts[v]:starts[v + 1]]
+        if len(mine) < 2:
+            continue
+        eligible = mine[~held[mine]]
+        if len(eligible) == 0:
+            continue
+        ei = eligible[int(rng.integers(len(eligible)))]
+        held[ei] = True
+        i, j = g.edges[ei]
+        test.append((v, int(j) if i == v else int(i)))
+    return held, test
+
+
+def _latest_per_user(g, rng):
+    """Held-edge mask and test pairs (user, item) of "latest-per-user":
+    each user of degree >= 2 gives up the first of its edges (by edge id)
+    with its newest stamp, as `np.argmax` picks it. A user whose stamps
+    are all missing (-1), or every user when the graph has no stamps,
+    gives up a random edge: one `rng.integers(degree)` per such user, in
+    ascending user order. A user owns the edges it starts, so no choice
+    depends on another."""
+    incident, starts = _incidence(g.edges[:, :1], g.num_a)
+    degree = np.diff(starts)
+    users = np.flatnonzero(degree >= 2)
+    chosen = np.full(len(users), -1, dtype=np.int64)
+    if g.timestamps is not None and len(users):
+        mine = incident[np.repeat(degree >= 2, degree)]   # the users' runs, in order
+        offsets = np.cumsum(degree[users]) - degree[users]
+        stamps = g.timestamps[mine]
+        newest = np.maximum.reduceat(stamps, offsets)
+        top = np.flatnonzero(stamps == np.repeat(newest, degree[users]))
+        # every run holds a top position, so its first one follows its offset
+        chosen = np.where(newest >= 0, mine[top[np.searchsorted(top, offsets)]], -1)
+    for r in np.flatnonzero(chosen < 0).tolist():
+        v = users[r]
+        chosen[r] = incident[starts[v] + int(rng.integers(int(degree[v])))]
+    held = np.zeros(g.num_edges, dtype=bool)
+    held[chosen] = True
+    return held, list(zip(users.tolist(), g.edges[chosen, 1].tolist()))
 
 
 def _incidence(ends, n):
@@ -137,17 +172,22 @@ def auc(pos_scores, neg_scores) -> float:
     ties counted half; exact, via midranks."""
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
-    if len(pos) == 0 or len(neg) == 0:
+    return _midrank_auc(pos, np.concatenate([pos, neg]))
+
+
+def _midrank_auc(pos, pooled) -> float:
+    """`auc` of the positives `pos` against the other scores of `pooled`,
+    which holds the positives and the negatives in any order. A tie group
+    at sorted positions lo..hi-1 has the midrank (lo + 1 + hi) / 2."""
+    n_pos, n_neg = len(pos), len(pooled) - len(pos)
+    if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC needs nonempty score lists")
-    scores = np.concatenate([pos, neg])
-    if np.isnan(scores).any():
+    ranked = np.sort(pooled)
+    if np.isnan(ranked[-1]):   # NaN sorts last
         return float("nan")
-    # midranks: a tie group ending at rank r with c members averages r - (c-1)/2
-    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2)[group]
-    pos_rank_sum = ranks[:len(pos)].sum()
-    n_pos, n_neg = len(pos), len(neg)
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+    ranks = (np.searchsorted(ranked, pos, "left") + 1
+             + np.searchsorted(ranked, pos, "right")) / 2
+    return float((ranks.sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
 def candidate_protocol(test_edge, g, num_negatives: int = 200,
@@ -155,27 +195,109 @@ def candidate_protocol(test_edge, g, num_negatives: int = 200,
     """Candidate set for one test edge: true endpoint plus uniform
     non-neighbor negatives of the query node (sampled from the training
     graph, so no training neighbor ever appears)."""
+    query, truth = test_edge
+    cand, sizes = _candidates(g, np.array([query]), np.array([truth]),
+                              num_negatives, [seed])
+    if sizes[0] <= num_negatives:
+        warnings.warn(f"only {sizes[0] - 1} non-neighbors available "
+                      f"({num_negatives} requested)", stacklevel=2)
+    return cand[0, :sizes[0]].tolist()
+
+
+def _candidates(g, queries, truths, num_negatives, seeds):
+    """Candidates of the test edges (queries[i], truths[i]): a (Q, C+1)
+    int64 matrix with the true endpoint in column 0, and each row's count.
+    Row i's C = num_negatives negatives are
+    `default_rng(seeds[i]).choice(pool, C, replace=False)` from the query's
+    non-neighbours in g (the query itself and the truth excluded). A row
+    whose pool is shorter takes the whole pool and is padded with -1."""
     if num_negatives < 1:
         raise ValidationError("num_negatives must be positive")
-    query, truth = test_edge
-    rng = np.random.default_rng(seed)
     bipartite = isinstance(g, BipartiteGraph)
     num_query, pool_size = (g.num_a, g.num_b) if bipartite else (g.num_nodes,) * 2
-    if not (0 <= query < num_query and 0 <= truth < pool_size):
-        raise ValidationError(f"test edge {query} {truth} is outside the graph")
-    free = np.ones(pool_size, dtype=bool)
-    free[g.adj.indices[g.adj.indptr[query]:g.adj.indptr[query + 1]]] = False
-    if not bipartite:
-        free[query] = False
-    free[truth] = False
-    pool = np.flatnonzero(free)
-    if len(pool) < num_negatives:
-        warnings.warn(f"only {len(pool)} non-neighbors available "
-                      f"({num_negatives} requested)", stacklevel=2)
-        chosen = pool
-    else:
-        chosen = rng.choice(pool, size=num_negatives, replace=False)
-    return [int(truth)] + [int(c) for c in chosen]
+    outside = ((queries < 0) | (queries >= num_query)
+               | (truths < 0) | (truths >= pool_size))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValidationError(f"test edge {queries[i]} {truths[i]} is outside the graph")
+    cand = np.full((len(queries), num_negatives + 1), -1, dtype=np.int64)
+    cand[:, 0] = truths
+    sizes = np.full(len(queries), num_negatives + 1)
+    indptr, indices = g.adj.indptr, g.adj.indices
+    free = np.ones(pool_size, dtype=bool)   # cleared per query, then restored
+    rows = zip(queries.tolist(), truths.tolist(), seeds)
+    for r, (query, truth, seed) in enumerate(rows):
+        taken = indices[indptr[query]:indptr[query + 1]]
+        free[taken] = False
+        if not bipartite:
+            free[query] = False
+        free[truth] = False
+        pool = np.flatnonzero(free)
+        free[taken] = free[truth] = True
+        if not bipartite:
+            free[query] = True
+        if len(pool) < num_negatives:
+            cand[r, 1:len(pool) + 1] = pool
+            sizes[r] = len(pool) + 1
+        else:
+            cand[r, 1:] = np.random.default_rng(int(seed)).choice(
+                pool, size=num_negatives, replace=False)
+    return cand, sizes
+
+
+# SeedSequence's constants (numpy/random/bit_generator.pyx)
+_POOL, _MASK = 4, 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, const, mult=_MULT_A):
+    """One hashmix step on a uint32 (a Python int or a uint32 array):
+    (hashed value, next hash constant)."""
+    value = (value ^ const) & _MASK
+    const = const * mult & _MASK
+    value = value * const & _MASK
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words."""
+    value = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
+    return value ^ value >> 16
+
+
+def _child_seeds(seed: int, n: int) -> np.ndarray:
+    """`SeedSequence(seed).spawn(n)[i].generate_state(1)[0]` for every i,
+    as one uint32 array.
+
+    A child's entropy is the seed's 32-bit words, zero-padded to the pool
+    size of 4, then its spawn-key word i. SeedSequence hashes the first 4
+    words into its pool, mixes the pool words with one another, and then
+    mixes each further word into every pool word (O'Neill's seed_seq_fe,
+    as NumPy adopted it in NEP 19). Only the last word differs between
+    children, and the first state word reads only pool word 0, which that
+    word's first mix updates. So the seed's part runs once, on Python
+    ints, and only that last mix runs on an array of children."""
+    seed = int(np.random.SeedSequence(seed).entropy)   # numpy's own checks
+    words = [seed >> s & _MASK for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:_POOL]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    value, _ = _hashmix(np.arange(n, dtype=np.uint32), const)
+    return _hashmix(_mix(pool[0], value), _INIT_B, _MULT_B)[0]
 
 
 def link_prediction_report(train_graph, test_edges, tables: EmbeddingTables,
@@ -184,32 +306,65 @@ def link_prediction_report(train_graph, test_edges, tables: EmbeddingTables,
                            ks=(10, 50, 100, 200), seed: int = 0) -> EvalReport:
     """Rank candidates for every test edge and aggregate HR@k and AUC.
 
-    Each query is scored once; candidates rank by descending score, ties
-    by ascending node id, so rankings are reproducible."""
+    Query i's candidates are drawn with the seed of the i-th child of
+    SeedSequence(seed). Candidates rank by descending score, ties by
+    ascending node id, and a NaN score ranks below every number, as a
+    `lexsort` of (-score, id) orders them; rankings are reproducible."""
     if not test_edges:
         raise ValidationError("no test edges")
-    hr_sums = {int(k): 0.0 for k in ks}
-    pos_scores, neg_scores = [], []
-    cand_rng = np.random.SeedSequence(seed)
-    for child, edge in zip(cand_rng.spawn(len(test_edges)), test_edges):
-        child_seed = int(child.generate_state(1)[0])
-        candidates = candidate_protocol(edge, train_graph, num_negatives,
-                                        seed=child_seed)
-        scores = inference.score_candidates(edge[0], candidates, tables, prior, mode)
-        cand = np.asarray(candidates)
-        ranked = cand[np.lexsort((cand, -scores))]
-        for k, hit in hit_ratio(ranked, edge[1], ks).items():
-            hr_sums[k] += hit
-        pos_scores.append(scores[0])
-        neg_scores.append(scores[1:])
     n = len(test_edges)
-    report = EvalReport(
-        hr_at_k={k: v / n for k, v in hr_sums.items()},
-        auc=auc(pos_scores, np.concatenate(neg_scores)),
+    cand, scores = _scored_candidates(train_graph, test_edges, tables, prior, mode,
+                                      num_negatives, seed)
+    position = _truth_positions(cand, scores)
+    # a short row ends in padding
+    pooled = scores[cand >= 0] if (cand[:, -1] < 0).any() else scores.ravel()
+    return EvalReport(
+        hr_at_k={int(k): int((position < k).sum()) / n for k in ks},
+        auc=_midrank_auc(scores[:, 0], pooled),
         metadata={"num_queries": n, "num_negatives": num_negatives,
                   "seed": seed, "mode": mode},
     )
-    return report
+
+
+def _truth_positions(cand, scores):
+    """Each row's 0-based rank of its column-0 truth: the candidates above
+    it and the tied ones of lower id, with a NaN below every number and
+    padded (-1) columns left out, as a `lexsort` of (-score, id) ranks."""
+    nan = np.isnan(scores)
+    truth_nan = nan[:, :1]
+    above = np.where(truth_nan, ~nan, scores > scores[:, :1])
+    tied = np.where(truth_nan, nan, scores == scores[:, :1])
+    tied &= cand < cand[:, :1]
+    above |= tied
+    above &= cand >= 0
+    return above.sum(axis=1)
+
+
+def _scored_candidates(g, test_edges, tables, prior, mode, num_negatives, seed):
+    """Candidates of every test edge (see `_candidates`) and their scores,
+    NaN where a row is padded. Full rows are scored in one call; a row
+    whose pool was short is scored over its own candidates, and one
+    warning counts those rows."""
+    # no dtype: an id beyond int64 stays a Python int for the bounds check
+    edges = np.array(test_edges).reshape(len(test_edges), 2)
+    queries, truths = edges[:, 0], edges[:, 1]
+    cand, sizes = _candidates(g, queries, truths, num_negatives,
+                              _child_seeds(seed, len(edges)))
+    short = np.flatnonzero(sizes <= num_negatives)
+    if len(short) == 0:
+        return cand, inference.score_candidates(queries, cand, tables, prior, mode)
+    warnings.warn(f"{len(short)} of {len(edges)} queries had fewer than "
+                  f"{num_negatives} non-neighbors; they are ranked among the "
+                  f"candidates available", stacklevel=3)
+    scores = np.full(cand.shape, np.nan)
+    full = np.flatnonzero(sizes > num_negatives)
+    if len(full):
+        scores[full] = inference.score_candidates(queries[full], cand[full],
+                                                  tables, prior, mode)
+    for r in short.tolist():
+        scores[r, :sizes[r]] = inference.score_candidates(
+            queries[r], cand[r, :sizes[r]], tables, prior, mode)
+    return cand, scores
 
 
 def load_labels(path, num_nodes: int, names=None):

@@ -16,6 +16,8 @@ from .errors import ValidationError
 from .facets import FacetPrior
 from .tables import EmbeddingTables
 
+SCORE_ROWS = 4096   # (query, candidate) rows per scoring block
+
 
 def concat(tables: EmbeddingTables, prior: FacetPrior,
            weighted: bool = True) -> np.ndarray:
@@ -46,10 +48,21 @@ def similarity(i: int, j: int, tables: EmbeddingTables, prior: FacetPrior,
     return float(score_candidates(i, [j], tables, prior, mode)[0])
 
 
-def score_candidates(query: int, candidates, tables: EmbeddingTables,
+def score_candidates(query, candidates, tables: EmbeddingTables,
                      prior: FacetPrior, mode: str = "homogeneous") -> np.ndarray:
-    """Similarity of one query against many candidates in a single pass."""
-    cand = np.asarray(list(candidates), dtype=np.int64)
+    """Similarity of queries against their candidates: a (Q,) query array
+    and (Q, C) candidates give (Q, C) scores, a scalar query and C
+    candidates give (C,).
+
+    Queries are scored in blocks of whole queries, about SCORE_ROWS
+    (query, candidate) rows each, so that the gathered candidate vectors
+    stay a few MiB at any C. Each score is the float that scoring its
+    query alone gives: the same products in the same order."""
+    single = np.ndim(query) == 0
+    queries = np.atleast_1d(np.asarray(query, dtype=np.int64))
+    cand = np.asarray(candidates, dtype=np.int64)
+    if single:
+        cand = cand.reshape(1, -1)
     if mode == "homogeneous":
         d_c, t_c = prior.dist, tables.u
     elif mode in ("cross", "cross-diagonal"):
@@ -60,9 +73,17 @@ def score_candidates(query: int, candidates, tables: EmbeddingTables,
         d_c, t_c = prior.dist_b, tables.h
     else:
         raise ValidationError(f"unknown similarity mode {mode!r}")
-    if mode == "cross-diagonal":
-        qblocks = tables.u[query] * prior.dist[query][:, None]   # (K, D)
-        per_facet = np.einsum("kd,ckd->ck", qblocks, t_c[cand])
-        return (per_facet * d_c[cand]).sum(axis=1)
-    qvec = prior.dist[query] @ tables.u[query]
-    return np.einsum("nk,nkd->nd", d_c[cand], t_c[cand]) @ qvec
+    # the prior-weighted candidate side of the factorised double sum, (N, D)
+    side = np.einsum("nk,nkd->nd", d_c, t_c) if mode != "cross-diagonal" else None
+    out = np.empty(cand.shape)
+    step = max(1, SCORE_ROWS // max(cand.shape[1], 1))
+    for lo in range(0, len(queries), step):
+        q, c = queries[lo:lo + step], cand[lo:lo + step]
+        if side is None:
+            qblocks = tables.u[q] * prior.dist[q][:, :, None]   # (q, K, D)
+            per_facet = np.einsum("qkd,qckd->qck", qblocks, t_c[c])
+            out[lo:lo + step] = (per_facet * d_c[c]).sum(axis=2)
+        else:
+            qvec = np.matmul(prior.dist[q][:, None, :], tables.u[q])   # (q, 1, D)
+            out[lo:lo + step] = np.matmul(side[c], qvec.transpose(0, 2, 1))[:, :, 0]
+    return out[0] if single else out

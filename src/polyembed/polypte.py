@@ -68,17 +68,22 @@ class AliasTable:
         if (w < 0).any() or w.sum() <= 0:
             raise ValidationError("alias table needs nonnegative weights, not all zero")
         n = len(w)
-        prob = w * n / w.sum()
-        self.prob = np.ones(n)
-        self.alias = np.arange(n)
-        small = [i for i in range(n) if prob[i] < 1.0]
-        large = [i for i in range(n) if prob[i] >= 1.0]
+        ratio = w * n / w.sum()
+        # Vose's worklists on Python lists and floats: the same IEEE doubles
+        # as numpy's scalars, without a numpy scalar per element
+        small = np.flatnonzero(ratio < 1.0).tolist()
+        large = np.flatnonzero(ratio >= 1.0).tolist()
+        prob = ratio.tolist()
+        keep = [1.0] * n
+        alias = list(range(n))
         while small and large:
             s, l = small.pop(), large.pop()
-            self.prob[s] = prob[s]
-            self.alias[s] = l
+            keep[s] = prob[s]
+            alias[s] = l
             prob[l] = prob[l] + prob[s] - 1.0
             (small if prob[l] < 1.0 else large).append(l)
+        self.prob = np.array(keep)
+        self.alias = np.array(alias, dtype=np.int64)
 
     def sample(self, rng) -> int:
         i = int(rng.integers(len(self.prob)))

@@ -6,16 +6,21 @@ re-implement classic (single-vector) skip-gram and edge-sampling training
 with explicit loops, consuming randomness in the documented order, so the
 facet trainers can be checked step-for-step against them at K=1. The per-step facet trainers check the
 decode-then-update engine exactly at any K. The per-edge PolyGCN loss
-checks the sparse pair-coefficient gradient within 1e-12 relative.
+checks the sparse pair-coefficient gradient within 1e-12 relative. The
+per-query link evaluation, the per-user split loop and the alias table
+built with numpy scalars check the one-pass evaluation, the split and the
+list-based alias build exactly.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from polyembed import graph as graphmod
-from polyembed.errors import NumericsError
+from polyembed.errors import NumericsError, ValidationError
+from polyembed.evaluation import _incidence, hit_ratio
 from polyembed.facets import FacetPrior
 from polyembed.polygcn import backward_facet, forward_facet
 from polyembed.polypte import AliasTable
@@ -445,3 +450,145 @@ def finite_difference(fn, arr, h=1e-6):
 def rel_error(analytic, numeric):
     denom = max(np.linalg.norm(numeric), 1e-12)
     return np.linalg.norm(analytic - numeric) / denom
+
+
+# ----------------------------------------------- reference link evaluation
+# The per-query evaluation loop that `evaluation.link_prediction_report`
+# replaced, kept verbatim with the candidate draw, scoring and AUC it called.
+
+def reference_candidates(test_edge, g, num_negatives=200, seed=0):
+    """One test edge's candidates: the truth, then the negatives."""
+    if num_negatives < 1:
+        raise ValidationError("num_negatives must be positive")
+    query, truth = test_edge
+    rng = np.random.default_rng(seed)
+    bipartite = isinstance(g, graphmod.BipartiteGraph)
+    num_query, pool_size = (g.num_a, g.num_b) if bipartite else (g.num_nodes,) * 2
+    if not (0 <= query < num_query and 0 <= truth < pool_size):
+        raise ValidationError(f"test edge {query} {truth} is outside the graph")
+    free = np.ones(pool_size, dtype=bool)
+    free[g.adj.indices[g.adj.indptr[query]:g.adj.indptr[query + 1]]] = False
+    if not bipartite:
+        free[query] = False
+    free[truth] = False
+    pool = np.flatnonzero(free)
+    if len(pool) < num_negatives:
+        warnings.warn(f"only {len(pool)} non-neighbors available "
+                      f"({num_negatives} requested)", stacklevel=2)
+        chosen = pool
+    else:
+        chosen = rng.choice(pool, size=num_negatives, replace=False)
+    return [int(truth)] + [int(c) for c in chosen]
+
+
+def reference_scores(query, candidates, tables, prior, mode="homogeneous"):
+    """Similarity of one query against many candidates."""
+    cand = np.asarray(list(candidates), dtype=np.int64)
+    if mode == "homogeneous":
+        d_c, t_c = prior.dist, tables.u
+    else:
+        d_c, t_c = prior.dist_b, tables.h
+    if mode == "cross-diagonal":
+        qblocks = tables.u[query] * prior.dist[query][:, None]   # (K, D)
+        per_facet = np.einsum("kd,ckd->ck", qblocks, t_c[cand])
+        return (per_facet * d_c[cand]).sum(axis=1)
+    qvec = prior.dist[query] @ tables.u[query]
+    return np.einsum("nk,nkd->nd", d_c[cand], t_c[cand]) @ qvec
+
+
+def reference_auc(pos_scores, neg_scores):
+    """Midrank AUC through `np.unique`."""
+    pos = np.asarray(pos_scores, dtype=np.float64)
+    neg = np.asarray(neg_scores, dtype=np.float64)
+    if len(pos) == 0 or len(neg) == 0:
+        raise ValidationError("AUC needs nonempty score lists")
+    scores = np.concatenate([pos, neg])
+    if np.isnan(scores).any():
+        return float("nan")
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[group]
+    pos_rank_sum = ranks[:len(pos)].sum()
+    n_pos, n_neg = len(pos), len(neg)
+    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+def reference_link_report(train_graph, test_edges, tables, prior, mode,
+                          num_negatives=200, ks=(10, 50, 100, 200), seed=0):
+    """One Python pass per query: (HR@k dict, AUC, each query's candidates,
+    each query's scores)."""
+    hr_sums = {int(k): 0.0 for k in ks}
+    pos_scores, neg_scores, all_cands, all_scores = [], [], [], []
+    cand_rng = np.random.SeedSequence(seed)
+    for child, edge in zip(cand_rng.spawn(len(test_edges)), test_edges):
+        child_seed = int(child.generate_state(1)[0])
+        candidates = reference_candidates(edge, train_graph, num_negatives,
+                                          seed=child_seed)
+        scores = reference_scores(edge[0], candidates, tables, prior, mode)
+        cand = np.asarray(candidates)
+        ranked = cand[np.lexsort((cand, -scores))]
+        for k, hit in hit_ratio(ranked, edge[1], ks).items():
+            hr_sums[k] += hit
+        pos_scores.append(scores[0])
+        neg_scores.append(scores[1:])
+        all_cands.append(cand)
+        all_scores.append(scores)
+    n = len(test_edges)
+    return ({k: v / n for k, v in hr_sums.items()},
+            reference_auc(pos_scores, np.concatenate(neg_scores)),
+            all_cands, all_scores)
+
+
+def reference_split_links(g, strategy="one-per-node", seed=0):
+    """The one loop over nodes that `evaluation.split_links` replaced for
+    "latest-per-user": (train graph, test pairs)."""
+    if strategy == "one-per-node":
+        incident, starts = _incidence(g.edges, g.num_nodes)
+        stamps = None
+    else:
+        incident, starts = _incidence(g.edges[:, :1], g.num_a)
+        stamps = g.timestamps
+    rng = np.random.default_rng(seed)
+    held = np.zeros(g.num_edges, dtype=bool)
+    test = []
+    for v in range(len(starts) - 1):
+        mine = incident[starts[v]:starts[v + 1]]
+        if len(mine) < 2:
+            continue
+        eligible = mine[~held[mine]]
+        if len(eligible) == 0:
+            continue
+        latest = stamps[eligible] if stamps is not None else None
+        if latest is not None and latest.max() >= 0:
+            ei = eligible[int(np.argmax(latest))]
+        else:
+            ei = eligible[int(rng.integers(len(eligible)))]
+        held[ei] = True
+        i, j = g.edges[ei]
+        test.append((v, int(j) if i == v else int(i)))
+    keep = ~held
+    if not keep.any():
+        raise ValidationError("split removed every edge; graph too sparse")
+    rows = np.column_stack([g.edges[keep], g.weights[keep]])
+    if isinstance(g, graphmod.Graph):
+        return graphmod.from_edges(rows, num_nodes=g.num_nodes), test
+    ts = g.timestamps[keep] if g.timestamps is not None else None
+    return graphmod.from_edges(rows, kind="bipartite", num_a=g.num_a,
+                               num_b=g.num_b, timestamps=ts), test
+
+
+def reference_alias_table(weights):
+    """Walker/Vose alias table built with numpy scalars: (prob, alias)."""
+    w = np.asarray(weights, dtype=np.float64)
+    n = len(w)
+    prob = w * n / w.sum()
+    out_prob = np.ones(n)
+    alias = np.arange(n)
+    small = [i for i in range(n) if prob[i] < 1.0]
+    large = [i for i in range(n) if prob[i] >= 1.0]
+    while small and large:
+        s, l = small.pop(), large.pop()
+        out_prob[s] = prob[s]
+        alias[s] = l
+        prob[l] = prob[l] + prob[s] - 1.0
+        (small if prob[l] < 1.0 else large).append(l)
+    return out_prob, alias

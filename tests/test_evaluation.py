@@ -1,11 +1,18 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
-from conftest import auc_brute_force
+from conftest import (auc_brute_force, reference_link_report,
+                      reference_split_links)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyembed import evaluation, graph
+from polyembed import evaluation, facets, graph, inference
 from polyembed.errors import ProtocolError, ValidationError
 from polyembed.evaluation import (EvalReport, auc, candidate_protocol, classify,
                                   hit_ratio, split_links)
+from polyembed.tables import EmbeddingTables
 
 
 # ------------------------------------------------------------------- splits
@@ -247,3 +254,211 @@ def test_label_file_loading(tmp_path):
     y, classes = evaluation.load_labels(path, 3)
     assert classes == ["blue", "red"]
     assert y[1].tolist() == [1.0, 1.0]
+
+
+# ------------------------------------------------------ one-pass evaluation
+
+SEEDS = (0, 2**32, 2**130 + 3)
+
+
+def random_case(rng, kind, k, integer, num_a, num_b, density, dim=None):
+    """A random graph with tables and a prior over it. Integer-valued
+    tables and priors make exact score ties common."""
+    if kind == "homogeneous":
+        pairs = rng.integers(0, num_a, (int(density * num_a), 2))
+        rows = [(int(i), int(j)) for i, j in pairs if i != j]
+        g = graph.from_edges(rows or [(0, 1)], num_nodes=num_a)
+        num_b = num_a
+    else:
+        rows = rng.integers(0, [num_a, num_b], (int(density * num_a), 2)).tolist()
+        g = graph.from_edges(rows or [(0, 0)], kind="bipartite", num_a=num_a,
+                             num_b=num_b)
+    dim = dim or int(rng.integers(1, 5))
+    if integer:
+        u = rng.integers(-1, 2, (num_a, k, dim)).astype(float)
+        h = rng.integers(-1, 2, (num_b, k, dim)).astype(float)
+        fa, fb = rng.integers(1, 3, (num_a, k)), rng.integers(1, 3, (num_b, k))
+    else:
+        u, h = rng.normal(0, 1, (num_a, k, dim)), rng.normal(0, 1, (num_b, k, dim))
+        fa, fb = rng.random((num_a, k)) + 0.01, rng.random((num_b, k)) + 0.01
+    prior = (facets.FacetPrior.from_factor(fa) if kind == "homogeneous"
+             else facets.FacetPrior.from_factors(fa, fb))
+    return g, EmbeddingTables(u=u, h=h), prior
+
+
+@settings(max_examples=120, deadline=None)
+@given(case_seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from(["homogeneous", "cross", "cross-diagonal"]),
+       k=st.sampled_from([1, 3, 8, 9]), integer=st.booleans(),
+       nan=st.sampled_from([None, "query", "candidate"]),
+       num_negatives=st.integers(1, 25), seed=st.sampled_from(SEEDS))
+def test_link_report_equals_the_per_query_loop(case_seed, mode, k, integer, nan,
+                                               num_negatives, seed):
+    rng = np.random.default_rng(case_seed)
+    kind = "homogeneous" if mode == "homogeneous" else "bipartite"
+    num_a, num_b = (int(x) for x in rng.integers(3, 40, 2))
+    g, tables, prior = random_case(rng, kind, k, integer, num_a, num_b,
+                                   density=rng.uniform(0.5, 6))
+    pool_size = num_b if kind == "bipartite" else num_a
+    test_edges = [(int(q), int(t)) for q, t in zip(
+        rng.integers(0, num_a, rng.integers(1, 30)),
+        rng.integers(0, pool_size, 30))]
+    if nan == "query":
+        tables.u[test_edges[0][0], 0, 0] = np.nan
+    elif nan == "candidate":
+        side = tables.u if mode == "homogeneous" else tables.h
+        side[int(rng.integers(pool_size)), -1, 0] = np.nan
+    ks = (1, 3, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            hr, auc_ref, cands, scores = reference_link_report(
+                g, test_edges, tables, prior, mode, num_negatives, ks, seed)
+        except ValidationError:   # no query has a negative
+            with pytest.raises(ValidationError, match="nonempty"):
+                evaluation.link_prediction_report(
+                    g, test_edges, tables, prior, mode, num_negatives, ks, seed)
+            return
+        report = evaluation.link_prediction_report(
+            g, test_edges, tables, prior, mode, num_negatives, ks, seed)
+        cand, got = evaluation._scored_candidates(g, test_edges, tables, prior,
+                                                  mode, num_negatives, seed)
+    assert report.hr_at_k == hr
+    assert report.auc == auc_ref or (np.isnan(report.auc) and np.isnan(auc_ref))
+    for r, (ref_cand, ref_scores) in enumerate(zip(cands, scores)):
+        width = len(ref_cand)
+        assert np.array_equal(cand[r, :width], ref_cand)
+        assert (cand[r, width:] == -1).all()
+        assert np.array_equal(got[r, :width], ref_scores, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_child_seeds_equal_seed_sequence_spawn(seed):
+    for n in (0, 1, 7, 5000):
+        expected = [child.generate_state(1)[0]
+                    for child in np.random.SeedSequence(seed).spawn(n)]
+        got = evaluation._child_seeds(seed, n)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, np.array(expected, dtype=np.uint32))
+
+
+def test_one_warning_counts_the_pool_short_queries():
+    # nodes 1-3 neighbour nodes 4-20, so 21 of 40 nodes are left to them
+    g = graph.from_edges([(v, j) for v in (1, 2, 3) for j in range(4, 21)],
+                         num_nodes=40)
+    rng = np.random.default_rng(4)
+    tables = EmbeddingTables(u=rng.normal(0, 1, (40, 2, 3)), h=np.zeros((40, 2, 3)))
+    prior = facets.FacetPrior.from_factor(rng.random((40, 2)) + 0.1)
+    test_edges = [(1, 0), (2, 0), (3, 0)] + [(v, 0) for v in range(10, 17)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = evaluation.link_prediction_report(
+            g, test_edges, tables, prior, "homogeneous", num_negatives=27,
+            ks=(1, 5, 20), seed=3)
+    assert len(caught) == 1 and caught[0].category is UserWarning
+    assert "3 of 10 queries" in str(caught[0].message)
+    assert "27" in str(caught[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hr, auc_ref, cands, _ = reference_link_report(
+            g, test_edges, tables, prior, "homogeneous", 27, (1, 5, 20), 3)
+    assert sum(len(c) < 28 for c in cands) == 3
+    assert report.hr_at_k == hr and report.auc == auc_ref
+
+
+def test_link_report_is_one_pass(monkeypatch):
+    rng = np.random.default_rng(11)
+    g, tables, prior = random_case(rng, "bipartite", 3, False, 300, 400, density=4)
+    test_edges = list(zip(rng.integers(0, 300, 1000).tolist(),
+                          rng.integers(0, 400, 1000).tolist()))
+    score_calls, spawn_calls = [], []
+    score = inference.score_candidates
+
+    def counted_score(*args, **kwargs):
+        score_calls.append(1)
+        return score(*args, **kwargs)
+
+    class CountedSeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawn_calls.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(inference, "score_candidates", counted_score)
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    evaluation.link_prediction_report(g, test_edges, tables, prior, "cross",
+                                      num_negatives=50, ks=(10,), seed=5)
+    rows = len(test_edges) * 51
+    assert 1 <= len(score_calls) <= -(-rows // inference.SCORE_ROWS)
+    assert spawn_calls == []
+
+
+def test_link_report_memory_is_the_candidates_and_scores():
+    rng = np.random.default_rng(12)
+    g, tables, prior = random_case(rng, "homogeneous", 4, False, 800, 800,
+                                   density=3, dim=16)
+    q = 3000
+    test_edges = list(zip(rng.integers(0, 800, q).tolist(),
+                          rng.integers(0, 800, q).tolist()))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        evaluation.link_prediction_report(g, test_edges, tables, prior,
+                                          "homogeneous", num_negatives=200,
+                                          ks=(10,), seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    arrays = 2 * q * 201 * 8   # int64 candidates and float64 scores
+    assert peak < arrays + 8 * 2**20
+
+
+@settings(max_examples=150, deadline=None)
+@given(case_seed=st.integers(0, 2**32 - 1),
+       stamps=st.sampled_from(["distinct", "tied", "missing", "mixed", None]),
+       seed=st.integers(0, 2**63 - 1))
+def test_latest_per_user_split_equals_the_per_user_loop(case_seed, stamps, seed):
+    rng = np.random.default_rng(case_seed)
+    num_a, num_b = (int(x) for x in rng.integers(2, 30, 2))
+    edges = rng.integers(0, [num_a, num_b], (int(rng.integers(2, 120)), 2))
+    ts = {"distinct": rng.permutation(len(edges)),
+          "tied": rng.integers(0, 3, len(edges)),
+          "missing": np.full(len(edges), -1),
+          "mixed": np.where(rng.random(len(edges)) < 0.5, -1,
+                            rng.integers(-3, 4, len(edges))),
+          None: None}[stamps]
+    if stamps == "mixed":   # some users keep only missing stamps
+        ts[edges[:, 0] % 3 == 0] = -1
+    g = graph.from_edges(edges.tolist(), kind="bipartite", num_a=num_a,
+                         num_b=num_b, timestamps=None if ts is None else ts.tolist())
+    assert_same_split(g, "latest-per-user", seed)
+
+
+def assert_same_split(g, strategy, seed):
+    """split_links and the reference loop hold out the same pairs and keep
+    the same training edges, or both reject the graph."""
+    try:
+        ref_train, ref_test = reference_split_links(g, strategy, seed)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="every edge"):
+            split_links(g, strategy, seed)
+        return
+    train, test = split_links(g, strategy, seed)
+    assert test == ref_test
+    assert train.edges.tobytes() == ref_train.edges.tobytes()
+    assert train.weights.tobytes() == ref_train.weights.tobytes()
+    if isinstance(g, graph.BipartiteGraph):
+        assert (train.timestamps is None) == (ref_train.timestamps is None)
+        assert train.timestamps is None or (
+            train.timestamps.tobytes() == ref_train.timestamps.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63 - 1))
+def test_one_per_node_split_equals_the_per_node_loop(case_seed, seed):
+    rng = np.random.default_rng(case_seed)
+    n = int(rng.integers(3, 30))
+    pairs = rng.integers(0, n, (int(rng.integers(3, 90)), 2))
+    rows = [(int(i), int(j)) for i, j in pairs if i != j]
+    g = graph.from_edges(rows or [(0, 1), (1, 2)], num_nodes=n)
+    assert_same_split(g, "one-per-node", seed)

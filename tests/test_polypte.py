@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
-from conftest import make_planted_bipartite, reference_pte_train
+from conftest import (make_planted_bipartite, reference_alias_table,
+                      reference_pte_train)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyembed import evaluation, facets, graph, polypte
 from polyembed.errors import ValidationError
@@ -120,6 +123,24 @@ def test_alias_table_distribution():
 def test_alias_table_rejects_zero_weights():
     with pytest.raises(ValidationError):
         polypte.AliasTable([0.0, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.one_of(
+    st.lists(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 3.0, 1e6]), min_size=1, max_size=60),
+    st.lists(st.floats(0, 1e6), min_size=1, max_size=60),
+    st.builds(lambda n, w: [w] * n, st.integers(1, 60),
+              st.sampled_from([1e-300, 1.0, 7.0])),
+    st.builds(lambda n, i: [0.0] * i + [2.5] + [0.0] * (n - i),
+              st.integers(0, 40), st.integers(0, 40))))
+def test_alias_table_equals_the_numpy_scalar_build(weights):
+    if sum(weights) <= 0:
+        return
+    prob, alias = reference_alias_table(weights)
+    table = polypte.AliasTable(weights)
+    assert np.array_equal(table.prob, prob)
+    assert np.array_equal(table.alias, alias)
+    assert table.prob.dtype == prob.dtype and table.alias.dtype == alias.dtype
 
 
 # ------------------------------------------------------------- raw draws
