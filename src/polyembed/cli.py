@@ -175,6 +175,8 @@ def resolve_params(args) -> dict:
     given = sorted(key for key in unread if params[key] is not None)
     if given:
         raise ValidationError(f"this run does not read {', '.join(given)}")
+    if params.get("seed", 0) < 0:
+        raise ValidationError(f"--seed must be non-negative, got {params['seed']}")
     return {key: defaults.get(key) if value is None else value
             for key, value in params.items() if key not in unread}
 
@@ -517,7 +519,7 @@ def run(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         args.func(args, resolve_params(args))
-    except PolyembedError as exc:
+    except (PolyembedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

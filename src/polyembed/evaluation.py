@@ -11,10 +11,13 @@ from a one-vs-rest logistic-regression stand-in classifier.
 Link evaluation is one pass over all queries. Per query, Python only
 draws the negatives, with `default_rng(child seed).choice`, where the
 child seeds are those of `SeedSequence(seed).spawn`, computed at once.
-Scoring is one `inference.score_candidates` call over the (Q, C+1)
-candidate matrix, which that function works through in bounded blocks,
-and the truth's rank is a count, not a sort. Every report is the same as
-the per-query loop's, byte for byte.
+The rows that hold all C negatives are scored in one
+`inference.score_candidates` call over their (Q, C+1) candidate matrix,
+which that function works through in bounded blocks. A row whose pool was
+shorter is scored alone, over its own candidates: padded into the batch,
+its products would have another shape, and BLAS may round those to other
+floats. The truth's rank is a count, not a sort. Every report is the same
+as the per-query loop's, byte for byte.
 """
 
 from __future__ import annotations
@@ -190,20 +193,6 @@ def _midrank_auc(pos, pooled) -> float:
     return float((ranks.sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def candidate_protocol(test_edge, g, num_negatives: int = 200,
-                       seed: int = 0) -> list[int]:
-    """Candidate set for one test edge: true endpoint plus uniform
-    non-neighbor negatives of the query node (sampled from the training
-    graph, so no training neighbor ever appears)."""
-    query, truth = test_edge
-    cand, sizes = _candidates(g, np.array([query]), np.array([truth]),
-                              num_negatives, [seed])
-    if sizes[0] <= num_negatives:
-        warnings.warn(f"only {sizes[0] - 1} non-neighbors available "
-                      f"({num_negatives} requested)", stacklevel=2)
-    return cand[0, :sizes[0]].tolist()
-
-
 def _candidates(g, queries, truths, num_negatives, seeds):
     """Candidates of the test edges (queries[i], truths[i]): a (Q, C+1)
     int64 matrix with the true endpoint in column 0, and each row's count.
@@ -228,14 +217,10 @@ def _candidates(g, queries, truths, num_negatives, seeds):
     rows = zip(queries.tolist(), truths.tolist(), seeds)
     for r, (query, truth, seed) in enumerate(rows):
         taken = indices[indptr[query]:indptr[query + 1]]
-        free[taken] = False
-        if not bipartite:
-            free[query] = False
-        free[truth] = False
+        own = truth if bipartite else query   # a node is no negative of itself
+        free[taken] = free[truth] = free[own] = False
         pool = np.flatnonzero(free)
-        free[taken] = free[truth] = True
-        if not bipartite:
-            free[query] = True
+        free[taken] = free[truth] = free[own] = True
         if len(pool) < num_negatives:
             cand[r, 1:len(pool) + 1] = pool
             sizes[r] = len(pool) + 1
@@ -309,9 +294,16 @@ def link_prediction_report(train_graph, test_edges, tables: EmbeddingTables,
     Query i's candidates are drawn with the seed of the i-th child of
     SeedSequence(seed). Candidates rank by descending score, ties by
     ascending node id, and a NaN score ranks below every number, as a
-    `lexsort` of (-score, id) orders them; rankings are reproducible."""
+    `lexsort` of (-score, id) orders them; rankings are reproducible. The
+    prior must fit the tables (`inference.check_prior`), and the tables
+    must have a row per node of the graph."""
     if not test_edges:
         raise ValidationError("no test edges")
+    inference.check_prior(tables, prior, mode)
+    nodes = [count for _, count in graphmod.sides(train_graph)]
+    rows = [len(tables.u), len(tables.u if mode == "homogeneous" else tables.h)]
+    if nodes != rows:
+        raise ValidationError(f"graph nodes {nodes} disagree with table rows {rows}")
     n = len(test_edges)
     cand, scores = _scored_candidates(train_graph, test_edges, tables, prior, mode,
                                       num_negatives, seed)
@@ -358,12 +350,11 @@ def _scored_candidates(g, test_edges, tables, prior, mode, num_negatives, seed):
                   f"candidates available", stacklevel=3)
     scores = np.full(cand.shape, np.nan)
     full = np.flatnonzero(sizes > num_negatives)
-    if len(full):
-        scores[full] = inference.score_candidates(queries[full], cand[full],
-                                                  tables, prior, mode)
+    scores[full] = inference.score_candidates(queries[full], cand[full],
+                                              tables, prior, mode)
     for r in short.tolist():
         scores[r, :sizes[r]] = inference.score_candidates(
-            queries[r], cand[r, :sizes[r]], tables, prior, mode)
+            queries[r:r + 1], cand[r:r + 1, :sizes[r]], tables, prior, mode)[0]
     return cand, scores
 
 
@@ -392,10 +383,6 @@ def load_labels(path, num_nodes: int, names=None):
     for node, lab in pairs:
         y[node, index[lab]] = 1.0
     return y, classes
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30, 30)))
 
 
 def classify(features: np.ndarray, labels: np.ndarray,
@@ -436,31 +423,22 @@ def classify(features: np.ndarray, labels: np.ndarray,
     w = np.zeros((xs.shape[1], y.shape[1]))
     m = len(train_idx)
     for _ in range(200):
-        p = _sigmoid(xt @ w)
+        p = 1.0 / (1.0 + np.exp(-np.clip(xt @ w, -30, 30)))
         grad = xt.T @ (p - yt) / m + 1e-4 * w
         w -= 0.5 * grad
 
     scores = xs[test_idx] @ w
     y_test = y[test_idx]
+    # top-l: a row predicts its l best classes by a stable sort, l its label count
+    ranked = np.argsort(-scores, axis=1, kind="stable")
+    num_true = y_test.sum(axis=1, keepdims=True).astype(int)
     y_pred = np.zeros_like(y_test)
-    for r in range(len(test_idx)):
-        n_true = int(y_test[r].sum())
-        if n_true == 0:
-            continue
-        top = np.argsort(-scores[r], kind="stable")[:n_true]
-        y_pred[r, top] = 1.0
+    np.put_along_axis(y_pred, ranked, np.arange(y.shape[1]) < num_true, axis=1)
 
-    tp = (y_pred * y_test).sum()
-    fp = (y_pred * (1 - y_test)).sum()
-    fn = ((1 - y_pred) * y_test).sum()
-    micro = 2 * tp / max(2 * tp + fp + fn, 1e-300)
-
-    per_class = []
-    for c in range(y.shape[1]):
-        tp_c = (y_pred[:, c] * y_test[:, c]).sum()
-        fp_c = (y_pred[:, c] * (1 - y_test[:, c])).sum()
-        fn_c = ((1 - y_pred[:, c]) * y_test[:, c]).sum()
-        denom = 2 * tp_c + fp_c + fn_c
-        per_class.append(2 * tp_c / denom if denom > 0 else 0.0)
-    macro = float(np.mean(per_class))
-    return float(micro), macro
+    tp = (y_pred * y_test).sum(axis=0)
+    fp = (y_pred * (1 - y_test)).sum(axis=0)
+    fn = ((1 - y_pred) * y_test).sum(axis=0)
+    micro = 2 * tp.sum() / max(2 * tp.sum() + fp.sum() + fn.sum(), 1e-300)
+    denom = 2 * tp + fp + fn
+    per_class = np.divide(2 * tp, denom, out=np.zeros_like(denom), where=denom > 0)
+    return float(micro), float(np.mean(per_class))

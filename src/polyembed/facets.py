@@ -213,18 +213,19 @@ def conditional_distribution(p_v, p_o, mode: str = "min") -> np.ndarray:
 def sample_facets(dist, u) -> np.ndarray:
     """Inverse-CDF facet draws, one per distribution along the last axis of
     `dist`, from uniforms `u` shaped like `dist` without that axis."""
-    return facets_from_cdf(np.cumsum(dist, axis=-1), u)
+    return facets_from_cdf(np.moveaxis(np.cumsum(dist, axis=-1), -1, 0), u)
 
 
-def facets_from_cdf(cdf, u) -> np.ndarray:
-    """`sample_facets` given the cumulative sums of the distributions: the
-    number of the first K - 1 sums at or below `u` times the last. Rows
-    do not decrease, so that is the count of all K sums at or below it,
-    clamped to K - 1, counted one column at a time."""
-    x = u * cdf[..., -1]
+def facets_from_cdf(cdf, u, rows=...) -> np.ndarray:
+    """`sample_facets` given the distributions' cumulative sums as K columns
+    (K, ...) read at `rows`: the count of the first K - 1 sums at or below
+    `u` times the last, which is the count of all K clamped to K - 1, as
+    sums do not decrease. Columns are gathered one at a time: all K at
+    once made the negative sampler's decode about twice as slow."""
+    x = u * cdf[-1][rows]
     out = np.zeros(x.shape, dtype=np.intp)
-    for c in range(cdf.shape[-1] - 1):
-        out += cdf[..., c] <= x
+    for column in cdf[:-1]:
+        out += column[rows] <= x
     return out
 
 

@@ -138,8 +138,6 @@ def load_edge_list(path, kind: str = "homogeneous"):
     or "bipartite" (column 1 = type A, column 2 = type B).
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
     if kind not in SIDES:
         raise ValidationError(f"unknown graph kind {kind!r}")
     rows, line_nos = [], []

@@ -23,14 +23,28 @@ def concat(tables: EmbeddingTables, prior: FacetPrior,
            weighted: bool = True) -> np.ndarray:
     """Per-node joint vectors, shape (N, K*D): facet blocks of the target
     table concatenated in facet order, scaled by p(k|v) when weighted."""
+    check_prior(tables, prior)
     u = tables.u
-    if prior.dist.shape[0] != u.shape[0]:
-        raise ValidationError("prior and tables disagree on node count")
-    if prior.k != tables.k:
-        raise ValidationError("prior and tables disagree on facet count")
     if weighted:
         u = u * prior.dist[:, :, None]
     return u.reshape(u.shape[0], -1).copy()
+
+
+def check_prior(tables: EmbeddingTables, prior: FacetPrior,
+                mode: str = "homogeneous") -> None:
+    """ValidationError unless `prior` fits the tables that `mode` reads: a
+    row per target node, the tables' facet count and, in the cross modes,
+    a type-B row per context node."""
+    if mode not in ("homogeneous", "cross", "cross-diagonal"):
+        raise ValidationError(f"unknown similarity mode {mode!r}")
+    if prior.dist.shape[0] != tables.u.shape[0]:
+        raise ValidationError("prior and tables disagree on node count")
+    if prior.k != tables.k:
+        raise ValidationError("prior and tables disagree on facet count")
+    if mode != "homogeneous" and prior.dist_b is None:
+        raise ValidationError("cross-type similarity needs a bipartite prior")
+    if mode != "homogeneous" and prior.dist_b.shape[0] != tables.num_context:
+        raise ValidationError("context table does not match the type-B prior")
 
 
 def similarity(i: int, j: int, tables: EmbeddingTables, prior: FacetPrior,
@@ -45,34 +59,23 @@ def similarity(i: int, j: int, tables: EmbeddingTables, prior: FacetPrior,
     combiner for encoders whose facets were trained independently, where
     cross-facet inner products carry no signal.
     """
-    return float(score_candidates(i, [j], tables, prior, mode)[0])
+    return float(score_candidates([i], [[j]], tables, prior, mode)[0, 0])
 
 
-def score_candidates(query, candidates, tables: EmbeddingTables,
+def score_candidates(queries, candidates, tables: EmbeddingTables,
                      prior: FacetPrior, mode: str = "homogeneous") -> np.ndarray:
-    """Similarity of queries against their candidates: a (Q,) query array
-    and (Q, C) candidates give (Q, C) scores, a scalar query and C
-    candidates give (C,).
+    """Similarity of queries against their candidates: (Q,) queries and
+    (Q, C) candidates give (Q, C) scores.
 
     Queries are scored in blocks of whole queries, about SCORE_ROWS
     (query, candidate) rows each, so that the gathered candidate vectors
     stay a few MiB at any C. Each score is the float that scoring its
     query alone gives: the same products in the same order."""
-    single = np.ndim(query) == 0
-    queries = np.atleast_1d(np.asarray(query, dtype=np.int64))
+    queries = np.asarray(queries, dtype=np.int64)
     cand = np.asarray(candidates, dtype=np.int64)
-    if single:
-        cand = cand.reshape(1, -1)
-    if mode == "homogeneous":
-        d_c, t_c = prior.dist, tables.u
-    elif mode in ("cross", "cross-diagonal"):
-        if prior.dist_b is None:
-            raise ValidationError("cross-type similarity needs a bipartite prior")
-        if prior.dist_b.shape[0] != tables.num_context:
-            raise ValidationError("context table does not match the type-B prior")
-        d_c, t_c = prior.dist_b, tables.h
-    else:
-        raise ValidationError(f"unknown similarity mode {mode!r}")
+    check_prior(tables, prior, mode)
+    d_c, t_c = ((prior.dist, tables.u) if mode == "homogeneous"
+                else (prior.dist_b, tables.h))
     # the prior-weighted candidate side of the factorised double sum, (N, D)
     side = np.einsum("nk,nkd->nd", d_c, t_c) if mode != "cross-diagonal" else None
     out = np.empty(cand.shape)
@@ -86,4 +89,4 @@ def score_candidates(query, candidates, tables: EmbeddingTables,
         else:
             qvec = np.matmul(prior.dist[q][:, None, :], tables.u[q])   # (q, 1, D)
             out[lo:lo + step] = np.matmul(side[c], qvec.transpose(0, 2, 1))[:, :, 0]
-    return out[0] if single else out
+    return out

@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CapacityError, NumericsError, ValidationError
-from .facets import conditional_distribution, sample_facets
+from .facets import conditional_distribution, facets_from_cdf, sample_facets
 from .tables import EmbeddingTables, init_tables
 
 LR_FLOOR_RATIO = 1e-4
@@ -108,8 +108,7 @@ class NegativeSampler:
         self.m = m
         # an infinite last entry stops every search at the node count
         self.cdf = np.append(cdf, np.inf)
-        # each node's facet CDF, summed once, stored column by column so
-        # that each column is one 1-D gather
+        # each node's facet CDF, summed once, as K columns (facets_from_cdf)
         self.facet_cdf = np.cumsum(facet_dist, axis=1).T.copy()
         self.k = facet_dist.shape[1]
 
@@ -132,13 +131,7 @@ class NegativeSampler:
         np.minimum(nodes, len(cdf) - 2, out=nodes)   # the last node
         if self.k == 1:
             return nodes, np.zeros_like(nodes)
-        # column counts: facets_from_cdf on the gathered rows, one column
-        # gathered at a time
-        x = u_facets * self.facet_cdf[-1][nodes]
-        facets = np.zeros_like(nodes)
-        for column in self.facet_cdf[:-1]:
-            facets += column[nodes] <= x
-        return nodes, facets
+        return nodes, facets_from_cdf(self.facet_cdf, u_facets, nodes)
 
 
 def uniforms_per_round(contexts, k: int, negatives: int):

@@ -9,7 +9,8 @@ decode-then-update engine exactly at any K. The per-edge PolyGCN loss
 checks the sparse pair-coefficient gradient within 1e-12 relative. The
 per-query link evaluation, the per-user split loop and the alias table
 built with numpy scalars check the one-pass evaluation, the split and the
-list-based alias build exactly.
+list-based alias build exactly, and the per-row classification loops
+check the vectorised top-l scoring.
 """
 
 import math
@@ -592,3 +593,66 @@ def reference_alias_table(weights):
         prob[l] = prob[l] + prob[s] - 1.0
         (small if prob[l] < 1.0 else large).append(l)
     return out_prob, alias
+
+
+# ---------------------------------------------- reference classification
+
+def reference_classify(features, labels, train_fraction=0.8, seed=0,
+                       shuffle=False):
+    """`evaluation.classify` with its per-row top-l loop and per-class F1
+    loop, as they were before the scoring was vectorised."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if x.shape[0] != y.shape[0]:
+        raise ValidationError("features and labels disagree on sample count")
+    if y.shape[1] < 2 or (y.sum(axis=0) > 0).sum() < 2:
+        raise ValidationError("need at least two represented classes")
+    if not 0.0 < train_fraction < 1.0:
+        raise ValidationError("train_fraction must be in (0, 1)")
+    n = x.shape[0]
+    order = np.arange(n)
+    if shuffle:
+        order = np.random.default_rng(seed).permutation(n)
+    cut = int(np.floor(train_fraction * n))
+    if cut < 1 or cut >= n:
+        raise ValidationError("split leaves an empty train or test side")
+    train_idx, test_idx = order[:cut], order[cut:]
+
+    mu = x[train_idx].mean(axis=0)
+    sd = x[train_idx].std(axis=0)
+    sd[sd == 0] = 1.0
+    xs = (x - mu) / sd
+    xs = np.hstack([xs, np.ones((n, 1))])  # bias column
+
+    xt, yt = xs[train_idx], y[train_idx]
+    w = np.zeros((xs.shape[1], y.shape[1]))
+    m = len(train_idx)
+    for _ in range(200):
+        p = 1.0 / (1.0 + np.exp(-np.clip(xt @ w, -30, 30)))
+        grad = xt.T @ (p - yt) / m + 1e-4 * w
+        w -= 0.5 * grad
+
+    scores = xs[test_idx] @ w
+    y_test = y[test_idx]
+    y_pred = np.zeros_like(y_test)
+    for r in range(len(test_idx)):
+        n_true = int(y_test[r].sum())
+        if n_true == 0:
+            continue
+        top = np.argsort(-scores[r], kind="stable")[:n_true]
+        y_pred[r, top] = 1.0
+
+    tp = (y_pred * y_test).sum()
+    fp = (y_pred * (1 - y_test)).sum()
+    fn = ((1 - y_pred) * y_test).sum()
+    micro = 2 * tp / max(2 * tp + fp + fn, 1e-300)
+
+    per_class = []
+    for c in range(y.shape[1]):
+        tp_c = (y_pred[:, c] * y_test[:, c]).sum()
+        fp_c = (y_pred[:, c] * (1 - y_test[:, c])).sum()
+        fn_c = ((1 - y_pred[:, c]) * y_test[:, c]).sum()
+        denom = 2 * tp_c + fp_c + fn_c
+        per_class.append(2 * tp_c / denom if denom > 0 else 0.0)
+    macro = float(np.mean(per_class))
+    return float(micro), macro

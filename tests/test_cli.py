@@ -220,11 +220,96 @@ def test_cli_import_leaves_out_scipy_stats_and_special():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_missing_file_returns_nonzero(tmp_path, capsys):
-    rc = cli.run(["facets", "--input", str(tmp_path / "nope.edges"),
-                  "--out", str(tmp_path / "x")])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """The files of a homogeneous pipeline with labels (w.*) and of a
+    bipartite one (b.*), their inputs, and a config file."""
+    d = tmp_path_factory.mktemp("artifacts")
+    (d / "g.edges").write_text("".join(f"{i} {(i + 1) % 12}\n{i} {(i + 3) % 12}\n"
+                                       for i in range(12)))
+    (d / "l.txt").write_text("".join(f"{i} {'xy'[i % 2]}\n" for i in range(12)))
+    (d / "b.edges").write_text("".join(f"{a} {b}\n" for a in range(8)
+                                       for b in range(6) if (a + b) % 3 == 0))
+    (d / "c.cfg").write_text("k=2\n")
+    small = ["--k", "2", "--dim", "2", "--num-negatives", "3", "--ks", "1"]
+    run_ok(["pipeline", "--input", str(d / "g.edges"), "--labels", str(d / "l.txt"),
+            "--walks-per-node", "2", "--walk-length", "4", "--window", "2",
+            "--epochs", "1", *small, "--workdir", str(d / "w")])
+    run_ok(["pipeline", "--input", str(d / "b.edges"), "--kind", "bipartite",
+            "--model", "pte", "--total-samples", "200", *small,
+            "--workdir", str(d / "b")])
+    return d
+
+
+def in_artifacts(argv, d):
+    """`argv` with each file name (a name with a dot, `o`, or one under
+    `nope`) made a path into `d`."""
+    return [str(d / a) if "." in a or a == "o" or a.startswith("nope") else a
+            for a in argv]
+
+
+EVAL_W = ["eval-link", "--graph", "w.train.edges", "--test", "w.test.edges",
+          "--emb", "w.emb", "--prior", "w.prior", "--out", "o"]
+EVAL_B = ["eval-link", "--mode", "cross", "--graph", "b.train.edges",
+          "--test", "b.test.edges", "--emb", "b.emb", "--prior", "b.prior",
+          "--out", "o"]
+DEEPWALK_W = ["train-deepwalk", "--input", "g.edges", "--prior", "w.prior",
+              "--corpus", "w.walks", "--out", "o"]
+CLASS_W = ["eval-class", "--features", "w.joint", "--labels", "l.txt", "--out", "o"]
+
+
+def replaced(argv, flag, value):
+    return [value if prev == flag else a for prev, a in zip([None] + argv, argv)]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["facets", "--input", "nope.edges", "--out", "o"], id="input"),
+    pytest.param(["facets", "--input", "g.edges", "--config", "nope.cfg",
+                  "--out", "o"], id="config"),
+    pytest.param(replaced(EVAL_W, "--graph", "nope.edges"), id="graph"),
+    pytest.param(replaced(EVAL_W, "--test", "nope.edges"), id="test"),
+    pytest.param(replaced(EVAL_W, "--emb", "nope.emb"), id="emb"),
+    pytest.param(replaced(EVAL_W, "--prior", "nope.prior"), id="prior"),
+    # the stem of nope.prior.a and nope.prior.b
+    pytest.param(replaced(EVAL_B, "--prior", "nope.prior"), id="prior-cross"),
+    pytest.param(replaced(EVAL_B, "--emb", "nope.emb"), id="emb-cross"),
+    pytest.param(replaced(DEEPWALK_W, "--corpus", "nope.walks"), id="corpus"),
+    pytest.param(replaced(CLASS_W, "--features", "nope.joint"), id="features"),
+    pytest.param(replaced(CLASS_W, "--labels", "nope.txt"), id="labels"),
+    pytest.param(["pipeline", "--input", "g.edges", "--labels", "nope.txt",
+                  "--workdir", "o"], id="pipeline-labels"),
+    pytest.param(["facets", "--input", "g.edges", "--out", "nope/o"], id="out"),
+    pytest.param(["pipeline", "--input", "g.edges", "--workdir", "nope/w"],
+                 id="workdir"),
+])
+def test_missing_file_returns_nonzero(artifacts, capsys, argv):
+    capsys.readouterr()
+    assert cli.run(in_artifacts(argv, artifacts)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(artifacts / "nope") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, words", [
+    # a prior of another facet count than the tables
+    pytest.param(replaced(EVAL_W, "--prior", "k3.prior"), "prior", id="prior-k"),
+    # a prior of another node count than the tables
+    pytest.param(replaced(EVAL_W, "--prior", "b.prior.a"), "prior", id="prior-nodes"),
+    # a graph with more nodes than the tables have rows
+    pytest.param(replaced(EVAL_W, "--graph", "g13.edges"), "graph", id="graph-nodes"),
+    pytest.param(replaced(EVAL_B, "--graph", "b7.edges"), "graph", id="graph-cross"),
+])
+def test_eval_link_rejects_mismatched_inputs(artifacts, capsys, argv, words):
+    run_ok(["facets", "--input", str(artifacts / "w.train.edges"), "--k", "3",
+            "--out", str(artifacts / "k3.prior")])
+    for name, header, more in (("g13", "12", "13"), ("b7", "8 6", "8 7")):
+        train = (artifacts / f"{name[0].replace('g', 'w')}.train.edges").read_text()
+        assert train.startswith(f"# nodes {header}\n")
+        (artifacts / f"{name}.edges").write_text(train.replace(header, more, 1))
+    capsys.readouterr()
+    assert cli.run(in_artifacts(argv, artifacts)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "disagree" in err and words in err
 
 
 def test_bad_parameter_returns_nonzero(tmp_path, sbm_file):
@@ -326,6 +411,30 @@ def test_explicit_zero_is_an_error(tmp_path, capsys, sbm_file, bipartite_file,
     files = {"g.edges", "b.edges", "b.prior", "o", "l.txt"}
     assert cli.run([str(tmp_path / a) if a in files else a for a in argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["facets", "--input", "g.edges", "--out", "o"],
+    ["walks", "--input", "g.edges", "--out", "o"],
+    ["pipeline", "--input", "g.edges", "--workdir", "o"],
+    DEEPWALK_W,
+    ["train-pte", "--input", "b.edges", "--prior", "b.prior", "--out", "o"],
+    ["train-gcn", "--input", "b.edges", "--prior", "b.prior", "--out", "o"],
+    CLASS_W,
+    EVAL_W,
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_seed_is_an_error(artifacts, capsys, tmp_path, argv, where):
+    if where == "flag":
+        extra = ["--seed", "-1"]
+    else:
+        (tmp_path / "seed.cfg").write_text("seed=-1\n")
+        extra = ["--config", str(tmp_path / "seed.cfg")]
+    capsys.readouterr()
+    assert cli.run(in_artifacts(argv, artifacts) + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err
+    assert not (artifacts / "o").exists()
 
 
 FIVE_NODES = "0 1\n1 2\n2 3\n3 4\n"

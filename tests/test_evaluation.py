@@ -3,15 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import (auc_brute_force, reference_link_report,
+from conftest import (auc_brute_force, reference_classify, reference_link_report,
                       reference_split_links)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyembed import evaluation, facets, graph, inference
 from polyembed.errors import ProtocolError, ValidationError
-from polyembed.evaluation import (EvalReport, auc, candidate_protocol, classify,
-                                  hit_ratio, split_links)
+from polyembed.evaluation import (EvalReport, auc, classify, hit_ratio,
+                                  split_links)
 from polyembed.tables import EmbeddingTables
 
 
@@ -146,9 +146,18 @@ def test_auc_rejects_empty():
 
 # ------------------------------------------------------- candidate protocol
 
+def candidates_of(test_edge, g, num_negatives, seed):
+    """One test edge's candidates as `evaluation._candidates` draws them:
+    the true endpoint, then the negatives."""
+    cand, sizes = evaluation._candidates(g, np.array([test_edge[0]]),
+                                         np.array([test_edge[1]]), num_negatives,
+                                         [seed])
+    return cand[0, :sizes[0]].tolist()
+
+
 def test_candidate_count_small_graph():
     g = graph.from_edges([(0, 1), (1, 2)])
-    cands = candidate_protocol((0, 1), g, num_negatives=1, seed=0)
+    cands = candidates_of((0, 1), g, num_negatives=1, seed=0)
     assert len(cands) == 2
     assert cands[0] == 1
 
@@ -158,22 +167,25 @@ def test_candidates_never_include_training_neighbors():
     rows = [(int(i), int(j)) for i, j in rng.integers(0, 20, (40, 2)) if i != j]
     g = graph.from_edges(rows, num_nodes=20)
     nbrs = set(g.adj.indices[g.adj.indptr[0]:g.adj.indptr[1]].tolist())
-    cands = candidate_protocol((0, list(nbrs)[0]), g, num_negatives=5, seed=1)
+    cands = candidates_of((0, list(nbrs)[0]), g, num_negatives=5, seed=1)
     assert not (set(cands[1:]) & nbrs)
     assert 0 not in cands[1:]
 
 
 def test_candidates_deterministic():
     g = graph.from_edges([(0, i) for i in range(1, 4)], num_nodes=12)
-    c1 = candidate_protocol((0, 1), g, num_negatives=5, seed=9)
-    c2 = candidate_protocol((0, 1), g, num_negatives=5, seed=9)
+    c1 = candidates_of((0, 1), g, num_negatives=5, seed=9)
+    c2 = candidates_of((0, 1), g, num_negatives=5, seed=9)
     assert c1 == c2
 
 
 def test_candidates_warn_when_pool_short():
     g = graph.from_edges([(0, 1), (1, 2)])
+    tables = EmbeddingTables(u=np.ones((3, 1, 2)), h=np.zeros((3, 1, 2)))
     with pytest.warns(UserWarning, match="non-neighbors"):
-        candidate_protocol((0, 1), g, num_negatives=50, seed=0)
+        evaluation.link_prediction_report(g, [(0, 1)], tables,
+                                          facets.FacetPrior.uniform(3),
+                                          "homogeneous", num_negatives=50)
 
 
 # ------------------------------------------------------------ classification
@@ -232,6 +244,34 @@ def test_classify_multilabel_top_l():
     y[1::2, 2] = 1.0
     micro, macro = classify(x, y, train_fraction=0.75, seed=1)
     assert 0.0 <= micro <= 1.0 and 0.0 <= macro <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(case_seed=st.integers(0, 2**32 - 1), shuffle=st.booleans(),
+       ties=st.booleans())
+def test_classify_equals_the_per_row_loops(case_seed, shuffle, ties):
+    """Multi-label rows and rows without a label; with `ties`, rounded or
+    repeated feature rows and two equal label columns, whose equal scores
+    the stable sort orders by class."""
+    rng = np.random.default_rng(case_seed)
+    n, c, d = int(rng.integers(6, 60)), int(rng.integers(2, 7)), int(rng.integers(1, 5))
+    x = rng.normal(0, 1, (n, d))
+    if ties:
+        x = np.round(x) if rng.random() < 0.5 else x[rng.integers(0, 3, n)]
+    y = (rng.random((n, c)) < rng.uniform(0.1, 0.7)).astype(float)
+    y[:c] = np.eye(c)   # every class represented
+    y[rng.random(n) < 0.2] = 0.0
+    if ties:
+        y[:, -1] = y[:, 0]   # two classes with equal weights and scores
+    args = dict(train_fraction=rng.uniform(0.2, 0.9), seed=case_seed,
+                shuffle=shuffle)
+    try:
+        expected = reference_classify(x, y, **args)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            classify(x, y, **args)
+        return
+    assert classify(x, y, **args) == expected
 
 
 # ----------------------------------------------------------------- reports

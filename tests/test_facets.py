@@ -218,7 +218,12 @@ def test_column_counts_equal_the_clamped_comparison_sum(k):
     u[1, :] = 0.0
     below = cdf <= (u * cdf[..., -1])[..., None]
     expected = np.minimum(below.sum(axis=-1), k - 1)
-    assert np.array_equal(facets.facets_from_cdf(cdf, u), expected)
+    assert np.array_equal(facets.facets_from_cdf(np.moveaxis(cdf, -1, 0), u), expected)
+    # the same distributions as rows of a (K, nodes) table
+    rows = rng.permutation(120).reshape(30, 4)
+    table = np.empty((k, 120))
+    table[:, rows] = np.moveaxis(cdf, -1, 0)
+    assert np.array_equal(facets.facets_from_cdf(table, u, rows), expected)
 
 
 class _Replay:

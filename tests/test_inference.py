@@ -114,9 +114,10 @@ def test_cross_diagonal_keeps_matching_facets_only():
                    * float(tables.u[0, k] @ tables.h[1, k]) for k in range(2))
     got = inference.similarity(0, 1, tables, prior, mode="cross-diagonal")
     assert got == pytest.approx(expected, abs=1e-12)
-    batch = inference.score_candidates(0, [1, 2], tables, prior,
+    batch = inference.score_candidates([0], [[1, 2]], tables, prior,
                                        mode="cross-diagonal")
-    assert batch[0] == pytest.approx(got, abs=1e-12)
+    assert batch.shape == (1, 2)
+    assert batch[0, 0] == pytest.approx(got, abs=1e-12)
 
 
 def test_factorized_equals_weighted_sum_then_dot():

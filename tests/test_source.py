@@ -49,3 +49,40 @@ def test_unused_import_check_sees_dead_and_live_names():
               "def f(x: sys.Path):\n"
               "    return save_matrix\n")
     assert unused_imports(source) == ["load_matrix (line 5)", "os (line 2)"]
+
+
+# Functions that only tests call, kept as the oracles of the acceptance
+# criteria and the reference trainers.
+ORACLES = {"adjacency_dense", "entropy", "exact_objective_small",
+           "pte_lower_bound_small", "hit_ratio", "similarity", "sliding_windows"}
+
+
+def unreferenced_definitions(sources: dict) -> list[str]:
+    """Top-level functions and classes of `sources` (file name -> source)
+    whose name no file reads, as a name or as an attribute."""
+    defined, read = {}, set()
+    for name, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{defined[name]}: {name}" for name in sorted(defined.keys() - read)]
+
+
+def test_every_library_function_has_a_caller_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    unused = unreferenced_definitions(sources)
+    assert [line for line in unused if line.split(": ")[1] not in ORACLES] == []
+
+
+def test_unreferenced_definition_check_sees_calls_across_files():
+    sources = {"a.py": "def used():\n    pass\n\n\nclass Dead:\n    pass\n",
+               "b.py": "from . import a\n\n\ndef entry():\n    return a.used()\n",
+               "c.py": "def lonely():\n    def inner():\n        pass\n"}
+    assert unreferenced_definitions(sources) == ["a.py: Dead", "b.py: entry",
+                                                 "c.py: lonely"]
