@@ -24,6 +24,9 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+# every command draws random numbers; numpy loads numpy.random on first use,
+# which would put its import (about 13 ms) inside the first command's run
+import numpy.random  # noqa: F401
 
 from . import evaluation, facets, inference, polydeepwalk, polygcn, polypte, walks
 from . import graph as graphmod

@@ -336,25 +336,28 @@ def _scored_candidates(g, test_edges, tables, prior, mode, num_negatives, seed):
     """Candidates of every test edge (see `_candidates`) and their scores,
     NaN where a row is padded. Full rows are scored in one call; a row
     whose pool was short is scored over its own candidates, and one
-    warning counts those rows."""
+    warning counts those rows. Every call shares one candidate side."""
     # no dtype: an id beyond int64 stays a Python int for the bounds check
     edges = np.array(test_edges).reshape(len(test_edges), 2)
     queries, truths = edges[:, 0], edges[:, 1]
     cand, sizes = _candidates(g, queries, truths, num_negatives,
                               _child_seeds(seed, len(edges)))
     short = np.flatnonzero(sizes <= num_negatives)
+    side = inference.candidate_side(tables, prior, mode)
     if len(short) == 0:
-        return cand, inference.score_candidates(queries, cand, tables, prior, mode)
+        return cand, inference.score_candidates(queries, cand, tables, prior,
+                                                mode, side)
     warnings.warn(f"{len(short)} of {len(edges)} queries had fewer than "
                   f"{num_negatives} non-neighbors; they are ranked among the "
                   f"candidates available", stacklevel=3)
     scores = np.full(cand.shape, np.nan)
     full = np.flatnonzero(sizes > num_negatives)
     scores[full] = inference.score_candidates(queries[full], cand[full],
-                                              tables, prior, mode)
+                                              tables, prior, mode, side)
     for r in short.tolist():
         scores[r, :sizes[r]] = inference.score_candidates(
-            queries[r:r + 1], cand[r:r + 1, :sizes[r]], tables, prior, mode)[0]
+            queries[r:r + 1], cand[r:r + 1, :sizes[r]], tables, prior, mode,
+            side)[0]
     return cand, scores
 
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ValidationError
+from .graph import _merge
+from .kernel import Csr, csr
 from .tables import load_matrix
 
 _EPS = 1e-12
@@ -75,14 +76,24 @@ def _validate_nonnegative(a, name):
         raise ValidationError(f"{name} contains negative entries")
 
 
-def _sparse_input(a) -> sparse.csr_array:
-    """A dense or sparse matrix as canonical float64 CSR, values checked."""
-    if np.ndim(a) != 2:
-        raise ValidationError("A must be a matrix")
-    a = sparse.csr_array(a, dtype=np.float64)
-    a.sum_duplicates()
+def _sparse_input(a) -> Csr:
+    """A dense matrix, a Csr or anything with `.tocsr()` as canonical
+    float64 CSR (`kernel.csr`), values checked."""
+    a = csr(a)
     _validate_nonnegative(a.data, "A")
     return a
+
+
+def _asymmetry(a: Csr) -> float:
+    """max |A - A^T| over A's stored cells: the cells (i, j, v) and
+    (j, i, -v) merged."""
+    if not len(a.data):
+        return 0.0
+    rows = a.rows()
+    _, diff, _ = _merge(np.concatenate([rows, a.indices]),
+                        np.concatenate([a.indices, rows]),
+                        np.concatenate([a.data, -a.data]))
+    return float(np.abs(diff).max())
 
 
 def _init_factor(rng, shape, mean, k):
@@ -103,7 +114,7 @@ def symmetric_nmf(a, k, alpha=0.05, max_iters=500, tol=1e-5, seed=0) -> NmfResul
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValidationError("A must be square")
-    asym = abs(a - a.T).max() if n else 0.0
+    asym = _asymmetry(a)
     if asym > 1e-9:
         raise ValidationError(f"A is not symmetric (max asymmetry {asym:g})")
     if not 1 <= k <= n:
@@ -157,7 +168,7 @@ def asymmetric_nmf(a, k, alpha=0.05, max_iters=500, tol=1e-5, seed=0) -> NmfResu
     rng = np.random.default_rng(seed)
     p = _init_factor(rng, (n, k), total / (n * m), k)
     q = _init_factor(rng, (m, k), total / (n * m), k)
-    a_t = a.T.tocsr()
+    a_t = a.T
     a_sq = float(a.data @ a.data)
 
     def objective(p, q, atp, ptp, qtq):

@@ -25,10 +25,10 @@ from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (INT64, CapacityError, ParseError, ValidationError,
                      parse_numbers, text_lines)
+from .kernel import Csr
 
 DENSE_GUARD = 10**8
 
@@ -43,7 +43,7 @@ class Graph:
     num_nodes: int
     edges: np.ndarray             # (E, 2) int64, canonical pairs with i < j
     weights: np.ndarray           # (E,) float64, merged weights
-    adj: sparse.csr_matrix        # num_nodes x num_nodes, symmetric
+    adj: Csr                      # num_nodes x num_nodes, symmetric
     node_labels: list[str] | None = None
 
     kind: ClassVar[str] = "homogeneous"
@@ -62,8 +62,8 @@ class BipartiteGraph:
     edges: np.ndarray             # (E, 2) int64 rows (a_id, b_id)
     weights: np.ndarray           # (E,) float64
     timestamps: np.ndarray | None  # (E,) int64, or None when absent
-    adj: sparse.csr_matrix        # num_a x num_b
-    adj_t: sparse.csr_matrix      # num_b x num_a
+    adj: Csr                      # num_a x num_b
+    adj_t: Csr                    # num_b x num_a
     a_labels: list[str] | None = None
     b_labels: list[str] | None = None
 
@@ -239,9 +239,9 @@ def _build_homogeneous(num_nodes, src, dst, weights, labels):
         src, dst, weights = src[keep], dst[keep], weights[keep]
     edges, merged_w, _ = _merge(np.minimum(src, dst), np.maximum(src, dst), weights)
     both = np.concatenate([edges, edges[:, ::-1]])   # each edge both ways
-    adj = sparse.coo_matrix((np.tile(merged_w, 2), (both[:, 0], both[:, 1])),
-                            shape=(num_nodes, num_nodes)).tocsr()
-    adj.sort_indices()
+    order = np.lexsort((both[:, 1], both[:, 0]))
+    adj = Csr.from_rows(both[order, 0], both[order, 1],
+                        np.tile(merged_w, 2)[order], (num_nodes, num_nodes))
     return Graph(num_nodes=num_nodes, edges=edges, weights=merged_w,
                  adj=adj, node_labels=labels)
 
@@ -249,14 +249,11 @@ def _build_homogeneous(num_nodes, src, dst, weights, labels):
 def _build_bipartite(num_a, num_b, a_ids, b_ids, weights, timestamps,
                      a_labels, b_labels):
     edges, merged_w, merged_ts = _merge(a_ids, b_ids, weights, timestamps)
-    adj = sparse.coo_matrix((merged_w, (edges[:, 0], edges[:, 1])),
-                            shape=(num_a, num_b)).tocsr()
-    adj.sort_indices()
-    adj_t = adj.T.tocsr()
-    adj_t.sort_indices()
+    # _merge orders the edges by (a, b): the CSR order
+    adj = Csr.from_rows(edges[:, 0], edges[:, 1], merged_w, (num_a, num_b))
     return BipartiteGraph(num_a=num_a, num_b=num_b, edges=edges,
                           weights=merged_w, timestamps=merged_ts,
-                          adj=adj, adj_t=adj_t,
+                          adj=adj, adj_t=adj.T,
                           a_labels=a_labels, b_labels=b_labels)
 
 
@@ -318,5 +315,7 @@ def adjacency_dense(graph) -> np.ndarray:
         raise CapacityError(
             f"dense adjacency would need {cells} entries (> {DENSE_GUARD}); "
             "use a sparse factorization path instead")
-    return graph.adj.toarray().astype(np.float64)
+    dense = np.zeros((rows, cols))
+    dense[graph.adj.rows(), graph.adj.indices] = graph.adj.data
+    return dense
 

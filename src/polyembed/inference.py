@@ -62,10 +62,25 @@ def similarity(i: int, j: int, tables: EmbeddingTables, prior: FacetPrior,
     return float(score_candidates([i], [[j]], tables, prior, mode)[0, 0])
 
 
+def candidate_side(tables: EmbeddingTables, prior: FacetPrior,
+                   mode: str = "homogeneous"):
+    """The prior-weighted candidate side of the factorised double sum,
+    sum_k p(k|c) t[c, k] for every candidate node c, (N, D); None in
+    cross-diagonal mode, which keeps the facets apart."""
+    if mode == "cross-diagonal":
+        return None
+    if mode == "homogeneous":
+        return np.einsum("nk,nkd->nd", prior.dist, tables.u)
+    return np.einsum("nk,nkd->nd", prior.dist_b, tables.h)
+
+
 def score_candidates(queries, candidates, tables: EmbeddingTables,
-                     prior: FacetPrior, mode: str = "homogeneous") -> np.ndarray:
+                     prior: FacetPrior, mode: str = "homogeneous",
+                     side=None) -> np.ndarray:
     """Similarity of queries against their candidates: (Q,) queries and
-    (Q, C) candidates give (Q, C) scores.
+    (Q, C) candidates give (Q, C) scores. `side` is
+    `candidate_side(tables, prior, mode)`, computed here when not given;
+    a caller that scores the same tables many times passes it once made.
 
     Queries are scored in blocks of whole queries, about SCORE_ROWS
     (query, candidate) rows each, so that the gathered candidate vectors
@@ -76,8 +91,8 @@ def score_candidates(queries, candidates, tables: EmbeddingTables,
     check_prior(tables, prior, mode)
     d_c, t_c = ((prior.dist, tables.u) if mode == "homogeneous"
                 else (prior.dist_b, tables.h))
-    # the prior-weighted candidate side of the factorised double sum, (N, D)
-    side = np.einsum("nk,nkd->nd", d_c, t_c) if mode != "cross-diagonal" else None
+    if side is None:
+        side = candidate_side(tables, prior, mode)
     out = np.empty(cand.shape)
     step = max(1, SCORE_ROWS // max(cand.shape[1], 1))
     for lo in range(0, len(queries), step):

@@ -1,6 +1,7 @@
-/* The per-step loop of sgd.Engine.apply, compiled.
+/* The package's compiled kernels: the per-step loop of sgd.Engine.apply
+   and the two sparse products of kernel.Csr and kernel.coo_matmat.
 
-   Each step does the arithmetic of sgd.sgns_loss_and_grads and then the
+   The step loop does the arithmetic of sgd.sgns_loss_and_grads and then the
    updates in the numpy engine's order: u[t], h[c], then each negative row
    in sequence. Every gradient comes from the values before the step's
    updates. Clamps are comparisons, so a NaN logit stays NaN (C's fmin and
@@ -8,7 +9,12 @@
 
    Returns the number of steps run: `steps`, or the index of the first step
    whose loss is not finite, which is left unapplied. `work` holds 2*dim +
-   negatives doubles. Rows are checked against the tables by the caller. */
+   negatives doubles. Rows are checked against the tables by the caller.
+
+   The products add a * x[j, :] into y[i, :] entry by entry in stored order,
+   one multiply and one add per element, as scipy.sparse's csr_matvecs and
+   coo_matmat_dense do; each output element sums its terms in that order,
+   so the bits match scipy's. Indices are checked by the caller. */
 
 #include <math.h>
 #include <stdint.h>
@@ -68,4 +74,31 @@ int64_t sgd_steps(double *u, double *h, int64_t dim,
         }
     }
     return steps;
+}
+
+
+void csr_matmat(int64_t n_row, int64_t n_vecs, const int64_t *indptr,
+                const int64_t *indices, const double *data,
+                const double *restrict x, double *restrict y)
+{
+    for (int64_t i = 0; i < n_row; i++) {
+        double *y_i = y + i * n_vecs;
+        for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
+            const double a = data[e], *x_j = x + indices[e] * n_vecs;
+            for (int64_t d = 0; d < n_vecs; d++)
+                y_i[d] += a * x_j[d];
+        }
+    }
+}
+
+void coo_matmat(int64_t nnz, int64_t n_vecs, const int64_t *rows,
+                const int64_t *cols, const double *data,
+                const double *restrict x, double *restrict y)
+{
+    for (int64_t e = 0; e < nnz; e++) {
+        double *y_i = y + rows[e] * n_vecs;
+        const double a = data[e], *x_j = x + cols[e] * n_vecs;
+        for (int64_t d = 0; d < n_vecs; d++)
+            y_i[d] += a * x_j[d];
+    }
 }

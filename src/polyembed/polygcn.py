@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import NumericsError, ValidationError
+from .kernel import Csr, coo_matmat, csr
 from .sgd import NegativeSampler
 from .tables import EmbeddingTables
 
 LEAKY_SLOPE = 0.2
+CO_PAIRS = 1 << 18   # candidate pairs per block of the co mask
 _ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -35,7 +36,7 @@ _ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
 class FacetAdjacency:
     """K nonnegative CSR matrices that sum exactly to the adjacency."""
 
-    mats: list[sparse.csr_array]
+    mats: list[Csr]
 
     @property
     def k(self) -> int:
@@ -50,8 +51,7 @@ def decompose_adjacency(a, p, q) -> FacetAdjacency:
     """Split A (dense or sparse) into per-facet CSR matrices, visiting only
     its stored cells: A^k(i,j) = A(i,j) P(i,k) Q(j,k) / sum_c P(i,c) Q(j,c),
     so sum_k A^k == A. Cells whose factor products all vanish split uniformly."""
-    a = sparse.csr_array(a, dtype=np.float64)
-    a.sum_duplicates()
+    a = csr(a)
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape[0] != a.shape[0] or q.shape[0] != a.shape[1]:
@@ -68,18 +68,17 @@ def decompose_adjacency(a, p, q) -> FacetAdjacency:
     share = np.where(denom > 0, prod / safe, 1.0 / k)
     mats = []
     for c in range(k):
-        mat = sparse.csr_array((values * share[:, c], (rows, cols)), shape=a.shape)
-        mat.eliminate_zeros()
-        mats.append(mat)
+        cell = values * share[:, c]
+        live = cell != 0
+        mats.append(Csr.from_rows(rows[live], cols[live], cell[live], a.shape))
     return FacetAdjacency(mats=mats)
 
 
 def _cells(mat, threshold=0.0):
     """(rows, cols, values) of the entries of a canonical CSR matrix above
     `threshold`, row-major like np.nonzero on the dense matrix."""
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     live = mat.data > threshold
-    return rows[live], mat.indices[live], mat.data[live]
+    return mat.rows()[live], mat.indices[live], mat.data[live]
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ class FacetOps(NamedTuple):
     """One facet's mean aggregation over the stacked node set [A; B]:
     m = (z + agg @ z) * inv[:, None]."""
 
-    agg: sparse.csr_array   # symmetric 0/1 neighbour mask, sorted rows
+    agg: Csr                # symmetric 0/1 neighbour mask, canonical
     inv: np.ndarray         # 1 / (1 + neighbour count) per node
     num_a: int              # the first num_a nodes are type A
 
@@ -159,22 +158,45 @@ def _facet_ops(mat, config) -> FacetOps:
     """The aggregation operator of one facet matrix. "bipartite": each node's
     neighbours are its facet edges' other ends; "co": the nodes of its own
     type that share a facet neighbour with it."""
-    mask = sparse.csr_array(mat > config.threshold, dtype=np.float64)
+    rows, cols, _ = _cells(mat, config.threshold)
+    num_a, num_b = mat.shape
+    mask = Csr.from_rows(rows, cols, np.ones(len(rows)), mat.shape)
     if config.neighbor_mode == "bipartite":
-        agg = sparse.block_array([[None, mask], [mask.T, None]], format="csr")
+        # [[0, mask], [mask^T, 0]]: type A's rows hold type-B columns
+        top, bottom = mask._replace(indices=mask.indices + num_a), mask.T
     else:
-        agg = sparse.block_diag([_co_mask(mask), _co_mask(mask.T.tocsr())],
-                                format="csr")
-    return FacetOps(agg, 1.0 / (1.0 + agg.sum(axis=1)), mask.shape[0])
+        top, bottom = _co_mask(mask), _co_mask(mask.T)
+        bottom = bottom._replace(indices=bottom.indices + num_a)
+    indptr = np.concatenate([top.indptr, top.indptr[-1] + bottom.indptr[1:]])
+    indices = np.concatenate([top.indices, bottom.indices])
+    agg = Csr(indptr, indices, np.ones(len(indices)),
+              (num_a + num_b, num_a + num_b))
+    return FacetOps(agg, 1.0 / (1.0 + np.diff(indptr)), num_a)
 
 
-def _co_mask(mask):
+def _co_mask(mask: Csr) -> Csr:
     """Rows sharing at least one stored column of `mask`, self pairs
-    excluded: (mask @ mask^T > 0) with a zero diagonal."""
-    co = (mask @ mask.T).tocoo()
-    off = (co.row != co.col) & (co.data > 0)
-    return sparse.csr_array((np.ones(int(off.sum())), (co.row[off], co.col[off])),
-                            shape=co.shape)
+    excluded, as a canonical 0/1 matrix: the (mask @ mask^T > 0) pattern
+    with a zero diagonal. Each stored (i, c) pairs row i with every row
+    stored in column c; repeated pairs are merged."""
+    n = mask.shape[0]
+    by_col = mask.T
+    first = by_col.indptr[mask.indices]              # of each entry's column
+    sizes = np.diff(by_col.indptr)[mask.indices]
+    rows = mask.rows()
+    # blocks of whole rows of about CO_PAIRS pairs bound the memory; the
+    # blocks ascend, so their sorted keys concatenate in order
+    block = np.cumsum(np.bincount(rows, weights=sizes, minlength=n)) // CO_PAIRS
+    starts = mask.indptr[np.r_[0, np.flatnonzero(np.diff(block)) + 1, n]]
+    keys = []
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        width = sizes[lo:hi]
+        left = np.repeat(rows[lo:hi], width)
+        offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        right = by_col.indices[np.repeat(first[lo:hi], width) + offset]
+        keys.append(np.unique((left * n + right)[left != right]))
+    keys = np.concatenate(keys)
+    return Csr.from_rows(keys // n, keys % n, np.ones(len(keys)), (n, n))
 
 
 def forward_facet(facet: FacetGcn, ops: FacetOps, keep_cache: bool = False):
@@ -239,14 +261,15 @@ def gcn_loss_and_grads(facet: FacetGcn, ops: FacetOps, config, edge_idx, edge_w,
 
     # d loss / d score of every scored pair: edge e's positive (a, b), then
     # its R negatives (a, n). As one sparse (num_a, num_b) matrix C, whose
-    # repeated pairs add, the output gradients are C @ H and C^T @ U.
+    # repeated pairs add in this order, the output gradients are C @ H and
+    # C^T @ U.
     coef = wn[:, None] * np.column_stack([1.0 / (1.0 + np.exp(-s_pos)) - 1.0,
                                           e_neg / (1.0 + e_neg)])
-    pairs = sparse.coo_array(
-        (coef.ravel(), (np.repeat(ai, coef.shape[1]),
-                        np.column_stack([bi, neg_idx]).ravel())),
-        shape=(len(u), len(h)))
-    grads = backward_facet(facet, ops, cache, pairs @ h, pairs.T @ u)
+    rows = np.repeat(ai, coef.shape[1])
+    cols = np.column_stack([bi, neg_idx]).ravel()
+    grads = backward_facet(facet, ops, cache,
+                           coo_matmat(rows, cols, coef.ravel(), h, len(u)),
+                           coo_matmat(cols, rows, coef.ravel(), u, len(h)))
     return loss, grads
 
 

@@ -11,15 +11,12 @@ negatives). No draw depends on the tables and the stream is consumed in
 per-step order, so results do not depend on CHUNK. `Engine.apply` then
 runs the SGD steps on (rows, D) views of the tables.
 
-The steps run in a compiled kernel (`sgd_kernel.c`), built with the
-system C compiler on first use and cached as
-`$XDG_CACHE_HOME/polyembed/sgd-<hash>.so` (`~/.cache/polyembed/` when
-XDG_CACHE_HOME is unset). It does the arithmetic of `sgns_loss_and_grads`
-in another summation order, so its tables agree with the numpy loop
-within 1e-12 of the largest entry (about 1e-14 measured), not bit for
-bit. The numpy loop is the reference: it runs when a `hook` is given,
-which needs per-step tables, and when the kernel cannot be built or
-loaded.
+The steps run in the compiled kernel's `sgd_steps` (see `kernel`). It
+does the arithmetic of `sgns_loss_and_grads` in another summation order,
+so its tables agree with the numpy loop within 1e-12 of the largest
+entry (about 1e-14 measured), not bit for bit. The numpy loop is the
+reference: it runs when a `hook` is given, which needs per-step tables,
+and when the kernel cannot be built or loaded.
 
 A facet round of an observation with C contexts draws one uniform for the
 target facet, C for the context facets, then per context R for the
@@ -36,22 +33,13 @@ or below its threshold, one column at a time.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
 import itertools
 import math
-import os
-import platform
-import stat
-import subprocess
-import tempfile
-import warnings
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import kernel
 from .errors import CapacityError, NumericsError, ValidationError
 from .facets import conditional_distribution, facets_from_cdf, sample_facets
 from .tables import EmbeddingTables, init_tables
@@ -59,9 +47,6 @@ from .tables import EmbeddingTables, init_tables
 LR_FLOOR_RATIO = 1e-4
 LOGIT_CLAMP = 30.0
 CHUNK = 256   # observations per decode; bounds its memory
-# no -march=native or -ffast-math, and no FMA contraction: results must not
-# depend on the host CPU
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def sgns_loss_and_grads(u_cen, h_ctx, h_neg):
@@ -242,75 +227,6 @@ def jensen_bound(target: int, contexts, dist, dist_context,
     return _logsumexp(log_ps + log_po), float(np.exp(log_ps) @ log_po)
 
 
-def _cache_dir() -> Path:
-    """The kernel cache directory, created with mode 0o700. OSError unless
-    it belongs to this user and no one else may write to it."""
-    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    path = Path(root) / "polyembed"
-    path.mkdir(mode=0o700, parents=True, exist_ok=True)
-    info = path.stat()
-    if info.st_uid != os.getuid() or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
-        raise OSError(f"{path} is not private to this user")
-    return path
-
-
-def _build() -> Path:
-    """The compiled kernel, built into the cache unless it is there. The
-    name hashes the source, the flags and the machine type; the library
-    is written under a temporary name and moved into place."""
-    source = Path(__file__).with_name("sgd_kernel.c").read_bytes()
-    key = hashlib.sha256(b"\0".join(
-        [source, " ".join(CFLAGS).encode(), platform.machine().encode()]))
-    cache = _cache_dir()
-    lib = cache / f"sgd-{key.hexdigest()[:16]}.so"
-    if not lib.exists():
-        fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so")
-        os.close(fd)
-        try:
-            # the compiler reads the hashed bytes, not the file again
-            subprocess.run(["cc", *CFLAGS, "-o", tmp, "-x", "c", "-", "-lm"],
-                           input=source, check=True, capture_output=True)
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return lib
-
-
-@functools.cache
-def _kernel():
-    """The compiled `sgd_steps`, or None, with a warning, when it cannot
-    be built or loaded."""
-    try:
-        fn = ctypes.CDLL(str(_build())).sgd_steps
-    except (OSError, subprocess.SubprocessError) as exc:
-        warnings.warn(f"compiled SGD kernel unavailable, using the numpy "
-                      f"engine: {exc}", RuntimeWarning, stacklevel=2)
-        return None
-
-    def array(dtype, ndim, *flags):
-        checked = np.ctypeslib.ndpointer(dtype, ndim=ndim,
-                                         flags=("C_CONTIGUOUS",) + flags)
-
-        class Array(checked):
-            # ndpointer passes `ndarray.ctypes`, whose conversion leaves a
-            # reference cycle per argument, garbage that piles up between
-            # collections over the many calls of a run; the address is enough
-            @classmethod
-            def from_param(cls, obj):
-                return ctypes.c_void_p(super().from_param(obj).data)
-
-        return Array
-
-    table, rows = array(np.float64, 2, "WRITEABLE"), array(np.int64, 1)
-    out = array(np.float64, 1, "WRITEABLE")
-    fn.argtypes = [table, table, ctypes.c_int64, rows, rows,
-                   array(np.int64, 2), ctypes.c_int64, ctypes.c_int64,
-                   array(np.float64, 1), out, out, ctypes.c_double]
-    fn.restype = ctypes.c_int64
-    return fn
-
-
 class Engine:
     """One training run's tables, random stream and update loop.
 
@@ -339,7 +255,8 @@ class Engine:
     def kind(self) -> str:
         """The engine that runs the steps: "c" (the compiled kernel) or
         "numpy" (the reference loop)."""
-        return "numpy" if self.hook is not None or _kernel() is None else "c"
+        return ("numpy" if self.hook is not None
+                or kernel.function("sgd_steps") is None else "c")
 
     def apply(self, steps: Steps, label: str) -> None:
         """Run the steps; a non-finite loss raises NumericsError naming
@@ -391,9 +308,9 @@ class Engine:
             if rows.size and (rows.min() < 0 or rows.max() >= len(table)):
                 raise IndexError("decoded step row outside its table")
         dim, r = self.u.shape[1], negatives.shape[1]
-        return _kernel()(self.u, self.h, dim, target, context, negatives, r,
-                         count, rates, losses, np.empty(2 * dim + r),
-                         LOGIT_CLAMP)
+        return kernel.function("sgd_steps")(
+            self.u, self.h, dim, target, context, negatives, r, count, rates,
+            losses, np.empty(2 * dim + r), LOGIT_CLAMP)
 
     def loss_trace(self) -> list[float]:
         """Mean loss per bucket; the last bucket may be shorter."""

@@ -14,12 +14,14 @@ check the vectorised top-l scoring.
 """
 
 import math
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
 from polyembed import graph as graphmod
+from polyembed import kernel
 from polyembed.errors import NumericsError, ValidationError
 from polyembed.evaluation import _incidence, hit_ratio
 from polyembed.facets import FacetPrior
@@ -28,6 +30,14 @@ from polyembed.polypte import AliasTable
 from polyembed.sgd import LR_FLOOR_RATIO, sgns_loss_and_grads
 from polyembed.tables import EmbeddingTables, init_tables
 from polyembed.walks import sliding_windows
+
+
+@pytest.fixture
+def compiled_kernel():
+    """Skip without a C compiler; with one, the compiled kernel must load."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    assert kernel.function("sgd_steps") is not None
 
 
 def make_sbm(seed, n_block=60, p_in=0.3, p_out=0.02):
@@ -409,6 +419,15 @@ def similarity_double_loop(i, j, tables, prior, mode="homogeneous"):
         for kp in range(prior.k):
             total += prior.dist[i][k] * d_j[kp] * float(tables.u[i, k] @ t_j[kp])
     return total
+
+
+def to_dense(mat):
+    """A library sparse matrix (`kernel.Csr`) as a dense array, read from
+    its CSR arrays alone; repeated cells add up."""
+    dense = np.zeros(mat.shape)
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    np.add.at(dense, (rows, mat.indices), mat.data)
+    return dense
 
 
 def dense_decompose(a, p, q):

@@ -26,7 +26,7 @@ import pytest
 from conftest import (auc_brute_force, finite_difference, make_planted_bipartite,
                       make_sbm, make_two_cliques, planted_bipartite_oracle,
                       rel_error, reference_pte_train, reference_sgns_train,
-                      similarity_double_loop)
+                      similarity_double_loop, to_dense)
 
 from polyembed import cli, evaluation, facets, graph, inference
 from polyembed import polydeepwalk as pdw
@@ -140,9 +140,10 @@ def test_criterion_2_gradient_oracle():
         config = polygcn.GcnConfig(dim=2, depth=2, seed=seed, negatives=2)
         model = polygcn.init_gcn_model(3, 3, fa, config)
         facet, ops = model.facets[0], model.ops[0]
-        rows, cols = np.nonzero(fa.mats[0] > 0)
+        dense = to_dense(fa.mats[0])
+        rows, cols = np.nonzero(dense > 0)
         edge_idx = np.stack([rows, cols], axis=1)
-        edge_w = fa.mats[0][rows, cols]
+        edge_w = dense[rows, cols]
         neg_idx = rng.integers(0, 3, (len(rows), 2))
         _, grads = polygcn.gcn_loss_and_grads(facet, ops, config, edge_idx,
                                               edge_w, neg_idx)

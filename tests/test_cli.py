@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyembed import cli, facets, graph, polydeepwalk, polygcn, polypte, sgd, walks
+from polyembed import cli, facets, graph, kernel, polydeepwalk, polygcn, polypte, walks
 from polyembed.tables import load_matrix
 
 
@@ -47,7 +47,7 @@ def run_ok(argv):
 
 def engine_line():
     """The manifest line of the SGD engine that runs here."""
-    return f"engine={'numpy' if sgd._kernel() is None else 'c'}\n"
+    return f"engine={'numpy' if kernel.function('sgd_steps') is None else 'c'}\n"
 
 
 def test_facets_shape_contract(tmp_path, sbm_file):
@@ -211,13 +211,33 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys, sbm_file):
     assert not (tmp_path / "p").exists()
 
 
-def test_cli_import_leaves_out_scipy_stats_and_special():
-    # scipy.stats alone takes about half a second to import, scipy.special
-    # about a tenth
-    code = ("import sys, polyembed.cli; "
-            "sys.exit('scipy.stats' in sys.modules or 'scipy.special' in sys.modules)")
+def test_no_scipy_after_import_or_pipeline(tmp_path, compiled_kernel):
+    # scipy.sparse alone took about half of the import's 0.4 s; with the
+    # kernel, no path of a run imports any of scipy
+    (tmp_path / "g.edges").write_text("".join(f"{i} {(i + 1) % 12}\n"
+                                              f"{i} {(i + 3) % 12}\n"
+                                              for i in range(12)))
+    (tmp_path / "b.edges").write_text("".join(f"{a} {b}\n" for a in range(8)
+                                              for b in range(6) if (a + b) % 3 == 0))
+    small = "--k 2 --dim 2 --num-negatives 3 --ks 1 --workdir".split()
+    runs = [["--input", "g.edges", "--walks-per-node", "2", "--walk-length", "4",
+             "--window", "2", "--epochs", "1", *small, "w"],
+            ["--input", "b.edges", "--kind", "bipartite", "--model", "pte",
+             "--total-samples", "200", *small, "p"],
+            ["--input", "b.edges", "--kind", "bipartite", "--model", "gcn",
+             "--iterations", "3", *small, "c"]]
+    code = ("import sys\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import polyembed.cli as cli\n"
+            "assert scipy() == [], scipy()\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.run(['pipeline', *argv]) == 0\n"
+            "    assert scipy() == [], (argv, scipy())\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (auc_brute_force, reference_classify, reference_link_report,
-                      reference_split_links)
+                      reference_split_links, to_dense)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +47,7 @@ def test_split_deterministic():
     s1 = split_links(g, "one-per-node", seed=4)
     s2 = split_links(g, "one-per-node", seed=4)
     assert s1[1] == s2[1]
-    assert np.array_equal(s1[0].adj.toarray(), s2[0].adj.toarray())
+    assert np.array_equal(to_dense(s1[0].adj), to_dense(s2[0].adj))
 
 
 def test_split_partitions_edges():
@@ -404,6 +404,52 @@ def test_one_warning_counts_the_pool_short_queries():
             g, test_edges, tables, prior, "homogeneous", 27, (1, 5, 20), 3)
     assert sum(len(c) < 28 for c in cands) == 3
     assert report.hr_at_k == hr and report.auc == auc_ref
+
+
+@pytest.mark.parametrize("mode", ["homogeneous", "cross"])
+def test_pool_short_rows_share_one_candidate_side(mode, tmp_path, monkeypatch):
+    # queries 1-3 neighbour 17 of the 20 candidates (nodes or items 4-20),
+    # so their pools are short of 12 negatives; the rest are full
+    rng = np.random.default_rng(8)
+    links = [(v, j) for v in (1, 2, 3) for j in range(4, 21)]
+    if mode == "homogeneous":
+        g = graph.from_edges(links, num_nodes=24)
+        num_b = 24
+    else:
+        g = graph.from_edges(links, kind="bipartite", num_a=24, num_b=21)
+        num_b = 21
+    tables = EmbeddingTables(u=rng.normal(0, 1, (24, 3, 4)),
+                             h=rng.normal(0, 1, (num_b, 3, 4)))
+    prior = facets.FacetPrior.from_factors(rng.random((24, 3)) + 0.1,
+                                           rng.random((num_b, 3)) + 0.1)
+    test_edges = [(1, 0), (2, 3), (3, 0)] + [(v, 0) for v in range(10, 18)]
+    sides = []
+    candidate_side = inference.candidate_side
+
+    def counted_side(*args):
+        sides.append(1)
+        return candidate_side(*args)
+
+    monkeypatch.setattr(inference, "candidate_side", counted_side)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = evaluation.link_prediction_report(
+            g, test_edges, tables, prior, mode, num_negatives=12, ks=(1, 5), seed=2)
+        cand, got = evaluation._scored_candidates(g, test_edges, tables, prior,
+                                                  mode, 12, 2)
+        hr, auc_ref, cands, scores = reference_link_report(
+            g, test_edges, tables, prior, mode, 12, (1, 5), 2)
+    assert len(sides) == 2   # once per report, not once per short row
+    assert sum(len(c) < 13 for c in cands) == 3
+    for r, (ref_cand, ref_scores) in enumerate(zip(cands, scores)):
+        assert np.array_equal(cand[r, :len(ref_cand)], ref_cand)
+        assert np.array_equal(got[r, :len(ref_cand)], ref_scores)
+    evaluation.write_report(report, tmp_path / "got.report")
+    evaluation.write_report(EvalReport(hr_at_k=hr, auc=auc_ref,
+                                       metadata=report.metadata),
+                            tmp_path / "ref.report")
+    assert ((tmp_path / "got.report").read_bytes()
+            == (tmp_path / "ref.report").read_bytes())
 
 
 def test_link_report_is_one_pass(monkeypatch):

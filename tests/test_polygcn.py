@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 from conftest import (dense_decompose, finite_difference, make_planted_bipartite,
-                      reference_gcn_loss_and_grads, rel_error)
+                      reference_gcn_loss_and_grads, rel_error, to_dense)
 from scipy import sparse
 
-from polyembed import evaluation, facets, graph, polygcn
+from polyembed import evaluation, facets, graph, kernel, polygcn
 from polyembed.errors import ValidationError
 from polyembed.polygcn import (FacetAdjacency, GcnConfig, decompose_adjacency,
                                forward_facet, gcn_loss_and_grads, init_gcn_model,
@@ -12,7 +12,7 @@ from polyembed.polygcn import (FacetAdjacency, GcnConfig, decompose_adjacency,
 
 
 def facet_adjacency(*dense):
-    return FacetAdjacency(mats=[sparse.csr_array(m) for m in dense])
+    return FacetAdjacency(mats=[kernel.csr(m) for m in dense])
 
 
 def random_instance(seed, num_a=5, num_b=4, k=3):
@@ -30,7 +30,7 @@ def random_instance(seed, num_a=5, num_b=4, k=3):
 def test_decompose_k1_returns_adjacency():
     a, _, _ = random_instance(0)
     fa = decompose_adjacency(a, np.ones((5, 1)), np.ones((4, 1)))
-    assert np.allclose(fa.mats[0].toarray(), a)
+    assert np.allclose(to_dense(fa.mats[0]), a)
 
 
 def test_decompose_one_hot_routes_whole_edge():
@@ -38,17 +38,17 @@ def test_decompose_one_hot_routes_whole_edge():
     p = np.array([[1.0, 0.0]])
     q = np.array([[1.0, 0.0]])
     fa = decompose_adjacency(a, p, q)
-    assert fa.mats[0][0, 0] == 2.0
-    assert fa.mats[1][0, 0] == 0.0
+    assert to_dense(fa.mats[0])[0, 0] == 2.0
+    assert to_dense(fa.mats[1])[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_decompose_partition_of_unity(seed):
     a, p, q = random_instance(seed)
     fa = decompose_adjacency(a, p, q)
-    assert np.abs(sum(fa.mats[1:], fa.mats[0]).toarray() - a).max() < 1e-12
+    assert np.abs(sum(map(to_dense, fa.mats)) - a).max() < 1e-12
     for mat in fa.mats:
-        dense = mat.toarray()
+        dense = to_dense(mat)
         assert (dense[a == 0] == 0).all()
         assert (dense >= 0).all()
 
@@ -60,7 +60,7 @@ def test_decompose_matches_dense_formula(seed):
     q[1, :2] = 0.0      # column 1's cells keep only facet 2
     fa = decompose_adjacency(sparse.csr_array(a), p, q)
     for mat, ref in zip(fa.mats, dense_decompose(a, p, q)):
-        assert np.abs(mat.toarray() - ref).max() <= 1e-14
+        assert np.abs(to_dense(mat) - ref).max() <= 1e-14
         assert (mat.data > 0).all()
 
 
@@ -69,8 +69,8 @@ def test_decompose_zero_denominator_splits_uniformly():
     p = np.array([[0.0, 0.0]])
     q = np.array([[1.0, 1.0]])
     fa = decompose_adjacency(a, p, q)
-    assert fa.mats[0][0, 0] == pytest.approx(1.5)
-    assert fa.mats[1][0, 0] == pytest.approx(1.5)
+    assert to_dense(fa.mats[0])[0, 0] == pytest.approx(1.5)
+    assert to_dense(fa.mats[1])[0, 0] == pytest.approx(1.5)
 
 
 def test_decompose_shape_mismatch():
@@ -89,7 +89,7 @@ def dense_co_mask(mask):
 
 def agg_blocks(ops):
     """The four (A|B) x (A|B) blocks of a facet operator, dense."""
-    agg, n = ops.agg.toarray(), ops.num_a
+    agg, n = to_dense(ops.agg), ops.num_a
     return agg[:n, :n], agg[:n, n:], agg[n:, :n], agg[n:, n:]
 
 
@@ -102,9 +102,9 @@ def test_co_masks_match_dense_construction(seed):
     config = GcnConfig(neighbor_mode="co", threshold=0.05)
     for mat in fa.mats:
         ops = polygcn._facet_ops(mat, config)
-        mask = (mat.toarray() > 0.05).astype(np.float64)
+        mask = (to_dense(mat) > 0.05).astype(np.float64)
         co_a, co_b = dense_co_mask(mask), dense_co_mask(mask.T)
-        assert sparse.issparse(ops.agg)
+        assert isinstance(ops.agg, kernel.Csr)
         aa, ab, ba, bb = agg_blocks(ops)
         assert np.array_equal(aa, co_a) and np.array_equal(bb, co_b)
         assert not ab.any() and not ba.any()
@@ -112,10 +112,22 @@ def test_co_masks_match_dense_construction(seed):
                                                           co_b.sum(axis=1)]))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_co_mask_in_blocks_equals_one_block(seed, monkeypatch):
+    a, p, q = random_instance(seed, num_a=9, num_b=4, k=1)
+    a[:, 0] = 1.0     # one column shared by every row
+    mask = decompose_adjacency(a, p, q).mats[0]
+    whole = [polygcn._co_mask(m) for m in (mask, mask.T)]
+    monkeypatch.setattr(polygcn, "CO_PAIRS", 5)
+    for got, want in zip([polygcn._co_mask(m) for m in (mask, mask.T)], whole):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_co_mask_via_shared_item():
     a = np.zeros((3, 2))
     a[0, 0] = a[1, 0] = 1.0   # users 0 and 1 both link to item 0
-    ops = polygcn._facet_ops(sparse.csr_array(a), GcnConfig(neighbor_mode="co"))
+    ops = polygcn._facet_ops(kernel.csr(a), GcnConfig(neighbor_mode="co"))
     aa, ab, ba, bb = agg_blocks(ops)
     assert np.array_equal(aa, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     assert not bb.any() and not ab.any() and not ba.any()
@@ -125,7 +137,7 @@ def test_bipartite_operator_blocks():
     a, p, q = random_instance(2, num_a=6, num_b=5, k=1)
     mat = decompose_adjacency(a, p, q).mats[0]
     ops = polygcn._facet_ops(mat, GcnConfig(threshold=0.05))
-    mask = (mat.toarray() > 0.05).astype(np.float64)
+    mask = (to_dense(mat) > 0.05).astype(np.float64)
     aa, ab, ba, bb = agg_blocks(ops)
     assert np.array_equal(ab, mask) and np.array_equal(ba, mask.T)
     assert not aa.any() and not bb.any()
@@ -142,7 +154,7 @@ def test_operator_is_symmetric(seed, neighbor_mode):
     for mat in fa.mats:
         agg = polygcn._facet_ops(mat, GcnConfig(neighbor_mode=neighbor_mode)).agg
         assert agg.shape == (12, 12)
-        assert (agg != agg.T).nnz == 0
+        assert np.array_equal(to_dense(agg), to_dense(agg).T)
 
 
 # ---------------------------------------------------------------- forward
@@ -211,7 +223,7 @@ def test_forward_matches_dense_reference(seed):
         for k in range(2):
             u, h = forward_facet(model.facets[k], model.ops[k])
             ru, rh = dense_reference_forward(
-                model.facets[k], (fa.mats[k].toarray() > 0).astype(float),
+                model.facets[k], (to_dense(fa.mats[k]) > 0).astype(float),
                 neighbor_mode, config.depth)
             assert np.abs(u - ru).max() < 1e-10
             assert np.abs(h - rh).max() < 1e-10
@@ -227,7 +239,7 @@ def test_gcn_gradients_match_finite_differences(seed):
     config = GcnConfig(dim=2, depth=2, seed=seed, negatives=2)
     model = init_gcn_model(3, 3, fa, config)
     facet, ops = model.facets[0], model.ops[0]
-    mat = fa.mats[0]
+    mat = to_dense(fa.mats[0])
     rows, cols = np.nonzero(mat > 0)
     edge_idx = np.stack([rows, cols], axis=1)
     edge_w = mat[rows, cols]

@@ -1,5 +1,5 @@
 """The decode-then-update engine against the per-step facet trainers,
-and the compiled kernel against the numpy loop.
+and the compiled step loop against the numpy loop.
 
 Tables must be bit-identical and the hook must see the same steps, at
 the default chunk size and at a chunk size that leaves every run ending
@@ -8,11 +8,7 @@ compiled kernel runs, and its tables and loss traces must agree with the
 numpy loop's to 1e-12 relative to the largest entry.
 """
 
-import functools
 import math
-import os
-import shutil
-import stat
 import tracemalloc
 
 import numpy as np
@@ -20,7 +16,7 @@ import pytest
 from conftest import (bucket_means, make_planted_bipartite, make_two_cliques,
                       reference_polydeepwalk, reference_polypte)
 
-from polyembed import facets, graph, polydeepwalk as pdw, polypte, sgd, walks
+from polyembed import facets, graph, kernel, polydeepwalk as pdw, polypte, sgd, walks
 from polyembed.errors import NumericsError
 
 CHUNKS = [sgd.CHUNK, 7]
@@ -162,15 +158,6 @@ def test_sgns_loss_matches_textbook_formula():
 KERNEL_RTOL = 1e-12
 
 
-@pytest.fixture
-def kernel():
-    """The compiled kernel; it must load wherever a C compiler exists."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler")
-    assert sgd._kernel() is not None
-    return sgd._kernel
-
-
 def deepwalk_run(k):
     g = make_two_cliques(clique=4)
     p = np.random.default_rng(1).random((g.num_nodes, k))
@@ -195,11 +182,11 @@ def assert_close(got, want):
 
 @pytest.mark.parametrize("model,k", [("deepwalk", 4), ("deepwalk", 1),
                                      ("pte", 3), ("pte", 1)])
-def test_kernel_matches_numpy_engine(model, k, kernel, weighted_bipartite,
+def test_kernel_matches_numpy_engine(model, k, compiled_kernel, weighted_bipartite,
                                      monkeypatch):
     run = deepwalk_run(k) if model == "deepwalk" else pte_run(weighted_bipartite, k)
     compiled, again = run(), run()
-    monkeypatch.setattr(sgd, "_kernel", lambda: None)
+    monkeypatch.setattr(kernel, "function", lambda name: None)
     reference = run()
     assert (compiled.engine, reference.engine) == ("c", "numpy")
     assert_close(compiled.tables.u, reference.tables.u)
@@ -219,46 +206,24 @@ def poisoned_engine():
                              np.array([20, 21, 22, 23]))
 
 
-def test_nan_row_raises_at_its_step_on_both_engines(kernel, monkeypatch):
+def test_nan_row_raises_at_its_step_on_both_engines(compiled_kernel, monkeypatch):
     engine, steps = poisoned_engine()
     before = engine.tables.h.copy()
     with pytest.raises(NumericsError, match="edge sample 22"):
         engine.apply(steps, "edge sample")
     assert not np.array_equal(engine.tables.h, before)   # steps 0, 1 ran
     assert np.isfinite(engine.tables.h).all()
-    monkeypatch.setattr(sgd, "_kernel", lambda: None)
+    monkeypatch.setattr(kernel, "function", lambda name: None)
     engine, steps = poisoned_engine()
     with pytest.raises(NumericsError, match="edge sample 22"):
         engine.apply(steps, "edge sample")
 
 
 @pytest.mark.parametrize("field", ["target", "context", "negatives"])
-def test_kernel_rejects_rows_outside_the_tables(field, kernel):
+def test_kernel_rejects_rows_outside_the_tables(field, compiled_kernel):
     engine, steps = poisoned_engine()
     engine.u[7] = 0.0
     bad = getattr(steps, field).copy()
     bad.flat[-1] = len(engine.u) if field == "target" else -1
     with pytest.raises(IndexError):
         engine.apply(steps._replace(**{field: bad}), "edge sample")
-
-
-def test_without_a_compiler_training_falls_back_to_numpy(tmp_path, monkeypatch):
-    monkeypatch.setattr(sgd, "_kernel", functools.cache(sgd._kernel.__wrapped__))
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setenv("PATH", "")
-    with pytest.warns(RuntimeWarning, match="numpy engine"):
-        result = deepwalk_run(2)()
-    assert result.engine == "numpy"
-    assert np.isfinite(result.tables.u).all()
-
-
-def test_kernel_is_cached_in_a_private_directory(tmp_path, monkeypatch, kernel):
-    monkeypatch.setattr(sgd, "_kernel", functools.cache(sgd._kernel.__wrapped__))
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    assert sgd._kernel() is not None
-    cache = tmp_path / "polyembed"
-    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
-    assert [p.name[:4] for p in cache.iterdir()] == ["sgd-"]
-    os.chmod(cache, 0o777)
-    with pytest.raises(OSError, match="not private"):
-        sgd._build()

@@ -53,25 +53,36 @@ def test_unused_import_check_sees_dead_and_live_names():
 
 # Functions that only tests call, kept as the oracles of the acceptance
 # criteria and the reference trainers.
-ORACLES = {"adjacency_dense", "entropy", "exact_objective_small",
+ORACLES = {"adjacency_dense", "auc", "entropy", "exact_objective_small",
            "pte_lower_bound_small", "hit_ratio", "similarity", "sliding_windows"}
 
 
 def unreferenced_definitions(sources: dict) -> list[str]:
-    """Top-level functions and classes of `sources` (file name -> source)
-    whose name no file reads, as a name or as an attribute."""
-    defined, read = {}, set()
+    """Top-level functions and classes of `sources` (file name -> source of
+    one package module) that no file reads through a binding to them: a
+    name of their own file, a `from .module import name`, or `module.name`
+    where `module` was bound by `from . import module [as alias]`. An
+    attribute of any other object does not count, whatever its name."""
+    defined, read = set(), set()
     for name, source in sorted(sources.items()):
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[node.name] = name
+        modules = {}   # local name -> file of a package module
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return [f"{defined[name]}: {name}" for name in sorted(defined.keys() - read)]
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = f"{alias.name}.py"
+                    else:
+                        read.add((f"{node.module}.py", alias.name))
+        defined.update((name, node.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((name, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                read.add((modules[node.value.id], node.attr))
+    return [f"{file}: {fn}" for file, fn in sorted(defined - read)]
 
 
 def test_every_library_function_has_a_caller_in_the_package():
@@ -81,8 +92,13 @@ def test_every_library_function_has_a_caller_in_the_package():
 
 
 def test_unreferenced_definition_check_sees_calls_across_files():
-    sources = {"a.py": "def used():\n    pass\n\n\nclass Dead:\n    pass\n",
-               "b.py": "from . import a\n\n\ndef entry():\n    return a.used()\n",
-               "c.py": "def lonely():\n    def inner():\n        pass\n"}
-    assert unreferenced_definitions(sources) == ["a.py: Dead", "b.py: entry",
-                                                 "c.py: lonely"]
+    sources = {"a.py": ("def used():\n    pass\n\n\nclass Dead:\n    pass\n\n\n"
+                        "def imported():\n    pass\n\n\n"
+                        "def same_name():\n    pass\n"),
+               "b.py": ("from . import a as alias\n\n\ndef entry(report):\n"
+                        "    return alias.used(), report.same_name\n"),
+               "c.py": ("from .a import imported\n\n\ndef lonely():\n"
+                        "    def inner():\n        pass\n")}
+    # report.same_name reads an attribute of another object, not a.same_name
+    assert unreferenced_definitions(sources) == ["a.py: Dead", "a.py: same_name",
+                                                 "b.py: entry", "c.py: lonely"]

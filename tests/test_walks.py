@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import make_sbm, reference_walks
+from conftest import make_sbm, reference_walks, to_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,7 +171,7 @@ def test_weighted_walks_leave_out_nodes_whose_edges_weigh_0(tmp_path, edges,
     assert cli.run(argv) == 0
     corpus = walks.load_corpus(out)
     assert corpus.shape == (12, 5) and unreached not in corpus
-    weight = graph.load_edge_list(source).adj.toarray()
+    weight = to_dense(graph.load_edge_list(source).adj)
     assert (weight[corpus[:, :-1], corpus[:, 1:]] > 0).all()
     assert cli.run(argv + ["--uniform"]) == 0    # uniform walks start anywhere
     assert set(walks.load_corpus(out)[:, 0].tolist()) == {0, 1, 2, 3}
