@@ -6,14 +6,14 @@ compiler on first use and cached as
 `$XDG_CACHE_HOME/polyembed/kernel-<hash>.so` (`~/.cache/polyembed/` when
 XDG_CACHE_HOME is unset). `function(name)` returns one of its functions,
 or None, with one warning per process, when it cannot be built or loaded.
-The numpy or scipy code that each caller runs then is the reference, and
-tests hold the two equal.
+The numpy code that each caller runs then is the reference, and tests
+hold the two equal.
 
 `Csr` is the package's sparse matrix: the graphs' adjacency, the NMF
 input and PolyGCN's facet matrices and aggregation operators. Its `@`
-with a dense matrix runs `csr_matmat`, or scipy.sparse's product when
-there is no kernel; scipy is imported only then. Both add each row's
-terms in stored order, so they give the same bits.
+with a dense matrix runs `csr_matmat`, or a numpy scatter when there is
+no kernel. Both add each row's terms in stored order, as scipy.sparse's
+products do, so all three give the same bits.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def _library():
     try:
         lib = ctypes.CDLL(str(_build()))
     except (OSError, subprocess.SubprocessError) as exc:
-        warnings.warn(f"compiled kernel unavailable, using the numpy engine "
-                      f"and scipy.sparse: {exc}", RuntimeWarning, stacklevel=3)
+        warnings.warn(f"compiled kernel unavailable, using the numpy engine: "
+                      f"{exc}", RuntimeWarning, stacklevel=3)
         return None
     for name, (restype, argtypes) in _signatures().items():
         fn = getattr(lib, name)   # ctypes keeps this object as the attribute
@@ -139,6 +139,16 @@ def _operand(x, rows: int) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] != rows:
         raise ValueError(f"operand of shape {x.shape} does not have {rows} rows")
     return x
+
+
+def _scatter(rows, cols, data, x, num_rows: int) -> np.ndarray:
+    """The product without the kernel. Each output column is a bincount,
+    which adds data[e] * x[cols[e], d] into row rows[e] entry by entry in
+    the given order, one multiply and one add, as the kernel does."""
+    y = np.empty((num_rows, x.shape[1]))
+    for d in range(x.shape[1]):
+        y[:, d] = np.bincount(rows, weights=data * x[cols, d], minlength=num_rows)
+    return y
 
 
 class Csr(NamedTuple):
@@ -179,18 +189,16 @@ class Csr(NamedTuple):
         x = _operand(x, self.shape[1])
         fn = function("csr_matmat")
         if fn is None:
-            from scipy import sparse
-            return sparse.csr_array((self.data, self.indices, self.indptr),
-                                    shape=self.shape) @ x
+            return _scatter(self.rows(), self.indices, self.data, x, self.shape[0])
         y = np.zeros((self.shape[0], x.shape[1]))
         fn(self.shape[0], x.shape[1], self.indptr, self.indices, self.data, x, y)
         return y
 
 
 def csr(a) -> Csr:
-    """`a` as a float64 Csr: a Csr, checked, as it is; anything with
-    `.tocsr()` (a scipy.sparse matrix) with repeated cells summed; or the
-    nonzero cells of a dense matrix in row order."""
+    """`a` as a float64 Csr: a Csr as it is, once checked to be canonical;
+    anything with `.tocsr()` (a scipy.sparse matrix) with repeated cells
+    summed; or the nonzero cells of a dense matrix in row order."""
     if isinstance(a, Csr):
         indptr, indices, data = (np.ascontiguousarray(x, dtype=t) for x, t in
                                  zip(a[:3], (np.int64, np.int64, np.float64)))
@@ -200,7 +208,12 @@ def csr(a) -> Csr:
                 and (np.diff(indptr) >= 0).all()
                 and (indices >= 0).all() and (indices < cols).all()):
             raise ValidationError("malformed CSR matrix")
-        return Csr(indptr, indices, data, (rows, cols))
+        a = Csr(indptr, indices, data, (rows, cols))
+        # each entry's column ascends from the one before, or its row does
+        if not ((np.diff(indices) > 0) | (np.diff(a.rows()) > 0)).all():
+            raise ValidationError("malformed CSR matrix: a row's columns do "
+                                  "not strictly ascend")
+        return a
     if hasattr(a, "tocsr"):
         m = a.tocsr().astype(np.float64)
         m.sum_duplicates()
@@ -229,9 +242,7 @@ def coo_matmat(rows, cols, data, x, num_rows: int) -> np.ndarray:
         raise IndexError("sparse entry outside the matrix")
     fn = function("coo_matmat")
     if fn is None:
-        from scipy import sparse
-        return sparse.coo_array((data, (rows, cols)),
-                                shape=(num_rows, len(x))) @ x
+        return _scatter(rows, cols, data, x, num_rows)
     y = np.zeros((num_rows, x.shape[1]))
     fn(len(rows), x.shape[1], rows, cols, data, x, y)
     return y

@@ -28,7 +28,6 @@ from .sgd import NegativeSampler
 from .tables import EmbeddingTables
 
 LEAKY_SLOPE = 0.2
-CO_PAIRS = 1 << 18   # candidate pairs per block of the co mask
 _ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -158,6 +157,7 @@ def _facet_ops(mat, config) -> FacetOps:
     """The aggregation operator of one facet matrix. "bipartite": each node's
     neighbours are its facet edges' other ends; "co": the nodes of its own
     type that share a facet neighbour with it."""
+    mat = csr(mat)
     rows, cols, _ = _cells(mat, config.threshold)
     num_a, num_b = mat.shape
     mask = Csr.from_rows(rows, cols, np.ones(len(rows)), mat.shape)
@@ -181,21 +181,15 @@ def _co_mask(mask: Csr) -> Csr:
     stored in column c; repeated pairs are merged."""
     n = mask.shape[0]
     by_col = mask.T
-    first = by_col.indptr[mask.indices]              # of each entry's column
-    sizes = np.diff(by_col.indptr)[mask.indices]
-    rows = mask.rows()
-    # blocks of whole rows of about CO_PAIRS pairs bound the memory; the
-    # blocks ascend, so their sorted keys concatenate in order
-    block = np.cumsum(np.bincount(rows, weights=sizes, minlength=n)) // CO_PAIRS
-    starts = mask.indptr[np.r_[0, np.flatnonzero(np.diff(block)) + 1, n]]
-    keys = []
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        width = sizes[lo:hi]
-        left = np.repeat(rows[lo:hi], width)
-        offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-        right = by_col.indices[np.repeat(first[lo:hi], width) + offset]
-        keys.append(np.unique((left * n + right)[left != right]))
-    keys = np.concatenate(keys)
+    sizes = np.diff(by_col.indptr)[mask.indices]     # of each entry's column
+    left = np.repeat(mask.rows(), sizes)
+    offset = np.arange(len(left)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    right = by_col.indices[np.repeat(by_col.indptr[mask.indices], sizes) + offset]
+    # np.unique took about 40x as long as this sort on gcn-wide's keys
+    keys = np.sort((left * n + right)[left != right])
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
     return Csr.from_rows(keys // n, keys % n, np.ones(len(keys)), (n, n))
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -211,9 +212,26 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys, sbm_file):
     assert not (tmp_path / "p").exists()
 
 
-def test_no_scipy_after_import_or_pipeline(tmp_path, compiled_kernel):
-    # scipy.sparse alone took about half of the import's 0.4 s; with the
-    # kernel, no path of a run imports any of scipy
+def loaded_scipy(code, cwd=None) -> list[str]:
+    """The scipy modules loaded after running `code` in a fresh process."""
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "                        if m.split('.')[0] == 'scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.sparse alone took about half of the import's 0.4 s
+    assert loaded_scipy("import polyembed.cli") == []
+
+
+def test_pipeline_runs_load_no_scipy(tmp_path):
+    # a lazy import on any path of a run would move its cost into the run;
+    # the sparse products import nothing with or without the kernel
     (tmp_path / "g.edges").write_text("".join(f"{i} {(i + 1) % 12}\n"
                                               f"{i} {(i + 3) % 12}\n"
                                               for i in range(12)))
@@ -226,18 +244,10 @@ def test_no_scipy_after_import_or_pipeline(tmp_path, compiled_kernel):
              "--total-samples", "200", *small, "p"],
             ["--input", "b.edges", "--kind", "bipartite", "--model", "gcn",
              "--iterations", "3", *small, "c"]]
-    code = ("import sys\n"
-            "def scipy():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "import polyembed.cli as cli\n"
-            "assert scipy() == [], scipy()\n"
+    code = ("import polyembed.cli as cli\n"
             f"for argv in {runs!r}:\n"
-            "    assert cli.run(['pipeline', *argv]) == 0\n"
-            "    assert scipy() == [], (argv, scipy())\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+            "    assert cli.run(['pipeline', *argv]) == 0\n")
+    assert loaded_scipy(code, cwd=tmp_path) == []
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,10 @@
 """The compiled-kernel loader, and the sparse products against scipy.
 
 The kernel is built into a private cache, and without a compiler the
-package falls back, with one warning, to the numpy engine and to
-scipy.sparse. Every function that runs a sparse product gives the same
-bits on the compiled path as on that fallback: random inputs, repeated
-cells, empty rows and columns, and signed zeros.
+package falls back, with one warning, to numpy. Both paths of each sparse
+product give scipy.sparse's bits, and every function that runs one gives
+the same bits on both: random inputs, repeated cells, empty rows and
+columns, and signed zeros.
 """
 
 import functools
@@ -89,11 +89,13 @@ def test_products_equal_scipy(seed, compiled_kernel, monkeypatch):
         return (a @ x, a.T @ x_t, kernel.coo_matmat(rows, cols, values, x, 13),
                 kernel.coo_matmat(cols, rows, values, x_t, 9))
 
-    compiled, fallback = on_both_paths(monkeypatch, run)
-    for got, want in zip(compiled, fallback):
-        assert same_bits(got, want)
-    scipy_csr = sparse.csr_array((a.data, a.indices, a.indptr), shape=a.shape)
-    assert same_bits(compiled[0], scipy_csr @ x)
+    ref = sparse.csr_array((a.data, a.indices, a.indptr), shape=a.shape)
+    want = (ref @ x, ref.T.tocsr() @ x_t,
+            sparse.coo_array((values, (rows, cols)), shape=(13, 9)) @ x,
+            sparse.coo_array((values, (cols, rows)), shape=(9, 13)) @ x_t)
+    for got in on_both_paths(monkeypatch, run):
+        for product, reference in zip(got, want):
+            assert same_bits(product, reference)
 
 
 def test_products_check_their_operands(compiled_kernel, monkeypatch):
@@ -109,13 +111,22 @@ def test_products_check_their_operands(compiled_kernel, monkeypatch):
 
 @pytest.mark.parametrize("broken", [
     dict(indptr=[0, 2, 1, 3]), dict(indptr=[0, 1, 2]), dict(indptr=[1, 1, 2, 3]),
-    dict(indices=[0, 3, 1]), dict(indices=[0, -1, 1]), dict(data=[1.0, 1.0])])
+    dict(indices=[0, 3, 1]), dict(indices=[0, -1, 1]), dict(data=[1.0, 1.0]),
+    dict(indptr=[0, 2, 2, 3], indices=[1, 0, 2]),     # columns descend
+    dict(indptr=[0, 2, 2, 3], indices=[1, 1, 2])])    # a cell stored twice
 def test_malformed_csr_input_is_rejected(broken):
     good = kernel.Csr(np.array([0, 1, 2, 3]), np.array([0, 1, 2]), np.ones(3), (3, 3))
     assert kernel.csr(good).shape == (3, 3)
+    # a column may fall where a new row starts, past an empty row too
+    assert kernel.csr(good._replace(indptr=np.array([0, 2, 2, 3]),
+                                    indices=np.array([0, 2, 0]))).shape == (3, 3)
     bad = good._replace(**{key: np.array(value) for key, value in broken.items()})
     with pytest.raises(ValidationError, match="malformed"):
         facets.symmetric_nmf(bad, 2)
+    with pytest.raises(ValidationError, match="malformed"):
+        polygcn.decompose_adjacency(bad, np.ones((3, 1)), np.ones((3, 1)))
+    with pytest.raises(ValidationError, match="malformed"):
+        polygcn._facet_ops(bad, GcnConfig())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -198,7 +209,7 @@ def test_without_a_compiler_training_falls_back_to_numpy(tmp_path, monkeypatch):
         result = pdw.train(g, prior, corpus, pdw.TrainConfig(
             dim=3, negatives=2, facet_rate=2, epochs=1, window=2, seed=4))
     assert [w.category for w in caught] == [RuntimeWarning]   # once
-    assert "numpy engine and scipy.sparse" in str(caught[0].message)
+    assert "using the numpy engine" in str(caught[0].message)
     assert result.engine == "numpy"
     assert np.isfinite(result.tables.u).all()
 

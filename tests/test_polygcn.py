@@ -112,18 +112,6 @@ def test_co_masks_match_dense_construction(seed):
                                                           co_b.sum(axis=1)]))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_co_mask_in_blocks_equals_one_block(seed, monkeypatch):
-    a, p, q = random_instance(seed, num_a=9, num_b=4, k=1)
-    a[:, 0] = 1.0     # one column shared by every row
-    mask = decompose_adjacency(a, p, q).mats[0]
-    whole = [polygcn._co_mask(m) for m in (mask, mask.T)]
-    monkeypatch.setattr(polygcn, "CO_PAIRS", 5)
-    for got, want in zip([polygcn._co_mask(m) for m in (mask, mask.T)], whole):
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-
-
 def test_co_mask_via_shared_item():
     a = np.zeros((3, 2))
     a[0, 0] = a[1, 0] = 1.0   # users 0 and 1 both link to item 0
