@@ -63,7 +63,6 @@ class BipartiteGraph:
     weights: np.ndarray           # (E,) float64
     timestamps: np.ndarray | None  # (E,) int64, or None when absent
     adj: Csr                      # num_a x num_b
-    adj_t: Csr                    # num_b x num_a
     a_labels: list[str] | None = None
     b_labels: list[str] | None = None
 
@@ -74,7 +73,7 @@ class BipartiteGraph:
         return len(self.edges)
 
     def degrees_b(self) -> np.ndarray:
-        return np.diff(self.adj_t.indptr)
+        return np.bincount(self.adj.indices, minlength=self.num_b)
 
 
 def sides(graph):
@@ -253,7 +252,7 @@ def _build_bipartite(num_a, num_b, a_ids, b_ids, weights, timestamps,
     adj = Csr.from_rows(edges[:, 0], edges[:, 1], merged_w, (num_a, num_b))
     return BipartiteGraph(num_a=num_a, num_b=num_b, edges=edges,
                           weights=merged_w, timestamps=merged_ts,
-                          adj=adj, adj_t=adj.T,
+                          adj=adj,
                           a_labels=a_labels, b_labels=b_labels)
 
 
@@ -277,14 +276,23 @@ def from_edges(edges, num_nodes=None, kind="homogeneous", num_a=None,
     w = rows[:, 2].astype(np.float64) if rows.shape[1] == 3 else np.ones(len(rows))
     if (w < 0).any() or not np.isfinite(w).all():
         raise ValidationError("edge weights must be finite and nonnegative")
-    if (src < 0).any() or (dst < 0).any():
-        raise ValidationError("node ids must be nonnegative")
     if kind == "homogeneous":
         n = num_nodes if num_nodes is not None else int(max(src.max(), dst.max())) + 1
+        _check_ids(np.concatenate([src, dst]), n, "node")
         return _build_homogeneous(n, src, dst, w, None)
     na = num_a if num_a is not None else int(src.max()) + 1
     nb = num_b if num_b is not None else int(dst.max()) + 1
+    _check_ids(src, na, "type-A node")
+    _check_ids(dst, nb, "type-B node")
     return _build_bipartite(na, nb, src, dst, w, timestamps, None, None)
+
+
+def _check_ids(ids, count, name) -> None:
+    """ValidationError naming the first id outside 0 .. count - 1."""
+    bad = ids[(ids < 0) | (ids >= count)]
+    if len(bad):
+        raise ValidationError(f"{name} id {bad[0]} is outside 0..{count - 1} "
+                              f"(the {name} count is {count})")
 
 
 def save_edge_list(graph, path) -> None:

@@ -9,6 +9,11 @@ or None, with one warning per process, when it cannot be built or loaded.
 The numpy code that each caller runs then is the reference, and tests
 hold the two equal.
 
+Libraries of other sources stay in the cache: checkouts share it, and
+removing one's library would make its next run compile again, or unlink
+it between another process's check and load, which drops that process
+to the numpy code with only a warning.
+
 `Csr` is the package's sparse matrix: the graphs' adjacency, the NMF
 input and PolyGCN's facet matrices and aggregation operators. Its `@`
 with a dense matrix runs `csr_matmat`, or a numpy scatter when there is

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .kernel import Csr, coo_matmat, csr
-from .sgd import NegativeSampler
+from .sgd import GuideTable
 from .tables import EmbeddingTables
 
 LEAKY_SLOPE = 0.2
@@ -284,7 +284,7 @@ def train_gcn(bipartite, facet_adj: FacetAdjacency,
     init_ss, *facet_ss = root.spawn(1 + facet_adj.k)
     model = init_gcn_model(num_a, num_b, facet_adj, config, seed=init_ss)
 
-    sampler = NegativeSampler(bipartite.degrees_b(), np.ones((num_b, 1)))
+    degree_table = GuideTable(bipartite.degrees_b() ** 0.75)
 
     traces: list[list[float]] = []
     u_out = np.zeros((num_a, facet_adj.k, config.dim))
@@ -298,7 +298,7 @@ def train_gcn(bipartite, facet_adj: FacetAdjacency,
                    for name, p in params.items()}
         trace: list[float] = []
         for it in range(1, (config.iterations if len(rows) else 0) + 1):
-            neg_idx, _ = sampler.decode(rng.random((len(rows), config.negatives)))
+            neg_idx = degree_table.decode(rng.random((len(rows), config.negatives)))
             loss, grads = gcn_loss_and_grads(facet, ops, config,
                                              edge_idx, edge_w, neg_idx)
             if not math.isfinite(loss):

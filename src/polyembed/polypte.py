@@ -7,9 +7,9 @@ or from its min-rule conditional ("min"), then one negative-sampled
 update runs on the selected facet vectors. The target table U covers
 type-A nodes, the context table H covers type-B nodes, and negatives are
 (type-B node, facet) pairs drawn from item degree**0.75 and the item's
-prior. The trainer draws the edges; an edge is an `sgd` observation with
-one context, decoded and applied by the shared engine. Runs are
-bit-reproducible for a fixed seed.
+prior. Edges are drawn uniformly or by weight (`sgd.GuideTable`); an
+edge is an `sgd` observation with one context, decoded and applied by
+the shared engine. Runs are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from . import sgd
 from .errors import ValidationError
 from .facets import FacetPrior
-from .sgd import NegativeSampler
 from .tables import EmbeddingTables
 
 TRACE_POINTS = 10   # loss-trace buckets per run
@@ -60,47 +59,14 @@ class PteResult(NamedTuple):
     engine: str              # "c" or "numpy", as sgd.Engine.kind
 
 
-class AliasTable:
-    """Walker alias sampler over nonnegative weights; O(1) per draw."""
-
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=np.float64)
-        if (w < 0).any() or w.sum() <= 0:
-            raise ValidationError("alias table needs nonnegative weights, not all zero")
-        n = len(w)
-        ratio = w * n / w.sum()
-        # Vose's worklists on Python lists and floats: the same IEEE doubles
-        # as numpy's scalars, without a numpy scalar per element
-        small = np.flatnonzero(ratio < 1.0).tolist()
-        large = np.flatnonzero(ratio >= 1.0).tolist()
-        prob = ratio.tolist()
-        keep = [1.0] * n
-        alias = list(range(n))
-        while small and large:
-            s, l = small.pop(), large.pop()
-            keep[s] = prob[s]
-            alias[s] = l
-            prob[l] = prob[l] + prob[s] - 1.0
-            (small if prob[l] < 1.0 else large).append(l)
-        self.prob = np.array(keep)
-        self.alias = np.array(alias, dtype=np.int64)
-
-    def sample(self, rng) -> int:
-        i = int(rng.integers(len(self.prob)))
-        if rng.random() < self.prob[i]:
-            return i
-        return int(self.alias[i])
-
-
-def _scalar_draws(rng, count, width, num_edges, edge_alias):
+def _scalar_draws(rng, count, width, num_edges):
     """`count` samples' edges, (count,), and uniforms, (count, width): each
-    sample draws its edge and then its uniforms. The reference for
-    `_raw_draws`, and its fallback."""
+    sample draws `rng.integers(num_edges)` and then its uniforms. The
+    reference for `_raw_draws`, and its fallback."""
     edge = np.empty(count, dtype=np.int64)
     uniforms = np.empty((count, width))
     for s in range(count):
-        edge[s] = (edge_alias.sample(rng) if edge_alias is not None
-                   else rng.integers(num_edges))
+        edge[s] = rng.integers(num_edges)
         rng.random(out=uniforms[s])
     return edge, uniforms
 
@@ -154,27 +120,21 @@ def _raw_draws(rng, count, width, bound):
 
 
 def _decode_chunk(bipartite, prior, sampler, rng, config, facet_rate, start,
-                  count, edge_alias):
+                  count, edge_table):
     """Draw and decode edge samples start .. start + count - 1.
 
-    Each sample draws its edge (`rng.integers`, and a uniform for the alias
-    test with `weighted_edges`) and then its block of uniforms, replayed by
-    `_raw_draws` where it can and by `_scalar_draws` where it cannot.
+    Each sample draws its edge and then its block of uniforms, in one
+    `rng.random` call when `edge_table` (weighted edges) decodes the edge
+    from a uniform. An unweighted edge is `rng.integers(num_edges)`,
+    replayed by `_raw_draws` where it can and `_scalar_draws` where not.
     """
-    per_round = sgd.uniforms_per_round(1, prior.k, config.negatives)
-    width = facet_rate * per_round
-    alias = edge_alias is not None
-    drawn = _raw_draws(rng, count, width + alias, bipartite.num_edges)
-    if drawn is None:
-        edge, uniforms = _scalar_draws(rng, count, width, bipartite.num_edges,
-                                       edge_alias)
-    elif alias:
-        index, uniforms = drawn
-        edge = np.where(uniforms[:, 0] < edge_alias.prob[index], index,
-                        edge_alias.alias[index])
-        uniforms = uniforms[:, 1:]
+    width = facet_rate * sgd.uniforms_per_round(1, prior.k, config.negatives)
+    if edge_table is not None:
+        drawn = rng.random((count, width + 1))
+        edge, uniforms = edge_table.decode(drawn[:, 0]), drawn[:, 1:]
     else:
-        edge, uniforms = drawn
+        edge, uniforms = (_raw_draws(rng, count, width, bipartite.num_edges)
+                          or _scalar_draws(rng, count, width, bipartite.num_edges))
     a, b = bipartite.edges[edge, 0], bipartite.edges[edge, 1]
     return sgd.decode(uniforms.ravel(), a, b[:, None], prior.dist, prior.dist_b,
                       facet_rate, config.facet_mode, start, sampler,
@@ -202,8 +162,8 @@ def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
     total = (config.total_samples if config.total_samples is not None
              else 100 * bipartite.num_edges)
 
-    sampler = NegativeSampler(bipartite.degrees_b(), prior.dist_b)
-    edge_alias = AliasTable(bipartite.weights) if config.weighted_edges else None
+    sampler = sgd.NegativeSampler(bipartite.degrees_b(), prior.dist_b)
+    edge_table = sgd.GuideTable(bipartite.weights) if config.weighted_edges else None
     steps_total = total * facet_rate
     engine = sgd.Engine(bipartite.num_a, bipartite.num_b, prior.k, config.dim,
                         config.seed, config.learning_rate, steps_total,
@@ -211,7 +171,7 @@ def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
     for start in range(0, total, sgd.CHUNK):
         engine.apply(_decode_chunk(bipartite, prior, sampler, engine.rng, config,
                                    facet_rate, start, min(sgd.CHUNK, total - start),
-                                   edge_alias), "edge sample")
+                                   edge_table), "edge sample")
     engine.tables.check_finite("after training")
     return PteResult(engine.tables, engine.loss_trace(), engine.kind)
 

@@ -23,12 +23,11 @@ target facet, C for the context facets, then per context R for the
 negative nodes and R for their facets. At K = 1 no facet is drawn, so the
 single-facet model draws the stream of classic skip-gram / PTE.
 
-Every draw costs O(1) vectorised work. A negative's node comes from a
-guide table over the degree CDF (Chen and Asau's indexed search, AIIE
-Transactions 1974): the table gives a lower bound, one linear step
-settles most draws and a binary search the rest, and the index is the
-one `searchsorted` gives. A facet is the count of a row's CDF columns at
-or below its threshold, one column at a time.
+Every draw costs O(1) vectorised work. Negatives here and in PolyGCN and
+PolyPTE's weighted edges are drawn by weight, one uniform each, through
+a `GuideTable` (Chen and Asau's indexed search, AIIE Transactions 1974):
+it gives `searchsorted`'s index on the weights' CDF. A facet is the
+count of a row's CDF columns at or below its threshold, one at a time.
 """
 
 from __future__ import annotations
@@ -71,49 +70,62 @@ def sgns_loss_and_grads(u_cen, h_ctx, h_neg):
     return loss, g_u, g_ctx, g_neg
 
 
+class GuideTable:
+    """Draws an index in proportion to nonnegative weights, by inverse CDF
+    of one uniform in O(1) work per draw."""
+
+    def __init__(self, weights):
+        weights = np.asarray(weights, dtype=np.float64)
+        if not (weights >= 0).all() or not weights.any():
+            raise ValidationError("weights must be nonnegative, not all zero")
+        # u * total reaches total only when total is subnormal
+        self.last = np.flatnonzero(weights)[-1]
+        cdf = np.cumsum(weights)
+        self.total = cdf[-1]
+        # bucket j of M holds the uniforms in [j/M, (j+1)/M), whose index is
+        # at least guide[j]; M is a power of two, 2 to 4 buckets per index,
+        # so j/M and u*M are exact
+        m = 1 << (2 * len(cdf) - 1).bit_length()
+        self.guide = np.searchsorted(cdf, np.arange(m + 1) / m * self.total,
+                                     side="right")
+        self.m = m
+        # an infinite last entry stops every search at the index count
+        self.cdf = np.append(cdf, np.inf)
+
+    def decode(self, u):
+        """Indices shaped like the uniforms `u`: `searchsorted(cdf, u *
+        total, side="right")`, clamped to the last index of positive
+        weight, found from the guide table. `fl(a * total)` does not
+        decrease as `a` grows, so `u * total` lies at or above bucket j's
+        lower edge and the guide entry never passes the answer. One linear
+        step settles most draws, and a binary search the rest."""
+        cdf = self.cdf
+        x = u * self.total
+        index = self.guide[(u * self.m).astype(np.intp)]
+        index += cdf[index] <= x
+        open_ = cdf[index] <= x
+        if open_.any():
+            index[open_] = np.searchsorted(cdf, x[open_], side="right")
+        np.minimum(index, self.last, out=index)
+        return index
+
+
 class NegativeSampler:
     """Draws (node, facet) negatives: node from counts**0.75, facet from
     that node's prior distribution."""
 
     def __init__(self, counts, facet_dist):
-        counts = np.asarray(counts, dtype=np.float64)
-        if counts.shape[0] != facet_dist.shape[0]:
+        if len(counts) != len(facet_dist):
             raise ValidationError("counts and prior disagree on node count")
-        weights = counts ** 0.75
-        if weights.sum() <= 0:
-            raise ValidationError("negative sampler needs a nonzero count vector")
-        cdf = np.cumsum(weights)
-        self.total = cdf[-1]
-        # guide table: bucket j of M holds the uniforms in [j/M, (j+1)/M),
-        # whose node index is at least guide[j]; M is a power of two, 2 to
-        # 4 buckets per node, so j/M and u*M are exact
-        m = 1 << (2 * len(cdf) - 1).bit_length()
-        self.guide = np.searchsorted(cdf, np.arange(m + 1) / m * self.total,
-                                     side="right")
-        self.m = m
-        # an infinite last entry stops every search at the node count
-        self.cdf = np.append(cdf, np.inf)
+        self.nodes = GuideTable(np.asarray(counts, dtype=np.float64) ** 0.75)
         # each node's facet CDF, summed once, as K columns (facets_from_cdf)
         self.facet_cdf = np.cumsum(facet_dist, axis=1).T.copy()
         self.k = facet_dist.shape[1]
 
     def decode(self, u_nodes, u_facets=None):
         """(nodes, facets) arrays shaped like `u_nodes`, by inverse CDF of
-        the node uniforms and, for K > 1, of the facet uniforms.
-
-        A node is `searchsorted(cdf, u * total, side="right")`, clamped to
-        the last node, found from the guide table. `fl(a * total)` does
-        not decrease as `a` grows, so `u * total` lies at or above bucket
-        j's lower edge and the guide entry never passes the answer. One
-        linear step settles most draws, and a binary search the rest."""
-        cdf = self.cdf
-        x = u_nodes * self.total
-        nodes = self.guide[(u_nodes * self.m).astype(np.intp)]
-        nodes += cdf[nodes] <= x
-        open_ = cdf[nodes] <= x
-        if open_.any():
-            nodes[open_] = np.searchsorted(cdf, x[open_], side="right")
-        np.minimum(nodes, len(cdf) - 2, out=nodes)   # the last node
+        the node uniforms and, for K > 1, of the facet uniforms."""
+        nodes = self.nodes.decode(u_nodes)
         if self.k == 1:
             return nodes, np.zeros_like(nodes)
         return nodes, facets_from_cdf(self.facet_cdf, u_facets, nodes)

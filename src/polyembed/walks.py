@@ -7,11 +7,11 @@ which interleaves start nodes the way stochastic training prefers.
 
 A corpus is an int matrix with one walk per row. A generated corpus has
 whole walks only; a corpus loaded from a file with walks of several
-lengths pads each shorter row with -1 after its walk. Weighted walks
-step by inverse CDF over each row's cumulative edge weights, all walks
-in lockstep, and consume each node's stream exactly as one step at a
-time would. They start only from nodes whose edges weigh more than 0 in
-total, so a zero-weight edge is never taken.
+lengths pads each shorter row with -1 after its walk. Walks step by
+inverse CDF over each row's cumulative edge weights (unit weights for
+uniform walks), all in lockstep, and consume each node's stream exactly
+as one step at a time would. Weighted walks start only from nodes whose
+edges weigh more than 0 in total, so a zero-weight edge is never taken.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (INT64, ParseError, ValidationError, parse_numbers,
                      text_lines)
 
 
-WALK_BLOCK = 65536   # weighted walks stepped together; bounds their memory
+WALK_BLOCK = 65536   # walks stepped together; bounds their memory
 SAVE_ROWS = 8192     # corpus rows formatted together; bounds their memory
 
 
@@ -61,13 +61,13 @@ def generate_walks(graph, config: WalkConfig) -> np.ndarray:
     pass-major order.
 
     Start node v draws its walks' steps from `default_rng(seed ^ v)`, walk
-    after walk. A weighted step (the default) takes one uniform u and
-    moves along the first edge of the current row whose cumulative weight
-    exceeds u times the row's total, so edges are taken in proportion to
-    their weight. Weighted walks start from the nodes whose edges weigh
-    more than 0 in total: no step takes an edge of weight 0, so a node
-    whose edges all weigh 0 is never reached. A uniform step
-    (config.weighted false) draws `rng.integers(degree)`, and uniform walks
+    after walk. A step takes one uniform u and moves along the first edge
+    of the current row whose cumulative weight exceeds u times the row's
+    total, so edges are taken in proportion to their weight. Weighted
+    walks (the default) start from the nodes whose edges weigh more than 0
+    in total: no step takes an edge of weight 0, so a node whose edges all
+    weigh 0 is never reached. Uniform walks (config.weighted false) weigh
+    every edge 1, so a step takes edge floor(u * degree) of its row, and
     start from every node with an edge. Every edge runs both ways, so no
     walk stops early.
     """
@@ -77,29 +77,16 @@ def generate_walks(graph, config: WalkConfig) -> np.ndarray:
     indptr, indices = adj.indptr, adj.indices
     steps, degree = config.walk_length - 1, np.diff(indptr)
     starts = np.flatnonzero(degree)
-    if config.weighted:
-        # cumulative weights, each minus the cumulative weight before its row
-        cumw = np.cumsum(adj.data)
-        local = cumw - np.repeat(np.concatenate([[0.0], cumw])[indptr[:-1]],
-                                 degree)
-        total = np.zeros(graph.num_nodes)
-        total[starts] = local[indptr[starts + 1] - 1]
-        starts = starts[total[starts] > 0]
+    # cumulative weights, each minus the cumulative weight before its row;
+    # unit weights sum exactly, so a uniform row's local weights are 1..degree
+    cumw = np.cumsum(adj.data if config.weighted else np.ones(len(indices)))
+    local = cumw - np.repeat(np.concatenate([[0.0], cumw])[indptr[:-1]], degree)
+    total = np.zeros(graph.num_nodes)
+    total[starts] = local[indptr[starts + 1] - 1]
+    starts = starts[total[starts] > 0]
     out = np.empty((config.walks_per_node, len(starts), config.walk_length),
                    dtype=np.int64)
     out[:, :, 0] = starts
-    if not config.weighted:
-        # each bound depends on the path so far, so steps go one at a time
-        ptr, nbr = indptr.tolist(), indices.tolist()
-        for i, v in enumerate(starts.tolist()):
-            rng = np.random.default_rng(config.seed ^ v)
-            for walk in out[:, i]:
-                cur = v
-                for t in range(1, config.walk_length):
-                    lo = ptr[cur]
-                    cur = nbr[lo + int(rng.integers(ptr[cur + 1] - lo))]
-                    walk[t] = cur
-        return out.reshape(-1, config.walk_length)
     # every walk takes all its steps, so each start's walks use its first
     # walks_per_node * steps uniforms, which one call draws
     per_block = max(1, WALK_BLOCK // config.walks_per_node)

@@ -4,12 +4,14 @@ The reference walk generator takes one step at a time; the vectorised
 generator must reproduce its walks exactly. The reference trainers
 re-implement classic (single-vector) skip-gram and edge-sampling training
 with explicit loops, consuming randomness in the documented order, so the
-facet trainers can be checked step-for-step against them at K=1. The per-step facet trainers check the
-decode-then-update engine exactly at any K. The per-edge PolyGCN loss
+facet trainers can be checked step-for-step against them at K=1. The
+per-step facet trainers check the decode-then-update engine exactly at
+any K. Each reference draws by weight with its own scalar `searchsorted`
+over a cumulative sum, and a uniform walk step as `int(u * degree)`, so
+none of them reads the library's guide table. The per-edge PolyGCN loss
 checks the sparse pair-coefficient gradient within 1e-12 relative. The
-per-query link evaluation, the per-user split loop and the alias table
-built with numpy scalars check the one-pass evaluation, the split and the
-list-based alias build exactly, and the per-row classification loops
+per-query link evaluation and the per-user split loop check the one-pass
+evaluation and the split exactly, and the per-row classification loops
 check the vectorised top-l scoring.
 """
 
@@ -26,7 +28,6 @@ from polyembed.errors import NumericsError, ValidationError
 from polyembed.evaluation import _incidence, hit_ratio
 from polyembed.facets import FacetPrior
 from polyembed.polygcn import backward_facet, forward_facet
-from polyembed.polypte import AliasTable
 from polyembed.sgd import LR_FLOOR_RATIO, sgns_loss_and_grads
 from polyembed.tables import EmbeddingTables, init_tables
 from polyembed.walks import sliding_windows
@@ -131,7 +132,7 @@ def reference_walks(g, config):
                     assert step < hi - lo, "weighted step left its row"
                     cur = int(indices[lo + step])
                 else:
-                    cur = int(indices[lo + rng.integers(hi - lo)])
+                    cur = int(indices[lo + int(rng.random() * (hi - lo))])
                 walk.append(cur)
             out.append(walk)
         return out
@@ -336,15 +337,16 @@ def reference_polypte(g, prior, config, hook=None):
     tables = init_tables(g.num_a, prior.k, config.dim, seed=init_ss,
                          num_context=g.num_b)
     sampler = ReferenceNegativeSampler(g.degrees_b(), prior.dist_b)
-    edge_alias = AliasTable(g.weights) if config.weighted_edges else None
+    edge_cdf = np.cumsum(g.weights)
     rng = np.random.default_rng(train_ss)
     u, h = tables.u, tables.h
     lr0 = config.learning_rate
     decay = (1.0 - LR_FLOOR_RATIO) / (total * facet_rate)
     step, losses = 0, []
     for si in range(total):
-        if edge_alias is not None:
-            ei = edge_alias.sample(rng)
+        if config.weighted_edges:
+            ei = min(int(np.searchsorted(edge_cdf, rng.random() * edge_cdf[-1],
+                                         side="right")), len(g.edges) - 1)
         else:
             ei = int(rng.integers(len(g.edges)))
         a, b = g.edges[ei]
@@ -594,24 +596,6 @@ def reference_split_links(g, strategy="one-per-node", seed=0):
     ts = g.timestamps[keep] if g.timestamps is not None else None
     return graphmod.from_edges(rows, kind="bipartite", num_a=g.num_a,
                                num_b=g.num_b, timestamps=ts), test
-
-
-def reference_alias_table(weights):
-    """Walker/Vose alias table built with numpy scalars: (prob, alias)."""
-    w = np.asarray(weights, dtype=np.float64)
-    n = len(w)
-    prob = w * n / w.sum()
-    out_prob = np.ones(n)
-    alias = np.arange(n)
-    small = [i for i in range(n) if prob[i] < 1.0]
-    large = [i for i in range(n) if prob[i] >= 1.0]
-    while small and large:
-        s, l = small.pop(), large.pop()
-        out_prob[s] = prob[s]
-        alias[s] = l
-        prob[l] = prob[l] + prob[s] - 1.0
-        (small if prob[l] < 1.0 else large).append(l)
-    return out_prob, alias
 
 
 # ---------------------------------------------- reference classification

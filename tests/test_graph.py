@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import to_dense
@@ -47,6 +49,8 @@ def test_bipartite_counts(tmp_path):
     g = graph.load_edge_list(write(tmp_path, "u0 i0\nu0 i1\nu1 i0\n"),
                              kind="bipartite")
     assert (g.num_a, g.num_b, g.num_edges) == (2, 2, 3)
+    degrees = g.degrees_b()
+    assert degrees.dtype == np.int64 and degrees.tolist() == [2, 1]
 
 
 def test_adjacency_dense_triangle(triangle):
@@ -170,6 +174,18 @@ def test_malformed_line_reports_line_number(tmp_path):
 def test_negative_weight_rejected(tmp_path):
     with pytest.raises(ValidationError, match="negative weight"):
         graph.load_edge_list(write(tmp_path, "0 1 -2.0\n"))
+
+
+@pytest.mark.parametrize("edge,kwargs,message", [
+    ((0, 5), {"num_nodes": 3}, "node id 5 is outside 0..2 (the node count is 3)"),
+    ((5, 0), {"kind": "bipartite", "num_a": 2, "num_b": 9},
+     "type-A node id 5 is outside 0..1 (the type-A node count is 2)"),
+    ((0, 5), {"kind": "bipartite", "num_a": 9, "num_b": 2},
+     "type-B node id 5 is outside 0..1 (the type-B node count is 2)"),
+], ids=["homogeneous", "type-a", "type-b"])
+def test_from_edges_rejects_ids_beyond_the_node_count(edge, kwargs, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        graph.from_edges([edge], **kwargs)
 
 
 def test_empty_file_rejected(tmp_path):

@@ -119,42 +119,46 @@ def test_negative_sampler_batch_in_range():
     assert ((0 <= nodes) & (nodes < 2) & (0 <= facet_idx) & (facet_idx < 2)).all()
 
 
-def assert_guide_table_is_binary_search(counts, u):
-    """The guide-table draw is searchsorted on the degree**0.75 CDF, clamped
-    to the last node, at `u` and at both edges of every bucket."""
-    counts = np.asarray(counts, dtype=np.float64)
-    sampler = sgd.NegativeSampler(counts, np.ones((len(counts), 1)))
-    m = sampler.m
-    assert m & (m - 1) == 0 and 2 * len(counts) <= m < 4 * len(counts)
+def assert_guide_table_is_binary_search(weights, u):
+    """The guide-table draw is searchsorted on the weights' CDF, clamped to
+    the last index of positive weight, at `u` and at both edges of every
+    bucket, and never an index of weight 0."""
+    weights = np.asarray(weights, dtype=np.float64)
+    table = sgd.GuideTable(weights)
+    m = table.m
+    assert m & (m - 1) == 0 and 2 * len(weights) <= m < 4 * len(weights)
     j = np.arange(m)
     u = np.concatenate([u, j / m, np.nextafter((j + 1) / m, 0)])
-    cdf = np.cumsum(counts ** 0.75)
+    cdf = np.cumsum(weights)
     expected = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"),
-                          len(cdf) - 1)
-    nodes, _ = sampler.decode(u)
-    assert np.array_equal(nodes, expected)
+                          np.flatnonzero(weights)[-1])
+    index = table.decode(u)
+    assert np.array_equal(index, expected)
+    assert (weights[index] > 0).all()
     # the (S, R) shape of a decode
-    nodes, _ = sampler.decode(u[:len(u) // 2 * 2].reshape(-1, 2))
-    assert np.array_equal(nodes.ravel(), expected[:len(u) // 2 * 2])
+    index = table.decode(u[:len(u) // 2 * 2].reshape(-1, 2))
+    assert np.array_equal(index.ravel(), expected[:len(u) // 2 * 2])
 
 
 @settings(max_examples=200, deadline=None)
-@given(counts=st.lists(st.one_of(st.sampled_from([0.0, 1e-300, 1.0, 1e6]),
-                                 st.floats(0, 1e9)), min_size=1, max_size=60)
-       .filter(lambda c: sum(c) > 0),
+@given(weights=st.lists(st.one_of(st.sampled_from([0.0, 1e-300, 1.0, 1e6]),
+                                  st.floats(0, 1e9)), min_size=1, max_size=60)
+       .filter(lambda w: sum(w) > 0),
        u=st.lists(st.floats(0, 1, exclude_max=True), max_size=50))
-def test_guide_table_equals_binary_search(counts, u):
-    """Zero and 1e-300 counts leave steps of the CDF flat or below its
-    rounding, and a large count next to small ones puts many nodes in one
-    bucket, past the one linear step."""
-    assert_guide_table_is_binary_search(counts, np.array(u, dtype=np.float64))
+def test_guide_table_equals_binary_search(weights, u):
+    """Zero and 1e-300 weights leave steps of the CDF flat or below its
+    rounding, a large weight next to small ones puts many indices in one
+    bucket, past the one linear step, and a subnormal total lets u * total
+    round up to the total."""
+    assert_guide_table_is_binary_search(weights, np.array(u, dtype=np.float64))
 
 
 @pytest.mark.parametrize("counts", [
-    [1e6] + [1.0] * 50,          # 50 nodes share the last buckets
+    [1e6] + [1.0] * 50,          # 50 indices share the last buckets
     [0.0] * 10 + [1.0] + [0.0] * 10,
     [1e-300] * 5 + [1.0],
     [3.0],
+    [1.1125369292536007e-308, 0.0],   # u * total rounds up to the total
 ])
 def test_guide_table_edge_cases(counts):
     u = np.random.default_rng(0).random(5_000)

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from conftest import (make_planted_bipartite, reference_alias_table,
-                      reference_pte_train)
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from conftest import make_planted_bipartite, reference_pte_train
 
-from polyembed import evaluation, facets, graph, polypte
+from polyembed import cli, evaluation, facets, graph, polypte, sgd
 from polyembed.errors import ValidationError
 from polyembed.tables import init_tables
 
@@ -102,45 +99,38 @@ def test_min_mode_respects_endpoint_priors(small_bipartite):
     assert np.array_equal(result.tables.u[:, 1], fresh.u[:, 1])
 
 
-def test_weighted_edge_sampling_uses_alias_table():
-    g = graph.from_edges([(0, 0, 100.0), (1, 1, 1.0)], kind="bipartite")
+def test_weighted_edges_are_drawn_in_proportion_to_weight(monkeypatch):
+    """Every sample runs, and an edge of weight 3 is drawn three times as
+    often as one of weight 1."""
+    g = graph.from_edges([(0, 0, 1.0), (1, 1, 3.0)], kind="bipartite")
     prior = facets.FacetPrior.uniform(2, 1, num_b=2)
-    seen = []
-    config = polypte.PteConfig(dim=2, negatives=1, total_samples=300,
+    targets = []
+
+    def spy(uniforms, target, *rest):
+        targets.append(target)
+        return decode(uniforms, target, *rest)
+
+    decode = sgd.decode
+    monkeypatch.setattr(sgd, "decode", spy)
+    config = polypte.PteConfig(dim=2, negatives=1, total_samples=40_000,
                                weighted_edges=True, seed=0)
-    polypte.train_pte(g, prior, config,
-                      hook=lambda step, tables: seen.append(step))
-    assert len(seen) == 300
+    polypte.train_pte(g, prior, config)
+    targets = np.concatenate(targets)
+    assert len(targets) == 40_000
+    assert 0.74 <= targets.mean() <= 0.76
 
 
-def test_alias_table_distribution():
-    table = polypte.AliasTable([1.0, 3.0])
-    rng = np.random.default_rng(0)
-    hits = sum(table.sample(rng) == 1 for _ in range(40_000))
-    assert 0.72 <= hits / 40_000 <= 0.78
-
-
-def test_alias_table_rejects_zero_weights():
-    with pytest.raises(ValidationError):
-        polypte.AliasTable([0.0, 0.0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(weights=st.one_of(
-    st.lists(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 3.0, 1e6]), min_size=1, max_size=60),
-    st.lists(st.floats(0, 1e6), min_size=1, max_size=60),
-    st.builds(lambda n, w: [w] * n, st.integers(1, 60),
-              st.sampled_from([1e-300, 1.0, 7.0])),
-    st.builds(lambda n, i: [0.0] * i + [2.5] + [0.0] * (n - i),
-              st.integers(0, 40), st.integers(0, 40))))
-def test_alias_table_equals_the_numpy_scalar_build(weights):
-    if sum(weights) <= 0:
-        return
-    prob, alias = reference_alias_table(weights)
-    table = polypte.AliasTable(weights)
-    assert np.array_equal(table.prob, prob)
-    assert np.array_equal(table.alias, alias)
-    assert table.prob.dtype == prob.dtype and table.alias.dtype == alias.dtype
+def test_weighted_edges_that_all_weigh_0_are_an_error(tmp_path, capsys):
+    source, prior = tmp_path / "g.edges", tmp_path / "g.prior"
+    source.write_text("0 0 0\n1 1 0\n")
+    assert cli.run(["facets", "--input", str(source), "--kind", "bipartite",
+                    "--k", "1", "--out", str(prior)]) == 0
+    argv = ["train-pte", "--input", str(source), "--prior", str(prior),
+            "--dim", "2", "--total-samples", "10", "--out", str(tmp_path / "e")]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert cli.run(argv + ["--weighted-edges"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- raw draws
@@ -167,11 +157,10 @@ def test_raw_draws_replay_the_scalar_loop(bound):
                 if drawn is None:
                     declined += 1
                     assert rng.bit_generator.state == before
-                    drawn = polypte._scalar_draws(rng, count, width, bound, None)
+                    drawn = polypte._scalar_draws(rng, count, width, bound)
                 else:
                     replayed += 1
-                edge, uniforms = polypte._scalar_draws(ref, count, width, bound,
-                                                       None)
+                edge, uniforms = polypte._scalar_draws(ref, count, width, bound)
                 assert np.array_equal(drawn[0], edge)
                 assert drawn[0].dtype == edge.dtype
                 assert np.array_equal(drawn[1], uniforms)
@@ -195,23 +184,16 @@ def test_raw_draws_decline_what_they_cannot_replay(bits, bound):
     assert np.array_equal(rng.random(3), untouched.random(3))
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_decoded_chunk_equals_the_scalar_loop(weighted, monkeypatch):
+def test_decoded_chunk_equals_the_scalar_loop(monkeypatch):
     g = make_planted_bipartite(3, n_side=12, p_in=0.5, p_out=0.05)
-    if weighted:
-        weights = np.random.default_rng(0).random(g.num_edges) + 0.1
-        g = graph.from_edges([(int(a), int(b), float(w))
-                              for (a, b), w in zip(g.edges, weights)],
-                             kind="bipartite")
     prior = bipartite_prior(g.num_a, g.num_b, 3)
-    config = polypte.PteConfig(dim=2, negatives=4, weighted_edges=weighted)
-    sampler = polypte.NegativeSampler(g.degrees_b(), prior.dist_b)
-    alias = polypte.AliasTable(g.weights) if weighted else None
+    config = polypte.PteConfig(dim=2, negatives=4)
+    sampler = sgd.NegativeSampler(g.degrees_b(), prior.dist_b)
 
     def chunks():
         rng = np.random.default_rng(5)
         return [polypte._decode_chunk(g, prior, sampler, rng, config, 9, start,
-                                      count, alias)
+                                      count, None)
                 for start, count in ((0, 256), (256, 3), (259, 100))]
 
     fast = chunks()

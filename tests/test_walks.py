@@ -27,7 +27,8 @@ def test_isolated_node_emits_no_walks():
 
 
 def test_uniform_neighbor_frequency(triangle):
-    config = WalkConfig(walks_per_node=10_000, walk_length=2, seed=9)
+    config = WalkConfig(walks_per_node=10_000, walk_length=2, seed=9,
+                        weighted=False)
     corpus = walks.generate_walks(triangle, config)
     second = Counter(w[1] for w in corpus if w[0] == 0)
     for nbr in (1, 2):
