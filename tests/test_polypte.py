@@ -99,6 +99,28 @@ def test_min_mode_respects_endpoint_priors(small_bipartite):
     assert np.array_equal(result.tables.u[:, 1], fresh.u[:, 1])
 
 
+def test_weighted_edge_sampling_uses_alias_table():
+    """Weighted edges are drawn through sgd.GuideTable, which took the alias
+    table's place; every weighted sample still runs."""
+    g = graph.from_edges([(0, 0, 100.0), (1, 1, 1.0)], kind="bipartite")
+    prior = facets.FacetPrior.uniform(2, 1, num_b=2)
+    seen = []
+    config = polypte.PteConfig(dim=2, negatives=1, total_samples=300,
+                               weighted_edges=True, seed=0)
+    polypte.train_pte(g, prior, config,
+                      hook=lambda step, tables: seen.append(step))
+    assert len(seen) == 300
+
+
+def test_alias_table_distribution():
+    """The guide table that replaced the alias table draws index 1 of
+    weights [1, 3] three times in four."""
+    table = sgd.GuideTable([1.0, 3.0])
+    rng = np.random.default_rng(0)
+    hits = (table.decode(rng.random(40_000)) == 1).sum()
+    assert 0.72 <= hits / 40_000 <= 0.78
+
+
 def test_weighted_edges_are_drawn_in_proportion_to_weight(monkeypatch):
     """Every sample runs, and an edge of weight 3 is drawn three times as
     often as one of weight 1."""
