@@ -301,6 +301,9 @@ def cmd_train_deepwalk(args, params) -> None:
 
 def cmd_train_pte(args, params) -> None:
     g = graphmod.load_edge_list(args.input, kind="bipartite")
+    if params["weighted_edges"] and g.num_edges and not g.weights.any():
+        raise ValidationError(f"{args.input}: every edge weighs 0, so "
+                              "--weighted-edges has no edge to draw")
     prior = facets.load_prior(*_files("bipartite", args.prior))
     result = polypte.train_pte(g, prior, _config(polypte.PteConfig, params))
     _save("bipartite", args.out, result.tables.u, result.tables.h)

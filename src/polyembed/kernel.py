@@ -1,13 +1,14 @@
 """The compiled kernels, and the sparse matrix type whose products they run.
 
-`kernel.c` holds the SGD engine's step loop (`sgd_steps`) and two sparse
-products (`csr_matmat`, `coo_matmat`). It is built with the system C
-compiler on first use and cached as
+`kernel.c` holds the SGD engine's step loop (`sgd_steps`), two sparse
+products (`csr_matmat`, `coo_matmat`) and the text-matrix formatter
+(`format_rows`, exact `%.17g` in integer arithmetic). It is built with
+the system C compiler on first use and cached as
 `$XDG_CACHE_HOME/polyembed/kernel-<hash>.so` (`~/.cache/polyembed/` when
 XDG_CACHE_HOME is unset). `function(name)` returns one of its functions,
 or None, with one warning per process, when it cannot be built or loaded.
-The numpy code that each caller runs then is the reference, and tests
-hold the two equal.
+The numpy or Python code that each caller runs then is the reference
+(Python's `'%.17g' % v` for the formatter), and tests hold the two equal.
 
 Libraries of other sources stay in the cache: checkouts share it, and
 removing one's library would make its next run compile again, or unlink
@@ -112,7 +113,10 @@ def _signatures() -> dict:
                                 _array(np.int64, 2), i64, i64, values, out,
                                 out, f64]),
             "csr_matmat": (None, product),
-            "coo_matmat": (None, product)}
+            "coo_matmat": (None, product),
+            "format_rows": (i64, [i64, i64, _array(np.int64, 2), i64,
+                                  _array(np.float64, 2), _array(np.uint8, 1),
+                                  rows, i64, _array(np.uint8, 1, writeable=True)])}
 
 
 @functools.cache

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .kernel import Csr, coo_matmat, csr
 from .sgd import GuideTable
-from .tables import EmbeddingTables
+from .tables import EmbeddingTables, write_rows
 
 LEAKY_SLOPE = 0.2
 _ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -322,8 +322,10 @@ def train_gcn(bipartite, facet_adj: FacetAdjacency,
 
 
 def save_facet_adjacency(path, facet_adj: FacetAdjacency) -> None:
-    """Sparse triple export: lines `k i j value` for every positive cell."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Sparse triple export: lines `k i j value` for every positive cell,
+    values as `%.17g`."""
+    with open(path, "wb") as fh:
         for k, mat in enumerate(facet_adj.mats):
-            for i, j, value in zip(*_cells(mat)):
-                fh.write(f"{k} {i} {j} {value:.17g}\n")
+            rows, cols, values = _cells(mat)
+            write_rows(fh, np.stack([np.full(len(rows), k), rows, cols], axis=1),
+                       values[:, None])

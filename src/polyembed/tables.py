@@ -9,17 +9,20 @@ priors, embedding tables and joint vectors: the header is the array's
 shape, then each row of the last axis follows its integer index tuple,
     N K D
     node_id facet_id v_1 ... v_D
+`write_rows` writes the rows of every such file, and of PolyGCN's facet
+adjacency, through the kernel's `format_rows`; Python's `'%.17g' % v`
+formats what that declines, and the whole file without the kernel.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import kernel
 from .errors import (NumericsError, ParseError, ValidationError, parse_numbers,
                      text_lines)
 
@@ -63,6 +66,55 @@ def init_tables(num_nodes, k, d, seed=0, num_context=None) -> EmbeddingTables:
     return EmbeddingTables(u=u, h=h)
 
 
+# a row's bytes: at most 20 per int64 and 24 per "%.17g", each with the
+# space or newline after it; blocks of rows fill a buffer of BLOCK_BYTES
+INDEX_BYTES, VALUE_BYTES, BLOCK_BYTES = 21, 25, 1 << 16
+
+
+def _declined(values) -> np.ndarray:
+    """The values that format_rows leaves to Python, in row-major order:
+    nonzero values outside 1e-16 < |x| < 1e17, and inf and NaN."""
+    a = np.abs(values)
+    return values[~(((a > 1e-16) & (a < 1e17)) | (a == 0))]
+
+
+def write_rows(fh, index, values) -> None:
+    """Write one line `i_1 ... i_m v_1 ... v_w` per row of an int (R, m)
+    index matrix and a float64 (R, w) value matrix to the binary file `fh`,
+    indices as `%d` and values as `%.17g` (exact for float64). The kernel
+    formats them in blocks into one reused buffer; without it, Python
+    does."""
+    index = np.ascontiguousarray(index, dtype=np.int64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if index.ndim != 2 or values.ndim != 2 or len(index) != len(values):
+        raise ValueError(f"index {index.shape} and values {values.shape} are "
+                         "not two matrices with one row per line")
+    (rows, m), width = index.shape, values.shape[1]
+    fn = kernel.function("format_rows")
+    row_bytes = INDEX_BYTES * m + VALUE_BYTES * width + 1
+    block = max(1, BLOCK_BYTES // row_bytes)
+    if fn is None:
+        line = " ".join(["%d"] * m + ["%.17g"] * width) + "\n"
+        for start in range(0, rows, block):
+            fh.write("".join(line % (*i, *v) for i, v in zip(
+                index[start:start + block].tolist(),
+                values[start:start + block].tolist())).encode())
+        return
+    out = np.empty(block * row_bytes, np.uint8)
+    no_text, no_ends = np.zeros(0, np.uint8), np.zeros(0, np.int64)
+    for start in range(0, rows, block):
+        i, v = index[start:start + block], values[start:start + block]
+        size = fn(len(v), m, i, width, v, no_text, no_ends, 0, out)
+        if size < 0:   # the block holds values that Python formats
+            text = [("%.17g" % x).encode() for x in _declined(v).tolist()]
+            ends = np.cumsum([len(t) for t in text], dtype=np.int64)
+            size = fn(len(v), m, i, width, v, np.frombuffer(b"".join(text), np.uint8),
+                      ends, len(text), out)
+            if size < 0:
+                raise AssertionError("format_rows declined other values than _declined")
+        fh.write(memoryview(out)[:size])
+
+
 def save_matrix(path, array) -> None:
     """Write an array of shape (c_1, ..., c_m, w) as text: a header line of
     its shape, then one line `i_1 ... i_m v_1 ... v_w` per index tuple in
@@ -71,12 +123,10 @@ def save_matrix(path, array) -> None:
     if array.ndim < 2:
         raise ValidationError("expected an array with index and value axes")
     *counts, width = array.shape
-    line = " ".join(["%d"] * len(counts) + ["%.17g"] * width) + "\n"
-    rows = array.reshape(math.prod(counts), width)
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        fh.write(" ".join(map(str, array.shape)) + "\n")
-        index = itertools.product(*map(range, counts))
-        fh.writelines(line % (*i, *v.tolist()) for i, v in zip(index, rows))
+    index = np.indices(counts, dtype=np.int64).reshape(len(counts), -1).T
+    with open(Path(path), "wb") as fh:
+        fh.write(" ".join(map(str, array.shape)).encode() + b"\n")
+        write_rows(fh, index, array.reshape(math.prod(counts), width))
 
 
 def parse_header(line: str, path, names: str) -> list[int]:

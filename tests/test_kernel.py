@@ -1,23 +1,29 @@
-"""The compiled-kernel loader, and the sparse products against scipy.
+"""The compiled-kernel loader, the sparse products against scipy, and the
+text formatter against Python.
 
 The kernel is built into a private cache, and without a compiler the
 package falls back, with one warning, to numpy. Both paths of each sparse
 product give scipy.sparse's bits, and every function that runs one gives
 the same bits on both: random inputs, repeated cells, empty rows and
-columns, and signed zeros.
+columns, and signed zeros. The formatter writes the bytes of Python's
+`'%.17g' % v`, and every matrix writer writes the same file on both paths.
 """
 
 import functools
+import io
 import os
 import stat
+import struct
 import warnings
 
 import numpy as np
 import pytest
 from conftest import make_two_cliques
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
-from polyembed import facets, kernel, polygcn, walks
+from polyembed import facets, kernel, polygcn, tables, walks
 from polyembed import polydeepwalk as pdw
 from polyembed.errors import ValidationError
 from polyembed.polygcn import GcnConfig
@@ -225,3 +231,101 @@ def test_kernel_is_cached_in_a_private_directory(tmp_path, monkeypatch,
     os.chmod(cache, 0o777)
     with pytest.raises(OSError, match="not private"):
         kernel._build()
+
+
+def formatted(values) -> bytes:
+    """The lines write_rows gives to a column of values."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    fh = io.BytesIO()
+    tables.write_rows(fh, np.zeros((len(values), 0), np.int64), values)
+    return fh.getvalue()
+
+
+def python_text(values) -> bytes:
+    return "".join("%.17g\n" % v for v in np.ravel(values).tolist()).encode()
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# raw 64-bit patterns, and patterns whose exponent puts them in the range
+# the kernel formats itself (2^-54 <= |x| < 2^57)
+DOUBLES = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.tuples(st.integers(0, 1), st.integers(969, 1079), st.integers(0, 2**52 - 1))
+    .map(lambda f: f[0] << 63 | f[1] << 52 | f[2])).map(from_bits)
+# the values whose exponent a rounded-first quotient gets wrong, the edges
+# of the range, an exact tie, one ulp either side of powers of ten, and
+# values Python formats
+EXAMPLES = [1e-16, 1e-12, 1e-7, 1e-6, 1e-5, 9.999999999999998e16, 1e17, 2.0**-25,
+            *(np.nextafter(p, t) for p in (1e-5, 1e-16, 1e16) for t in (0, np.inf)),
+            0.0, -0.0, 5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+def with_examples(test):
+    for x in EXAMPLES:
+        test = example(x=float(x))(test)
+    return test
+
+
+@with_examples
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x=DOUBLES)
+def test_formatter_writes_python_bytes(x, compiled_kernel):
+    assert formatted([x]) == python_text([x])
+
+
+def test_formatter_on_powers_of_two_and_ten(compiled_kernel):
+    """Every power of two and of ten in range, one ulp either side, and
+    their negatives: the exact ties (2^-25 and others) and the values
+    whose exponent %e carries or which sit just below a power of ten."""
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{k}") for k in range(-30, 30)]])
+    with np.errstate(over="ignore"):
+        values = np.concatenate([powers, np.nextafter(powers, np.inf),
+                                 np.nextafter(powers, -np.inf)])
+    values = np.concatenate([values, -values])
+    assert formatted(values) == python_text(values)
+
+
+def test_formatter_on_table_like_values(compiled_kernel):
+    rng = np.random.default_rng(0)
+    values = np.concatenate([
+        (rng.random(20_000) - 0.5) / 16,
+        rng.normal(size=20_000) * 10.0 ** rng.integers(-18, 19, 20_000),
+        rng.integers(0, 2**64 - 1, 20_000, dtype=np.uint64,
+                     endpoint=True).view(np.float64)])
+    assert formatted(values) == python_text(values)
+
+
+def test_write_rows_needs_one_index_row_per_value_row():
+    with pytest.raises(ValueError, match="one row per line"):
+        tables.write_rows(io.BytesIO(), np.zeros((3, 1)), np.zeros((2, 4)))
+
+
+def test_matrix_writers_write_the_same_bytes_on_both_paths(tmp_path, compiled_kernel,
+                                                           monkeypatch):
+    rng = np.random.default_rng(3)
+    declined = rng.random((5, 3, 4))
+    declined.flat[::3] = [0.0, -0.0, 1e-300, 5e-324, 1e17, -1e300, np.inf, np.nan,
+                          1e-16, 1e-17, -2e20, 3e-200, 7e16, -0.0, 1e-15, 2e-16,
+                          9e-17, 1e200, -3.5e-300, 4e18]
+    arrays = {"prior": rng.random((7, 3)), "embedding": rng.random((6, 4, 5)) - 0.5,
+              "joint": rng.normal(size=(5, 12)), "declined": declined}
+    fa = polygcn.decompose_adjacency(random_matrix(rng, 9, 7), rng.random((9, 2)),
+                                     rng.random((7, 2)))
+
+    def run():
+        for name, array in arrays.items():
+            tables.save_matrix(tmp_path / name, array)
+        polygcn.save_facet_adjacency(tmp_path / "fadj", fa)
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    compiled, fallback = on_both_paths(monkeypatch, run)
+    assert compiled == fallback
+    assert len(compiled) == 5
+    lines = compiled["fadj"].decode().splitlines()
+    assert len(lines) == sum(len(m.data) for m in fa.mats)
+    assert all(len(line.split()) == 4 for line in lines)

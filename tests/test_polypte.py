@@ -152,7 +152,9 @@ def test_weighted_edges_that_all_weigh_0_are_an_error(tmp_path, capsys):
     assert cli.run(argv) == 0
     capsys.readouterr()
     assert cli.run(argv + ["--weighted-edges"]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(source) in err and "--weighted-edges" in err
 
 
 # ------------------------------------------------------------- raw draws

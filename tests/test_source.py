@@ -1,9 +1,12 @@
 """Static checks of the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from polyembed import kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polyembed"
 
@@ -102,3 +105,28 @@ def test_unreferenced_definition_check_sees_calls_across_files():
     # report.same_name reads an attribute of another object, not a.same_name
     assert unreferenced_definitions(sources) == ["a.py: Dead", "a.py: same_name",
                                                  "b.py: entry", "c.py: lonely"]
+
+
+def exported_functions(source: str) -> set[str]:
+    """The functions a C source defines without `static`: a line that
+    starts at column 0 with a return type and the function's name, whose
+    parameter list is followed by the body's `{`, not by a `;`."""
+    return set(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\([^;{]*\)\s*\{",
+                          source, re.M))
+
+
+def test_every_kernel_function_has_a_signature():
+    source = (SRC / "kernel.c").read_text(encoding="utf-8")
+    assert exported_functions(source) == set(kernel._signatures())
+
+
+def test_exported_function_check_sees_only_non_static_definitions():
+    source = ("#include <stdint.h>\n"
+              "static const char TABLE[] = \"01\";\n"
+              "static int helper(int x)\n{\n    return x;\n}\n\n"
+              "int declared(int x);\n\n"
+              "/* a comment (with parentheses) */\n"
+              "int64_t first(int64_t n, const double *x,\n"
+              "              double *restrict y)\n{\n    return helper(n);\n}\n\n"
+              "void second(void) {\n}\n")
+    assert exported_functions(source) == {"first", "second"}
