@@ -7,9 +7,10 @@ or from its min-rule conditional ("min"), then one negative-sampled
 update runs on the selected facet vectors. The target table U covers
 type-A nodes, the context table H covers type-B nodes, and negatives are
 (type-B node, facet) pairs drawn from item degree**0.75 and the item's
-prior. Edges are drawn uniformly or by weight (`sgd.GuideTable`); an
-edge is an `sgd` observation with one context, decoded and applied by
-the shared engine. Runs are bit-reproducible for a fixed seed.
+prior. An edge is one uniform through `sgd.GuideTable`, over the edge
+weights (`weighted_edges`) or unit weights, and an `sgd` observation with
+one context, decoded and applied by the shared engine. Runs are
+bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -59,82 +60,16 @@ class PteResult(NamedTuple):
     engine: str              # "c" or "numpy", as sgd.Engine.kind
 
 
-def _scalar_draws(rng, count, width, num_edges):
-    """`count` samples' edges, (count,), and uniforms, (count, width): each
-    sample draws `rng.integers(num_edges)` and then its uniforms. The
-    reference for `_raw_draws`, and its fallback."""
-    edge = np.empty(count, dtype=np.int64)
-    uniforms = np.empty((count, width))
-    for s in range(count):
-        edge[s] = rng.integers(num_edges)
-        rng.random(out=uniforms[s])
-    return edge, uniforms
-
-
-def _raw_draws(rng, count, width, bound):
-    """`count` times `rng.integers(bound)` and then `width` uniforms, as
-    (count,) integers and (count, width) uniforms, with `rng` left as those
-    calls leave it; None, with `rng` untouched, where this cannot replay
-    them.
-
-    The replay reads numpy's PCG64 draws from one `random_raw` call. A
-    uniform is a word's top 53 bits times 2**-53. An integer below 2**32
-    takes one 32-bit half, the low half of a fresh word, whose high half is
-    buffered (`has_uint32`, `uinteger`) for the next integer draw, and
-    uniforms never touch that buffer. The half becomes Lemire's multiply-
-    shift `(half * bound) >> 32`, which numpy rejects and draws again when
-    the low product word is below `(2**32 - bound) % bound` (Lemire, ACM
-    TOMACS 2019): a chunk with such a draw is not replayed."""
-    if bound == 1:   # numpy draws no integer below 1
-        return np.zeros(count, dtype=np.int64), rng.random((count, width))
-    bitgen = rng.bit_generator
-    if type(bitgen) is not np.random.PCG64 or bound >= 2**32:
-        return None
-    saved = bitgen.state
-    buffered = saved["has_uint32"]
-    # sample s takes the buffered half when s + buffered is odd, else a
-    # fresh word, which comes first in its block of words
-    fresh = (np.arange(count) + buffered) % 2 == 0
-    sizes = width + fresh
-    raw = bitgen.random_raw(int(sizes.sum()))
-    is_int = np.zeros(len(raw), dtype=bool)
-    is_int[(np.cumsum(sizes) - sizes)[fresh]] = True
-    words = raw[is_int]
-    doubles = raw[~is_int]
-    del raw
-    halves = np.empty(buffered + 2 * len(words), dtype=np.uint64)
-    halves[:buffered] = saved["uinteger"]
-    halves[buffered::2] = words & 0xFFFFFFFF
-    halves[buffered + 1::2] = words >> 32
-    product = halves[:count] * np.uint64(bound)
-    if ((product & 0xFFFFFFFF) < (2**32 - bound) % bound).any():
-        bitgen.state = saved
-        return None
-    state = bitgen.state
-    state["has_uint32"] = len(halves) - count
-    state["uinteger"] = int(halves[-1])
-    bitgen.state = state
-    doubles >>= 11
-    uniforms = doubles * 2.0**-53
-    return (product >> 32).astype(np.int64), uniforms.reshape(count, width)
-
-
 def _decode_chunk(bipartite, prior, sampler, rng, config, facet_rate, start,
                   count, edge_table):
     """Draw and decode edge samples start .. start + count - 1.
 
-    Each sample draws its edge and then its block of uniforms, in one
-    `rng.random` call when `edge_table` (weighted edges) decodes the edge
-    from a uniform. An unweighted edge is `rng.integers(num_edges)`,
-    replayed by `_raw_draws` where it can and `_scalar_draws` where not.
+    Each sample's edge uniform comes ahead of its block of uniforms, all in
+    one `rng.random` call; `edge_table` decodes it into the edge.
     """
     width = facet_rate * sgd.uniforms_per_round(1, prior.k, config.negatives)
-    if edge_table is not None:
-        drawn = rng.random((count, width + 1))
-        edge, uniforms = edge_table.decode(drawn[:, 0]), drawn[:, 1:]
-    else:
-        edge, uniforms = (_raw_draws(rng, count, width, bipartite.num_edges)
-                          or _scalar_draws(rng, count, width, bipartite.num_edges))
+    drawn = rng.random((count, width + 1))
+    edge, uniforms = edge_table.decode(drawn[:, 0]), drawn[:, 1:]
     a, b = bipartite.edges[edge, 0], bipartite.edges[edge, 1]
     return sgd.decode(uniforms.ravel(), a, b[:, None], prior.dist, prior.dist_b,
                       facet_rate, config.facet_mode, start, sampler,
@@ -163,7 +98,8 @@ def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
              else 100 * bipartite.num_edges)
 
     sampler = sgd.NegativeSampler(bipartite.degrees_b(), prior.dist_b)
-    edge_table = sgd.GuideTable(bipartite.weights) if config.weighted_edges else None
+    edge_table = sgd.GuideTable(bipartite.weights if config.weighted_edges
+                                else np.ones(bipartite.num_edges))
     steps_total = total * facet_rate
     engine = sgd.Engine(bipartite.num_a, bipartite.num_b, prior.k, config.dim,
                         config.seed, config.learning_rate, steps_total,

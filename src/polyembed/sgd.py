@@ -24,7 +24,7 @@ negative nodes and R for their facets. At K = 1 no facet is drawn, so the
 single-facet model draws the stream of classic skip-gram / PTE.
 
 Every draw costs O(1) vectorised work. Negatives here and in PolyGCN and
-PolyPTE's weighted edges are drawn by weight, one uniform each, through
+PolyPTE's edges are drawn by weight, one uniform each, through
 a `GuideTable` (Chen and Asau's indexed search, AIIE Transactions 1974):
 it gives `searchsorted`'s index on the weights' CDF. A facet is the
 count of a row's CDF columns at or below its threshold, one at a time.

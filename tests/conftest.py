@@ -7,12 +7,13 @@ with explicit loops, consuming randomness in the documented order, so the
 facet trainers can be checked step-for-step against them at K=1. The
 per-step facet trainers check the decode-then-update engine exactly at
 any K. Each reference draws by weight with its own scalar `searchsorted`
-over a cumulative sum, and a uniform walk step as `int(u * degree)`, so
-none of them reads the library's guide table. The per-edge PolyGCN loss
-checks the sparse pair-coefficient gradient within 1e-12 relative. The
-per-query link evaluation and the per-user split loop check the one-pass
-evaluation and the split exactly, and the per-row classification loops
-check the vectorised top-l scoring.
+over a cumulative sum, a uniform walk step as `int(u * degree)` and a
+classic PTE edge as `int(u * E)` of E edges, so none of them reads the
+library's guide table. The per-edge PolyGCN loss checks the sparse
+pair-coefficient gradient within 1e-12 relative. The per-query link
+evaluation and the per-user split loop check the one-pass evaluation and
+the split exactly, and the per-row classification loops check the
+vectorised top-l scoring.
 """
 
 import math
@@ -216,7 +217,7 @@ def reference_pte_train(g, dim, negatives, total_samples, learning_rate,
     decay = (1.0 - LR_FLOOR_RATIO) / total_samples
 
     for step in range(total_samples):
-        ei = int(rng.integers(len(edges)))
+        ei = min(int(rng.random() * len(edges)), len(edges) - 1)
         a, b = edges[ei]
         draws = rng.random(negatives) * cdf[-1]
         negs = np.minimum(np.searchsorted(cdf, draws, side="right"), num_b - 1)
@@ -337,18 +338,16 @@ def reference_polypte(g, prior, config, hook=None):
     tables = init_tables(g.num_a, prior.k, config.dim, seed=init_ss,
                          num_context=g.num_b)
     sampler = ReferenceNegativeSampler(g.degrees_b(), prior.dist_b)
-    edge_cdf = np.cumsum(g.weights)
+    edge_cdf = np.cumsum(g.weights if config.weighted_edges
+                         else np.ones(len(g.edges)))
     rng = np.random.default_rng(train_ss)
     u, h = tables.u, tables.h
     lr0 = config.learning_rate
     decay = (1.0 - LR_FLOOR_RATIO) / (total * facet_rate)
     step, losses = 0, []
     for si in range(total):
-        if config.weighted_edges:
-            ei = min(int(np.searchsorted(edge_cdf, rng.random() * edge_cdf[-1],
-                                         side="right")), len(g.edges) - 1)
-        else:
-            ei = int(rng.integers(len(g.edges)))
+        ei = min(int(np.searchsorted(edge_cdf, rng.random() * edge_cdf[-1],
+                                     side="right")), len(g.edges) - 1)
         a, b = g.edges[ei]
         p_o = 0.5 * (prior.dist[a] + prior.dist_b[b])
         if config.facet_mode == "observation":

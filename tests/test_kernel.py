@@ -106,13 +106,16 @@ def test_products_equal_scipy(seed, compiled_kernel, monkeypatch):
 
 def test_products_check_their_operands(compiled_kernel, monkeypatch):
     a = kernel.csr(np.eye(3))
-    for _ in on_both_paths(monkeypatch, lambda: None):
+
+    def run():
         with pytest.raises(ValueError, match="rows"):
             a @ np.ones((2, 2))
         with pytest.raises(IndexError):
             kernel.coo_matmat([0, 3], [0, 0], [1.0, 1.0], np.ones((3, 2)), 3)
         with pytest.raises(IndexError):
             kernel.coo_matmat([0], [-1], [1.0], np.ones((3, 2)), 3)
+
+    on_both_paths(monkeypatch, run)
 
 
 @pytest.mark.parametrize("broken", [

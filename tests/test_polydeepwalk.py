@@ -159,10 +159,20 @@ def test_guide_table_equals_binary_search(weights, u):
     [1e-300] * 5 + [1.0],
     [3.0],
     [1.1125369292536007e-308, 0.0],   # u * total rounds up to the total
+    [1.0] * 3,                   # PolyPTE's unweighted edges
+    [1.0] * 4320,
 ])
 def test_guide_table_edge_cases(counts):
-    u = np.random.default_rng(0).random(5_000)
+    u = np.append(np.random.default_rng(0).random(5_000), 1 - 2.0**-53)
     assert_guide_table_is_binary_search(counts, u)
+    if set(counts) == {1.0}:
+        # unit weights draw floor(u * n), as the conftest references do,
+        # also at every k / n and one ulp below it
+        n = len(counts)
+        k = np.arange(n) / n
+        u = np.concatenate([u, k, np.nextafter(k, 0)])
+        assert np.array_equal(sgd.GuideTable(counts).decode(u),
+                              np.minimum((u * n).astype(np.int64), n - 1))
 
 
 def test_negative_facets_count_columns_of_the_prior_cdf():

@@ -157,74 +157,21 @@ def test_weighted_edges_that_all_weigh_0_are_an_error(tmp_path, capsys):
     assert str(source) in err and "--weighted-edges" in err
 
 
-# ------------------------------------------------------------- raw draws
-
-RAW_BOUNDS = [1, 2, 7, 4_321, 123_457, 2**32 - 1, 3_000_000_001]
-
-
-@pytest.mark.parametrize("bound", RAW_BOUNDS)
-def test_raw_draws_replay_the_scalar_loop(bound):
-    """Edges, uniforms and the final generator state equal the scalar
-    loop's, where `_raw_draws` replays it; where it declines, the generator
-    is untouched. Odd seeds start the chunk with a buffered 32-bit half.
-    Any change in how numpy's Generator draws these fails here."""
-    replayed = declined = 0
-    for seed in range(20):
-        for count in (1, 2, 5, 256):
-            for width in (1, 9, 108):
-                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                if seed % 2:
-                    rng.integers(5), ref.integers(5)
-                assert rng.bit_generator.state["has_uint32"] == seed % 2
-                before = rng.bit_generator.state
-                drawn = polypte._raw_draws(rng, count, width, bound)
-                if drawn is None:
-                    declined += 1
-                    assert rng.bit_generator.state == before
-                    drawn = polypte._scalar_draws(rng, count, width, bound)
-                else:
-                    replayed += 1
-                edge, uniforms = polypte._scalar_draws(ref, count, width, bound)
-                assert np.array_equal(drawn[0], edge)
-                assert drawn[0].dtype == edge.dtype
-                assert np.array_equal(drawn[1], uniforms)
-                assert rng.bit_generator.state == ref.bit_generator.state
-    # numpy rejects about 30% of the draws below 3,000,000,001 and almost
-    # none below the other bounds; both paths run there
-    if bound == 3_000_000_001:
-        assert replayed and declined
-    else:
-        assert declined == 0
-
-
-@pytest.mark.parametrize("bits,bound", [(np.random.PCG64, 2**32),
-                                        (np.random.PCG64DXSM, 7),
-                                        (np.random.MT19937, 7)])
-def test_raw_draws_decline_what_they_cannot_replay(bits, bound):
-    rng, untouched = (np.random.Generator(bits(0)) for _ in range(2))
-    rng.integers(5), untouched.integers(5)
-    assert polypte._raw_draws(rng, 4, 3, bound) is None
-    assert np.array_equal(rng.integers(7, size=3), untouched.integers(7, size=3))
-    assert np.array_equal(rng.random(3), untouched.random(3))
-
-
-def test_decoded_chunk_equals_the_scalar_loop(monkeypatch):
+def test_unit_weights_draw_the_same_edges_with_and_without_weighting(tmp_path):
+    """An unweighted edge is a unit-weight edge: on an edge list whose
+    weights are all 1, `--weighted-edges` changes no table byte."""
+    source, prior = tmp_path / "g.edges", tmp_path / "g.prior"
     g = make_planted_bipartite(3, n_side=12, p_in=0.5, p_out=0.05)
-    prior = bipartite_prior(g.num_a, g.num_b, 3)
-    config = polypte.PteConfig(dim=2, negatives=4)
-    sampler = sgd.NegativeSampler(g.degrees_b(), prior.dist_b)
-
-    def chunks():
-        rng = np.random.default_rng(5)
-        return [polypte._decode_chunk(g, prior, sampler, rng, config, 9, start,
-                                      count, None)
-                for start, count in ((0, 256), (256, 3), (259, 100))]
-
-    fast = chunks()
-    monkeypatch.setattr(polypte, "_raw_draws", lambda *args: None)
-    for got, expected in zip(fast, chunks()):
-        for a, b in zip(got, expected):
-            assert np.array_equal(a, b)
+    source.write_text("".join(f"{a} {b} 1\n" for a, b in g.edges))
+    assert cli.run(["facets", "--input", str(source), "--kind", "bipartite",
+                    "--k", "2", "--out", str(prior)]) == 0
+    argv = ["train-pte", "--input", str(source), "--prior", str(prior),
+            "--dim", "3", "--negatives", "2", "--total-samples", "700"]
+    assert cli.run(argv + ["--out", str(tmp_path / "plain")]) == 0
+    assert cli.run(argv + ["--weighted-edges", "--out", str(tmp_path / "w")]) == 0
+    for side in ("a", "b"):
+        assert ((tmp_path / f"plain.{side}").read_bytes()
+                == (tmp_path / f"w.{side}").read_bytes())
 
 
 # ----------------------------------------------------------- Jensen bound
