@@ -321,7 +321,15 @@ def cmd_train_gcn(args, params) -> None:
     if args.export_fadj:
         polygcn.save_facet_adjacency(args.export_fadj, fadj)
     print(f"wrote {args.out}.a / {args.out}.b")
-    write_manifest(args.out, args, params)
+    write_manifest(args.out, args, params, **_gcn_record(result))
+
+
+def _gcn_record(result) -> dict:
+    """The manifest lines of a PolyGCN run: each facet's final loss (empty
+    for a facet with no edges) and how many processes trained the facets."""
+    return {"train.final_loss": ",".join(repr(trace[-1]) if trace else ""
+                                         for trace in result.loss_traces),
+            "train.processes": result.processes}
 
 
 def cmd_embed(args, params) -> None:
@@ -410,7 +418,7 @@ def cmd_pipeline(args, params) -> None:
         result = polygcn.train_gcn(train_g, fadj, _config(polygcn.GcnConfig, params))
     tables = result.tables
     _save(kind, f"{prefix}.emb", tables.u, tables.h)
-    engine = {} if model == "gcn" else {"engine": result.engine}
+    record = _gcn_record(result) if model == "gcn" else {"engine": result.engine}
     mode = {"deepwalk": "homogeneous", "pte": "cross", "gcn": "cross-diagonal"}[model]
 
     report = evaluation.link_prediction_report(
@@ -429,7 +437,7 @@ def cmd_pipeline(args, params) -> None:
     evaluation.write_report(report, f"{prefix}.report")
     print(report.table())
     print(f"wrote {prefix}.report")
-    write_manifest(f"{prefix}.report", args, params, **engine)
+    write_manifest(f"{prefix}.report", args, params, **record)
 
 
 # ------------------------------------------------------------------- parser

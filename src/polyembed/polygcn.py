@@ -12,16 +12,30 @@ trains independently on an edge-level negative-sampling loss over its own
 facet matrix; the loss's gradients at the encoder outputs come from one
 sparse matrix of per-pair score coefficients and flow back through the
 same operator by hand-written reverse accumulation.
+
+As facets share no state, `train_gcn` trains them in forked processes,
+each with one BLAS thread, where that is safe and there is more than one
+CPU (`_facet_workers`), and one after another otherwise. Both paths run
+`_train_facet` from each facet's own seed child, so the tables are the
+same bytes either way.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import kernel
 from .errors import NumericsError, ValidationError
 from .kernel import Csr, coo_matmat, csr
 from .sgd import GuideTable
@@ -271,12 +285,28 @@ class GcnTrainResult(NamedTuple):
     tables: EmbeddingTables
     model: GcnModel
     loss_traces: list[list[float]]
+    processes: int              # that trained the facets, this one included
+
+
+class FacetFit(NamedTuple):
+    """What training one facet gives: its loss per iteration, its trained
+    parameters (as FacetGcn.params() names them) and its (U, H)."""
+
+    trace: list[float]
+    params: dict[str, np.ndarray]
+    u: np.ndarray
+    h: np.ndarray
 
 
 def train_gcn(bipartite, facet_adj: FacetAdjacency,
               config: GcnConfig) -> GcnTrainResult:
     """Train every facet's encoder pair independently with Adam on the
-    facet-restricted edge loss; facets with no edges stay at init."""
+    facet-restricted edge loss; facets with no edges stay at init.
+
+    The facets share no state, so they train in forked processes when
+    `_facet_workers` allows it (see `_fit_in_processes`), and one after
+    another otherwise. Both run `_train_facet` per facet, from the same
+    seed children, so the result does not depend on the path."""
     num_a, num_b = bipartite.num_a, bipartite.num_b
     if facet_adj.shape != (num_a, num_b):
         raise ValidationError("facet adjacency does not match the graph")
@@ -286,39 +316,161 @@ def train_gcn(bipartite, facet_adj: FacetAdjacency,
 
     degree_table = GuideTable(bipartite.degrees_b() ** 0.75)
 
-    traces: list[list[float]] = []
+    def fit(k: int) -> FacetFit:
+        return _train_facet(k, model.facets[k], model.ops[k],
+                            _cells(facet_adj.mats[k], config.threshold),
+                            facet_ss[k], degree_table, config)
+
+    workers = _facet_workers(facet_adj.k)
+    fits = (_fit_in_processes(fit, facet_adj.k, workers) if workers
+            else [fit(k) for k in range(facet_adj.k)])
     u_out = np.zeros((num_a, facet_adj.k, config.dim))
     h_out = np.zeros((num_b, facet_adj.k, config.dim))
-    for k, (facet, ops) in enumerate(zip(model.facets, model.ops)):
-        rows, cols, edge_w = _cells(facet_adj.mats[k], config.threshold)
-        edge_idx = np.stack([rows, cols], axis=1)
-        rng = np.random.default_rng(facet_ss[k])
-        params = facet.params()
-        moments = {name: (np.zeros_like(p), np.zeros_like(p))
-                   for name, p in params.items()}
-        trace: list[float] = []
-        for it in range(1, (config.iterations if len(rows) else 0) + 1):
-            neg_idx = degree_table.decode(rng.random((len(rows), config.negatives)))
-            loss, grads = gcn_loss_and_grads(facet, ops, config,
-                                             edge_idx, edge_w, neg_idx)
-            if not math.isfinite(loss):
-                raise NumericsError(f"facet {k} diverged at iteration {it}")
-            trace.append(loss)
-            for name, p in params.items():
-                g, (m, v) = grads[name], moments[name]
-                m *= _ADAM_B1
-                m += (1 - _ADAM_B1) * g
-                v *= _ADAM_B2
-                v += (1 - _ADAM_B2) * g * g
-                m_hat = m / (1 - _ADAM_B1 ** it)
-                v_hat = v / (1 - _ADAM_B2 ** it)
-                p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        traces.append(trace)
-        u_out[:, k], h_out[:, k] = forward_facet(facet, ops)
+    for k, (facet, result) in enumerate(zip(model.facets, fits)):
+        # a child trained its facets in its own copy of the model
+        for name, p in facet.params().items():
+            np.copyto(p, result.params[name])
+        u_out[:, k], h_out[:, k] = result.u, result.h
 
     tables = EmbeddingTables(u=u_out, h=h_out)
     tables.check_finite("after GCN training")
-    return GcnTrainResult(tables=tables, model=model, loss_traces=traces)
+    return GcnTrainResult(tables=tables, model=model,
+                          loss_traces=[result.trace for result in fits],
+                          processes=1 + workers)
+
+
+def _train_facet(k: int, facet: FacetGcn, ops: FacetOps, cells, seed,
+                 degree_table: GuideTable, config: GcnConfig) -> FacetFit:
+    """Train facet k in place with Adam on its stored cells (rows, cols,
+    weights), drawing its negatives from `degree_table` with the stream of
+    its own seed child. A facet with no cells keeps its initial values."""
+    rows, cols, edge_w = cells
+    edge_idx = np.stack([rows, cols], axis=1)
+    rng = np.random.default_rng(seed)
+    params = facet.params()
+    moments = {name: (np.zeros_like(p), np.zeros_like(p))
+               for name, p in params.items()}
+    trace: list[float] = []
+    for it in range(1, (config.iterations if len(rows) else 0) + 1):
+        neg_idx = degree_table.decode(rng.random((len(rows), config.negatives)))
+        loss, grads = gcn_loss_and_grads(facet, ops, config,
+                                         edge_idx, edge_w, neg_idx)
+        if not math.isfinite(loss):
+            raise NumericsError(f"facet {k} diverged at iteration {it}")
+        trace.append(loss)
+        for name, p in params.items():
+            g, (m, v) = grads[name], moments[name]
+            m *= _ADAM_B1
+            m += (1 - _ADAM_B1) * g
+            v *= _ADAM_B2
+            v += (1 - _ADAM_B2) * g * g
+            m_hat = m / (1 - _ADAM_B1 ** it)
+            v_hat = v / (1 - _ADAM_B2 ** it)
+            p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+    return FacetFit(trace, params, *forward_facet(facet, ops))
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    bundles, found through numpy's own extension module, whose
+    dependencies a lookup on its handle searches; None where no such
+    symbols are exported (another BLAS, another build)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get_threads.restype, get_threads.argtypes = ctypes.c_int, []
+    set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
+    return get_threads, set_threads
+
+
+def _facet_workers(k: int) -> int:
+    """How many forked children train facets beside this process:
+    min(k - 1, usable CPUs), or 0 (the serial loop) for one facet, on one
+    CPU, without `os.fork` or off Linux, while other threads run (a fork
+    copies only the calling thread, and any lock another one holds), or
+    when numpy's BLAS thread count cannot be set."""
+    if (k < 2 or sys.platform != "linux" or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return 0
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2 or _openblas() is None:
+        return 0
+    return min(k - 1, cpus)
+
+
+def _fit_in_processes(fit, k: int, workers: int) -> list[FacetFit]:
+    """fit(0), ..., fit(k - 1), dealt round robin over this process (facet
+    0 first) and `workers` forked children, with numpy's BLAS at one
+    thread: at its default of one thread per CPU in every process, the
+    processes' BLAS threads would compete for the CPUs, and the whole ran
+    slower than the serial loop. A child sends its results, or the
+    exception it raised, back through a pipe and exits. Every child is
+    reaped, and the BLAS thread count restored, before this returns or
+    raises; when this process fails first, its children are killed."""
+    kernel.function("coo_matmat")   # build or load it (or warn) once, not per child
+    get_threads, set_threads = _openblas() or (None, None)
+    threads = get_threads() if get_threads else None
+    stride = workers + 1
+    children = []          # (pid, read end of its pipe, its first facet)
+    try:
+        if set_threads:
+            set_threads(1)
+        for c in range(1, stride):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(write, fit, range(c, k, stride))
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb"), c))
+        fits = {j: fit(j) for j in range(0, k, stride)}
+        while children:
+            pid, pipe, c = children[0]
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            pipe.close()
+            if status:
+                raise ChildProcessError(f"the process training facets "
+                                        f"{list(range(c, k, stride))} ended "
+                                        f"with wait status {status}")
+            sent = pickle.loads(data)
+            if isinstance(sent, Exception):
+                raise sent
+            fits.update(sent)
+    finally:
+        for pid, pipe, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+        if set_threads:
+            set_threads(threads)
+    return [fits[j] for j in range(k)]
+
+
+def _child(write: int, fit, facets) -> None:
+    """The body of a forked child: send {j: fit(j)} for `facets`, or the
+    exception that stopped it, to the pipe end `write`, then exit with
+    status 0 once the pipe holds it, 1 otherwise. Never returns."""
+    status = 1
+    try:
+        try:
+            sent = {j: fit(j) for j in facets}
+        except Exception as exc:
+            sent = exc
+        with open(write, "wb") as pipe:
+            pickle.dump(sent, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def save_facet_adjacency(path, facet_adj: FacetAdjacency) -> None:

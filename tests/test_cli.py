@@ -172,6 +172,105 @@ def test_pipeline_gcn(tmp_path, bipartite_file):
     assert "engine=" not in (tmp_path / "gcn.report.manifest").read_text()
 
 
+# the three ways PolyGCN may train its facets: one forked child per facet
+# but the first, the serial loop, and the choice on a host with one CPU
+GCN_PATHS = {"forked": (lambda m: m.setattr(polygcn, "_facet_workers",
+                                            lambda k: k - 1), "3"),
+             "serial": (lambda m: m.setattr(polygcn, "_facet_workers",
+                                            lambda k: 0), "1"),
+             "one-cpu": (lambda m: m.setattr(os, "sched_getaffinity",
+                                             lambda pid: {0}), "1")}
+GCN_RUNS = {
+    "train-gcn-bipartite": ["train-gcn", "--prior", "b.prior", "--dim", "3",
+                            "--iterations", "6"],
+    "train-gcn-co": ["train-gcn", "--prior", "b.prior", "--dim", "3",
+                     "--iterations", "6", "--neighbor-mode", "co"],
+    "pipeline-gcn": ["pipeline", "--kind", "bipartite", "--model", "gcn",
+                     "--k", "3", "--dim", "3", "--iterations", "6",
+                     "--num-negatives", "5", "--ks", "3"],
+}
+
+
+def gcn_run(tmp_path, bipartite_file, run, path, monkeypatch):
+    """The bytes of every output file of `run` (the manifest's lines but
+    its output path and train.processes), and the train.processes line."""
+    prior = tmp_path / "b.prior"
+    if not (tmp_path / "b.prior.a").exists():
+        run_ok(["facets", "--input", str(bipartite_file), "--kind", "bipartite",
+                "--k", "3", "--out", str(prior)])
+    out = tmp_path / path / "o"
+    out.parent.mkdir()
+    argv = [str(prior) if a == "b.prior" else a for a in GCN_RUNS[run]]
+    with monkeypatch.context() as m:
+        GCN_PATHS[path][0](m)
+        run_ok(argv + ["--input", str(bipartite_file),
+                       "--workdir" if run == "pipeline-gcn" else "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+    manifest = next(name for name in files if name.endswith(".manifest"))
+    lines = files[manifest].decode().splitlines()
+    files[manifest] = [line for line in lines if not line.startswith(
+        ("train.processes=", "out=", "workdir="))]
+    processes = [line for line in lines if line.startswith("train.processes=")]
+    return files, processes
+
+
+@pytest.mark.parametrize("run", GCN_RUNS)
+def test_gcn_outputs_do_not_depend_on_the_path(tmp_path, bipartite_file, run,
+                                               monkeypatch):
+    outputs = {}
+    for path, (_, processes) in GCN_PATHS.items():
+        outputs[path], seen = gcn_run(tmp_path, bipartite_file, run, path,
+                                      monkeypatch)
+        assert seen == [f"train.processes={processes}"], path
+    assert outputs["forked"] == outputs["serial"] == outputs["one-cpu"]
+    assert len(outputs["serial"]) == (8 if run == "pipeline-gcn" else 3)
+
+
+def test_gcn_manifest_records_each_facets_final_loss(tmp_path, bipartite_file,
+                                                     monkeypatch):
+    # facet 1 has no cells: every node's prior puts no weight on it
+    g = graph.load_edge_list(bipartite_file, kind="bipartite")
+    for side, n in (("a", g.num_a), ("b", g.num_b)):
+        (tmp_path / f"z.prior.{side}").write_text(
+            f"{n} 3\n" + "".join(f"{i} 0.5 0 0.5\n" for i in range(n)))
+    monkeypatch.setattr(polygcn, "_facet_workers", lambda k: k - 1)
+    run_ok(["train-gcn", "--input", str(bipartite_file), "--prior",
+            str(tmp_path / "z.prior"), "--dim", "3", "--iterations", "4",
+            "--out", str(tmp_path / "z.emb")])
+    manifest = (tmp_path / "z.emb.manifest").read_text().splitlines()
+    prior = facets.load_prior(tmp_path / "z.prior.a", tmp_path / "z.prior.b")
+    fadj = polygcn.decompose_adjacency(g.adj, prior.p, prior.q)
+    monkeypatch.setattr(polygcn, "_facet_workers", lambda k: 0)
+    traces = polygcn.train_gcn(g, fadj, polygcn.GcnConfig(
+        dim=3, iterations=4)).loss_traces
+    assert traces[1] == [] and traces[0] and traces[2]
+    assert f"train.final_loss={traces[0][-1]!r},,{traces[2][-1]!r}" in manifest
+    assert "train.processes=3" in manifest
+
+
+def test_a_diverging_forked_facet_is_an_error(tmp_path, bipartite_file,
+                                              monkeypatch, capsys):
+    run_ok(["facets", "--input", str(bipartite_file), "--kind", "bipartite",
+            "--k", "2", "--out", str(tmp_path / "b.prior")])
+    real, parent = polygcn.gcn_loss_and_grads, os.getpid()
+
+    def loss_and_grads(*args):
+        loss, grads = real(*args)
+        return (loss if os.getpid() == parent else float("nan")), grads
+
+    monkeypatch.setattr(polygcn, "_facet_workers", lambda k: k - 1)
+    monkeypatch.setattr(polygcn, "gcn_loss_and_grads", loss_and_grads)
+    capsys.readouterr()
+    assert cli.run(["train-gcn", "--input", str(bipartite_file), "--prior",
+                    str(tmp_path / "b.prior"), "--iterations", "3",
+                    "--out", str(tmp_path / "o")]) == 1
+    assert (capsys.readouterr().err
+            == "error: facet 1 diverged at iteration 1\n")
+    assert not list(tmp_path.glob("o*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_eval_link_standalone(tmp_path, bipartite_file):
     workdir = tmp_path / "w"
     run_ok(["pipeline", "--input", str(bipartite_file), "--kind", "bipartite",

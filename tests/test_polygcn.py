@@ -1,3 +1,11 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import (dense_decompose, finite_difference, make_planted_bipartite,
@@ -5,7 +13,7 @@ from conftest import (dense_decompose, finite_difference, make_planted_bipartite
 from scipy import sparse
 
 from polyembed import evaluation, facets, graph, kernel, polygcn
-from polyembed.errors import ValidationError
+from polyembed.errors import NumericsError, ValidationError
 from polyembed.polygcn import (FacetAdjacency, GcnConfig, decompose_adjacency,
                                forward_facet, gcn_loss_and_grads, init_gcn_model,
                                train_gcn)
@@ -298,21 +306,32 @@ def test_empty_facet_stays_at_initialization():
 
 
 def test_facet_independence_checksums():
-    a, p, q = random_instance(4, num_a=4, num_b=4, k=2)
+    a, p, q = random_instance(4, num_a=6, num_b=5, k=3)
     fa = decompose_adjacency(a, p, q)
     g = graph.from_edges([(int(i), int(j), float(a[i, j]))
                           for i, j in zip(*np.nonzero(a))],
-                         kind="bipartite", num_a=4, num_b=4)
+                         kind="bipartite", num_a=6, num_b=5)
     config = GcnConfig(dim=3, iterations=10, seed=6)
-    model = init_gcn_model(4, 4, fa, config,
-                           seed=np.random.SeedSequence(6).spawn(3)[0])
+    model = init_gcn_model(6, 5, fa, config,
+                           seed=np.random.SeedSequence(6).spawn(4)[0])
     before = {k: {n: p_arr.copy() for n, p_arr in f.params().items()}
               for k, f in enumerate(model.facets)}
     result = train_gcn(g, fa, config)
-    # facet 0 trained: must differ from init; at no point did it touch facet 1's init
+    # facet 0 trained: must differ from init
     changed = any(not np.array_equal(result.model.facets[0].params()[n],
                                      before[0][n]) for n in before[0])
     assert changed
+    # no facet reads another's matrix, parameters or stream (the parallel
+    # path trains them in separate processes): facet k trains the same
+    # when every other facet matrix is empty
+    empty = kernel.csr(np.zeros((6, 5)))
+    for k in range(3):
+        alone = FacetAdjacency([m if c == k else empty
+                                for c, m in enumerate(fa.mats)])
+        solo = train_gcn(g, alone, config)
+        assert np.array_equal(solo.tables.u[:, k], result.tables.u[:, k]), k
+        assert np.array_equal(solo.tables.h[:, k], result.tables.h[:, k]), k
+        assert solo.loss_traces[k] == result.loss_traces[k]
 
 
 def test_training_loss_decreases_and_output_finite():
@@ -385,3 +404,239 @@ def test_facet_adjacency_export(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("0 0 0 1.5")
     assert len(lines) == 2
+
+
+# --------------------------------------------------------------- processes
+
+def serial(monkeypatch):
+    monkeypatch.setattr(polygcn, "_facet_workers", lambda k: 0)
+
+
+def forked(monkeypatch, workers=None):
+    """Force the parallel path: `workers` children, or one per facet but
+    the first."""
+    monkeypatch.setattr(polygcn, "_facet_workers",
+                        lambda k: k - 1 if workers is None else workers)
+
+
+@pytest.fixture
+def left_clean():
+    """A check that no child process is left and that numpy's OpenBLAS runs
+    the 2 threads set here for the test, which the parallel path's 1
+    cannot pass for; the count found is put back afterwards."""
+    found = polygcn._openblas()
+    before = found[0]() if found else None
+    if found:
+        found[1](2)
+
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert found is None or found[0]() == 2
+
+    yield check
+    if found:
+        found[1](before)
+
+
+def assert_same_training(got, want):
+    assert np.array_equal(got.tables.u, want.tables.u)
+    assert np.array_equal(got.tables.h, want.tables.h)
+    assert got.loss_traces == want.loss_traces
+    for facet, ref in zip(got.model.facets, want.model.facets):
+        for name, p_arr in ref.params().items():
+            assert np.array_equal(facet.params()[name], p_arr), name
+
+
+def planted_facets(k, seed=1):
+    g = make_planted_bipartite(seed, n_side=12, p_in=0.5, p_out=0.05)
+    a = graph.adjacency_dense(g)
+    nmf = facets.asymmetric_nmf(a, k, alpha=0.05, seed=seed)
+    return g, decompose_adjacency(a, *nmf.factors)
+
+
+def on_both_paths(monkeypatch, left_clean, g, fa, config, workers=None):
+    """train_gcn on the serial path, then on the forked one; each leaves no
+    child behind and the BLAS thread count as it found it."""
+    results = []
+    for path in (serial, lambda m: forked(m, workers)):
+        path(monkeypatch)
+        results.append(train_gcn(g, fa, config))
+        left_clean()
+    return results
+
+
+@pytest.mark.parametrize("neighbor_mode", ["bipartite", "co"])
+def test_forked_facets_train_as_the_serial_loop(monkeypatch, left_clean, neighbor_mode):
+    g, fa = planted_facets(3)
+    config = GcnConfig(dim=4, iterations=15, negatives=2, seed=2,
+                       neighbor_mode=neighbor_mode)
+    ser, par = on_both_paths(monkeypatch, left_clean, g, fa, config)
+    assert (ser.processes, par.processes) == (1, 3)
+    assert_same_training(par, ser)
+
+
+def test_a_forked_empty_facet_stays_at_initialization(monkeypatch, left_clean):
+    a = np.zeros((3, 3))
+    a[0, 0] = a[1, 1] = 1.0
+    fa = facet_adjacency(a, np.zeros((3, 3)))
+    g = graph.from_edges([(0, 0), (1, 1)], kind="bipartite", num_a=3, num_b=3)
+    config = GcnConfig(dim=4, iterations=30, seed=5)
+    ser, par = on_both_paths(monkeypatch, left_clean, g, fa, config)
+    assert_same_training(par, ser)
+    # facet 1, which a child trained, kept its initial values
+    fresh = init_gcn_model(3, 3, fa, config,
+                           seed=np.random.SeedSequence(5).spawn(3)[0])
+    for name, p_arr in fresh.facets[1].params().items():
+        assert np.array_equal(par.model.facets[1].params()[name], p_arr), name
+    assert par.loss_traces[1] == [] and len(par.loss_traces[0]) == 30
+
+
+def test_one_facet_trains_in_this_process(monkeypatch, left_clean):
+    g, fa = planted_facets(1)
+    config = GcnConfig(dim=4, iterations=10, seed=3)
+    assert polygcn._facet_workers(1) == 0
+    assert train_gcn(g, fa, config).processes == 1
+    # a child dealt no facet sends an empty result
+    ser, par = on_both_paths(monkeypatch, left_clean, g, fa, config, workers=1)
+    assert par.processes == 2
+    assert_same_training(par, ser)
+
+
+def test_more_facets_than_cpus(monkeypatch, left_clean):
+    if polygcn._openblas() is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
+    g, fa = planted_facets(5)
+    config = GcnConfig(dim=3, iterations=8, seed=4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert polygcn._facet_workers(5) == 2
+    par = train_gcn(g, fa, config)
+    assert par.processes == 3     # facets 0 and 3 here, 1 and 4, then 2
+    left_clean()
+    serial(monkeypatch)
+    assert_same_training(par, train_gcn(g, fa, config))
+
+
+def test_facet_workers_falls_back_to_the_serial_loop(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(polygcn, "_openblas", lambda: (lambda: 4, lambda n: None))
+    assert [polygcn._facet_workers(k) for k in (1, 2, 3, 5, 8)] == [0, 1, 2, 4, 4]
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert polygcn._facet_workers(3) == 0
+    with monkeypatch.context() as m:
+        m.setattr(polygcn, "_openblas", lambda: None)
+        assert polygcn._facet_workers(3) == 0
+    with monkeypatch.context() as m:
+        m.setattr(polygcn.sys, "platform", "darwin")
+        assert polygcn._facet_workers(3) == 0
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        assert polygcn._facet_workers(3) == 0
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert polygcn._facet_workers(3) == 0
+    finally:
+        stop.set()
+        other.join()
+    assert polygcn._facet_workers(3) == 2
+
+
+def test_openblas_is_looked_up_on_first_use():
+    # looked up at import, it would add to the start-up of every command
+    code = ("import polyembed.cli\n"
+            "from polyembed import polygcn\n"
+            "print(polygcn._openblas.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "0\n"
+
+
+def test_every_process_trains_with_one_blas_thread(monkeypatch, left_clean):
+    found = polygcn._openblas()
+    if found is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
+    get_threads = found[0]
+    real = polygcn.gcn_loss_and_grads
+
+    def loss_and_grads(*args):
+        loss, grads = real(*args)
+        return (loss if get_threads() == 1 else float("nan")), grads
+
+    monkeypatch.setattr(polygcn, "gcn_loss_and_grads", loss_and_grads)
+    g, fa = planted_facets(3)
+    config = GcnConfig(dim=3, iterations=3, seed=1)
+    forked(monkeypatch)
+    assert train_gcn(g, fa, config).processes == 3
+    left_clean()
+    # the check is live: the serial loop runs at the 2 threads set here
+    serial(monkeypatch)
+    with pytest.raises(NumericsError, match="^facet 0 diverged at iteration 1$"):
+        train_gcn(g, fa, config)
+
+
+def diverging(where):
+    """gcn_loss_and_grads with a NaN loss in each process that
+    `where(pid, parent)` picks. With `where=here`, every other process
+    sleeps 30 s first, so that only a kill ends it early."""
+    real, parent = polygcn.gcn_loss_and_grads, os.getpid()
+
+    def loss_and_grads(*args):
+        loss, grads = real(*args)
+        if where(os.getpid(), parent):
+            return float("nan"), grads
+        if where is here:
+            time.sleep(30)
+        return loss, grads
+
+    return loss_and_grads
+
+
+def here(pid, parent):
+    return pid == parent
+
+
+def in_a_child(pid, parent):
+    return pid != parent
+
+
+def test_a_diverging_child_raises_its_error_here(monkeypatch, left_clean):
+    g, fa = planted_facets(2)
+    forked(monkeypatch)
+    monkeypatch.setattr(polygcn, "gcn_loss_and_grads", diverging(in_a_child))
+    with pytest.raises(NumericsError, match=r"^facet 1 diverged at iteration 1$"):
+        train_gcn(g, fa, GcnConfig(dim=3, iterations=5, seed=1))
+    left_clean()
+
+
+def test_a_failure_here_kills_and_reaps_the_children(monkeypatch, left_clean):
+    g, fa = planted_facets(3)
+    forked(monkeypatch)
+    monkeypatch.setattr(polygcn, "gcn_loss_and_grads", diverging(here))
+    start = time.monotonic()
+    with pytest.raises(NumericsError, match=r"^facet 0 diverged at iteration 1$"):
+        train_gcn(g, fa, GcnConfig(dim=3, iterations=5, seed=1))
+    # the children were sleeping through their first iteration
+    assert time.monotonic() - start < 20
+    left_clean()
+
+
+def test_a_child_that_ends_without_its_results_is_an_error(monkeypatch, left_clean):
+    g, fa = planted_facets(2)
+    forked(monkeypatch)
+    real = polygcn._train_facet
+
+    def train_facet(k, *args):
+        if k == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(k, *args)
+
+    monkeypatch.setattr(polygcn, "_train_facet", train_facet)
+    with pytest.raises(ChildProcessError, match=r"facets \[1\] ended with wait "
+                                                r"status 9$"):
+        train_gcn(g, fa, GcnConfig(dim=3, iterations=5, seed=1))
+    left_clean()
