@@ -30,8 +30,7 @@ import numpy.random  # noqa: F401
 
 from . import evaluation, facets, inference, polydeepwalk, polygcn, polypte, walks
 from . import graph as graphmod
-from .errors import (ParseError, PolyembedError, ValidationError, parse_numbers,
-                     text_lines)
+from .errors import PolyembedError, ValidationError, text_lines
 from .tables import EmbeddingTables, load_matrix, save_matrix
 
 
@@ -232,23 +231,7 @@ def _save_test_edges(path, test_edges, g) -> None:
 
 def _load_test_edges(path, g) -> list[tuple[int, int]]:
     """Test edges `a b`, as labels or integer ids of nodes of `g`."""
-    sides = graphmod.sides(g)
-    maps = [{lab: i for i, lab in enumerate(labels)} if labels else None
-            for labels, _ in sides]
-    out = []
-    for line_no, line in text_lines(path):
-        fields = line.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        where = f"{path} line {line_no}"
-        if len(fields) != 2:
-            raise ParseError(f"{where}: test edges need two fields per line")
-        pair = tuple(index.get(token, -1) if index is not None
-                     else parse_numbers([token], int, where)[0]
-                     for token, index in zip(fields, maps))
-        if not all(0 <= v < limit for v, (_, limit) in zip(pair, sides)):
-            raise ParseError(f"{where}: {line.strip()!r} names a node not in the graph")
-        out.append(pair)
+    out = graphmod.read_node_lines(path, graphmod.sides(g))
     if not out:
         raise ValidationError(f"{path}: no test edges")
     return out
@@ -267,8 +250,6 @@ def _parse_ks(text) -> tuple[int, ...]:
 # ---------------------------------------------------------------- subcommands
 
 def cmd_facets(args, params) -> None:
-    if params["k"] < 1:
-        raise ValidationError("--k must be at least 1")
     g = graphmod.load_edge_list(args.input, kind=params["kind"])
     prior, result = _estimate_prior(params["kind"], g.adj, params)
     _save(params["kind"], args.out, prior.dist, prior.dist_b)
@@ -399,10 +380,10 @@ def cmd_pipeline(args, params) -> None:
 
     train_g, test_edges = evaluation.split_links(g, params["split"],
                                                  seed=params["seed"])
+    # before any file is written: the NMF rejects a bad --k or NMF setting
+    prior, _ = _estimate_prior(kind, train_g.adj, params)
     graphmod.save_edge_list(train_g, f"{prefix}.train.edges")
     _save_test_edges(f"{prefix}.test.edges", test_edges, g)
-
-    prior, _ = _estimate_prior(kind, train_g.adj, params)
     _save(kind, f"{prefix}.prior", prior.dist, prior.dist_b)
 
     if model == "deepwalk":

@@ -29,6 +29,18 @@ class NumericsError(PolyembedError):
 INT64 = range(-2**63, 2**63)   # the ids and counts a numpy index can hold
 
 
+def check_settings(values: dict, positive: str = "", nonnegative: str = "") -> None:
+    """ValidationError naming the first setting of `values` out of bounds:
+    each name in `positive` must be > 0, each in `nonnegative` >= 0, so NaN
+    fails both. A value of None is unset and passes."""
+    for names, bound in ((positive, "positive"), (nonnegative, "nonnegative")):
+        for name in names.split():
+            value = values[name]
+            if value is not None and not (value > 0 if bound == "positive"
+                                          else value >= 0):
+                raise ValidationError(f"{name} must be {bound}")
+
+
 def parse_numbers(tokens, kind, where: str) -> list:
     """`kind` (int or float) of every token, or ParseError naming `where`."""
     try:

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import graph as graphmod
 from . import inference
-from .errors import (ParseError, ProtocolError, ValidationError, parse_numbers,
-                     text_lines)
+from .errors import ProtocolError, ValidationError
 from .facets import FacetPrior
 from .graph import BipartiteGraph, Graph
 from .tables import EmbeddingTables
@@ -366,20 +365,7 @@ def load_labels(path, num_nodes: int, names=None):
     node. A node is an integer id, or a name from `names` (the graph's node
     labels, when its edge list names its nodes). Returns (binary matrix
     (N, C), class names)."""
-    ids = None if names is None else {name: i for i, name in enumerate(names)}
-    pairs = []
-    for line_no, line in text_lines(path):
-        fields = line.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        where = f"{path} line {line_no}"
-        if len(fields) != 2:
-            raise ValidationError(f"{where}: expected 'node label'")
-        node = (parse_numbers(fields[:1], int, where)[0] if ids is None
-                else ids.get(fields[0], -1))
-        if not 0 <= node < num_nodes:
-            raise ParseError(f"{where}: unknown node {fields[0]!r}")
-        pairs.append((node, fields[1]))
+    pairs = graphmod.read_node_lines(path, [(names, num_nodes)])
     classes = sorted({lab for _, lab in pairs})
     index = {lab: c for c, lab in enumerate(classes)}
     y = np.zeros((num_nodes, len(classes)), dtype=np.float64)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_settings
 from .graph import _merge
 from .kernel import Csr, csr
 from .tables import load_matrix
@@ -119,8 +119,8 @@ def symmetric_nmf(a, k, alpha=0.05, max_iters=500, tol=1e-5, seed=0) -> NmfResul
         raise ValidationError(f"A is not symmetric (max asymmetry {asym:g})")
     if not 1 <= k <= n:
         raise ValidationError(f"need 1 <= K <= {n}, got {k}")
-    if alpha < 0:
-        raise ValidationError("alpha must be nonnegative")
+    check_settings(dict(max_iters=max_iters, alpha=alpha, tol=tol), "max_iters",
+                   nonnegative="alpha tol")
 
     total = a.data.sum()
     if total == 0.0:
@@ -158,8 +158,8 @@ def asymmetric_nmf(a, k, alpha=0.05, max_iters=500, tol=1e-5, seed=0) -> NmfResu
     n, m = a.shape
     if not 1 <= k <= min(n, m):
         raise ValidationError(f"need 1 <= K <= {min(n, m)}, got {k}")
-    if alpha < 0:
-        raise ValidationError("alpha must be nonnegative")
+    check_settings(dict(max_iters=max_iters, alpha=alpha, tol=tol), "max_iters",
+                   nonnegative="alpha tol")
 
     total = a.data.sum()
     if total == 0.0:

@@ -84,6 +84,32 @@ def sides(graph):
     return ((graph.node_labels, graph.num_nodes),) * 2
 
 
+def read_node_lines(path, columns) -> list[tuple]:
+    """The `token token` lines of a text file, `#` lines and blank lines
+    skipped. Token j < len(columns) names a node of the side `columns[j]`
+    (a (labels or None, node count) pair of `sides`): a label becomes its
+    index, else the token is an integer id below the count. Any other
+    line is a ParseError naming the file and the line."""
+    lookups = [dict(zip(labels, range(len(labels)))) if labels else None
+               for labels, _ in columns]
+    out = []
+    for line_no, line in text_lines(path):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        where = f"{path} line {line_no}"
+        if len(tokens) != 2:
+            raise ParseError(f"{where}: expected 2 fields, got {len(tokens)}")
+        row = list(tokens)
+        for j, (lookup, (_, count)) in enumerate(zip(lookups, columns)):
+            row[j] = (lookup.get(tokens[j], -1) if lookup is not None
+                      else parse_numbers(tokens[j:j + 1], int, where)[0])
+            if not 0 <= row[j] < count:
+                raise ParseError(f"{where}: unknown node {tokens[j]!r}")
+        out.append(tuple(row))
+    return out
+
+
 def _column(path, rows, line_nos, at, col, kind, name) -> list:
     """`kind` of field `col` of the rows indexed by `at`, or ParseError
     naming the first row whose field does not parse."""

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import sgd
-from .errors import ValidationError
+from .errors import ValidationError, check_settings
 from .facets import FacetPrior
 # sgns_loss_and_grads is public here too: the acceptance suite imports it
 from .sgd import NegativeSampler, sgns_loss_and_grads  # noqa: F401
@@ -39,18 +39,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("dim must be positive")
-        if self.negatives < 1:
-            raise ValidationError("negatives must be positive")
-        if self.facet_rate < 1:
-            raise ValidationError("facet_rate must be positive")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be positive")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
-        if self.window < 1:
-            raise ValidationError("window must be positive")
+        check_settings(vars(self), "dim negatives facet_rate epochs learning_rate "
+                       "window", nonnegative="seed")
 
 
 class TrainResult(NamedTuple):

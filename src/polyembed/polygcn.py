@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ValidationError, check_settings
 from .kernel import Csr, coo_matmat, csr
 from .sgd import GuideTable
 from .tables import EmbeddingTables, write_rows
@@ -109,14 +109,10 @@ class GcnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1 or self.depth < 1:
-            raise ValidationError("dim and depth must be positive")
+        check_settings(vars(self), "dim depth learning_rate iterations negatives",
+                       nonnegative="threshold seed")
         if self.neighbor_mode not in ("bipartite", "co"):
             raise ValidationError(f"unknown neighbor_mode {self.neighbor_mode!r}")
-        if self.threshold < 0:
-            raise ValidationError("threshold must be nonnegative")
-        if self.learning_rate <= 0 or self.iterations < 1 or self.negatives < 1:
-            raise ValidationError("bad optimizer settings")
 
 
 @dataclass
@@ -283,17 +279,14 @@ def gcn_loss_and_grads(facet: FacetGcn, ops: FacetOps, config, edge_idx, edge_w,
 
 class GcnTrainResult(NamedTuple):
     tables: EmbeddingTables
-    model: GcnModel
     loss_traces: list[list[float]]
     processes: int              # that trained the facets, this one included
 
 
 class FacetFit(NamedTuple):
-    """What training one facet gives: its loss per iteration, its trained
-    parameters (as FacetGcn.params() names them) and its (U, H)."""
+    """What training one facet gives: its loss per iteration and its (U, H)."""
 
     trace: list[float]
-    params: dict[str, np.ndarray]
     u: np.ndarray
     h: np.ndarray
 
@@ -326,15 +319,12 @@ def train_gcn(bipartite, facet_adj: FacetAdjacency,
             else [fit(k) for k in range(facet_adj.k)])
     u_out = np.zeros((num_a, facet_adj.k, config.dim))
     h_out = np.zeros((num_b, facet_adj.k, config.dim))
-    for k, (facet, result) in enumerate(zip(model.facets, fits)):
-        # a child trained its facets in its own copy of the model
-        for name, p in facet.params().items():
-            np.copyto(p, result.params[name])
+    for k, result in enumerate(fits):
         u_out[:, k], h_out[:, k] = result.u, result.h
 
     tables = EmbeddingTables(u=u_out, h=h_out)
     tables.check_finite("after GCN training")
-    return GcnTrainResult(tables=tables, model=model,
+    return GcnTrainResult(tables=tables,
                           loss_traces=[result.trace for result in fits],
                           processes=1 + workers)
 
@@ -367,7 +357,7 @@ def _train_facet(k: int, facet: FacetGcn, ops: FacetOps, cells, seed,
             m_hat = m / (1 - _ADAM_B1 ** it)
             v_hat = v / (1 - _ADAM_B2 ** it)
             p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-    return FacetFit(trace, params, *forward_facet(facet, ops))
+    return FacetFit(trace, *forward_facet(facet, ops))
 
 
 @functools.cache

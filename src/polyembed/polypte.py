@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import sgd
-from .errors import ValidationError
+from .errors import ValidationError, check_settings
 from .facets import FacetPrior
 from .tables import EmbeddingTables
 
@@ -40,16 +40,8 @@ class PteConfig:
     weighted_edges: bool = False
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("dim must be positive")
-        if self.negatives < 1:
-            raise ValidationError("negatives must be positive")
-        if self.facet_rate is not None and self.facet_rate < 1:
-            raise ValidationError("facet_rate must be positive")
-        if self.total_samples is not None and self.total_samples < 1:
-            raise ValidationError("total_samples must be positive")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
+        check_settings(vars(self), "dim negatives facet_rate total_samples "
+                       "learning_rate", nonnegative="seed")
         if self.facet_mode not in ("observation", "min"):
             raise ValidationError(f"unknown facet_mode {self.facet_mode!r}")
 

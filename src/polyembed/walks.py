@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (INT64, ParseError, ValidationError, parse_numbers,
-                     text_lines)
+from .errors import (INT64, ParseError, ValidationError, check_settings,
+                     parse_numbers, text_lines)
 
 
 WALK_BLOCK = 65536   # walks stepped together; bounds their memory
@@ -39,12 +39,9 @@ class WalkConfig:
     weighted: bool = True
 
     def __post_init__(self):
-        if self.walks_per_node < 1:
-            raise ValidationError("walks_per_node must be positive")
-        if self.walk_length < 2:
+        check_settings(vars(self), "walks_per_node window", nonnegative="seed")
+        if not self.walk_length >= 2:
             raise ValidationError("walk_length must be at least 2")
-        if self.window < 1:
-            raise ValidationError("window must be positive")
 
 
 @dataclass(frozen=True)

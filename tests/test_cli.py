@@ -566,6 +566,46 @@ def test_negative_seed_is_an_error(artifacts, capsys, tmp_path, argv, where):
     assert not (artifacts / "o").exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    pytest.param(["train-gcn", "--input", "b.edges", "--prior", "b.prior",
+                  "--threshold", "nan", "--out", "o"], None,
+                 "threshold must be nonnegative", id="threshold"),
+    pytest.param(["train-pte", "--input", "b.edges", "--prior", "b.prior",
+                  "--learning-rate", "nan", "--out", "o"], None,
+                 "learning_rate must be positive", id="learning_rate"),
+    pytest.param(["facets", "--input", "g.edges", "--out", "o"], "max_iters=-5\n",
+                 "max_iters must be positive", id="max_iters"),
+    pytest.param(["facets", "--input", "g.edges", "--out", "o"], "tol=nan\n",
+                 "tol must be nonnegative", id="tol"),
+])
+def test_a_setting_out_of_bounds_is_an_error(artifacts, capsys, tmp_path, argv,
+                                             config, message):
+    # a NaN threshold trained nothing, a NaN rate diverged, max_iters=-5
+    # wrote the NMF's random start and tol=nan never stopped early
+    extra = []
+    if config:
+        (tmp_path / "bounds.cfg").write_text(config)
+        extra = ["--config", str(tmp_path / "bounds.cfg")]
+    capsys.readouterr()
+    assert cli.run(in_artifacts(argv, artifacts) + extra) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (artifacts / "o").exists()
+
+
+@pytest.mark.parametrize("kind, flag, value", [
+    ("homogeneous", "--k", "0"), ("bipartite", "--k", "0"),
+    ("homogeneous", "--alpha", "nan")])
+def test_a_rejected_nmf_setting_leaves_no_pipeline_artifacts(
+        tmp_path, capsys, sbm_file, kind, flag, value):
+    model = "deepwalk" if kind == "homogeneous" else "pte"
+    capsys.readouterr()
+    assert cli.run(["pipeline", "--input", str(sbm_file), "--kind", kind,
+                    "--model", model, flag, value,
+                    "--workdir", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert [p.name for p in tmp_path.iterdir()] == [sbm_file.name]
+
+
 FIVE_NODES = "0 1\n1 2\n2 3\n3 4\n"
 NOT_UTF8 = b"0 1\n1 \xff\n"
 FACETS = ["facets", "--input", "g.edges", "--config", "c.cfg", "--out", "out"]
@@ -643,6 +683,10 @@ MALFORMED = {
         {"j.joint": "2 2\n0 1 2\n1 3 4\n", "l.txt": "0 a\nx b\n"},
         ["eval-class", "--features", "j.joint", "--labels", "l.txt",
          "--out", "out"], "l.txt line 2"),
+    "label-one-field": (
+        {"j.joint": "2 2\n0 1 2\n1 3 4\n", "l.txt": "0 a\n1\n"},
+        ["eval-class", "--features", "j.joint", "--labels", "l.txt",
+         "--out", "out"], "l.txt line 2: expected 2 fields"),
     "label-node-out-of-range": (
         {"j.joint": "2 2\n0 1 2\n1 3 4\n", "l.txt": "0 a\n5 b\n"},
         ["eval-class", "--features", "j.joint", "--labels", "l.txt",

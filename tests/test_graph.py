@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,3 +199,18 @@ def test_dense_capacity_guard(tmp_path):
     assert g.num_nodes == 10001
     with pytest.raises(CapacityError, match="sparse"):
         graph.adjacency_dense(g)
+
+
+def test_read_node_lines_resolves_each_side(tmp_path):
+    path = tmp_path / "nodes.txt"
+    path.write_text("# a comment\n\nu 3\n  w 01  \n")
+    g = graph.from_edges([(0, 0), (1, 3)], kind="bipartite")
+    named = replace(g, a_labels=["u", "w"])
+    # type A by label, type B by integer id
+    assert graph.read_node_lines(path, graph.sides(named)) == [(0, 3), (1, 1)]
+    # one node column: the second token is kept as text
+    assert graph.read_node_lines(path, graph.sides(named)[:1]) == [(0, "3"),
+                                                                   (1, "01")]
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))} line 3: "
+                                         "expected int values, got 'u'$"):
+        graph.read_node_lines(path, graph.sides(g))

@@ -1,6 +1,7 @@
 """Fuzzed text loaders: any text or bytes either loads or raises a
 PolyembedError, and a saved edge list reloads and saves byte for byte."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyembed import cli, evaluation, graph, walks
-from polyembed.errors import PolyembedError
+from polyembed.errors import ParseError, PolyembedError
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -22,6 +23,7 @@ LOADERS = {
     "edges-bipartite": lambda path: graph.load_edge_list(path, "bipartite"),
     "corpus": walks.load_corpus,
     "labels": lambda path: evaluation.load_labels(path, 3),
+    "labels-names": lambda path: evaluation.load_labels(path, 3, ["a", "b", "c"]),
     "config": cli.parse_config_file,
     "test-edges-integer": lambda path: cli._load_test_edges(path, INTEGER_GRAPH),
     "test-edges-labels": lambda path: cli._load_test_edges(path, LABEL_GRAPH),
@@ -63,6 +65,20 @@ def test_text_loader_loads_or_raises_polyembed_error(tmp_path, name, content):
             LOADERS[name](path)
         except PolyembedError:
             pass
+
+
+@pytest.mark.parametrize("name", ["labels", "labels-names", "test-edges-integer",
+                                  "test-edges-labels"])
+@pytest.mark.parametrize("text, message", [
+    ("b\n", "line 1: expected 2 fields, got 1"),
+    ("# a comment\n\nb c d\n", "line 3: expected 2 fields, got 3"),
+    ("7 b\n", "line 1: unknown node '7'")])
+def test_node_files_fail_alike(tmp_path, name, text, message):
+    # label and test-edge files share graph.read_node_lines
+    path = tmp_path / "nodes.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))} {message}$"):
+        LOADERS[name](path)
 
 
 LABEL = st.text(alphabet="abxyz019-.Ω", min_size=1, max_size=3)

@@ -17,10 +17,23 @@ from polyembed.errors import NumericsError, ValidationError
 from polyembed.polygcn import (FacetAdjacency, GcnConfig, decompose_adjacency,
                                forward_facet, gcn_loss_and_grads, init_gcn_model,
                                train_gcn)
+from polyembed.sgd import GuideTable
 
 
 def facet_adjacency(*dense):
     return FacetAdjacency(mats=[kernel.csr(m) for m in dense])
+
+
+def initial_tables(num_a, num_b, fa, config, k):
+    """Facet k's (U, H) at the initial values train_gcn draws for it."""
+    init_ss = np.random.SeedSequence(config.seed).spawn(1 + fa.k)[0]
+    model = init_gcn_model(num_a, num_b, fa, config, seed=init_ss)
+    return forward_facet(model.facets[k], model.ops[k])
+
+
+def assert_facet_tables(result, k, u, h):
+    assert np.array_equal(result.tables.u[:, k], u)
+    assert np.array_equal(result.tables.h[:, k], h)
 
 
 def random_instance(seed, num_a=5, num_b=4, k=3):
@@ -297,11 +310,7 @@ def test_empty_facet_stays_at_initialization():
     g = graph.from_edges([(0, 0), (1, 1)], kind="bipartite", num_a=3, num_b=3)
     config = GcnConfig(dim=4, iterations=30, seed=5)
     result = train_gcn(g, fa, config)
-    fresh = init_gcn_model(3, 3, fa, config,
-                           seed=np.random.SeedSequence(5).spawn(3)[0])
-    trained = result.model.facets[1].params()
-    for name, p_arr in fresh.facets[1].params().items():
-        assert np.array_equal(trained[name], p_arr), name
+    assert_facet_tables(result, 1, *initial_tables(3, 3, fa, config, 1))
     assert result.loss_traces[1] == []
 
 
@@ -312,15 +321,11 @@ def test_facet_independence_checksums():
                           for i, j in zip(*np.nonzero(a))],
                          kind="bipartite", num_a=6, num_b=5)
     config = GcnConfig(dim=3, iterations=10, seed=6)
-    model = init_gcn_model(6, 5, fa, config,
-                           seed=np.random.SeedSequence(6).spawn(4)[0])
-    before = {k: {n: p_arr.copy() for n, p_arr in f.params().items()}
-              for k, f in enumerate(model.facets)}
     result = train_gcn(g, fa, config)
-    # facet 0 trained: must differ from init
-    changed = any(not np.array_equal(result.model.facets[0].params()[n],
-                                     before[0][n]) for n in before[0])
-    assert changed
+    # facet 0 trained: its tables must differ from those at init
+    u, h = initial_tables(6, 5, fa, config, 0)
+    assert not np.array_equal(result.tables.u[:, 0], u)
+    assert not np.array_equal(result.tables.h[:, 0], h)
     # no facet reads another's matrix, parameters or stream (the parallel
     # path trains them in separate processes): facet k trains the same
     # when every other facet matrix is empty
@@ -443,9 +448,6 @@ def assert_same_training(got, want):
     assert np.array_equal(got.tables.u, want.tables.u)
     assert np.array_equal(got.tables.h, want.tables.h)
     assert got.loss_traces == want.loss_traces
-    for facet, ref in zip(got.model.facets, want.model.facets):
-        for name, p_arr in ref.params().items():
-            assert np.array_equal(facet.params()[name], p_arr), name
 
 
 def planted_facets(k, seed=1):
@@ -485,11 +487,29 @@ def test_a_forked_empty_facet_stays_at_initialization(monkeypatch, left_clean):
     ser, par = on_both_paths(monkeypatch, left_clean, g, fa, config)
     assert_same_training(par, ser)
     # facet 1, which a child trained, kept its initial values
-    fresh = init_gcn_model(3, 3, fa, config,
-                           seed=np.random.SeedSequence(5).spawn(3)[0])
-    for name, p_arr in fresh.facets[1].params().items():
-        assert np.array_equal(par.model.facets[1].params()[name], p_arr), name
+    assert_facet_tables(par, 1, *initial_tables(3, 3, fa, config, 1))
     assert par.loss_traces[1] == [] and len(par.loss_traces[0]) == 30
+
+
+@pytest.mark.parametrize("path", [serial, forked], ids=["serial", "forked"])
+def test_each_facet_trains_from_its_own_seed_child(monkeypatch, left_clean, path):
+    # train_gcn against a loop that spawns the seed children itself: the
+    # parameters from child 0, facet k's negatives from child 1 + k
+    g, fa = planted_facets(3)
+    config = GcnConfig(dim=3, iterations=6, negatives=2, seed=8)
+    init_ss, *facet_ss = np.random.SeedSequence(8).spawn(1 + fa.k)
+    model = init_gcn_model(g.num_a, g.num_b, fa, config, seed=init_ss)
+    degree_table = GuideTable(g.degrees_b() ** 0.75)
+    path(monkeypatch)
+    result = train_gcn(g, fa, config)
+    left_clean()
+    assert result.processes == (1 if path is serial else 3)
+    for k in range(fa.k):
+        fit = polygcn._train_facet(k, model.facets[k], model.ops[k],
+                                   polygcn._cells(fa.mats[k], config.threshold),
+                                   facet_ss[k], degree_table, config)
+        assert_facet_tables(result, k, fit.u, fit.h)
+        assert result.loss_traces[k] == fit.trace
 
 
 def test_one_facet_trains_in_this_process(monkeypatch, left_clean):
