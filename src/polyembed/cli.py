@@ -30,7 +30,7 @@ import numpy.random  # noqa: F401
 
 from . import evaluation, facets, inference, polydeepwalk, polygcn, polypte, walks
 from . import graph as graphmod
-from .errors import PolyembedError, ValidationError, text_lines
+from .errors import PolyembedError, ValidationError, check_settings, text_lines
 from .tables import EmbeddingTables, load_matrix, save_matrix
 
 
@@ -237,7 +237,11 @@ def _load_test_edges(path, g) -> list[tuple[int, int]]:
     return out
 
 
-def _parse_ks(text) -> tuple[int, ...]:
+def _link_ks(params) -> tuple[int, ...]:
+    """The link report's HR@k cut-offs, parsed from `ks` once
+    `num_negatives` is checked: before anything is loaded or trained."""
+    check_settings(params, "num_negatives")
+    text = params["ks"]
     try:
         ks = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
     except ValueError:
@@ -324,6 +328,7 @@ def cmd_embed(args, params) -> None:
 
 
 def cmd_eval_link(args, params) -> None:
+    ks = _link_ks(params)
     kind = "homogeneous" if params["mode"] == "homogeneous" else "bipartite"
     g = graphmod.load_edge_list(args.graph, kind=kind)
     test_edges = _load_test_edges(args.test, g)
@@ -332,11 +337,10 @@ def cmd_eval_link(args, params) -> None:
     tables = EmbeddingTables(u=u, h=h[0] if h else np.zeros_like(u))
     report = evaluation.link_prediction_report(
         g, test_edges, tables, prior, params["mode"],
-        num_negatives=params["num_negatives"], ks=_parse_ks(params["ks"]),
-        seed=params["seed"])
+        num_negatives=params["num_negatives"], ks=ks, seed=params["seed"])
     evaluation.write_report(report, args.out)
     print(report.table())
-    write_manifest(args.out, args, params)
+    write_manifest(args.out, args, params, **report.run)
 
 
 def cmd_eval_class(args, params) -> None:
@@ -372,6 +376,12 @@ def cmd_pipeline(args, params) -> None:
         raise ValidationError("model 'deepwalk' needs --kind homogeneous")
     if args.labels and kind != "homogeneous":
         raise ValidationError("--labels needs --kind homogeneous")
+    # every setting is checked before anything is loaded or written
+    ks = _link_ks(params)
+    config = _config({"deepwalk": polydeepwalk.TrainConfig, "pte": polypte.PteConfig,
+                      "gcn": polygcn.GcnConfig}[model], params)
+    if model == "deepwalk":
+        walk_config = _config(walks.WalkConfig, params)
     prefix = args.workdir
     g = graphmod.load_edge_list(args.input, kind=kind)
     if args.labels:
@@ -387,16 +397,14 @@ def cmd_pipeline(args, params) -> None:
     _save(kind, f"{prefix}.prior", prior.dist, prior.dist_b)
 
     if model == "deepwalk":
-        corpus = walks.generate_walks(train_g, _config(walks.WalkConfig, params))
+        corpus = walks.generate_walks(train_g, walk_config)
         walks.save_corpus(corpus, f"{prefix}.walks")
-        result = polydeepwalk.train(train_g, prior, corpus,
-                                    _config(polydeepwalk.TrainConfig, params))
+        result = polydeepwalk.train(train_g, prior, corpus, config)
     elif model == "pte":
-        result = polypte.train_pte(train_g, prior,
-                                   _config(polypte.PteConfig, params))
+        result = polypte.train_pte(train_g, prior, config)
     else:
         fadj = polygcn.decompose_adjacency(train_g.adj, prior.p, prior.q)
-        result = polygcn.train_gcn(train_g, fadj, _config(polygcn.GcnConfig, params))
+        result = polygcn.train_gcn(train_g, fadj, config)
     tables = result.tables
     _save(kind, f"{prefix}.emb", tables.u, tables.h)
     record = _gcn_record(result) if model == "gcn" else {"engine": result.engine}
@@ -404,8 +412,7 @@ def cmd_pipeline(args, params) -> None:
 
     report = evaluation.link_prediction_report(
         train_g, test_edges, tables, prior, mode,
-        num_negatives=params["num_negatives"], ks=_parse_ks(params["ks"]),
-        seed=params["seed"])
+        num_negatives=params["num_negatives"], ks=ks, seed=params["seed"])
 
     if args.labels:
         joint = inference.concat(tables, prior, weighted=True)
@@ -418,7 +425,7 @@ def cmd_pipeline(args, params) -> None:
     evaluation.write_report(report, f"{prefix}.report")
     print(report.table())
     print(f"wrote {prefix}.report")
-    write_manifest(f"{prefix}.report", args, params, **record)
+    write_manifest(f"{prefix}.report", args, params, **record, **report.run)
 
 
 # ------------------------------------------------------------------- parser

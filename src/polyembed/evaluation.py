@@ -8,10 +8,12 @@ plus uniform non-neighbor negatives. Metrics: HR@k over the ranked
 candidates, exact tie-aware AUC over pooled scores, and micro/macro F1
 from a one-vs-rest logistic-regression stand-in classifier.
 
-Link evaluation is one pass over all queries. Per query, Python only
-draws the negatives, with `default_rng(child seed).choice`, where the
-child seeds are those of `SeedSequence(seed).spawn`, computed at once.
-The rows that hold all C negatives are scored in one
+Link evaluation is one pass over all queries. Query i's negatives are
+`default_rng(child seed i).choice` from its pool of non-neighbours, where
+the child seeds are those of `SeedSequence(seed).spawn`, computed at once.
+One kernel call draws every query's negatives, replaying numpy's stream
+without building a pool; numpy's own per-query loop is the reference and
+the fallback (`_candidates`). The rows that hold all C negatives are scored in one
 `inference.score_candidates` call over their (Q, C+1) candidate matrix,
 which that function works through in bounded blocks. A row whose pool was
 shorter is scored alone, over its own candidates: padded into the batch,
@@ -22,6 +24,7 @@ as the per-query loop's, byte for byte.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graph as graphmod
-from . import inference
+from . import inference, kernel
 from .errors import ProtocolError, ValidationError
 from .facets import FacetPrior
 from .graph import BipartiteGraph, Graph
@@ -43,6 +46,8 @@ class EvalReport:
     micro_f1: float | None = None
     macro_f1: float | None = None
     metadata: dict = field(default_factory=dict)
+    # what the run did, for the .manifest; `lines()` does not write it
+    run: dict = field(default_factory=dict)
 
     def _metrics(self) -> list[tuple[str, str, float]]:
         """(key, table name, value) of each metric present, in report order."""
@@ -197,8 +202,14 @@ def _candidates(g, queries, truths, num_negatives, seeds):
     int64 matrix with the true endpoint in column 0, and each row's count.
     Row i's C = num_negatives negatives are
     `default_rng(seeds[i]).choice(pool, C, replace=False)` from the query's
-    non-neighbours in g (the query itself and the truth excluded). A row
-    whose pool is shorter takes the whole pool and is padded with -1."""
+    non-neighbours in g (the query itself and the truth excluded), where
+    seeds[i] is a uint32. A row whose pool is shorter takes the whole pool
+    and is padded with -1.
+
+    The kernel's `draw_candidates` replays numpy's stream for that draw
+    and maps each drawn index to its id without building a pool. The loop
+    below, one `default_rng` per query, is the reference; it runs when
+    `_compiled_draw` gives no kernel function."""
     if num_negatives < 1:
         raise ValidationError("num_negatives must be positive")
     bipartite = isinstance(g, BipartiteGraph)
@@ -208,10 +219,20 @@ def _candidates(g, queries, truths, num_negatives, seeds):
     if outside.any():
         i = int(np.argmax(outside))
         raise ValidationError(f"test edge {queries[i]} {truths[i]} is outside the graph")
+    indptr, indices = g.adj.indptr, g.adj.indices
+    draw = _compiled_draw(pool_size)
+    if draw is not None:
+        cand = np.empty((len(queries), num_negatives + 1), dtype=np.int64)
+        sizes = np.empty(len(queries), dtype=np.int64)
+        if draw(len(queries), num_negatives, pool_size, bipartite, indptr, indices,
+                np.ascontiguousarray(queries, dtype=np.int64),
+                np.ascontiguousarray(truths, dtype=np.int64),
+                np.asarray(seeds, dtype=np.uint32), cand, sizes):
+            raise MemoryError("no memory for the candidate draw")
+        return cand, sizes
     cand = np.full((len(queries), num_negatives + 1), -1, dtype=np.int64)
     cand[:, 0] = truths
     sizes = np.full(len(queries), num_negatives + 1)
-    indptr, indices = g.adj.indptr, g.adj.indices
     free = np.ones(pool_size, dtype=bool)   # cleared per query, then restored
     rows = zip(queries.tolist(), truths.tolist(), seeds)
     for r, (query, truth, seed) in enumerate(rows):
@@ -227,6 +248,41 @@ def _candidates(g, queries, truths, num_negatives, seeds):
             cand[r, 1:] = np.random.default_rng(int(seed)).choice(
                 pool, size=num_negatives, replace=False)
     return cand, sizes
+
+
+def _compiled_draw(pool_size: int):
+    """The kernel's `draw_candidates`, or None: without a kernel, for a
+    pool of 2^32 ids or more (the kernel replays only numpy's 32-bit
+    bounded draws), or when the kernel does not draw as this numpy does."""
+    fn = kernel.function("draw_candidates")
+    return fn if fn is not None and pool_size < 2**32 and _draws_as_numpy() else None
+
+
+# (pool, C, seed) of the self-check: Floyd's algorithm at both ends of the
+# seed range, and numpy's tail shuffle (pool > 10,000 and C > pool // 50)
+_CHECKS = ((60, 60, 0), (8999, 60, 2**32 - 1), (10001, 201, 7))
+
+
+@functools.cache
+def _draws_as_numpy() -> bool:
+    """Whether the kernel draws `default_rng(seed).choice(pool, C,
+    replace=False)` as this numpy does, on each of _CHECKS; once per
+    process, as numpy's stream is not a stable API. When it does not, one
+    RuntimeWarning says that numpy draws the candidates."""
+    fn = kernel.function("draw_candidates")
+    indptr = np.zeros(2, dtype=np.int64)   # one query without neighbours
+    for pool, c, seed in _CHECKS:
+        cand, sizes = np.empty((1, c + 1), dtype=np.int64), np.empty(1, dtype=np.int64)
+        # bipartite, with item `pool` the truth: item k is free index k
+        fn(1, c, pool + 1, True, indptr, indptr[:0], indptr[:1],
+           np.array([pool]), np.array([seed], dtype=np.uint32), cand, sizes)
+        if not np.array_equal(cand[0, 1:], np.random.default_rng(seed).choice(
+                pool, c, replace=False)):
+            warnings.warn("the compiled candidate draw differs from this numpy's "
+                          "default_rng(seed).choice; numpy draws the candidates",
+                          RuntimeWarning, stacklevel=2)
+            return False
+    return True
 
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx)
@@ -307,13 +363,15 @@ def link_prediction_report(train_graph, test_edges, tables: EmbeddingTables,
     cand, scores = _scored_candidates(train_graph, test_edges, tables, prior, mode,
                                       num_negatives, seed)
     position = _truth_positions(cand, scores)
-    # a short row ends in padding
-    pooled = scores[cand >= 0] if (cand[:, -1] < 0).any() else scores.ravel()
+    short = int((cand[:, -1] < 0).sum())   # a short row ends in padding
+    pooled = scores[cand >= 0] if short else scores.ravel()
     return EvalReport(
         hr_at_k={int(k): int((position < k).sum()) / n for k in ks},
         auc=_midrank_auc(scores[:, 0], pooled),
         metadata={"num_queries": n, "num_negatives": num_negatives,
                   "seed": seed, "mode": mode},
+        run={"eval.candidates": "numpy" if _compiled_draw(nodes[1]) is None else "c",
+             "eval.pool_short": short},
     )
 
 

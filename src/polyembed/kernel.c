@@ -1,6 +1,7 @@
 /* The package's compiled kernels: the per-step loop of sgd.Engine.apply,
-   the two sparse products of kernel.Csr and kernel.coo_matmat, and the
-   text-matrix formatter of tables.write_rows.
+   the two sparse products of kernel.Csr and kernel.coo_matmat, the
+   text-matrix formatter of tables.write_rows, and the candidate draw of
+   evaluation._candidates.
 
    The step loop does the arithmetic of sgd.sgns_loss_and_grads and then the
    updates in the numpy engine's order: u[t], h[c], then each negative row
@@ -19,10 +20,19 @@
 
    The formatter writes the bytes of Python's "%d" and "%.17g" with integer
    arithmetic only; no libc printf is used. It formats +-0 and every value
-   with 1e-16 < |x| < 1e17, and copies the caller's text for the others. */
+   with 1e-16 < |x| < 1e17, and copies the caller's text for the others.
+
+   The candidate draw replays numpy's Generator.choice(n, c, replace=False)
+   from default_rng(seed): SeedSequence, PCG64 and Lemire's bounded
+   integers, then Floyd's algorithm or the tail shuffle, as numpy 2's
+   _generator.pyx and distributions.c do. It maps each drawn index to its
+   node id by a binary search over the query's excluded ids. numpy's
+   stream is not a stable API, so evaluation checks the draw against
+   numpy's own once per process. */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 static double clamp(double x, double bound)
@@ -281,4 +291,221 @@ int64_t format_rows(int64_t rows, int64_t n_index, const int64_t *index,
         *o++ = '\n';
     }
     return j == n_declined ? o - out : -1;
+}
+
+
+/* numpy's PCG64: a 128-bit LCG with the XSL-RR output, whose 64-bit
+   outputs next_uint32 hands out in halves, low half first */
+#define PCG_MULT (((unsigned __int128)2549297995355413924u << 64) \
+                  | 4865540595714422341u)
+
+typedef struct {
+    unsigned __int128 state, inc;
+    int has_half;
+    uint32_t half;
+} pcg64;
+
+static void pcg_step(pcg64 *g)
+{
+    g->state = g->state * PCG_MULT + g->inc;
+}
+
+static uint32_t next_uint32(pcg64 *g)
+{
+    if (g->has_half) {
+        g->has_half = 0;
+        return g->half;
+    }
+    pcg_step(g);
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    x = x >> rot | x << (-rot & 63);
+    g->has_half = 1;
+    g->half = (uint32_t)(x >> 32);
+    return (uint32_t)x;
+}
+
+/* numpy's random_bounded_uint64(0, rng) for rng < 2^32 - 1: 0 without a
+   draw when rng is 0, else Lemire's multiply-and-reject on next_uint32 */
+static uint64_t bounded(pcg64 *g, uint64_t rng)
+{
+    if (rng == 0)
+        return 0;
+    uint32_t excl = (uint32_t)rng + 1;
+    uint64_t m = (uint64_t)next_uint32(g) * excl;
+    if ((uint32_t)m < excl) {
+        uint32_t threshold = (UINT32_MAX - (uint32_t)rng) % excl;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)next_uint32(g) * excl;
+    }
+    return m >> 32;
+}
+
+/* SeedSequence's hash of one word and its mix of two (O'Neill's seed_seq_fe) */
+static uint32_t hashmix(uint32_t value, uint32_t *hash, uint32_t mult)
+{
+    value ^= *hash;
+    *hash *= mult;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xCA01F9DDu * x - 0x4973F715u * y;
+    return r ^ r >> 16;
+}
+
+/* default_rng(seed) for a uint32 seed: SeedSequence(seed) hashes the seed
+   and three zero words into its pool and mixes the pool words with one
+   another; generate_state(4, uint64) hashes the pool words in turn into
+   eight 32-bit words, paired low word first, which seed PCG64 as
+   pcg64_set_seed does */
+static void seed_pcg(pcg64 *g, uint32_t seed)
+{
+    uint32_t pool[4], hash = 0x43B0D7E5u, w[8];
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i ? 0 : seed, &hash, 0x931E8875u);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash, 0x931E8875u));
+    hash = 0x8B51F9DDu;
+    for (int i = 0; i < 8; i++)
+        w[i] = hashmix(pool[i % 4], &hash, 0x58F38DEDu);
+    unsigned __int128 words[4];
+    for (int i = 0; i < 4; i++)
+        words[i] = (uint64_t)w[2 * i] | (uint64_t)w[2 * i + 1] << 32;
+    g->state = 0;
+    g->inc = (words[2] << 64 | words[3]) << 1 | 1;
+    pcg_step(g);
+    g->state += words[0] << 64 | words[1];
+    pcg_step(g);
+    g->has_half = 0;
+}
+
+/* numpy's _shuffle_int: swaps data[i] with data[bounded(i)] for i from
+   n - 1 down to first */
+static void shuffle(pcg64 *g, int64_t n, int64_t first, int64_t *data)
+{
+    for (int64_t i = n - 1; i >= first; i--) {
+        int64_t j = (int64_t)bounded(g, (uint64_t)i), t = data[j];
+        data[j] = data[i];
+        data[i] = t;
+    }
+}
+
+/* numpy's gen_mask: the smallest 2^b - 1 >= x */
+static uint64_t gen_mask(uint64_t x)
+{
+    for (int s = 1; s < 64; s <<= 1)
+        x |= x >> s;
+    return x;
+}
+
+/* Generator.choice(pool, c, replace=False) for pool >= c into out: a tail
+   shuffle of 0 .. pool - 1 when pool > 10000 and c > pool / 50 (so pool <
+   50c, and `work` holds it), else Floyd's algorithm with numpy's hash set
+   of gen_mask(1.2c) + 1 slots in `work`, then a shuffle of the c drawn */
+static void choice(pcg64 *g, int64_t pool, int64_t c, int64_t *work, int64_t *out)
+{
+    if (pool > 10000 && c > pool / 50) {
+        for (int64_t i = 0; i < pool; i++)
+            work[i] = i;
+        shuffle(g, pool, pool - c > 1 ? pool - c : 1, work);
+        memcpy(out, work + pool - c, (size_t)c * sizeof *out);
+        return;
+    }
+    uint64_t mask = gen_mask((uint64_t)(1.2 * (double)c));
+    for (uint64_t i = 0; i <= mask; i++)
+        work[i] = -1;
+    for (int64_t j = pool - c; j < pool; j++) {
+        int64_t val = (int64_t)bounded(g, (uint64_t)j);
+        uint64_t loc = (uint64_t)val & mask;
+        while (work[loc] != -1 && work[loc] != val)
+            loc = (loc + 1) & mask;
+        if (work[loc] == -1) {
+            work[loc] = val;
+        } else {                   /* val was drawn before: take j */
+            for (loc = (uint64_t)j & mask; work[loc] != -1; loc = (loc + 1) & mask)
+                ;
+            work[loc] = val = j;
+        }
+        out[j - pool + c] = val;
+    }
+    shuffle(g, c, 1, out);
+}
+
+/* The k-th id (from 0) not among the m ascending ids ex: k plus the count
+   of ex[t] with ex[t] - t <= k, the free ids below ex[t] */
+static int64_t free_id(int64_t k, const int64_t *ex, int64_t m)
+{
+    int64_t lo = 0, hi = m;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (ex[mid] - mid <= k)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return k + lo;
+}
+
+/* The link-evaluation candidates of n_query test edges (queries[r],
+   truths[r]) over ids 0 .. pool_size - 1, with c negatives each, into the
+   (n_query, c + 1) matrix cand and the row sizes. A query's excluded ids
+   are its CSR row (ascending, no repeats), its truth and its own id `own`
+   (the truth when bipartite, else the query); the others are its pool.
+   Row r is the truth, then default_rng(seeds[r]).choice(pool, c,
+   replace=False) when the pool holds c ids, else the whole pool ascending
+   and -1 padding. Needs pool_size < 2^32; ids are checked by the caller.
+   Returns 0, or -1 when its scratch memory cannot be allocated. */
+int64_t draw_candidates(int64_t n_query, int64_t c, int64_t pool_size,
+                        int64_t bipartite, const int64_t *indptr,
+                        const int64_t *indices, const int64_t *queries,
+                        const int64_t *truths, const uint32_t *seeds,
+                        int64_t *cand, int64_t *sizes)
+{
+    int64_t max_degree = 0;
+    for (int64_t r = 0; r < n_query; r++) {
+        int64_t d = indptr[queries[r] + 1] - indptr[queries[r]];
+        max_degree = d > max_degree ? d : max_degree;
+    }
+    int64_t slots = (int64_t)gen_mask((uint64_t)(1.2 * (double)c)) + 1;
+    int64_t tail = pool_size > 10000 ? (pool_size < 50 * c ? pool_size : 50 * c) : 0;
+    int64_t *ex = malloc((size_t)(max_degree + 2 + (slots > tail ? slots : tail))
+                         * sizeof *ex);
+    if (ex == NULL)
+        return -1;
+    int64_t *work = ex + max_degree + 2;
+    pcg64 g;
+    for (int64_t r = 0; r < n_query; r++) {
+        int64_t q = queries[r], truth = truths[r], own = bipartite ? truth : q;
+        int64_t extra[2] = {own < truth ? own : truth, own < truth ? truth : own};
+        int64_t n_extra = own == truth ? 1 : 2, e = 0, m = 0;
+        for (int64_t p = indptr[q]; p < indptr[q + 1]; p++) {
+            while (e < n_extra && extra[e] < indices[p])
+                ex[m++] = extra[e++];
+            if (e < n_extra && extra[e] == indices[p])
+                e++;
+            ex[m++] = indices[p];
+        }
+        while (e < n_extra)
+            ex[m++] = extra[e++];
+        int64_t n_free = pool_size - m, *row = cand + r * (c + 1);
+        row[0] = truth;
+        if (n_free < c) {
+            for (int64_t k = 0; k < c; k++)
+                row[k + 1] = k < n_free ? free_id(k, ex, m) : -1;
+            sizes[r] = n_free + 1;
+            continue;
+        }
+        seed_pcg(&g, seeds[r]);
+        choice(&g, n_free, c, work, row + 1);
+        for (int64_t k = 1; k <= c; k++)
+            row[k] = free_id(row[k], ex, m);
+        sizes[r] = c + 1;
+    }
+    free(ex);
+    return 0;
 }

@@ -577,6 +577,10 @@ def test_negative_seed_is_an_error(artifacts, capsys, tmp_path, argv, where):
                  "max_iters must be positive", id="max_iters"),
     pytest.param(["facets", "--input", "g.edges", "--out", "o"], "tol=nan\n",
                  "tol must be nonnegative", id="tol"),
+    pytest.param(EVAL_W + ["--num-negatives", "0"], None,
+                 "num_negatives must be positive", id="eval-link-num_negatives"),
+    pytest.param(EVAL_W + ["--ks", "10,x"], None, "bad --ks value '10,x'",
+                 id="eval-link-ks"),
 ])
 def test_a_setting_out_of_bounds_is_an_error(artifacts, capsys, tmp_path, argv,
                                              config, message):
@@ -604,6 +608,67 @@ def test_a_rejected_nmf_setting_leaves_no_pipeline_artifacts(
                     "--workdir", str(tmp_path / "w")]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert [p.name for p in tmp_path.iterdir()] == [sbm_file.name]
+
+
+@pytest.mark.parametrize("model, flag, value, message", [
+    pytest.param("deepwalk", "--learning-rate", "nan", "learning_rate must be positive",
+                 id="deepwalk-learning-rate"),
+    pytest.param("pte", "--learning-rate", "nan", "learning_rate must be positive",
+                 id="pte-learning-rate"),
+    pytest.param("gcn", "--learning-rate", "nan", "learning_rate must be positive",
+                 id="gcn-learning-rate"),
+    pytest.param("deepwalk", "--walks-per-node", "0", "walks_per_node must be positive",
+                 id="deepwalk-walks-per-node"),
+    pytest.param("deepwalk", "--num-negatives", "0", "num_negatives must be positive",
+                 id="deepwalk-num-negatives"),
+    pytest.param("pte", "--num-negatives", "0", "num_negatives must be positive",
+                 id="pte-num-negatives"),
+    pytest.param("deepwalk", "--ks", "0", "bad --ks value '0'",
+                 id="deepwalk-ks"),
+    pytest.param("gcn", "--ks", "x", "bad --ks value 'x'",
+                 id="gcn-ks"),
+])
+def test_a_rejected_setting_leaves_no_pipeline_artifacts(tmp_path, capsys, model,
+                                                         flag, value, message):
+    # the split, the prior and the walks were written before the trainer's
+    # settings were checked, and the tables before the report's
+    (tmp_path / "g.edges").write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
+    kind = "homogeneous" if model == "deepwalk" else "bipartite"
+    capsys.readouterr()
+    assert cli.run(["pipeline", "--input", str(tmp_path / "g.edges"), "--kind", kind,
+                    "--model", model, "--k", "2", flag, value,
+                    "--workdir", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["g.edges"]
+
+
+def test_manifest_records_the_candidate_draw(tmp_path, bipartite_file, monkeypatch):
+    pipeline = ["pipeline", "--input", str(bipartite_file), "--kind", "bipartite",
+                "--model", "pte", "--k", "2", "--dim", "3", "--total-samples", "300",
+                "--num-negatives", "3", "--ks", "3"]
+    evaluate = ["eval-link", "--mode", "cross", "--num-negatives", "19"]
+
+    def run(path):
+        run_ok(pipeline + ["--workdir", str(tmp_path / path)])
+        with pytest.warns(UserWarning, match="non-neighbors"):
+            run_ok(evaluate + [f"--{name}={tmp_path / path}.{suffix}" for name, suffix in (
+                ("graph", "train.edges"), ("test", "test.edges"), ("emb", "emb"),
+                ("prior", "prior"))] + ["--out", str(tmp_path / f"{path}.eval")])
+
+    run("c")
+    with monkeypatch.context() as patched:
+        patched.setattr(kernel, "function", lambda name: None)
+        run("numpy")
+    # 20 items: every user's pool holds 3 items, and none holds 19
+    compiled = "numpy" if kernel.function("draw_candidates") is None else "c"
+    users = len((tmp_path / "c.test.edges").read_text().splitlines())
+    for path, draw in (("c", compiled), ("numpy", "numpy")):
+        for out, short in ((f"{path}.report", 0), (f"{path}.eval", users)):
+            manifest = (tmp_path / f"{out}.manifest").read_text().splitlines()
+            assert {f"eval.candidates={draw}", f"eval.pool_short={short}"} <= set(manifest)
+            assert "eval." not in (tmp_path / out).read_text()
+    for out in ("report", "eval"):
+        assert (tmp_path / f"c.{out}").read_bytes() == (tmp_path / f"numpy.{out}").read_bytes()
 
 
 FIVE_NODES = "0 1\n1 2\n2 3\n3 4\n"

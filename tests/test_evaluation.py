@@ -1,14 +1,15 @@
+import shutil
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from conftest import (auc_brute_force, reference_classify, reference_link_report,
-                      reference_split_links, to_dense)
-from hypothesis import given, settings
+from conftest import (auc_brute_force, reference_candidates, reference_classify,
+                      reference_link_report, reference_split_links, to_dense)
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from polyembed import evaluation, facets, graph, inference
+from polyembed import evaluation, facets, graph, inference, kernel
 from polyembed.errors import ProtocolError, ValidationError
 from polyembed.evaluation import (EvalReport, auc, classify, hit_ratio,
                                   split_links)
@@ -146,6 +147,18 @@ def test_auc_rejects_empty():
 
 # ------------------------------------------------------- candidate protocol
 
+def on_both_paths(monkeypatch, run):
+    """run() with numpy's per-query loop and, where there is a C compiler,
+    with the compiled draw, which must give the same; the loop's result."""
+    with monkeypatch.context() as patched:
+        patched.setattr(kernel, "function", lambda name: None)
+        reference = run()
+    if shutil.which("cc") is not None:
+        assert evaluation._compiled_draw(1) is not None
+        assert run() == reference
+    return reference
+
+
 def candidates_of(test_edge, g, num_negatives, seed):
     """One test edge's candidates as `evaluation._candidates` draws them:
     the true endpoint, then the negatives."""
@@ -162,30 +175,149 @@ def test_candidate_count_small_graph():
     assert cands[0] == 1
 
 
-def test_candidates_never_include_training_neighbors():
+def test_candidates_never_include_training_neighbors(monkeypatch):
     rng = np.random.default_rng(2)
     rows = [(int(i), int(j)) for i, j in rng.integers(0, 20, (40, 2)) if i != j]
     g = graph.from_edges(rows, num_nodes=20)
     nbrs = set(g.adj.indices[g.adj.indptr[0]:g.adj.indptr[1]].tolist())
-    cands = candidates_of((0, list(nbrs)[0]), g, num_negatives=5, seed=1)
+    cands = on_both_paths(monkeypatch, lambda: candidates_of(
+        (0, list(nbrs)[0]), g, num_negatives=5, seed=1))
     assert not (set(cands[1:]) & nbrs)
     assert 0 not in cands[1:]
 
 
-def test_candidates_deterministic():
+def test_candidates_deterministic(monkeypatch):
     g = graph.from_edges([(0, i) for i in range(1, 4)], num_nodes=12)
-    c1 = candidates_of((0, 1), g, num_negatives=5, seed=9)
-    c2 = candidates_of((0, 1), g, num_negatives=5, seed=9)
+    c1 = on_both_paths(monkeypatch, lambda: candidates_of((0, 1), g, 5, 9))
+    c2 = on_both_paths(monkeypatch, lambda: candidates_of((0, 1), g, 5, 9))
     assert c1 == c2
 
 
-def test_candidates_warn_when_pool_short():
+def test_candidates_warn_when_pool_short(monkeypatch):
     g = graph.from_edges([(0, 1), (1, 2)])
     tables = EmbeddingTables(u=np.ones((3, 1, 2)), h=np.zeros((3, 1, 2)))
-    with pytest.warns(UserWarning, match="non-neighbors"):
-        evaluation.link_prediction_report(g, [(0, 1)], tables,
-                                          facets.FacetPrior.uniform(3),
-                                          "homogeneous", num_negatives=50)
+
+    def run():
+        with pytest.warns(UserWarning, match="non-neighbors"):
+            report = evaluation.link_prediction_report(
+                g, [(0, 1)], tables, facets.FacetPrior.uniform(3),
+                "homogeneous", num_negatives=50)
+        return report.lines(), report.run["eval.pool_short"]
+
+    assert on_both_paths(monkeypatch, run)[1] == 1
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), kind=st.sampled_from(["homogeneous", "bipartite"]),
+       regime=st.sampled_from(["floyd", "floyd-large", "tail", "exact", "short"]),
+       truth_is_neighbour=st.booleans(),
+       seed=st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)))
+def test_compiled_draw_is_numpy_choice(compiled_kernel, data, kind, regime,
+                                       truth_is_neighbour, seed):
+    # numpy's choice takes the tail shuffle when the pool exceeds 10,000 and
+    # C > pool // 50, else Floyd's algorithm
+    large = regime in ("floyd-large", "tail")
+    n = data.draw(st.integers(10_063, 12_000) if large else st.integers(4, 9000))
+    # at most degree + 2 ids are excluded, so the pool is never empty
+    degree = data.draw(st.integers(1 if truth_is_neighbour else 0, min(n - 3, 60)))
+    neighbours = np.random.default_rng(seed).choice(np.arange(1, n), degree,
+                                                    replace=False)
+    if kind == "homogeneous":
+        g = graph.from_edges([(0, int(v)) for v in neighbours] or [(1, 2)],
+                             num_nodes=n)
+    else:
+        g = graph.from_edges([(0, int(v)) for v in neighbours] or [(1, 0)],
+                             kind="bipartite", num_a=2, num_b=n)
+    truth = (int(neighbours[0]) if truth_is_neighbour
+             else data.draw(st.integers(1, n - 1).filter(lambda v: v not in neighbours)))
+    free = np.ones(n, dtype=bool)   # the ids query 0 may draw
+    free[neighbours] = free[truth] = False
+    free[0] &= kind == "bipartite"
+    pool = np.flatnonzero(free)
+    cut = len(pool) // 50   # the largest C of Floyd's algorithm on a large pool
+    c = data.draw({"floyd": st.integers(1, len(pool)),
+                   "floyd-large": st.just(cut) | st.integers(1, cut),
+                   "tail": st.just(cut + 1) | st.integers(cut + 1, len(pool)),
+                   "exact": st.just(len(pool)),
+                   "short": st.integers(len(pool) + 1, len(pool) + 30)}[regime])
+    assert evaluation._compiled_draw(n) is not None
+    cand, sizes = evaluation._candidates(g, np.array([0]), np.array([truth]), c,
+                                         np.array([seed], dtype=np.uint32))
+    if regime == "short":
+        want = pool
+    else:
+        want = pool[np.random.default_rng(seed).choice(len(pool), c, replace=False)]
+    assert sizes.tolist() == [len(want) + 1]
+    assert cand[0, 0] == truth
+    assert np.array_equal(cand[0, 1:len(want) + 1], want)
+    assert (cand[0, len(want) + 1:] == -1).all()
+
+
+def bench_shaped_graph(kind, seed):
+    """A planted-block graph of the benchmark's shape, split as its
+    pipeline splits it: 400 nodes in 4 blocks, or 600 users and 60 items
+    in 3 blocks with timestamps."""
+    rng = np.random.default_rng(seed)
+    if kind == "homogeneous":
+        block = np.arange(400) * 4 // 400
+        p = np.where(block[:, None] == block, 0.12, 0.008)
+        i, j = np.nonzero(np.triu(rng.random((400, 400)) < p, 1))
+        g = graph.from_edges(np.column_stack([i, j]), num_nodes=400)
+        return split_links(g, "one-per-node", seed=seed)
+    block_a, block_b = np.arange(600) * 3 // 600, np.arange(60) * 3 // 60
+    p = np.where(block_a[:, None] == block_b, 0.3, 0.03)
+    a, b = np.nonzero(rng.random((600, 60)) < p)
+    g = graph.from_edges(np.column_stack([a, b]), kind="bipartite", num_a=600,
+                         num_b=60, timestamps=rng.permutation(len(a)))
+    return split_links(g, "latest-per-user", seed=seed)
+
+
+@pytest.mark.parametrize("kind", ["homogeneous", "bipartite"])
+@pytest.mark.parametrize("num_negatives", [20, 50])
+def test_compiled_candidates_equal_the_reference_per_query(compiled_kernel, kind,
+                                                           num_negatives):
+    train, test_edges = bench_shaped_graph(kind, 7)
+    seeds = evaluation._child_seeds(7, len(test_edges))
+    edges = np.array(test_edges)
+    cand, sizes = evaluation._candidates(train, edges[:, 0], edges[:, 1],
+                                         num_negatives, seeds)
+    assert evaluation._compiled_draw(1) is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for r, (edge, seed) in enumerate(zip(test_edges, seeds.tolist())):
+            assert cand[r, :sizes[r]].tolist() == reference_candidates(
+                edge, train, num_negatives, seed)
+            assert (cand[r, sizes[r]:] == -1).all()
+
+
+@pytest.fixture
+def fresh_self_check():
+    """`_draws_as_numpy` runs anew in the test and after it."""
+    evaluation._draws_as_numpy.cache_clear()
+    yield
+    evaluation._draws_as_numpy.cache_clear()
+
+
+def test_a_failed_self_check_falls_back_to_the_loop(compiled_kernel, monkeypatch,
+                                                    fresh_self_check):
+    # a numpy whose default_rng draws otherwise than the kernel replays
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: np.random.Generator(np.random.MT19937(seed)))
+    g = graph.from_edges([(0, i) for i in range(1, 4)] + [(5, 6)], num_nodes=40)
+    queries, truths, seeds = np.array([0, 5, 7]), np.array([1, 6, 8]), [3, 4, 5]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = [evaluation._candidates(g, queries, truths, 10, seeds)
+               for _ in range(2)]
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "numpy draws the candidates" in str(caught[0].message)
+    with monkeypatch.context() as patched:
+        patched.setattr(kernel, "function", lambda name: None)
+        want = evaluation._candidates(g, queries, truths, 10, seeds)
+    for cand, sizes in got:
+        assert np.array_equal(cand, want[0]) and np.array_equal(sizes, want[1])
+    assert evaluation._compiled_draw(1) is None
 
 
 # ------------------------------------------------------------ classification
@@ -382,7 +514,7 @@ def test_child_seeds_equal_seed_sequence_spawn(seed):
         assert np.array_equal(got, np.array(expected, dtype=np.uint32))
 
 
-def test_one_warning_counts_the_pool_short_queries():
+def test_one_warning_counts_the_pool_short_queries(monkeypatch):
     # nodes 1-3 neighbour nodes 4-20, so 21 of 40 nodes are left to them
     g = graph.from_edges([(v, j) for v in (1, 2, 3) for j in range(4, 21)],
                          num_nodes=40)
@@ -390,20 +522,26 @@ def test_one_warning_counts_the_pool_short_queries():
     tables = EmbeddingTables(u=rng.normal(0, 1, (40, 2, 3)), h=np.zeros((40, 2, 3)))
     prior = facets.FacetPrior.from_factor(rng.random((40, 2)) + 0.1)
     test_edges = [(1, 0), (2, 0), (3, 0)] + [(v, 0) for v in range(10, 17)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = evaluation.link_prediction_report(
-            g, test_edges, tables, prior, "homogeneous", num_negatives=27,
-            ks=(1, 5, 20), seed=3)
-    assert len(caught) == 1 and caught[0].category is UserWarning
-    assert "3 of 10 queries" in str(caught[0].message)
-    assert "27" in str(caught[0].message)
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = evaluation.link_prediction_report(
+                g, test_edges, tables, prior, "homogeneous", num_negatives=27,
+                ks=(1, 5, 20), seed=3)
+        assert len(caught) == 1 and caught[0].category is UserWarning
+        return (str(caught[0].message), report.hr_at_k, report.auc,
+                report.run["eval.pool_short"])
+
+    message, hr_at_k, auc_got, pool_short = on_both_paths(monkeypatch, run)
+    assert "3 of 10 queries" in message and "27" in message
+    assert pool_short == 3
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         hr, auc_ref, cands, _ = reference_link_report(
             g, test_edges, tables, prior, "homogeneous", 27, (1, 5, 20), 3)
     assert sum(len(c) < 28 for c in cands) == 3
-    assert report.hr_at_k == hr and report.auc == auc_ref
+    assert hr_at_k == hr and auc_got == auc_ref
 
 
 @pytest.mark.parametrize("mode", ["homogeneous", "cross"])
