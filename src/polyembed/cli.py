@@ -281,7 +281,7 @@ def cmd_train_deepwalk(args, params) -> None:
         save_matrix(args.export_context, result.tables.h)
     losses = ", ".join(f"{x:.4f}" for x in result.epoch_losses)
     print(f"wrote {args.out} (epoch losses: {losses})")
-    write_manifest(args.out, args, params, engine=result.engine)
+    write_manifest(args.out, args, params, **_sgd_record(result))
 
 
 def cmd_train_pte(args, params) -> None:
@@ -294,7 +294,7 @@ def cmd_train_pte(args, params) -> None:
     _save("bipartite", args.out, result.tables.u, result.tables.h)
     print(f"wrote {args.out}.a / {args.out}.b "
           f"(final loss {result.loss_trace[-1]:.4f})")
-    write_manifest(args.out, args, params, engine=result.engine)
+    write_manifest(args.out, args, params, **_sgd_record(result))
 
 
 def cmd_train_gcn(args, params) -> None:
@@ -307,6 +307,13 @@ def cmd_train_gcn(args, params) -> None:
         polygcn.save_facet_adjacency(args.export_fadj, fadj)
     print(f"wrote {args.out}.a / {args.out}.b")
     write_manifest(args.out, args, params, **_gcn_record(result))
+
+
+def _sgd_record(result) -> dict:
+    """The manifest lines of a PolyDeepWalk or PolyPTE run: the engine and
+    how often each facet was activated."""
+    return {"engine": result.engine,
+            "train.facet_counts": ",".join(map(str, result.facet_counts))}
 
 
 def _gcn_record(result) -> dict:
@@ -407,7 +414,7 @@ def cmd_pipeline(args, params) -> None:
         result = polygcn.train_gcn(train_g, fadj, config)
     tables = result.tables
     _save(kind, f"{prefix}.emb", tables.u, tables.h)
-    record = _gcn_record(result) if model == "gcn" else {"engine": result.engine}
+    record = (_gcn_record if model == "gcn" else _sgd_record)(result)
     mode = {"deepwalk": "homogeneous", "pte": "cross", "gcn": "cross-diagonal"}[model]
 
     report = evaluation.link_prediction_report(

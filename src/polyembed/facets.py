@@ -77,8 +77,8 @@ def _validate_nonnegative(a, name):
 
 
 def _sparse_input(a) -> Csr:
-    """A dense matrix, a Csr or anything with `.tocsr()` as canonical
-    float64 CSR (`kernel.csr`), values checked."""
+    """A dense matrix or a Csr as canonical float64 CSR (`kernel.csr`),
+    values checked."""
     a = csr(a)
     _validate_nonnegative(a.data, "A")
     return a

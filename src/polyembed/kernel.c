@@ -1,7 +1,7 @@
 /* The package's compiled kernels: the per-step loop of sgd.Engine.apply,
-   the two sparse products of kernel.Csr and kernel.coo_matmat, the
-   text-matrix formatter of tables.write_rows, and the candidate draw of
-   evaluation._candidates.
+   the step decode of sgd.decode, the two sparse products of kernel.Csr and
+   kernel.coo_matmat, the text-matrix formatter of tables.write_rows, and
+   the candidate draw of evaluation._candidates.
 
    The step loop does the arithmetic of sgd.sgns_loss_and_grads and then the
    updates in the numpy engine's order: u[t], h[c], then each negative row
@@ -12,6 +12,14 @@
    Returns the number of steps run: `steps`, or the index of the first step
    whose loss is not finite, which is left unapplied. `work` holds 2*dim +
    negatives doubles. Rows are checked against the tables by the caller.
+
+   The decode (decode_steps) turns a chunk of observations and its uniforms
+   into the step rows that the numpy sgd.decode gives, bit for bit: each
+   float operation of observation_distribution, conditional_distribution,
+   the cumsum, facets_from_cdf and GuideTable.decode is done on the same
+   operands in numpy's order, numpy's pairwise row sum included. It runs
+   when sgd_steps runs; the numpy decode is the reference and the
+   fallback, and takes the chunks that decode_steps declines.
 
    The products add a * x[j, :] into y[i, :] entry by entry in stored order,
    one multiply and one add per element, as scipy.sparse's csr_matvecs and
@@ -89,6 +97,183 @@ int64_t sgd_steps(double *u, double *h, int64_t dim,
         }
     }
     return steps;
+}
+
+/* numpy's pairwise_sum of k < 128 doubles, as ndarray.sum(axis=-1) adds a
+   row: in order below 8 terms, else eight running sums, combined pairwise,
+   then the remainder in order */
+static double row_sum(const double *a, int64_t k)
+{
+    double s = 0.0;
+    int64_t i = 0;
+    if (k >= 8) {
+        double r[8];
+        memcpy(r, a, sizeof r);
+        for (i = 8; i < k - k % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < k; i++)
+        s += a[i];
+    return s;
+}
+
+/* The cumulative sum of conditional_distribution(p_v, p_o, mode): p_o, or
+   with the min rule min(p_v, p_o) over its sum when that is positive, else
+   p_v. The minimum keeps a NaN, as np.minimum does. */
+static void conditional_cdf(const double *p_v, const double *p_o, int64_t k,
+                            int64_t min_rule, double *cdf)
+{
+    const double *p = p_o;
+    if (min_rule) {
+        for (int64_t j = 0; j < k; j++)
+            cdf[j] = p_v[j] < p_o[j] || isnan(p_v[j]) ? p_v[j] : p_o[j];
+        double s = row_sum(cdf, k);
+        if (s > 0.0) {
+            for (int64_t j = 0; j < k; j++)
+                cdf[j] /= s;
+            p = cdf;
+        } else {
+            p = p_v;
+        }
+    }
+    cdf[0] = p[0];
+    for (int64_t j = 1; j < k; j++)
+        cdf[j] = cdf[j - 1] + p[j];
+}
+
+/* facets_from_cdf: the count of the first k - 1 CDF entries, `stride`
+   apart, at or below u times the last */
+static int64_t facet(const double *cdf, int64_t stride, int64_t k, double u)
+{
+    double x = u * cdf[(k - 1) * stride];
+    int64_t f = 0;
+    for (int64_t j = 0; j < k - 1; j++)
+        f += cdf[j * stride] <= x;
+    return f;
+}
+
+/* GuideTable.decode of one uniform: the guide entry of bucket (u * m)
+   truncated, one linear step, then the count of cdf entries at or below
+   u * total by binary search, clamped to `last`; -1 outside [0, 1] */
+static int64_t guide_decode(double u, const int64_t *guide, int64_t m,
+                            const double *cdf, int64_t n_cdf, double total,
+                            int64_t last)
+{
+    if (!(u >= 0.0 && u <= 1.0))
+        return -1;
+    double x = u * total;
+    int64_t i = guide[(int64_t)(u * (double)m)];
+    i += cdf[i] <= x;
+    if (cdf[i] <= x) {
+        int64_t lo = i + 1, hi = n_cdf;
+        while (lo < hi) {
+            int64_t mid = lo + (hi - lo) / 2;
+            if (cdf[mid] <= x)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        i = lo;
+    }
+    return i < last ? i : last;
+}
+
+/* The steps of sgd.decode for n observations numbered from `first`:
+   targets (n,) and contexts (n, c), -1 (or any negative id) where there is
+   none, each taking facet_rate rounds of uniforms laid out as
+   sgd.uniforms_per_round says. With k > 1 an observation's distribution is
+   its target's row of dist plus its contexts' rows of dist_context, added
+   column by column from zero, over the count plus one; each node's facet
+   is drawn from conditional_cdf of its row and that. A negative is a node
+   by guide_decode on (guide, m, cdf, total, last) and, with k > 1, a facet
+   from the node's column of facet_cdf (k, n_nodes). Writes `steps` rows
+   of out_target, out_context, out_negatives (steps, r) and out_unit, and
+   returns `steps`; returns -1, to leave the chunk to numpy, when k > 127
+   (numpy's row sum changes form), a node id lies outside its prior, the
+   uniforms are too few, a negative's uniform lies outside [0, 1], or the
+   contexts do not make `steps` steps. `work` holds (c + 2) * k doubles. */
+int64_t decode_steps(int64_t n, int64_t c, int64_t k, int64_t r,
+                     int64_t facet_rate, int64_t min_rule, int64_t first,
+                     const double *uniforms, int64_t n_uniforms,
+                     const int64_t *target, const int64_t *context,
+                     const double *dist, int64_t n_target,
+                     const double *dist_context, int64_t n_context,
+                     const int64_t *guide, int64_t m, const double *cdf,
+                     int64_t n_cdf, double total, int64_t last,
+                     const double *facet_cdf, int64_t n_nodes, double *work,
+                     int64_t steps, int64_t *out_target, int64_t *out_context,
+                     int64_t *out_negatives, int64_t *out_unit)
+{
+    if (k > 127 || !(total < INFINITY))
+        return -1;
+    int64_t needed = 0, count = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (target[i] < 0 || target[i] >= n_target)
+            return -1;
+        int64_t width = 0;
+        for (int64_t j = 0; j < c; j++) {
+            if (context[i * c + j] >= n_context)
+                return -1;
+            width += context[i * c + j] >= 0;
+        }
+        needed += facet_rate * (k == 1 ? width * r : 1 + width + 2 * r * width);
+        count += facet_rate * width;
+    }
+    if (needed > n_uniforms || count != steps)
+        return -1;
+    double *p_o = work, *t_cdf = work + k, *c_cdf = work + 2 * k;
+    const double *u = uniforms;
+    int64_t s = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t *ctx = context + i * c;
+        int64_t t = target[i], width = 0;
+        for (int64_t j = 0; j < c; j++)
+            width += ctx[j] >= 0;
+        if (k > 1) {
+            for (int64_t f = 0; f < k; f++)
+                p_o[f] = 0.0;
+            for (int64_t j = 0; j < c; j++)
+                if (ctx[j] >= 0)
+                    for (int64_t f = 0; f < k; f++)
+                        p_o[f] += dist_context[ctx[j] * k + f];
+            for (int64_t f = 0; f < k; f++)
+                p_o[f] = (dist[t * k + f] + p_o[f]) / (double)(width + 1);
+            conditional_cdf(dist + t * k, p_o, k, min_rule, t_cdf);
+            for (int64_t j = 0, p = 0; j < c; j++)
+                if (ctx[j] >= 0)
+                    conditional_cdf(dist_context + ctx[j] * k, p_o, k, min_rule,
+                                    c_cdf + p++ * k);
+        }
+        int64_t per_round = k == 1 ? width * r : 1 + width + 2 * r * width;
+        for (int64_t round = 0; round < facet_rate; round++, u += per_round) {
+            for (int64_t j = 0, p = 0; j < c; j++) {
+                if (ctx[j] < 0)
+                    continue;
+                int64_t *neg = out_negatives + s * r;
+                /* k = 1: R node uniforms per context; else the target's
+                   facet, the contexts' facets, then R nodes and R facets
+                   per context */
+                const double *u_neg = k == 1 ? u + p * r : u + 1 + width + 2 * r * p;
+                for (int64_t e = 0; e < r; e++) {
+                    int64_t node = guide_decode(u_neg[e], guide, m, cdf, n_cdf,
+                                                total, last);
+                    if (node < 0)
+                        return -1;
+                    neg[e] = k == 1 ? node
+                        : node * k + facet(facet_cdf + node, n_nodes, k, u_neg[r + e]);
+                }
+                out_target[s] = k == 1 ? t : t * k + facet(t_cdf, 1, k, u[0]);
+                out_context[s] = k == 1 ? ctx[j]
+                    : ctx[j] * k + facet(c_cdf + p * k, 1, k, u[1 + p]);
+                out_unit[s] = first + i;
+                s++;
+                p++;
+            }
+        }
+    }
+    return s;
 }
 
 

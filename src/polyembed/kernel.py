@@ -1,7 +1,8 @@
 """The compiled kernels, and the sparse matrix type whose products they run.
 
-`kernel.c` holds the SGD engine's step loop (`sgd_steps`), two sparse
-products (`csr_matmat`, `coo_matmat`), the text-matrix formatter
+`kernel.c` holds the SGD engine's step decode (`decode_steps`, the steps
+of the numpy `sgd.decode` bit for bit) and step loop (`sgd_steps`), two
+sparse products (`csr_matmat`, `coo_matmat`), the text-matrix formatter
 (`format_rows`, exact `%.17g` in integer arithmetic) and the
 link-evaluation candidate draw (`draw_candidates`, numpy's
 `default_rng(seed).choice` replayed bit for bit). It is built with
@@ -10,8 +11,9 @@ the system C compiler on first use and cached as
 XDG_CACHE_HOME is unset). `function(name)` returns one of its functions,
 or None, with one warning per process, when it cannot be built or loaded.
 The numpy or Python code that each caller runs then is the reference
-(Python's `'%.17g' % v` for the formatter, numpy's own `choice` for the
-draw), and tests hold the two equal.
+(the numpy decode and update loop for the SGD engine, which also run
+under a per-step hook; Python's `'%.17g' % v` for the formatter; numpy's
+own `choice` for the draw), and tests hold the two equal.
 
 Libraries of other sources stay in the cache: checkouts share it, and
 removing one's library would make its next run compile again, or unlink
@@ -111,10 +113,16 @@ def _signatures() -> dict:
     rows, values = _array(np.int64, 1), _array(np.float64, 1)
     table = _array(np.float64, 2, writeable=True)
     out = _array(np.float64, 1, writeable=True)
+    steps = _array(np.int64, 1, writeable=True)
     product = [i64, i64, rows, rows, values, _array(np.float64, 2), table]
     return {"sgd_steps": (i64, [table, table, i64, rows, rows,
                                 _array(np.int64, 2), i64, i64, values, out,
                                 out, f64]),
+            "decode_steps": (i64, [i64] * 7 + [
+                values, i64, rows, _array(np.int64, 2), _array(np.float64, 2), i64,
+                _array(np.float64, 2), i64, rows, i64, values, i64, f64, i64,
+                _array(np.float64, 2), i64, out, i64, steps, steps,
+                _array(np.int64, 2, writeable=True), steps]),
             "csr_matmat": (None, product),
             "coo_matmat": (None, product),
             "format_rows": (i64, [i64, i64, _array(np.int64, 2), i64,
@@ -212,9 +220,8 @@ class Csr(NamedTuple):
 
 
 def csr(a) -> Csr:
-    """`a` as a float64 Csr: a Csr as it is, once checked to be canonical;
-    anything with `.tocsr()` (a scipy.sparse matrix) with repeated cells
-    summed; or the nonzero cells of a dense matrix in row order."""
+    """`a` as a float64 Csr: a Csr as it is, once checked to be canonical,
+    or the nonzero cells of a dense matrix in row order."""
     if isinstance(a, Csr):
         indptr, indices, data = (np.ascontiguousarray(x, dtype=t) for x, t in
                                  zip(a[:3], (np.int64, np.int64, np.float64)))
@@ -230,14 +237,12 @@ def csr(a) -> Csr:
             raise ValidationError("malformed CSR matrix: a row's columns do "
                                   "not strictly ascend")
         return a
-    if hasattr(a, "tocsr"):
-        m = a.tocsr().astype(np.float64)
-        m.sum_duplicates()
-        return Csr(m.indptr.astype(np.int64), m.indices.astype(np.int64),
-                   m.data, m.shape)
-    a = np.asarray(a, dtype=np.float64)
+    try:
+        a = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError):
+        a = np.empty(0)     # not numbers, or a scipy.sparse matrix
     if a.ndim != 2:
-        raise ValidationError("A must be a matrix")
+        raise ValidationError("A must be a dense matrix or a Csr")
     rows, cols = np.nonzero(a)
     return Csr.from_rows(rows, cols, a[rows, cols], a.shape)
 

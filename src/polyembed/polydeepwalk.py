@@ -47,6 +47,7 @@ class TrainResult(NamedTuple):
     tables: EmbeddingTables
     epoch_losses: list[float]
     engine: str              # "c" or "numpy", as sgd.Engine.kind
+    facet_counts: list[int]  # activations per facet, as sgd.Engine
 
 
 def _observations(corpus, num_nodes: int, window: int):
@@ -72,17 +73,18 @@ def _observations(corpus, num_nodes: int, window: int):
     return flat, np.flatnonzero((framed >= 0) & (present.sum(axis=1) >= 2)[:, None])
 
 
-def _decode_chunk(flat, at, offsets, first, dist, sampler, rng, facet_rate,
+def _decode_chunk(flat, at, offsets, first, dist, sampler, engine, facet_rate,
                   negatives):
     """Draw the uniforms of the observations centred at `at` (numbered
-    from `first`) in one call and decode their steps."""
+    from `first`) from the engine's stream in one call and decode their
+    steps for it."""
     ctx = flat[at[:, None] + offsets].astype(np.int64)
     per_round = sgd.uniforms_per_round((ctx >= 0).sum(axis=1), dist.shape[1],
                                        negatives)
-    return sgd.decode(rng.random(int(facet_rate * per_round.sum())),
+    return sgd.decode(engine.rng.random(int(facet_rate * per_round.sum())),
                       flat[at].astype(np.int64),
                       ctx, dist, dist, facet_rate, "min", first, sampler,
-                      negatives)
+                      negatives, engine.kind)
 
 
 def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
@@ -118,10 +120,11 @@ def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
         for first in range(0, len(centers), sgd.CHUNK):
             engine.apply(_decode_chunk(
                 flat, centers[first:first + sgd.CHUNK], offsets, first,
-                prior.dist, sampler, engine.rng, config.facet_rate,
+                prior.dist, sampler, engine, config.facet_rate,
                 config.negatives), f"epoch {epoch}, observation")
         engine.tables.check_finite(f"after epoch {epoch}")
-    return TrainResult(engine.tables, engine.loss_trace(), engine.kind)
+    return TrainResult(engine.tables, engine.loss_trace(), engine.kind,
+                       engine.facet_counts.tolist())
 
 
 def exact_objective_small(obs: Observation, prior: FacetPrior,

@@ -50,22 +50,24 @@ class PteResult(NamedTuple):
     tables: EmbeddingTables
     loss_trace: list[float]
     engine: str              # "c" or "numpy", as sgd.Engine.kind
+    facet_counts: list[int]  # activations per facet, as sgd.Engine
 
 
-def _decode_chunk(bipartite, prior, sampler, rng, config, facet_rate, start,
+def _decode_chunk(bipartite, prior, sampler, engine, config, facet_rate, start,
                   count, edge_table):
-    """Draw and decode edge samples start .. start + count - 1.
+    """Draw edge samples start .. start + count - 1 from the engine's
+    stream and decode them for it.
 
     Each sample's edge uniform comes ahead of its block of uniforms, all in
     one `rng.random` call; `edge_table` decodes it into the edge.
     """
     width = facet_rate * sgd.uniforms_per_round(1, prior.k, config.negatives)
-    drawn = rng.random((count, width + 1))
+    drawn = engine.rng.random((count, width + 1))
     edge, uniforms = edge_table.decode(drawn[:, 0]), drawn[:, 1:]
     a, b = bipartite.edges[edge, 0], bipartite.edges[edge, 1]
     return sgd.decode(uniforms.ravel(), a, b[:, None], prior.dist, prior.dist_b,
                       facet_rate, config.facet_mode, start, sampler,
-                      config.negatives)
+                      config.negatives, engine.kind)
 
 
 def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
@@ -97,11 +99,12 @@ def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
                         config.seed, config.learning_rate, steps_total,
                         max(1, steps_total // TRACE_POINTS), hook)
     for start in range(0, total, sgd.CHUNK):
-        engine.apply(_decode_chunk(bipartite, prior, sampler, engine.rng, config,
+        engine.apply(_decode_chunk(bipartite, prior, sampler, engine, config,
                                    facet_rate, start, min(sgd.CHUNK, total - start),
                                    edge_table), "edge sample")
     engine.tables.check_finite("after training")
-    return PteResult(engine.tables, engine.loss_trace(), engine.kind)
+    return PteResult(engine.tables, engine.loss_trace(), engine.kind,
+                     engine.facet_counts.tolist())
 
 
 def pte_lower_bound_small(edge, prior: FacetPrior, tables: EmbeddingTables,

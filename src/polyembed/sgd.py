@@ -11,12 +11,17 @@ negatives). No draw depends on the tables and the stream is consumed in
 per-step order, so results do not depend on CHUNK. `Engine.apply` then
 runs the SGD steps on (rows, D) views of the tables.
 
-The steps run in the compiled kernel's `sgd_steps` (see `kernel`). It
-does the arithmetic of `sgns_loss_and_grads` in another summation order,
-so its tables agree with the numpy loop within 1e-12 of the largest
-entry (about 1e-14 measured), not bit for bit. The numpy loop is the
-reference: it runs when a `hook` is given, which needs per-step tables,
-and when the kernel cannot be built or loaded.
+Both halves run in the compiled kernel (see `kernel`) when `Engine.kind`
+is "c". The decode runs in `decode_steps`, which follows numpy's float
+operations in numpy's order, so its steps equal the numpy decode's bit
+for bit; it declines, and the numpy decode runs, at K >= 128, where
+numpy's row sum changes form, and on ids outside the priors. The steps
+run in `sgd_steps`, which does the arithmetic of `sgns_loss_and_grads` in
+another summation order, so its tables agree with the numpy loop within
+1e-12 of the largest entry (about 1e-14 measured), not bit for bit. The
+numpy decode and loop are the reference: they run when a `hook` is
+given, which needs per-step tables, and when the kernel cannot be built
+or loaded.
 
 A facet round of an observation with C contexts draws one uniform for the
 target facet, C for the context facets, then per context R for the
@@ -79,9 +84,9 @@ class GuideTable:
         if not (weights >= 0).all() or not weights.any():
             raise ValidationError("weights must be nonnegative, not all zero")
         # u * total reaches total only when total is subnormal
-        self.last = np.flatnonzero(weights)[-1]
+        self.last = int(np.flatnonzero(weights)[-1])
         cdf = np.cumsum(weights)
-        self.total = cdf[-1]
+        self.total = float(cdf[-1])
         # bucket j of M holds the uniforms in [j/M, (j+1)/M), whose index is
         # at least guide[j]; M is a power of two, 2 to 4 buckets per index,
         # so j/M and u*M are exact
@@ -119,7 +124,7 @@ class NegativeSampler:
             raise ValidationError("counts and prior disagree on node count")
         self.nodes = GuideTable(np.asarray(counts, dtype=np.float64) ** 0.75)
         # each node's facet CDF, summed once, as K columns (facets_from_cdf)
-        self.facet_cdf = np.cumsum(facet_dist, axis=1).T.copy()
+        self.facet_cdf = np.cumsum(facet_dist, axis=1, dtype=np.float64).T.copy()
         self.k = facet_dist.shape[1]
 
     def decode(self, u_nodes, u_facets=None):
@@ -160,15 +165,24 @@ def observation_distribution(target, context, dist, dist_context):
 
 
 def decode(uniforms, target, context, dist, dist_context, facet_rate: int,
-           mode: str, first: int, sampler: NegativeSampler,
-           negatives: int) -> Steps:
+           mode: str, first: int, sampler: NegativeSampler, negatives: int,
+           kind: str = "numpy") -> Steps:
     """Decode the steps of observations numbered from `first`: targets
     (n,) and contexts (n, C), -1 where there is none, of nodes whose facet
     priors are the rows of `dist` and `dist_context`. Each observation
     takes `facet_rate` facet rounds of `uniforms_per_round` uniforms, laid
     out observation by observation in `uniforms`; a round runs one step per
     context, in column order. Facets come from
-    `conditional_distribution(prior, observation distribution, mode)`."""
+    `conditional_distribution(prior, observation distribution, mode)`.
+
+    With `kind` "c" (`Engine.kind`) the kernel's `decode_steps` decodes the
+    chunk, unless it declines; the numpy code below is the reference and
+    gives the same arrays."""
+    if kind == "c":
+        steps = _decode_compiled(uniforms, target, context, dist, dist_context,
+                                 facet_rate, mode, first, sampler, negatives)
+        if steps is not None:
+            return steps
     valid = context >= 0
     width = valid.sum(axis=1)
     k = sampler.k
@@ -196,6 +210,35 @@ def decode(uniforms, target, context, dist, dist_context, facet_rate: int,
     nodes, facets = sampler.decode(uniforms[draws], uniforms[draws + negatives])
     return Steps(t_node * k + t_facet, c_node * k + c_facet,
                  nodes * k + facets, first + owner)
+
+
+def _decode_compiled(uniforms, target, context, dist, dist_context,
+                     facet_rate, mode, first, sampler, negatives) -> Steps | None:
+    """`decode` in the kernel, or None where `decode_steps` declines or a
+    mode or shape is not one it takes."""
+    fn = kernel.function("decode_steps")
+    target = np.ascontiguousarray(target, dtype=np.int64)
+    context = np.ascontiguousarray(context, dtype=np.int64)
+    dist = np.ascontiguousarray(dist, dtype=np.float64)
+    dist_context = np.ascontiguousarray(dist_context, dtype=np.float64)
+    k, table = sampler.k, sampler.nodes
+    if (fn is None or mode not in ("min", "observation") or target.ndim != 1
+            or context.ndim != 2 or len(context) != len(target)
+            or dist.ndim != 2 or dist_context.ndim != 2
+            or dist.shape[1] != k or dist_context.shape[1] != k):
+        return None
+    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64).ravel()
+    count = facet_rate * int(np.count_nonzero(context >= 0))
+    steps = Steps(np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64),
+                  np.empty((count, negatives), dtype=np.int64),
+                  np.empty(count, dtype=np.int64))
+    done = fn(len(target), context.shape[1], k, negatives, facet_rate,
+              mode == "min", first, uniforms, len(uniforms), target, context,
+              dist, len(dist), dist_context, len(dist_context), table.guide,
+              table.m, table.cdf, len(table.cdf), table.total, table.last,
+              sampler.facet_cdf, sampler.facet_cdf.shape[1],
+              np.empty((context.shape[1] + 2) * k), count, *steps)
+    return steps if done == count else None
 
 
 def _logsumexp(x) -> float:
@@ -245,7 +288,8 @@ class Engine:
     Steps are numbered across `apply` calls for the learning rate, which
     decays linearly over `total_steps` to a floor of LR_FLOOR_RATIO times
     its start, for `hook(step, tables)`, and for the loss trace: the mean
-    loss of each run of `bucket` consecutive steps.
+    loss of each run of `bucket` consecutive steps. `facet_counts` counts
+    the facets of the target and context rows of the steps applied.
     """
 
     def __init__(self, num_target, num_context, k, dim, seed,
@@ -261,12 +305,13 @@ class Engine:
         self.decay = (1.0 - LR_FLOOR_RATIO) / total_steps
         self.total, self.bucket, self.hook = total_steps, bucket, hook
         self.loss_sums = np.zeros(-(-total_steps // bucket))
+        self.facet_counts = np.zeros(k, dtype=np.int64)
         self.step = 0
 
     @property
     def kind(self) -> str:
-        """The engine that runs the steps: "c" (the compiled kernel) or
-        "numpy" (the reference loop)."""
+        """The engine that decodes and runs the steps: "c" (the compiled
+        kernel) or "numpy" (the reference decode and loop)."""
         return ("numpy" if self.hook is not None
                 or kernel.function("sgd_steps") is None else "c")
 
@@ -284,6 +329,9 @@ class Engine:
         if done < count:
             raise NumericsError(f"training diverged at {label} {steps.unit[done]}")
         self.step = start + count
+        k = len(self.facet_counts)
+        self.facet_counts += (np.bincount(steps.target % k, minlength=k)
+                              + np.bincount(steps.context % k, minlength=k))
         # in step order, so each bucket sums exactly as a running total does
         np.add.at(self.loss_sums, (index // self.bucket).astype(np.int64), losses)
 

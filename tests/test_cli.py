@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from polyembed import cli, facets, graph, kernel, polydeepwalk, polygcn, polypte, walks
-from polyembed.tables import load_matrix
+from polyembed.tables import load_matrix, save_matrix
 
 
 @pytest.fixture
@@ -669,6 +669,54 @@ def test_manifest_records_the_candidate_draw(tmp_path, bipartite_file, monkeypat
             assert "eval." not in (tmp_path / out).read_text()
     for out in ("report", "eval"):
         assert (tmp_path / f"c.{out}").read_bytes() == (tmp_path / f"numpy.{out}").read_bytes()
+
+
+def test_manifest_records_the_facet_counts(tmp_path, sbm_file, bipartite_file,
+                                          monkeypatch):
+    """train.facet_counts of the table trainers: the same on both decode
+    paths, two activations a step, none of a facet every prior rules out,
+    and never in the report."""
+    dist = np.random.default_rng(0).random((24, 3))
+    dist[:, 2] = 0.0
+    save_matrix(tmp_path / "g.prior", dist)
+    run_ok(["walks", "--input", str(sbm_file), "--walks-per-node", "2",
+            "--walk-length", "4", "--out", str(tmp_path / "g.walks")])
+    run_ok(["facets", "--input", str(bipartite_file), "--kind", "bipartite",
+            "--k", "2", "--out", str(tmp_path / "b.prior")])
+    small = ["--dim", "3", "--total-samples", "200", "--facet-rate", "3"]
+    runs = {
+        "dw": ["train-deepwalk", "--input", str(sbm_file), "--prior",
+               str(tmp_path / "g.prior"), "--corpus", str(tmp_path / "g.walks"),
+               "--dim", "3", "--epochs", "1", "--out"],
+        "pte": ["train-pte", "--input", str(bipartite_file), "--prior",
+                str(tmp_path / "b.prior"), *small, "--out"],
+        "pipeline-dw": ["pipeline", "--input", str(sbm_file), "--k", "2",
+                        "--dim", "3", "--walks-per-node", "2", "--epochs", "1",
+                        "--num-negatives", "5", "--ks", "3", "--workdir"],
+        "pipeline-pte": ["pipeline", "--input", str(bipartite_file), "--kind",
+                         "bipartite", "--model", "pte", "--k", "2", *small,
+                         "--num-negatives", "5", "--ks", "3", "--workdir"]}
+
+    def counts(path):
+        out = {}
+        for run, argv in runs.items():
+            prefix = tmp_path / f"{path}-{run}"
+            run_ok(argv + [str(prefix)])
+            manifest = Path(f"{prefix}{'.report' * run.startswith('pipeline')}.manifest")
+            line, = [x for x in manifest.read_text().splitlines()
+                     if x.startswith("train.facet_counts=")]
+            out[run] = [int(c) for c in line.split("=")[1].split(",")]
+        assert "facet_counts" not in (tmp_path / f"{path}-pipeline-pte.report").read_text()
+        return out
+
+    compiled = counts("c")
+    with monkeypatch.context() as patched:
+        patched.setattr(kernel, "function", lambda name: None)
+        assert counts("numpy") == compiled
+    assert len(compiled["dw"]) == 3 and compiled["dw"][2] == 0
+    assert min(compiled["dw"][:2]) > 0
+    assert sum(compiled["pte"]) == sum(compiled["pipeline-pte"]) == 2 * 200 * 3
+    assert all(len(c) == 2 and min(c) > 0 for run, c in compiled.items() if run != "dw")
 
 
 FIVE_NODES = "0 1\n1 2\n2 3\n3 4\n"

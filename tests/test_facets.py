@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 from conftest import make_two_cliques, sample_facet
-from scipy import sparse
 
-from polyembed import facets, graph
+from polyembed import facets, graph, kernel
 from polyembed.errors import ValidationError
 from polyembed.tables import save_matrix
 
@@ -97,13 +96,13 @@ def test_nmf_trace_objective_equals_explicit_residual(seed):
     rng = np.random.default_rng(seed + 900)
     b = rng.random((9, 9)) * (rng.random((9, 9)) < 0.4)
     sym_a = b + b.T
-    sym = facets.symmetric_nmf(sparse.csr_array(sym_a), 3, alpha=0.05,
+    sym = facets.symmetric_nmf(kernel.csr(sym_a), 3, alpha=0.05,
                                max_iters=7, tol=0.0, seed=seed)
     p, = sym.factors
     explicit = ((sym_a - p @ p.T) ** 2).sum() + 0.05 * (p * p).sum()
     assert abs(sym.objective - explicit) <= 1e-10 * explicit
     asym_a = rng.random((8, 5)) * (rng.random((8, 5)) < 0.5)
-    asym = facets.asymmetric_nmf(sparse.csr_array(asym_a), 2, alpha=0.05,
+    asym = facets.asymmetric_nmf(kernel.csr(asym_a), 2, alpha=0.05,
                                  max_iters=7, tol=0.0, seed=seed)
     p, q = asym.factors
     explicit = (((asym_a - p @ q.T) ** 2).sum()

@@ -59,15 +59,18 @@ def random_matrix(rng, rows, cols, density=0.4):
 
 
 def repeated_cells(rng, a):
-    """`a` as a scipy COO matrix whose cells are split over one to three
-    stored entries, in random order."""
+    """`a` as a Csr whose cells were split over one to three entries, in
+    random order, and summed again by scipy.sparse: values an ulp or two
+    off a's."""
     rows, cols = np.nonzero(a)
     copies = rng.integers(1, 4, len(rows))
     order = rng.permutation(copies.sum())
     values = np.repeat(a[rows, cols] / copies, copies)
-    return sparse.coo_array((values[order], (np.repeat(rows, copies)[order],
-                                             np.repeat(cols, copies)[order])),
-                            shape=a.shape)
+    m = sparse.coo_array((values[order], (np.repeat(rows, copies)[order],
+                                          np.repeat(cols, copies)[order])),
+                         shape=a.shape).tocsr()
+    m.sum_duplicates()
+    return kernel.csr(kernel.Csr(m.indptr, m.indices, m.data, m.shape))
 
 
 def with_signed_zeros(rng, x):
@@ -136,6 +139,12 @@ def test_malformed_csr_input_is_rejected(broken):
         polygcn.decompose_adjacency(bad, np.ones((3, 1)), np.ones((3, 1)))
     with pytest.raises(ValidationError, match="malformed"):
         polygcn._facet_ops(bad, GcnConfig())
+
+
+def test_a_scipy_matrix_is_not_an_input():
+    for a in (sparse.csr_array(np.eye(3)), np.ones(3)):
+        with pytest.raises(ValidationError, match="dense matrix or a Csr"):
+            facets.symmetric_nmf(a, 2)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -7,7 +7,7 @@ from conftest import (finite_difference, make_two_cliques, reference_sgns_train,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyembed import facets, graph, polydeepwalk as pdw, sgd, walks
+from polyembed import facets, graph, kernel, polydeepwalk as pdw, sgd, walks
 from polyembed.errors import CapacityError, NumericsError, ValidationError
 from polyembed.tables import init_tables
 from polyembed.walks import Observation, WalkConfig, sliding_windows
@@ -293,20 +293,41 @@ def test_facet_respect_zero_prior_rows_untouched(clique_setup):
 
 
 def test_facet_respect_instrumented_sampler(clique_setup, monkeypatch):
-    g, prior, corpus = clique_setup
-    drawn = []
-    original = facets.sample_facets
-
-    def spy(dist, u):
-        k = original(dist, u)
-        drawn.append(np.take_along_axis(dist, k[..., None], axis=-1))
-        return k
-
-    monkeypatch.setattr(sgd, "sample_facets", spy)
+    """On both decode paths every activated (node, facet) of a step has a
+    positive min-rule conditional for its observation, so a facet the prior
+    rules out is never activated."""
+    g, _, corpus = clique_setup
+    p = np.random.default_rng(3).random((g.num_nodes, 2)) + 0.1
+    p[:3, 1] = 0.0      # three nodes whose prior rules facet 1 out
+    p[5, 0] = 0.0
+    prior = facets.FacetPrior.from_factor(p)
     config = pdw.TrainConfig(dim=4, epochs=1, window=3, seed=2)
-    pdw.train(g, prior, corpus, config)
-    assert drawn
-    assert all((chosen > 0).all() for chosen in drawn)
+    for path in ("compiled", "numpy"):
+        calls, decode = [], sgd.decode
+
+        def spy(*args):
+            steps = decode(*args)
+            calls.append((args, steps))
+            return steps
+
+        with monkeypatch.context() as patched:
+            patched.setattr(sgd, "decode", spy)
+            if path == "numpy":
+                patched.setattr(kernel, "function", lambda name: None)
+            kind = pdw.train(g, prior, corpus, config).engine
+        assert kind == ("numpy" if path == "numpy" or kernel.function("sgd_steps")
+                        is None else "c")
+        assert calls and {args[-1] for args, _ in calls} == {kind}
+        for (_, target, context, dist, dist_context, _, mode, first, *_), steps \
+                in calls:
+            p_o = sgd.observation_distribution(target, context, dist, dist_context)
+            owner = steps.unit - first
+            assert np.array_equal(steps.target // prior.k, target[owner])
+            for rows, d in ((steps.target, dist), (steps.context, dist_context)):
+                node, facet = np.divmod(rows, prior.k)
+                cond = facets.conditional_distribution(d[node], p_o[owner], mode)
+                assert (cond[np.arange(len(rows)), facet] > 0).all()
+                assert (d[node, facet] > 0).all()
 
 
 def test_nan_in_tables_aborts_with_diagnostic(clique_setup):

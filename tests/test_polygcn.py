@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from conftest import (dense_decompose, finite_difference, make_planted_bipartite,
                       reference_gcn_loss_and_grads, rel_error, to_dense)
-from scipy import sparse
 
 from polyembed import evaluation, facets, graph, kernel, polygcn
 from polyembed.errors import NumericsError, ValidationError
@@ -79,7 +78,7 @@ def test_decompose_matches_dense_formula(seed):
     a, p, q = random_instance(seed, num_a=7, num_b=6, k=3)
     p[0] = 0.0          # row 0's cells have a zero factor product: uniform split
     q[1, :2] = 0.0      # column 1's cells keep only facet 2
-    fa = decompose_adjacency(sparse.csr_array(a), p, q)
+    fa = decompose_adjacency(kernel.csr(a), p, q)
     for mat, ref in zip(fa.mats, dense_decompose(a, p, q)):
         assert np.abs(to_dense(mat) - ref).max() <= 1e-14
         assert (mat.data > 0).all()

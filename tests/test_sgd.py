@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from conftest import (bucket_means, make_planted_bipartite, make_two_cliques,
                       reference_polydeepwalk, reference_polypte)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyembed import facets, graph, kernel, polydeepwalk as pdw, polypte, sgd, walks
 from polyembed.errors import NumericsError
@@ -158,7 +160,7 @@ def test_sgns_loss_matches_textbook_formula():
 KERNEL_RTOL = 1e-12
 
 
-def deepwalk_run(k):
+def deepwalk_run(k, hook=None):
     g = make_two_cliques(clique=4)
     p = np.random.default_rng(1).random((g.num_nodes, k))
     p[0, :k - 1] = 0.0
@@ -166,13 +168,15 @@ def deepwalk_run(k):
         g, walks.WalkConfig(walks_per_node=5, walk_length=7, seed=1))
     config = pdw.TrainConfig(dim=5, negatives=3, facet_rate=2, epochs=2,
                              window=3, seed=4)
-    return lambda: pdw.train(g, facets.FacetPrior.from_factor(p), corpus, config)
+    return lambda: pdw.train(g, facets.FacetPrior.from_factor(p), corpus, config,
+                             hook)
 
 
-def pte_run(g, k):
+def pte_run(g, k, mode="min", weighted=False, hook=None):
     config = polypte.PteConfig(dim=4, negatives=3, total_samples=301, seed=2,
-                               facet_mode="min")
-    return lambda: polypte.train_pte(g, bipartite_prior(g, k, seed=k), config)
+                               facet_mode=mode, weighted_edges=weighted)
+    return lambda: polypte.train_pte(g, bipartite_prior(g, k, seed=k), config,
+                                     hook)
 
 
 def assert_close(got, want):
@@ -195,6 +199,7 @@ def test_kernel_matches_numpy_engine(model, k, compiled_kernel, weighted_biparti
     assert np.array_equal(compiled.tables.u, again.tables.u)
     assert np.array_equal(compiled.tables.h, again.tables.h)
     assert compiled[1] == again[1]
+    assert compiled.facet_counts == reference.facet_counts
 
 
 def poisoned_engine():
@@ -227,3 +232,189 @@ def test_kernel_rejects_rows_outside_the_tables(field, compiled_kernel):
     bad.flat[-1] = len(engine.u) if field == "target" else -1
     with pytest.raises(IndexError):
         engine.apply(steps._replace(**{field: bad}), "edge sample")
+
+
+# ------------------------------------------------------- the compiled decode
+
+def decode_both(*args):
+    """The kernel's Steps of a chunk, or None where it declines, and the
+    numpy decode's."""
+    return sgd._decode_compiled(*args), sgd.decode(*args)
+
+
+def assert_same_steps(got, want):
+    for name, a, b in zip(sgd.Steps._fields, got, want):
+        assert a.shape == b.shape and np.array_equal(a, b), name
+
+
+def random_chunk(rng, k, n, c, n_target, n_context, negatives, facet_rate,
+                 padded=True):
+    """Targets, contexts (-1 where a context is missing, at any column),
+    priors with zeros, all-zero rows and subnormal rows, negative counts
+    with zeros, and the chunk's uniforms, two too many."""
+    def prior(rows):
+        p = rng.random((rows, k)) * (rng.random((rows, k)) < 0.6)
+        p[rng.random(rows) < 0.15] = 0.0
+        tiny = rng.random(rows) < 0.1
+        p[tiny, 0] = 5e-324
+        p[tiny, 1:] = 0.0
+        return p / np.where(p.sum(axis=1) > 1e-300, p.sum(axis=1), 1.0)[:, None]
+
+    dist, dist_context = prior(n_target), prior(n_context)
+    counts = rng.integers(0, 4, n_context)
+    counts[rng.integers(n_context)] = 2
+    target = rng.integers(0, n_target, n)
+    context = rng.integers(-1 if padded else 0, n_context, (n, c))
+    width = (context >= 0).sum(axis=1)
+    total = facet_rate * int(sgd.uniforms_per_round(width, k, negatives).sum())
+    return (rng.random(total + 2), target, context, dist, dist_context,
+            sgd.NegativeSampler(counts, dist_context))
+
+
+def on_boundaries(rng, uniforms, target, context, dist, dist_context,
+                  facet_rate, mode, sampler, negatives):
+    """`uniforms` with 5% set to 0, 1 - 2^-53 or 1, and then each facet
+    uniform of a target or context moved onto a boundary of its numpy
+    conditional CDF: the least u with u * cdf[-1] >= cdf[j], for a random
+    j < K - 1, so that a CDF entry one ulp off changes the facet. The
+    layout is the one `uniforms_per_round` documents, walked one
+    observation at a time."""
+    u = uniforms.copy()
+    edge = rng.random(len(u)) < 0.05
+    u[edge] = rng.choice([0.0, 1 - 2**-53, 1.0], edge.sum())
+    k = sampler.k
+    if k == 1:
+        return u
+    p_o = sgd.observation_distribution(target, context, dist, dist_context)
+    at = 0
+    for i, row in enumerate(context):
+        own = np.vstack([dist[target[i]], dist_context[row[row >= 0]]])
+        cdfs = np.cumsum(facets.conditional_distribution(
+            own, np.broadcast_to(p_o[i], own.shape), mode), axis=-1)
+        for _ in range(facet_rate):
+            for position, cdf in enumerate(cdfs):
+                x, last = cdf[rng.integers(k - 1)], cdf[-1]
+                if last > 0 and x <= last:
+                    # x / last is within a few ulps of the boundary, unless
+                    # last is subnormal, where the search gives up
+                    v = min(x / last, 1.0)
+                    for _ in range(8):
+                        if v > 0 and np.nextafter(v, 0) * last >= x:
+                            v = np.nextafter(v, 0)
+                        elif v * last < x:
+                            v = np.nextafter(v, 1)
+                    u[at + position] = v
+            at += sgd.uniforms_per_round(len(own) - 1, k, negatives)
+    return u
+
+
+@settings(max_examples=250, deadline=None)
+@given(k=st.sampled_from([1, 2, 7, 8, 9, 130]),
+       mode=st.sampled_from(["min", "observation"]),
+       n=st.integers(0, 12), c=st.integers(1, 6), negatives=st.integers(0, 30),
+       facet_rate=st.integers(1, 9), strided=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_compiled_decode_is_the_numpy_decode(k, mode, n, c, negatives, facet_rate,
+                                             strided, seed):
+    """Every array equal to numpy's, with facet uniforms on the CDF
+    boundaries; K >= 128 declines, and `decode` then runs numpy's."""
+    if kernel.function("decode_steps") is None:
+        pytest.skip("no compiled kernel")
+    rng = np.random.default_rng(seed)
+    uniforms, target, context, dist, dist_context, sampler = random_chunk(
+        rng, k, n, c, int(rng.integers(1, 20)), int(rng.integers(1, 20)),
+        negatives, facet_rate)
+    uniforms = on_boundaries(rng, uniforms, target, context, dist, dist_context,
+                             facet_rate, mode, sampler, negatives)
+    if strided:     # every other column of a wider array, and a strided prior
+        wide = np.full((n, 2 * c), -1)
+        wide[:, ::2] = context
+        context = wide[:, ::2]
+        dist = np.asfortranarray(dist)
+    args = (uniforms, target, context, dist, dist_context, facet_rate, mode,
+            int(rng.integers(0, 1000)), sampler, negatives)
+    got, want = decode_both(*args)
+    assert (got is None) == (k >= 128)
+    assert_same_steps(sgd.decode(*args, "c"), want)
+    if got is not None:
+        assert_same_steps(got, want)
+
+
+@pytest.mark.parametrize("shape", ["walk-sbm", "edge-bipartite-observation",
+                                   "edge-bipartite-min"])
+def test_compiled_decode_on_bench_shaped_chunks(shape, compiled_kernel):
+    """Chunks of CHUNK observations as the benchmark's trainers decode
+    them: a window of 2 with its pads (K = 4, R = 5, 2 rounds), and one
+    item per edge (K = 3, R = 5, 9 rounds) in both facet modes."""
+    rng = np.random.default_rng(len(shape))
+    for first in range(0, 10 * sgd.CHUNK, sgd.CHUNK):
+        if shape == "walk-sbm":
+            chunk = random_chunk(rng, 4, sgd.CHUNK, 4, 400, 400, 5, 2)
+            args = (*chunk[:5], 2, "min", first, chunk[5], 5)
+        else:
+            chunk = random_chunk(rng, 3, sgd.CHUNK, 1, 600, 60, 5, 9, padded=False)
+            args = (*chunk[:5], 9, shape.rsplit("-", 1)[1], first, chunk[5], 5)
+        got, want = decode_both(*args)
+        assert got is not None
+        assert_same_steps(got, want)
+
+
+def spied_decodes(monkeypatch):
+    """Records each `sgd.decode` call's arguments and result, and each
+    result of the kernel's decode."""
+    calls, compiled = [], []
+    decode, decode_compiled = sgd.decode, sgd._decode_compiled
+
+    def spy(*args):
+        steps = decode(*args)
+        calls.append((args, steps))
+        return steps
+
+    def spy_compiled(*args):
+        compiled.append(decode_compiled(*args))
+        return compiled[-1]
+
+    monkeypatch.setattr(sgd, "decode", spy)
+    monkeypatch.setattr(sgd, "_decode_compiled", spy_compiled)
+    return calls, compiled
+
+
+WHOLE_RUNS = [("deepwalk", 4, "min", False), ("deepwalk", 1, "min", False),
+              *[("pte", 3, mode, weighted) for mode in ("observation", "min")
+                for weighted in (False, True)],
+              ("pte", 1, "observation", True)]
+
+
+def whole_run(g, model, k, mode, weighted, hook=None):
+    if model == "deepwalk":
+        return deepwalk_run(k, hook)
+    return pte_run(g, k, mode, weighted, hook)
+
+
+@pytest.mark.parametrize("model,k,mode,weighted", WHOLE_RUNS)
+def test_every_chunk_of_a_run_decodes_as_numpy(model, k, mode, weighted,
+                                               compiled_kernel, weighted_bipartite,
+                                               monkeypatch):
+    """The kernel decodes every chunk of a run, each as numpy does, and the
+    run's facet counts are those of the decoded rows."""
+    numpy_decode = sgd.decode
+    calls, compiled = spied_decodes(monkeypatch)
+    result = whole_run(weighted_bipartite, model, k, mode, weighted)()
+    assert calls and len(compiled) == len(calls)
+    assert all(steps is not None for steps in compiled)
+    counts = np.zeros(k, dtype=np.int64)
+    for (*args, kind), steps in calls:
+        assert kind == "c"
+        assert_same_steps(steps, numpy_decode(*args))
+        counts += sum(np.bincount(rows % k, minlength=k) for rows in steps[:2])
+    assert result.facet_counts == counts.tolist()
+
+
+@pytest.mark.parametrize("model,k,mode,weighted", WHOLE_RUNS[::2])
+def test_a_run_with_a_hook_decodes_in_numpy(model, k, mode, weighted,
+                                            weighted_bipartite, monkeypatch):
+    calls, compiled = spied_decodes(monkeypatch)
+    whole_run(weighted_bipartite, model, k, mode, weighted,
+              hook=lambda step, tables: None)()
+    assert calls and {args[-1] for args, _ in calls} == {"numpy"}
+    assert compiled == []
