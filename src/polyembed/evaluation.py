@@ -10,11 +10,11 @@ from a one-vs-rest logistic-regression stand-in classifier.
 
 Link evaluation is one pass over all queries. Query i's negatives are
 `default_rng(child seed i).choice` from its pool of non-neighbours, where
-the child seeds are those of `SeedSequence(seed).spawn`, computed at once.
-One kernel call draws every query's negatives, replaying numpy's stream
-without building a pool; numpy's own per-query loop is the reference and
-the fallback (`_candidates`). The rows that hold all C negatives are scored in one
-`inference.score_candidates` call over their (Q, C+1) candidate matrix,
+child i is that of `SeedSequence(seed).spawn`. One kernel call derives
+every child seed from the root seed and draws every query's negatives,
+replaying numpy's stream; numpy's own per-query loop is the reference and
+the fallback (`_candidates`). The rows that hold all C negatives are
+scored in one `inference.score_candidates` call over their candidates,
 which that function works through in bounded blocks. A row whose pool was
 shorter is scored alone, over its own candidates: padded into the batch,
 its products would have another shape, and BLAS may round those to other
@@ -25,6 +25,7 @@ as the per-query loop's, byte for byte.
 from __future__ import annotations
 
 import functools
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import graph as graphmod
 from . import inference, kernel
-from .errors import ProtocolError, ValidationError
+from .errors import CapacityError, ProtocolError, ValidationError
 from .facets import FacetPrior
 from .graph import BipartiteGraph, Graph
 from .tables import EmbeddingTables
@@ -197,19 +198,20 @@ def _midrank_auc(pos, pooled) -> float:
     return float((ranks.sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def _candidates(g, queries, truths, num_negatives, seeds):
+def _candidates(g, queries, truths, num_negatives, seed):
     """Candidates of the test edges (queries[i], truths[i]): a (Q, C+1)
     int64 matrix with the true endpoint in column 0, and each row's count.
-    Row i's C = num_negatives negatives are
-    `default_rng(seeds[i]).choice(pool, C, replace=False)` from the query's
-    non-neighbours in g (the query itself and the truth excluded), where
-    seeds[i] is a uint32. A row whose pool is shorter takes the whole pool
-    and is padded with -1.
+    Row i's C = num_negatives negatives are `default_rng(child seed i)
+    .choice(pool, C, replace=False)` from the query's non-neighbours in g
+    (the query itself and the truth excluded), where child seed i is
+    `SeedSequence(seed).spawn(Q)[i].generate_state(1)[0]`. A row whose
+    pool is shorter takes the whole pool and is padded with -1; no pool
+    holds every id of g's candidate side, so C is at most their count.
 
-    The kernel's `draw_candidates` replays numpy's stream for that draw
-    and maps each drawn index to its id without building a pool. The loop
-    below, one `default_rng` per query, is the reference; it runs when
-    `_compiled_draw` gives no kernel function."""
+    The kernel's `draw_candidates` draws the same from the root seed's
+    words without building a pool; `_draw_numpy` is the reference, and runs
+    when `_compiled_draw` gives no kernel function."""
+    words = _seed_words(seed)
     if num_negatives < 1:
         raise ValidationError("num_negatives must be positive")
     bipartite = isinstance(g, BipartiteGraph)
@@ -219,35 +221,54 @@ def _candidates(g, queries, truths, num_negatives, seeds):
     if outside.any():
         i = int(np.argmax(outside))
         raise ValidationError(f"test edge {queries[i]} {truths[i]} is outside the graph")
-    indptr, indices = g.adj.indptr, g.adj.indices
+    c = min(num_negatives, pool_size)
+    try:
+        cand = np.empty((len(queries), c + 1), dtype=np.int64)
+    except (ValueError, MemoryError):   # ValueError: more bytes than an index holds
+        raise CapacityError(f"no memory for {len(queries)} x {c + 1} "
+                            f"candidates") from None
+    sizes = np.empty(len(queries), dtype=np.int64)
+    args = (c, pool_size, bipartite, g.adj.indptr, g.adj.indices,
+            np.ascontiguousarray(queries, dtype=np.int64),
+            np.ascontiguousarray(truths, dtype=np.int64))
     draw = _compiled_draw(pool_size)
-    if draw is not None:
-        cand = np.empty((len(queries), num_negatives + 1), dtype=np.int64)
-        sizes = np.empty(len(queries), dtype=np.int64)
-        if draw(len(queries), num_negatives, pool_size, bipartite, indptr, indices,
-                np.ascontiguousarray(queries, dtype=np.int64),
-                np.ascontiguousarray(truths, dtype=np.int64),
-                np.asarray(seeds, dtype=np.uint32), cand, sizes):
-            raise MemoryError("no memory for the candidate draw")
-        return cand, sizes
-    cand = np.full((len(queries), num_negatives + 1), -1, dtype=np.int64)
-    cand[:, 0] = truths
-    sizes = np.full(len(queries), num_negatives + 1)
+    if draw is None:
+        _draw_numpy(*args, int(seed), cand, sizes)
+    elif draw(len(queries), *args, words, len(words), cand, sizes):
+        raise CapacityError("no memory for the candidate draw")
+    return cand, sizes
+
+
+def _seed_words(seed) -> np.ndarray:
+    """The root seed's little-endian uint32 words, as SeedSequence splits it
+    (one word for 0); ValidationError unless it is a nonnegative integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, not {seed!r}")
+    return np.array([int(seed) >> s & 0xFFFFFFFF
+                     for s in range(0, max(int(seed).bit_length(), 1), 32)],
+                    dtype=np.uint32)
+
+
+def _draw_numpy(c, pool_size, bipartite, indptr, indices, queries, truths,
+                seed, cand, sizes):
+    """`draw_candidates` in numpy, one query at a time: row r's pool is
+    built, and its negatives are drawn with numpy's own child r of seed."""
+    cand[:, 0], cand[:, 1:], sizes[:] = truths, -1, c + 1
     free = np.ones(pool_size, dtype=bool)   # cleared per query, then restored
-    rows = zip(queries.tolist(), truths.tolist(), seeds)
-    for r, (query, truth, seed) in enumerate(rows):
+    children = np.random.SeedSequence(seed).spawn(len(queries))
+    rows = zip(queries.tolist(), truths.tolist(), children)
+    for r, (query, truth, child) in enumerate(rows):
         taken = indices[indptr[query]:indptr[query + 1]]
         own = truth if bipartite else query   # a node is no negative of itself
         free[taken] = free[truth] = free[own] = False
         pool = np.flatnonzero(free)
         free[taken] = free[truth] = free[own] = True
-        if len(pool) < num_negatives:
+        if len(pool) < c:
             cand[r, 1:len(pool) + 1] = pool
             sizes[r] = len(pool) + 1
         else:
-            cand[r, 1:] = np.random.default_rng(int(seed)).choice(
-                pool, size=num_negatives, replace=False)
-    return cand, sizes
+            rng = np.random.default_rng(int(child.generate_state(1)[0]))
+            cand[r, 1:] = rng.choice(pool, size=c, replace=False)
 
 
 def _compiled_draw(pool_size: int):
@@ -258,86 +279,35 @@ def _compiled_draw(pool_size: int):
     return fn if fn is not None and pool_size < 2**32 and _draws_as_numpy() else None
 
 
-# (pool, C, seed) of the self-check: Floyd's algorithm at both ends of the
-# seed range, and numpy's tail shuffle (pool > 10,000 and C > pool // 50)
-_CHECKS = ((60, 60, 0), (8999, 60, 2**32 - 1), (10001, 201, 7))
+# (pool, C, root seed, queries) of the self-check: Floyd's algorithm, numpy's
+# tail shuffle (pool > 10,000 and C > pool // 50), and roots of 1 to 5 words,
+# the fifth mixed in after the pool's own mix, with a child past the first
+_CHECKS = ((60, 60, 0, 1), (8999, 60, 2**32 - 1, 1), (10001, 201, 2**64 + 1, 1),
+           (500, 20, 2**130 + 3, 2))
 
 
 @functools.cache
 def _draws_as_numpy() -> bool:
-    """Whether the kernel draws `default_rng(seed).choice(pool, C,
-    replace=False)` as this numpy does, on each of _CHECKS; once per
-    process, as numpy's stream is not a stable API. When it does not, one
-    RuntimeWarning says that numpy draws the candidates."""
+    """Whether the kernel draws as `_draw_numpy` does with this numpy, on
+    each of _CHECKS; once per process, as numpy's stream is not a stable
+    API. When it does not, one RuntimeWarning says that numpy draws the
+    candidates."""
     fn = kernel.function("draw_candidates")
-    indptr = np.zeros(2, dtype=np.int64)   # one query without neighbours
-    for pool, c, seed in _CHECKS:
-        cand, sizes = np.empty((1, c + 1), dtype=np.int64), np.empty(1, dtype=np.int64)
-        # bipartite, with item `pool` the truth: item k is free index k
-        fn(1, c, pool + 1, True, indptr, indptr[:0], indptr[:1],
-           np.array([pool]), np.array([seed], dtype=np.uint32), cand, sizes)
-        if not np.array_equal(cand[0, 1:], np.random.default_rng(seed).choice(
-                pool, c, replace=False)):
+    indptr = np.zeros(2, dtype=np.int64)   # one user without neighbours
+    for pool, c, seed, n in _CHECKS:
+        # n queries of that user, with item `pool` the truth: item k is free index k
+        args = (c, pool + 1, True, indptr, indptr[:0], np.zeros(n, dtype=np.int64),
+                np.full(n, pool, dtype=np.int64))
+        cand, sizes = np.empty((2, n, c + 1), dtype=np.int64), np.empty((2, n), np.int64)
+        words = _seed_words(seed)
+        fn(n, *args, words, len(words), cand[0], sizes[0])
+        _draw_numpy(*args, seed, cand[1], sizes[1])
+        if not np.array_equal(cand[0], cand[1]):
             warnings.warn("the compiled candidate draw differs from this numpy's "
-                          "default_rng(seed).choice; numpy draws the candidates",
+                          "spawn and choice; numpy draws the candidates",
                           RuntimeWarning, stacklevel=2)
             return False
     return True
-
-
-# SeedSequence's constants (numpy/random/bit_generator.pyx)
-_POOL, _MASK = 4, 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hashmix(value, const, mult=_MULT_A):
-    """One hashmix step on a uint32 (a Python int or a uint32 array):
-    (hashed value, next hash constant)."""
-    value = (value ^ const) & _MASK
-    const = const * mult & _MASK
-    value = value * const & _MASK
-    return value ^ value >> 16, const
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two uint32 words."""
-    value = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
-    return value ^ value >> 16
-
-
-def _child_seeds(seed: int, n: int) -> np.ndarray:
-    """`SeedSequence(seed).spawn(n)[i].generate_state(1)[0]` for every i,
-    as one uint32 array.
-
-    A child's entropy is the seed's 32-bit words, zero-padded to the pool
-    size of 4, then its spawn-key word i. SeedSequence hashes the first 4
-    words into its pool, mixes the pool words with one another, and then
-    mixes each further word into every pool word (O'Neill's seed_seq_fe,
-    as NumPy adopted it in NEP 19). Only the last word differs between
-    children, and the first state word reads only pool word 0, which that
-    word's first mix updates. So the seed's part runs once, on Python
-    ints, and only that last mix runs on an array of children."""
-    seed = int(np.random.SeedSequence(seed).entropy)   # numpy's own checks
-    words = [seed >> s & _MASK for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    const = _INIT_A
-    pool = []
-    for word in words[:_POOL]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
-    value, _ = _hashmix(np.arange(n, dtype=np.uint32), const)
-    return _hashmix(_mix(pool[0], value), _INIT_B, _MULT_B)[0]
 
 
 def link_prediction_report(train_graph, test_edges, tables: EmbeddingTables,
@@ -397,8 +367,7 @@ def _scored_candidates(g, test_edges, tables, prior, mode, num_negatives, seed):
     # no dtype: an id beyond int64 stays a Python int for the bounds check
     edges = np.array(test_edges).reshape(len(test_edges), 2)
     queries, truths = edges[:, 0], edges[:, 1]
-    cand, sizes = _candidates(g, queries, truths, num_negatives,
-                              _child_seeds(seed, len(edges)))
+    cand, sizes = _candidates(g, queries, truths, num_negatives, seed)
     short = np.flatnonzero(sizes <= num_negatives)
     side = inference.candidate_side(tables, prior, mode)
     if len(short) == 0:

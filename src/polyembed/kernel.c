@@ -30,10 +30,10 @@
    arithmetic only; no libc printf is used. It formats +-0 and every value
    with 1e-16 < |x| < 1e17, and copies the caller's text for the others.
 
-   The candidate draw replays numpy's Generator.choice(n, c, replace=False)
-   from default_rng(seed): SeedSequence, PCG64 and Lemire's bounded
-   integers, then Floyd's algorithm or the tail shuffle, as numpy 2's
-   _generator.pyx and distributions.c do. It maps each drawn index to its
+   The candidate draw replays numpy 2's SeedSequence(seed).spawn, then for
+   each child default_rng(child seed).choice(n, c, replace=False): PCG64
+   seeded by the same SeedSequence code, Lemire's bounded integers, and
+   Floyd's algorithm or the tail shuffle. It maps each drawn index to its
    node id by a binary search over the query's excluded ids. numpy's
    stream is not a stable API, so evaluation checks the draw against
    numpy's own once per process. */
@@ -526,7 +526,8 @@ static uint64_t bounded(pcg64 *g, uint64_t rng)
     return m >> 32;
 }
 
-/* SeedSequence's hash of one word and its mix of two (O'Neill's seed_seq_fe) */
+/* numpy's SeedSequence (O'Neill's seed_seq_fe, as NEP 19 adopted it): the
+   hash of one word, stepping the running constant *hash */
 static uint32_t hashmix(uint32_t value, uint32_t *hash, uint32_t mult)
 {
     value ^= *hash;
@@ -535,29 +536,50 @@ static uint32_t hashmix(uint32_t value, uint32_t *hash, uint32_t mult)
     return value ^ value >> 16;
 }
 
-static uint32_t mix(uint32_t x, uint32_t y)
+/* SeedSequence's mix of `word`, hashed anew each time, into every pool word
+   but pool[skip] */
+static void mix_into(uint32_t pool[4], uint32_t *hash, uint32_t word, int skip)
 {
-    uint32_t r = 0xCA01F9DDu * x - 0x4973F715u * y;
-    return r ^ r >> 16;
+    for (int dst = 0; dst < 4; dst++)
+        if (dst != skip) {
+            uint32_t r = 0xCA01F9DDu * pool[dst]
+                         - 0x4973F715u * hashmix(word, hash, 0x931E8875u);
+            pool[dst] = r ^ r >> 16;
+        }
 }
 
-/* default_rng(seed) for a uint32 seed: SeedSequence(seed) hashes the seed
-   and three zero words into its pool and mixes the pool words with one
-   another; generate_state(4, uint64) hashes the pool words in turn into
-   eight 32-bit words, paired low word first, which seed PCG64 as
-   pcg64_set_seed does */
+/* The pool of SeedSequence(entropy) for its n words `words`: the first
+   four, zero-padded, are hashed into it, each pool word is mixed into the
+   others, then each further word into all. Returns the running constant,
+   with which mix_into adds a spawn key. */
+static uint32_t seed_pool(const uint32_t *words, int64_t n, uint32_t pool[4])
+{
+    uint32_t hash = 0x43B0D7E5u;
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < n ? words[i] : 0, &hash, 0x931E8875u);
+    for (int src = 0; src < 4; src++)
+        mix_into(pool, &hash, pool[src], src);
+    for (int64_t i = 4; i < n; i++)
+        mix_into(pool, &hash, words[i], -1);
+    return hash;
+}
+
+/* SeedSequence.generate_state(n_out): the pool words in turn, hashed */
+static void generate_state(const uint32_t pool[4], int n_out, uint32_t *out)
+{
+    uint32_t hash = 0x8B51F9DDu;
+    for (int i = 0; i < n_out; i++)
+        out[i] = hashmix(pool[i % 4], &hash, 0x58F38DEDu);
+}
+
+/* default_rng(seed) for a uint32 seed: generate_state(4, uint64) of
+   SeedSequence(seed) is eight 32-bit words, paired low word first, which
+   seed PCG64 as pcg64_set_seed does */
 static void seed_pcg(pcg64 *g, uint32_t seed)
 {
-    uint32_t pool[4], hash = 0x43B0D7E5u, w[8];
-    for (int i = 0; i < 4; i++)
-        pool[i] = hashmix(i ? 0 : seed, &hash, 0x931E8875u);
-    for (int src = 0; src < 4; src++)
-        for (int dst = 0; dst < 4; dst++)
-            if (src != dst)
-                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash, 0x931E8875u));
-    hash = 0x8B51F9DDu;
-    for (int i = 0; i < 8; i++)
-        w[i] = hashmix(pool[i % 4], &hash, 0x58F38DEDu);
+    uint32_t pool[4], w[8];
+    seed_pool(&seed, 1, pool);
+    generate_state(pool, 8, w);
     unsigned __int128 words[4];
     for (int i = 0; i < 4; i++)
         words[i] = (uint64_t)w[2 * i] | (uint64_t)w[2 * i + 1] << 32;
@@ -641,15 +663,17 @@ static int64_t free_id(int64_t k, const int64_t *ex, int64_t m)
    (n_query, c + 1) matrix cand and the row sizes. A query's excluded ids
    are its CSR row (ascending, no repeats), its truth and its own id `own`
    (the truth when bipartite, else the query); the others are its pool.
-   Row r is the truth, then default_rng(seeds[r]).choice(pool, c,
+   Row r is the truth, then default_rng(seed r).choice(pool, c,
    replace=False) when the pool holds c ids, else the whole pool ascending
-   and -1 padding. Needs pool_size < 2^32; ids are checked by the caller.
-   Returns 0, or -1 when its scratch memory cannot be allocated. */
+   and -1 padding. Seed r is SeedSequence(root).spawn(n_query)[r]
+   .generate_state(1)[0] for the root seed's n_words little-endian uint32
+   `words`. Needs pool_size < 2^32; ids are checked by the caller. Returns
+   0, or -1 when its scratch memory cannot be allocated. */
 int64_t draw_candidates(int64_t n_query, int64_t c, int64_t pool_size,
                         int64_t bipartite, const int64_t *indptr,
                         const int64_t *indices, const int64_t *queries,
-                        const int64_t *truths, const uint32_t *seeds,
-                        int64_t *cand, int64_t *sizes)
+                        const int64_t *truths, const uint32_t *words,
+                        int64_t n_words, int64_t *cand, int64_t *sizes)
 {
     int64_t max_degree = 0;
     for (int64_t r = 0; r < n_query; r++) {
@@ -663,6 +687,7 @@ int64_t draw_candidates(int64_t n_query, int64_t c, int64_t pool_size,
     if (ex == NULL)
         return -1;
     int64_t *work = ex + max_degree + 2;
+    uint32_t root[4], hash = seed_pool(words, n_words, root);
     pcg64 g;
     for (int64_t r = 0; r < n_query; r++) {
         int64_t q = queries[r], truth = truths[r], own = bipartite ? truth : q;
@@ -685,7 +710,14 @@ int64_t draw_candidates(int64_t n_query, int64_t c, int64_t pool_size,
             sizes[r] = n_free + 1;
             continue;
         }
-        seed_pcg(&g, seeds[r]);
+        /* child r's entropy is the root's, zero-padded to four words, then
+           r: its pool is the root's with r mixed in */
+        uint32_t pool[4] = {root[0], root[1], root[2], root[3]}, h = hash, seed;
+        mix_into(pool, &h, (uint32_t)r, -1);
+        if (r >> 32)
+            mix_into(pool, &h, (uint32_t)(r >> 32), -1);
+        generate_state(pool, 1, &seed);
+        seed_pcg(&g, seed);
         choice(&g, n_free, c, work, row + 1);
         for (int64_t k = 1; k <= c; k++)
             row[k] = free_id(row[k], ex, m);

@@ -5,15 +5,15 @@ of the numpy `sgd.decode` bit for bit) and step loop (`sgd_steps`), two
 sparse products (`csr_matmat`, `coo_matmat`), the text-matrix formatter
 (`format_rows`, exact `%.17g` in integer arithmetic) and the
 link-evaluation candidate draw (`draw_candidates`, numpy's
-`default_rng(seed).choice` replayed bit for bit). It is built with
-the system C compiler on first use and cached as
-`$XDG_CACHE_HOME/polyembed/kernel-<hash>.so` (`~/.cache/polyembed/` when
-XDG_CACHE_HOME is unset). `function(name)` returns one of its functions,
+`SeedSequence(seed).spawn` and each child's `default_rng(child).choice`
+replayed bit for bit). It is built with the system C compiler on first
+use and cached as `$XDG_CACHE_HOME/polyembed/kernel-<hash>.so`
+(`~/.cache/polyembed/` when XDG_CACHE_HOME is unset). `function(name)` returns one of its functions,
 or None, with one warning per process, when it cannot be built or loaded.
 The numpy or Python code that each caller runs then is the reference
 (the numpy decode and update loop for the SGD engine, which also run
 under a per-step hook; Python's `'%.17g' % v` for the formatter; numpy's
-own `choice` for the draw), and tests hold the two equal.
+own `spawn` and `choice` for the draw), and tests hold the two equal.
 
 Libraries of other sources stay in the cache: checkouts share it, and
 removing one's library would make its next run compile again, or unlink
@@ -129,7 +129,7 @@ def _signatures() -> dict:
                                   _array(np.float64, 2), _array(np.uint8, 1),
                                   rows, i64, _array(np.uint8, 1, writeable=True)]),
             "draw_candidates": (i64, [i64, i64, i64, i64, rows, rows, rows, rows,
-                                      _array(np.uint32, 1),
+                                      _array(np.uint32, 1), i64,
                                       _array(np.int64, 2, writeable=True),
                                       _array(np.int64, 1, writeable=True)])}
 

@@ -671,6 +671,22 @@ def test_manifest_records_the_candidate_draw(tmp_path, bipartite_file, monkeypat
         assert (tmp_path / f"c.{out}").read_bytes() == (tmp_path / f"numpy.{out}").read_bytes()
 
 
+def test_num_negatives_beyond_the_graph_take_every_pool(tmp_path):
+    """The candidate matrix is sized by the graph, not by --num-negatives:
+    on 4 nodes, 10^12 negatives report what 1000 do."""
+    path = tmp_path / "g.edges"
+    path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    pipeline = ["pipeline", "--input", str(path), "--k", "2", "--dim", "3",
+                "--walks-per-node", "2", "--epochs", "1", "--ks", "1"]
+    metrics = []
+    for n in ("1000", "1000000000000"):
+        with pytest.warns(UserWarning, match="non-neighbors"):
+            run_ok(pipeline + ["--num-negatives", n, "--workdir", str(tmp_path / n)])
+        lines = (tmp_path / f"{n}.report").read_text().splitlines()
+        metrics.append([line for line in lines if line.startswith(("hr@", "auc="))])
+    assert len(metrics[0]) == 2 and metrics[0] == metrics[1]
+
+
 def test_manifest_records_the_facet_counts(tmp_path, sbm_file, bipartite_file,
                                           monkeypatch):
     """train.facet_counts of the table trainers: the same on both decode

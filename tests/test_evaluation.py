@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polyembed import evaluation, facets, graph, inference, kernel
-from polyembed.errors import ProtocolError, ValidationError
+from polyembed.errors import CapacityError, ProtocolError, ValidationError
 from polyembed.evaluation import (EvalReport, auc, classify, hit_ratio,
                                   split_links)
 from polyembed.tables import EmbeddingTables
@@ -160,12 +160,18 @@ def on_both_paths(monkeypatch, run):
 
 
 def candidates_of(test_edge, g, num_negatives, seed):
-    """One test edge's candidates as `evaluation._candidates` draws them:
-    the true endpoint, then the negatives."""
+    """One test edge's candidates as `evaluation._candidates` draws them
+    from the root seed `seed`: the true endpoint, then the negatives."""
     cand, sizes = evaluation._candidates(g, np.array([test_edge[0]]),
                                          np.array([test_edge[1]]), num_negatives,
-                                         [seed])
+                                         seed)
     return cand[0, :sizes[0]].tolist()
+
+
+def child_seeds(seed, n):
+    """numpy's own `SeedSequence(seed).spawn(n)[i].generate_state(1)[0]`."""
+    return [int(child.generate_state(1)[0])
+            for child in np.random.SeedSequence(seed).spawn(n)]
 
 
 def test_candidate_count_small_graph():
@@ -211,10 +217,11 @@ def test_candidates_warn_when_pool_short(monkeypatch):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), kind=st.sampled_from(["homogeneous", "bipartite"]),
        regime=st.sampled_from(["floyd", "floyd-large", "tail", "exact", "short"]),
-       truth_is_neighbour=st.booleans(),
-       seed=st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)))
+       truth_is_neighbour=st.booleans(), rows=st.integers(1, 3),
+       seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**130 + 3]),
+                      st.integers(0, 2**200)))
 def test_compiled_draw_is_numpy_choice(compiled_kernel, data, kind, regime,
-                                       truth_is_neighbour, seed):
+                                       truth_is_neighbour, rows, seed):
     # numpy's choice takes the tail shuffle when the pool exceeds 10,000 and
     # C > pool // 50, else Floyd's algorithm
     large = regime in ("floyd-large", "tail")
@@ -242,16 +249,19 @@ def test_compiled_draw_is_numpy_choice(compiled_kernel, data, kind, regime,
                    "exact": st.just(len(pool)),
                    "short": st.integers(len(pool) + 1, len(pool) + 30)}[regime])
     assert evaluation._compiled_draw(n) is not None
-    cand, sizes = evaluation._candidates(g, np.array([0]), np.array([truth]), c,
-                                         np.array([seed], dtype=np.uint32))
-    if regime == "short":
-        want = pool
-    else:
-        want = pool[np.random.default_rng(seed).choice(len(pool), c, replace=False)]
-    assert sizes.tolist() == [len(want) + 1]
-    assert cand[0, 0] == truth
-    assert np.array_equal(cand[0, 1:len(want) + 1], want)
-    assert (cand[0, len(want) + 1:] == -1).all()
+    # `rows` queries of node 0, row r drawn with the root's child r
+    cand, sizes = evaluation._candidates(g, np.zeros(rows, dtype=np.int64),
+                                         np.full(rows, truth), c, seed)
+    for r, child in enumerate(child_seeds(seed, rows)):
+        if regime == "short":
+            want = pool
+        else:
+            want = pool[np.random.default_rng(child).choice(len(pool), c,
+                                                            replace=False)]
+        assert sizes[r] == len(want) + 1
+        assert cand[r, 0] == truth
+        assert np.array_equal(cand[r, 1:len(want) + 1], want)
+        assert (cand[r, len(want) + 1:] == -1).all()
 
 
 def bench_shaped_graph(kind, seed):
@@ -278,14 +288,14 @@ def bench_shaped_graph(kind, seed):
 def test_compiled_candidates_equal_the_reference_per_query(compiled_kernel, kind,
                                                            num_negatives):
     train, test_edges = bench_shaped_graph(kind, 7)
-    seeds = evaluation._child_seeds(7, len(test_edges))
     edges = np.array(test_edges)
     cand, sizes = evaluation._candidates(train, edges[:, 0], edges[:, 1],
-                                         num_negatives, seeds)
+                                         num_negatives, 7)
     assert evaluation._compiled_draw(1) is not None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for r, (edge, seed) in enumerate(zip(test_edges, seeds.tolist())):
+        for r, (edge, seed) in enumerate(zip(test_edges,
+                                             child_seeds(7, len(test_edges)))):
             assert cand[r, :sizes[r]].tolist() == reference_candidates(
                 edge, train, num_negatives, seed)
             assert (cand[r, sizes[r]:] == -1).all()
@@ -304,20 +314,46 @@ def test_a_failed_self_check_falls_back_to_the_loop(compiled_kernel, monkeypatch
     # a numpy whose default_rng draws otherwise than the kernel replays
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: np.random.Generator(np.random.MT19937(seed)))
+    assert_numpy_draws_after_one_warning(monkeypatch)
+
+
+def assert_numpy_draws_after_one_warning(monkeypatch):
+    """Two draws see one RuntimeWarning, and then numpy's loop draws, with
+    whatever numpy the test has patched in."""
     g = graph.from_edges([(0, i) for i in range(1, 4)] + [(5, 6)], num_nodes=40)
-    queries, truths, seeds = np.array([0, 5, 7]), np.array([1, 6, 8]), [3, 4, 5]
+    queries, truths, seed = np.array([0, 5, 7]), np.array([1, 6, 8]), 2**64 + 5
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = [evaluation._candidates(g, queries, truths, 10, seeds)
+        got = [evaluation._candidates(g, queries, truths, 10, seed)
                for _ in range(2)]
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "numpy draws the candidates" in str(caught[0].message)
     with monkeypatch.context() as patched:
         patched.setattr(kernel, "function", lambda name: None)
-        want = evaluation._candidates(g, queries, truths, 10, seeds)
+        want = evaluation._candidates(g, queries, truths, 10, seed)
     for cand, sizes in got:
         assert np.array_equal(cand, want[0]) and np.array_equal(sizes, want[1])
     assert evaluation._compiled_draw(1) is None
+
+
+@pytest.mark.parametrize("long_roots_only", [False, True])
+def test_a_spawn_that_disagrees_fails_the_self_check(compiled_kernel, monkeypatch,
+                                                     fresh_self_check, long_roots_only):
+    """A numpy whose spawn hands out other children than the kernel derives:
+    for every root, or only past the first child of a root of five words or
+    more, which only a check on such a root and child can see."""
+    numpy_seed_sequence = np.random.SeedSequence
+
+    class Other(numpy_seed_sequence):
+        def spawn(self, n_children):
+            children = super().spawn(n_children)
+            if long_roots_only and self.entropy < 2**128:
+                return children
+            other = numpy_seed_sequence(self.entropy + 1).spawn(n_children)
+            return children[:1] + other[1:] if long_roots_only else other
+
+    monkeypatch.setattr(np.random, "SeedSequence", Other)
+    assert_numpy_draws_after_one_warning(monkeypatch)
 
 
 # ------------------------------------------------------------ classification
@@ -505,13 +541,51 @@ def test_link_report_equals_the_per_query_loop(case_seed, mode, k, integer, nan,
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_child_seeds_equal_seed_sequence_spawn(seed):
+def test_the_kernel_spawns_the_children_numpy_spawns(seed, compiled_kernel,
+                                                     monkeypatch):
+    """Every row the kernel draws from the root seed equals the numpy
+    loop's, which seeds row r with numpy's own spawned child r."""
+    g = graph.from_edges([(0, 1), (1, 2), (2, 3), (5, 9)], num_nodes=30)
+    rng = np.random.default_rng(5)
     for n in (0, 1, 7, 5000):
-        expected = [child.generate_state(1)[0]
-                    for child in np.random.SeedSequence(seed).spawn(n)]
-        got = evaluation._child_seeds(seed, n)
-        assert got.dtype == np.uint32
-        assert np.array_equal(got, np.array(expected, dtype=np.uint32))
+        queries = rng.integers(0, 30, n)
+        truths = (queries + rng.integers(1, 30, n)) % 30
+        got = evaluation._candidates(g, queries, truths, 4, seed)
+        with monkeypatch.context() as patched:
+            patched.setattr(kernel, "function", lambda name: None)
+            want = evaluation._candidates(g, queries, truths, 4, seed)
+        assert evaluation._compiled_draw(30) is not None
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # the loop's rows are numpy's choice from those children
+        for r, child in list(enumerate(child_seeds(seed, n)))[:20]:
+            assert got[0][r].tolist() == reference_candidates(
+                (queries[r], truths[r]), g, 4, child)
+
+
+def test_no_memory_for_the_candidates_is_a_capacity_error(monkeypatch):
+    g = graph.from_edges([(0, 1), (1, 2)], num_nodes=5)
+    queries, truths = np.array([0]), np.array([1])
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "empty", no_memory)
+        with pytest.raises(CapacityError, match="no memory"):
+            evaluation._candidates(g, queries, truths, 10**12, 0)
+    monkeypatch.setattr(evaluation, "_compiled_draw", lambda pool_size: lambda *a: -1)
+    with pytest.raises(CapacityError, match="no memory for the candidate draw"):
+        evaluation._candidates(g, queries, truths, 2, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_a_bad_seed_is_a_validation_error(seed):
+    g = graph.from_edges([(0, 1), (1, 2)], num_nodes=5)
+    tables = EmbeddingTables(u=np.ones((5, 1, 2)), h=np.zeros((5, 1, 2)))
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        evaluation.link_prediction_report(g, [(0, 1)], tables,
+                                          facets.FacetPrior.uniform(5),
+                                          "homogeneous", num_negatives=2, seed=seed)
 
 
 def test_one_warning_counts_the_pool_short_queries(monkeypatch):
@@ -607,13 +681,15 @@ def test_link_report_is_one_pass(monkeypatch):
             spawn_calls.append(n_children)
             return super().spawn(n_children)
 
+    compiled = evaluation._compiled_draw(400)   # its self-check spawns, once a process
     monkeypatch.setattr(inference, "score_candidates", counted_score)
     monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
     evaluation.link_prediction_report(g, test_edges, tables, prior, "cross",
                                       num_negatives=50, ks=(10,), seed=5)
     rows = len(test_edges) * 51
     assert 1 <= len(score_calls) <= -(-rows // inference.SCORE_ROWS)
-    assert spawn_calls == []
+    # the kernel derives every child seed; numpy's loop spawns them at once
+    assert spawn_calls == ([] if compiled is not None else [len(test_edges)])
 
 
 def test_link_report_memory_is_the_candidates_and_scores():

@@ -2,6 +2,8 @@
 
 import ast
 import re
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -130,3 +132,14 @@ def test_exported_function_check_sees_only_non_static_definitions():
               "              double *restrict y)\n{\n    return helper(n);\n}\n\n"
               "void second(void) {\n}\n")
     assert exported_functions(source) == {"first", "second"}
+
+
+def test_the_kernel_compiles_without_warnings():
+    """No warning of -Wall -Wextra, and no implicit narrowing or sign change
+    (-Wconversion), in kernel.c."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    result = subprocess.run(["cc", "-fsyntax-only", "-Wall", "-Wextra", "-Wconversion",
+                             "-Werror", "-x", "c", str(SRC / "kernel.c")],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
