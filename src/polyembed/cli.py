@@ -221,14 +221,6 @@ def _save(kind: str, path, *arrays) -> None:
         save_matrix(file, array)
 
 
-def _save_test_edges(path, test_edges, g) -> None:
-    sides = graphmod.sides(g)
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        for pair in test_edges:
-            fh.write(" ".join(labels[v] if labels else str(v)
-                              for v, (labels, _) in zip(pair, sides)) + "\n")
-
-
 def _load_test_edges(path, g) -> list[tuple[int, int]]:
     """Test edges `a b`, as labels or integer ids of nodes of `g`."""
     out = graphmod.read_node_lines(path, graphmod.sides(g))
@@ -400,7 +392,7 @@ def cmd_pipeline(args, params) -> None:
     # before any file is written: the NMF rejects a bad --k or NMF setting
     prior, _ = _estimate_prior(kind, train_g.adj, params)
     graphmod.save_edge_list(train_g, f"{prefix}.train.edges")
-    _save_test_edges(f"{prefix}.test.edges", test_edges, g)
+    graphmod.write_pairs(f"{prefix}.test.edges", test_edges, graphmod.sides(g))
     _save(kind, f"{prefix}.prior", prior.dist, prior.dist_b)
 
     if model == "deepwalk":

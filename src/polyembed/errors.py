@@ -50,11 +50,15 @@ def parse_numbers(tokens, kind, where: str) -> list:
                          f"got {' '.join(tokens)!r}") from None
 
 
-def text_lines(path):
-    """Yield (line_no, line) of a UTF-8 text file, numbered from 1, or
-    raise ParseError naming the file when it is not UTF-8."""
+def read_text(path) -> str:
+    """A UTF-8 text file's text, line ends as "\\n"; ParseError if not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield from enumerate(fh, start=1)
+            return fh.read()
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
+
+
+def text_lines(path):
+    """(line_no, line) of a UTF-8 text file's lines, numbered from 1."""
+    return enumerate(read_text(path).split("\n"), start=1)

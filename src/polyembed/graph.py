@@ -8,10 +8,12 @@ Edge-list file format (UTF-8 text): one `src dst [weight] [timestamp]` per
 line, whitespace-separated; lines starting with `#` are comments. A side
 (the node set of a homogeneous graph, or type A, or type B) with no preset
 labels whose tokens are all nonnegative integers uses them as ids; any
-other side numbers its labels, preset ones first, then the rest in
-first-appearance order. Ids and counts fit in int64. Two comment
-directives, written by :func:`save_edge_list` and honoured on load, make
-round-trips exact even with isolated nodes or string ids:
+other side numbers its labels (none starts with `#`), preset ones first,
+then the rest in first-appearance order. Ids and counts fit in int64, and
+bipartite timestamps in 0 .. 2^63 - 1. np.loadtxt reads ASCII integer-id
+files of one row width; the Python reader (the reference) reads the rest.
+Two comment directives, written by :func:`save_edge_list` and honoured on
+load, make round-trips exact even with isolated nodes or string ids:
     # nodes N            (homogeneous)   /  # nodes A B   (bipartite)
     # node LABEL         (one per id, in id order; `# anode` / `# bnode`
                           for the two bipartite sides)
@@ -26,9 +28,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (INT64, CapacityError, ParseError, ValidationError,
-                     parse_numbers, text_lines)
+from .errors import (INT64, CapacityError, ParseError, PolyembedError,
+                     ValidationError, parse_numbers, read_text, text_lines)
 from .kernel import Csr
+from .tables import write_rows
 
 DENSE_GUARD = 10**8
 
@@ -147,6 +150,9 @@ def _side_ids(tokens, preset, declared, where):
             j = next(j for j, t in enumerate(tokens) if int(t) + 1 not in INT64)
             raise ParseError(f"{where(j)}: node id {tokens[j]!r} is too large")
     else:
+        if any(t.startswith("#") for t in unique):   # it would save as a comment
+            j = next(j for j, t in enumerate(tokens) if t.startswith("#"))
+            raise ParseError(f"{where(j)}: label {tokens[j]!r} starts with '#'")
         labels = list(dict.fromkeys([*preset, *unique]))
         lookup, num = dict(zip(labels, range(len(labels)))), len(labels)
         if declared is not None and declared != num:
@@ -165,19 +171,91 @@ def load_edge_list(path, kind: str = "homogeneous"):
     path = Path(path)
     if kind not in SIDES:
         raise ValidationError(f"unknown graph kind {kind!r}")
+    text = read_text(path)
+    lines = text.split("\n")
+    resolved, weights, timestamps = (_fast_columns(path, text, lines, kind)
+                                     or _columns(path, lines, kind))
+    try:
+        if kind == "homogeneous":
+            (ids, num_nodes, labels), = resolved
+            return _build_homogeneous(num_nodes, ids[0::2], ids[1::2], weights,
+                                      labels)
+        (a_ids, num_a, a_labels), (b_ids, num_b, b_labels) = resolved
+        return _build_bipartite(num_a, num_b, a_ids, b_ids, weights, timestamps,
+                                a_labels, b_labels)
+    except (ValueError, MemoryError):   # numpy cannot allocate the CSR arrays
+        counts = " and ".join(str(num) for _, num, _ in resolved)
+        raise CapacityError(f"{path}: a graph of {counts} nodes does not fit "
+                            "in memory") from None
+
+
+def _scan(path, lines):
+    """(data rows as token lists, their line numbers, the last `# nodes` line
+    as (where, tokens) or None, the preset labels by directive) of lines."""
     rows, line_nos = [], []
     nodes, presets = None, {"node": [], "anode": [], "bnode": []}
-    for line_no, raw in text_lines(path):
+    for line_no, raw in enumerate(lines, start=1):
         fields = raw.split()
         if fields and fields[0].startswith("#"):
             body = raw.split("#", 1)[1].split()
             if body[:1] == ["nodes"]:
                 nodes = (f"{path} line {line_no}", body[1:])
             elif len(body) == 2 and body[0] in presets:
+                if body[1].startswith("#"):
+                    raise ParseError(f"{path} line {line_no}: label "
+                                     f"{body[1]!r} starts with '#'")
                 presets[body[0]].append(body[1])
         elif fields:
             rows.append(fields)
             line_nos.append(line_no)
+    return rows, line_nos, nodes, presets
+
+
+def _declared(nodes, kind) -> list:
+    """Each side's node count in the `# nodes` line, or None without one."""
+    if nodes is None:
+        return [None] * len(SIDES[kind])
+    where, tokens = nodes
+    if len(tokens) != len(SIDES[kind]):
+        counts = "one count" if kind == "homogeneous" else "two counts"
+        raise ParseError(f"{where}: '# nodes' needs {counts}")
+    return parse_numbers(tokens, int, where)
+
+
+def _fast_columns(path, text, lines, kind):
+    """`_columns` of an ASCII edge list of integer ids whose rows np.loadtxt
+    reads (one width, no preset labels) and that meets `_columns`' checks,
+    else None. (np.loadtxt has crashed the process on non-ASCII tokens.)"""
+    head = next((i for i, line in enumerate(lines)   # the first data row
+                 if line.lstrip()[:1] not in ("", "#")), len(lines))
+    try:
+        _, _, nodes, presets = _scan(path, lines[:head])
+        declared = _declared(nodes, kind)
+        width = len(lines[head].split()) if head < len(lines) else 0
+        if not text.isascii() or any(presets.values()) or not 2 <= width <= 4:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = np.loadtxt(lines[head:], comments=None, ndmin=1, dtype=[
+                ("ids", np.int64, 2), ("w", np.float64), ("t", np.int64)][:width - 1])
+    except (ValueError, Warning, PolyembedError):
+        return None
+    weights = body["w"] if width > 2 else np.ones(len(body))
+    ids = [body["ids"].ravel()] if kind == "homogeneous" else list(body["ids"].T)
+    nums = [int(i.max()) + 1 if n is None else n for i, n in zip(ids, declared)]
+    stamps = body["t"] if kind == "bipartite" and width == 4 else None
+    if (not (np.isfinite(weights) & (weights >= 0)).all()
+            or not all(0 <= i.min() and i.max() < n < 2**63 for i, n in zip(ids, nums))
+            or (stamps is not None and stamps.min() < 0)):
+        return None
+    return [(i, n, None) for i, n in zip(ids, nums)], weights, stamps
+
+
+def _columns(path, lines, kind):
+    """([(ids, node count, labels or None) of each side], weights, timestamps
+    or None) of an edge list's lines, the one side of a homogeneous graph as
+    src, dst, src, ...: the reference reader, which names the line at fault."""
+    rows, line_nos, nodes, presets = _scan(path, lines)
     if not rows:
         raise ValidationError(f"{path}: no edges found")
 
@@ -200,41 +278,24 @@ def load_edge_list(path, kind: str = "homogeneous"):
                               f"{float(weights[i])}")
 
     names = SIDES[kind]
-    declared = [None] * len(names)
-    if nodes is not None:
-        where, tokens = nodes
-        counts = "one count" if kind == "homogeneous" else "two counts"
-        if len(tokens) != len(names):
-            raise ParseError(f"{where}: '# nodes' needs {counts}")
-        declared = parse_numbers(tokens, int, where)
+    declared = _declared(nodes, kind)
     stride = 2 // len(names)   # a homogeneous graph's one side: src, dst, src, ...
     columns = [[t for r in rows for t in r[c:c + stride]] for c in range(len(names))]
     resolved = [_side_ids(tokens, presets[name], count,
                           lambda j: f"{path} line {line_nos[j // stride]}")
                 for tokens, name, count in zip(columns, names, declared)]
     if not all(num in INT64 for _, num, _ in resolved):   # a declared count
-        raise ParseError(f"{where}: node count does not fit in int64")
+        raise ParseError(f"{nodes[0]}: node count does not fit in int64")
     timestamps = None
     if kind == "bipartite" and len(stamped):
+        for i, t in zip(stamped, stamps):
+            if not 0 <= t < 2**63:
+                fault = "is negative" if t < 0 else "does not fit in int64"
+                raise ParseError(f"{path} line {line_nos[i]}: timestamp "
+                                 f"{rows[i][3]!r} {fault}")
         timestamps = np.full(len(rows), -1, dtype=np.int64)
-        try:
-            timestamps[stamped] = stamps
-        except OverflowError:
-            i = next(i for i, t in zip(stamped, stamps) if t not in INT64)
-            raise ParseError(f"{path} line {line_nos[i]}: timestamp "
-                             f"{rows[i][3]!r} does not fit in int64") from None
-    try:
-        if kind == "homogeneous":
-            (ids, num_nodes, labels), = resolved
-            return _build_homogeneous(num_nodes, ids[0::2], ids[1::2], weights,
-                                      labels)
-        (a_ids, num_a, a_labels), (b_ids, num_b, b_labels) = resolved
-        return _build_bipartite(num_a, num_b, a_ids, b_ids, weights, timestamps,
-                                a_labels, b_labels)
-    except (ValueError, MemoryError):   # numpy cannot allocate the CSR arrays
-        counts = " and ".join(str(num) for _, num, _ in resolved)
-        raise CapacityError(f"{path}: a graph of {counts} nodes does not fit "
-                            "in memory") from None
+        timestamps[stamped] = stamps
+    return resolved, weights, timestamps
 
 
 def _merge(a, b, weights, timestamps=None):
@@ -325,17 +386,36 @@ def save_edge_list(graph, path) -> None:
     """Write a graph back to edge-list form; load_edge_list inverts this."""
     names = SIDES[graph.kind]
     columns = sides(graph)
-    stamps = [""] * graph.num_edges
-    if graph.kind == "bipartite" and graph.timestamps is not None:
-        stamps = [f" {t}" if t >= 0 else "" for t in graph.timestamps.tolist()]
-    tokens = [[labels[i] for i in ids.tolist()] if labels else ids.tolist()
-              for ids, (labels, _) in zip(graph.edges.T, columns)]
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        fh.write("# nodes " + " ".join(str(n) for _, n in columns[:len(names)]) + "\n")
-        for name, (labels, _) in zip(names, columns):
-            fh.writelines(f"# {name} {label}\n" for label in labels or ())
-        fh.writelines("%s %s %.17g%s\n" % row for row in
-                      zip(*tokens, graph.weights.tolist(), stamps))
+    head = ["# nodes " + " ".join(str(n) for _, n in columns[:len(names)])]
+    for name, (labels, _) in zip(names, columns):
+        head += [f"# {name} {label}" for label in labels or ()]
+    stamps = graph.timestamps if graph.kind == "bipartite" else None
+    write_pairs(path, graph.edges, columns, graph.weights, stamps, head)
+
+
+def write_pairs(path, pairs, columns, weights=None, stamps=None, head=()) -> None:
+    """Write the lines of `head`, then `a b [weight] [timestamp]` per (R, 2)
+    node pair: a node by label if its side in `columns` (see `sides`) has
+    labels, else by id; a weight as `%.17g`; a timestamp unless it is -1.
+    tables.write_rows writes integer ids unless only some rows are stamped."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    values = np.zeros((len(pairs), 0)) if weights is None else weights[:, None]
+    stamped = np.zeros(0, bool) if stamps is None else stamps >= 0
+    with open(Path(path), "wb") as fh:
+        fh.write("".join(line + "\n" for line in head).encode())
+        if not any(labels for labels, _ in columns) and (
+                stamped.all() or not stamped.any()):
+            if stamped.any():
+                pairs = np.column_stack([pairs, stamps])
+            write_rows(fh, pairs, values, trailing=pairs.shape[1] - 2)
+            return
+        tokens = [[labels[i] for i in ids.tolist()] if labels else ids.tolist()
+                  for ids, (labels, _) in zip(pairs.T, columns)]
+        stamp = ([""] * len(pairs) if stamps is None else
+                 [f" {t}" if t >= 0 else "" for t in stamps.tolist()])
+        line = "%s %s" + " %.17g" * values.shape[1] + "%s\n"
+        fh.writelines((line % row).encode()
+                      for row in zip(*tokens, *values.T.tolist(), stamp))
 
 
 def adjacency_dense(graph) -> np.ndarray:

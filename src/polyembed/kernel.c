@@ -433,29 +433,31 @@ static char *write_g17(char *o, uint64_t bits)
 }
 
 /* Writes `rows` lines of `n_index` "%d" fields from index (rows, n_index)
-   then `width` "%.17g" fields from values (rows, width), space-separated,
-   into `out`, whose size the caller bounds by 21 bytes per index field and
-   25 per value. The j-th value that is not formatted here (not +-0 and
-   outside 1e-16 < |x| < 1e17: subnormals, inf and NaN too) is written as
+   and `width` "%.17g" fields from values (rows, width), space-separated,
+   the values before the last `n_trail` index fields, into `out`, whose
+   size the caller bounds by 21 bytes per index field and 25 per value.
+   The j-th value that is not formatted here (not +-0 and outside
+   1e-16 < |x| < 1e17: subnormals, inf and NaN too) is written as
    declined[ends[j - 1]:ends[j]]. Returns the bytes written, or -1 unless
    exactly `n_declined` values were declined; with none given, -1 says
    the rows hold a value to decline. */
-int64_t format_rows(int64_t rows, int64_t n_index, const int64_t *index,
-                    int64_t width, const double *values, const char *declined,
-                    const int64_t *ends, int64_t n_declined, char *out)
+int64_t format_rows(int64_t rows, int64_t n_index, int64_t n_trail,
+                    const int64_t *index, int64_t width, const double *values,
+                    const char *declined, const int64_t *ends,
+                    int64_t n_declined, char *out)
 {
     char *o = out;
     int64_t j = 0;
     for (int64_t r = 0; r < rows; r++) {
-        for (int64_t c = 0; c < n_index; c++) {
-            o = write_int(o, index[r * n_index + c]);
-            *o++ = ' ';
-        }
-        for (int64_t c = 0; c < width; c++) {
-            double x = values[r * width + c], a = x < 0 ? -x : x;
+        for (int64_t f = 0; f < n_index + width; f++) {
+            int64_t c = f - (n_index - n_trail);   /* the value column */
+            double x = 0 <= c && c < width ? values[r * width + c] : 0;
+            double a = x < 0 ? -x : x;
             uint64_t bits;
             memcpy(&bits, &x, sizeof bits);
-            if (x == 0) {
+            if (c < 0 || c >= width) {               /* an index field */
+                o = write_int(o, index[r * n_index + (c < 0 ? f : f - width)]);
+            } else if (x == 0) {
                 if (bits >> 63)
                     *o++ = '-';
                 *o++ = '0';

@@ -125,7 +125,7 @@ def _signatures() -> dict:
                 _array(np.int64, 2, writeable=True), steps]),
             "csr_matmat": (None, product),
             "coo_matmat": (None, product),
-            "format_rows": (i64, [i64, i64, _array(np.int64, 2), i64,
+            "format_rows": (i64, [i64, i64, i64, _array(np.int64, 2), i64,
                                   _array(np.float64, 2), _array(np.uint8, 1),
                                   rows, i64, _array(np.uint8, 1, writeable=True)]),
             "draw_candidates": (i64, [i64, i64, i64, i64, rows, rows, rows, rows,

@@ -9,9 +9,9 @@ priors, embedding tables and joint vectors: the header is the array's
 shape, then each row of the last axis follows its integer index tuple,
     N K D
     node_id facet_id v_1 ... v_D
-`write_rows` writes the rows of every such file, and of PolyGCN's facet
-adjacency, through the kernel's `format_rows`; Python's `'%.17g' % v`
-formats what that declines, and the whole file without the kernel.
+`write_rows` writes the rows of every such file, of PolyGCN's facet
+adjacency and of integer-id edge lists through the kernel's `format_rows`;
+Python's `'%.17g' % v` formats what that declines, and all without it.
 """
 
 from __future__ import annotations
@@ -78,10 +78,11 @@ def _declined(values) -> np.ndarray:
     return values[~(((a > 1e-16) & (a < 1e17)) | (a == 0))]
 
 
-def write_rows(fh, index, values) -> None:
+def write_rows(fh, index, values, trailing: int = 0) -> None:
     """Write one line `i_1 ... i_m v_1 ... v_w` per row of an int (R, m)
     index matrix and a float64 (R, w) value matrix to the binary file `fh`,
-    indices as `%d` and values as `%.17g` (exact for float64). The kernel
+    indices as `%d` and values as `%.17g` (exact for float64); the last
+    `trailing` index columns follow the values instead. The kernel
     formats them in blocks into one reused buffer; without it, Python
     does."""
     index = np.ascontiguousarray(index, dtype=np.int64)
@@ -90,13 +91,13 @@ def write_rows(fh, index, values) -> None:
         raise ValueError(f"index {index.shape} and values {values.shape} are "
                          "not two matrices with one row per line")
     (rows, m), width = index.shape, values.shape[1]
-    fn = kernel.function("format_rows")
+    fn, lead = kernel.function("format_rows"), m - trailing
     row_bytes = INDEX_BYTES * m + VALUE_BYTES * width + 1
     block = max(1, BLOCK_BYTES // row_bytes)
     if fn is None:
-        line = " ".join(["%d"] * m + ["%.17g"] * width) + "\n"
+        line = " ".join(["%d"] * lead + ["%.17g"] * width + ["%d"] * trailing) + "\n"
         for start in range(0, rows, block):
-            fh.write("".join(line % (*i, *v) for i, v in zip(
+            fh.write("".join(line % (*i[:lead], *v, *i[lead:]) for i, v in zip(
                 index[start:start + block].tolist(),
                 values[start:start + block].tolist())).encode())
         return
@@ -104,12 +105,12 @@ def write_rows(fh, index, values) -> None:
     no_text, no_ends = np.zeros(0, np.uint8), np.zeros(0, np.int64)
     for start in range(0, rows, block):
         i, v = index[start:start + block], values[start:start + block]
-        size = fn(len(v), m, i, width, v, no_text, no_ends, 0, out)
+        size = fn(len(v), m, trailing, i, width, v, no_text, no_ends, 0, out)
         if size < 0:   # the block holds values that Python formats
             text = [("%.17g" % x).encode() for x in _declined(v).tolist()]
             ends = np.cumsum([len(t) for t in text], dtype=np.int64)
-            size = fn(len(v), m, i, width, v, np.frombuffer(b"".join(text), np.uint8),
-                      ends, len(text), out)
+            size = fn(len(v), m, trailing, i, width, v,
+                      np.frombuffer(b"".join(text), np.uint8), ends, len(text), out)
             if size < 0:
                 raise AssertionError("format_rows declined other values than _declined")
         fh.write(memoryview(out)[:size])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import to_dense
 
-from polyembed import graph
+from polyembed import graph, kernel
 from polyembed.errors import CapacityError, ParseError, ValidationError
 
 
@@ -117,7 +117,7 @@ def test_dense_sum_equals_total_weight_bipartite():
     pytest.param("# nodes 12\n0 1\n3 2\n", "homogeneous", id="isolated-nodes"),
     pytest.param("# node solo\n# node b\na b\n", "homogeneous",
                  id="preset-labels"),
-    pytest.param("# nodes 4 3\n0 0 1 5\n1 2\n3 1 2.5 -1\n3 0 1 8\n", "bipartite",
+    pytest.param("# nodes 4 3\n0 0 1 5\n1 2\n3 1 2.5\n3 0 1 8\n", "bipartite",
                  id="some-timestamps"),
 ])
 def test_round_trip(tmp_path, text, kind):
@@ -214,3 +214,40 @@ def test_read_node_lines_resolves_each_side(tmp_path):
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))} line 3: "
                                          "expected int values, got 'u'$"):
         graph.read_node_lines(path, graph.sides(g))
+
+
+def python_edge_list(g) -> bytes:
+    """save_edge_list's bytes for an integer-id graph, line by line in
+    Python: `%d %d %.17g`, then ` %d` on a row with a timestamp."""
+    counts = [n for _, n in graph.sides(g)][:2 if g.kind == "bipartite" else 1]
+    stamps = (g.timestamps if g.kind == "bipartite" and g.timestamps is not None
+              else np.full(g.num_edges, -1))
+    lines = ["# nodes " + " ".join(map(str, counts))] + [
+        "%d %d %.17g%s" % (a, b, w, f" {t}" if t >= 0 else "")
+        for (a, b), w, t in zip(g.edges.tolist(), g.weights.tolist(), stamps.tolist())]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("kind, stamped", [("homogeneous", "none"),
+                                           ("bipartite", "none"),
+                                           ("bipartite", "some"),
+                                           ("bipartite", "all")])
+def test_edge_list_writer_writes_python_bytes(tmp_path, monkeypatch, compiled_kernel,
+                                              kind, stamped):
+    rng = np.random.default_rng(11)
+    weights = np.concatenate([[0.1, 5e-324, 1e-310, 1e17, 1.5e17, 2.0**60, 0.0],
+                              rng.random(40) * 10])
+    n = len(weights)
+    rows = np.column_stack([np.arange(n), n + rng.integers(0, 9, n), weights])
+    stamps = {"none": None,
+              "some": np.where(rng.random(n) < 0.5, rng.integers(0, 10**15, n), -1),
+              "all": rng.integers(0, 2**62, n)}[stamped]
+    g = graph.from_edges(rows, kind=kind, timestamps=stamps)
+    path, pairs = tmp_path / "g.edges", tmp_path / "test.edges"
+    for function in (kernel.function, lambda name: None):
+        monkeypatch.setattr(kernel, "function", function)
+        graph.save_edge_list(g, path)
+        assert path.read_bytes() == python_edge_list(g)
+        graph.write_pairs(pairs, g.edges[::3].tolist(), graph.sides(g))
+        assert pairs.read_text() == "".join("%d %d\n" % (a, b)
+                                            for a, b in g.edges[::3].tolist())
