@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the text-input helpers
-that raise them."""
+"""Exception types shared across the package, and the text-input and
+allocation helpers that raise them."""
+
+import contextlib
 
 
 class PolyembedError(Exception):
@@ -24,6 +26,17 @@ class ProtocolError(PolyembedError):
 
 class NumericsError(PolyembedError):
     """Non-finite values were produced during training."""
+
+
+@contextlib.contextmanager
+def allocating(what: str):
+    """CapacityError for `what` when numpy cannot allocate it inside the
+    block: MemoryError, or ValueError when its bytes pass what an index
+    holds."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise CapacityError(f"no memory for {what}") from None
 
 
 INT64 = range(-2**63, 2**63)   # the ids and counts a numpy index can hold

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import graph as graphmod
 from . import inference, kernel
-from .errors import CapacityError, ProtocolError, ValidationError
+from .errors import CapacityError, ProtocolError, ValidationError, allocating
 from .facets import FacetPrior
 from .graph import BipartiteGraph, Graph
 from .tables import EmbeddingTables
@@ -222,11 +222,8 @@ def _candidates(g, queries, truths, num_negatives, seed):
         i = int(np.argmax(outside))
         raise ValidationError(f"test edge {queries[i]} {truths[i]} is outside the graph")
     c = min(num_negatives, pool_size)
-    try:
+    with allocating(f"{len(queries)} x {c + 1} candidates"):
         cand = np.empty((len(queries), c + 1), dtype=np.int64)
-    except (ValueError, MemoryError):   # ValueError: more bytes than an index holds
-        raise CapacityError(f"no memory for {len(queries)} x {c + 1} "
-                            f"candidates") from None
     sizes = np.empty(len(queries), dtype=np.int64)
     args = (c, pool_size, bipartite, g.adj.indptr, g.adj.indices,
             np.ascontiguousarray(queries, dtype=np.int64),

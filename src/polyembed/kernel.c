@@ -1,25 +1,20 @@
-/* The package's compiled kernels: the per-step loop of sgd.Engine.apply,
-   the step decode of sgd.decode, the two sparse products of kernel.Csr and
-   kernel.coo_matmat, the text-matrix formatter of tables.write_rows, and
-   the candidate draw of evaluation._candidates.
+/* The package's compiled kernels: the SGD chunk of sgd.Engine.run (step
+   decode and step loop in one call), the two sparse products of kernel.Csr
+   and kernel.coo_matmat, the text-matrix formatter of tables.write_rows,
+   and the candidate draw of evaluation._candidates.
 
-   The step loop does the arithmetic of sgd.sgns_loss_and_grads and then the
+   sgd_chunk first decodes a chunk of observations and its uniforms into
+   the step rows that the numpy sgd.decode gives, bit for bit: each float
+   operation of observation_distribution, conditional_distribution, the
+   cumsum, facets_from_cdf and GuideTable.decode is done on the same
+   operands in numpy's order, numpy's pairwise row sum included. It then
+   runs the steps: the arithmetic of sgd.sgns_loss_and_grads, then the
    updates in the numpy engine's order: u[t], h[c], then each negative row
    in sequence. Every gradient comes from the values before the step's
    updates. Clamps are comparisons, so a NaN logit stays NaN (C's fmin and
-   fmax would return the bound and let a NaN row train on).
-
-   Returns the number of steps run: `steps`, or the index of the first step
-   whose loss is not finite, which is left unapplied. `work` holds 2*dim +
-   negatives doubles. Rows are checked against the tables by the caller.
-
-   The decode (decode_steps) turns a chunk of observations and its uniforms
-   into the step rows that the numpy sgd.decode gives, bit for bit: each
-   float operation of observation_distribution, conditional_distribution,
-   the cumsum, facets_from_cdf and GuideTable.decode is done on the same
-   operands in numpy's order, numpy's pairwise row sum included. It runs
-   when sgd_steps runs; the numpy decode is the reference and the
-   fallback, and takes the chunks that decode_steps declines.
+   fmax would return the bound and let a NaN row train on). The chunk's
+   ids and arrays are checked before any step runs, so that every decoded
+   row lies inside its table.
 
    The products add a * x[j, :] into y[i, :] entry by entry in stored order,
    one multiply and one add per element, as scipy.sparse's csr_matvecs and
@@ -48,11 +43,13 @@ static double clamp(double x, double bound)
     return x < -bound ? -bound : (x > bound ? bound : x);
 }
 
-int64_t sgd_steps(double *u, double *h, int64_t dim,
-                  const int64_t *target, const int64_t *context,
-                  const int64_t *negatives, int64_t r, int64_t steps,
-                  const double *rates, double *losses, double *work,
-                  double logit_clamp)
+/* The steps run: `steps`, or the first whose loss is not finite, left
+   unapplied. `work` holds 2 * dim + r doubles. */
+static int64_t sgd_steps(double *u, double *h, int64_t dim,
+                         const int64_t *target, const int64_t *context,
+                         const int64_t *negatives, int64_t r, int64_t steps,
+                         const double *rates, double *losses, double *work,
+                         double logit_clamp)
 {
     double *g_u = work, *u_old = work + dim, *p_neg = work + 2 * dim;
     for (int64_t s = 0; s < steps; s++) {
@@ -99,11 +96,16 @@ int64_t sgd_steps(double *u, double *h, int64_t dim,
     return steps;
 }
 
-/* numpy's pairwise_sum of k < 128 doubles, as ndarray.sum(axis=-1) adds a
-   row: in order below 8 terms, else eight running sums, combined pairwise,
-   then the remainder in order */
+/* numpy's pairwise_sum of k doubles, as ndarray.sum(axis=-1) adds a row:
+   in order below 8 terms, else up to 128 as eight running sums, combined
+   pairwise, then the remainder in order; above 128 the sum of two halves,
+   the first rounded down to a multiple of 8 */
 static double row_sum(const double *a, int64_t k)
 {
+    if (k > 128) {
+        int64_t half = k / 2 - k / 2 % 8;
+        return row_sum(a, half) + row_sum(a + half, k - half);
+    }
     double s = 0.0;
     int64_t i = 0;
     if (k >= 8) {
@@ -180,33 +182,37 @@ static int64_t guide_decode(double u, const int64_t *guide, int64_t m,
     return i < last ? i : last;
 }
 
-/* The steps of sgd.decode for n observations numbered from `first`:
-   targets (n,) and contexts (n, c), -1 (or any negative id) where there is
-   none, each taking facet_rate rounds of uniforms laid out as
-   sgd.uniforms_per_round says. With k > 1 an observation's distribution is
-   its target's row of dist plus its contexts' rows of dist_context, added
-   column by column from zero, over the count plus one; each node's facet
-   is drawn from conditional_cdf of its row and that. A negative is a node
-   by guide_decode on (guide, m, cdf, total, last) and, with k > 1, a facet
-   from the node's column of facet_cdf (k, n_nodes). Writes `steps` rows
-   of out_target, out_context, out_negatives (steps, r) and out_unit, and
-   returns `steps`; returns -1, to leave the chunk to numpy, when k > 127
-   (numpy's row sum changes form), a node id lies outside its prior, the
-   uniforms are too few, a negative's uniform lies outside [0, 1], or the
-   contexts do not make `steps` steps. `work` holds (c + 2) * k doubles. */
-int64_t decode_steps(int64_t n, int64_t c, int64_t k, int64_t r,
-                     int64_t facet_rate, int64_t min_rule, int64_t first,
-                     const double *uniforms, int64_t n_uniforms,
-                     const int64_t *target, const int64_t *context,
-                     const double *dist, int64_t n_target,
-                     const double *dist_context, int64_t n_context,
-                     const int64_t *guide, int64_t m, const double *cdf,
-                     int64_t n_cdf, double total, int64_t last,
-                     const double *facet_cdf, int64_t n_nodes, double *work,
-                     int64_t steps, int64_t *out_target, int64_t *out_context,
-                     int64_t *out_negatives, int64_t *out_unit)
+/* One chunk of sgd.Engine.run: the steps of sgd.decode, then sgd_steps
+   over them on the (n_u, dim) table u and (n_h, dim) table h. The n
+   observations, numbered from `first`, are targets (n,) and contexts (n, c),
+   negative where there is none; each takes facet_rate rounds of uniforms
+   laid out as sgd.uniforms_per_round says. With k > 1 an observation's
+   distribution is its target's row of dist plus its contexts' rows of
+   dist_context, added column by column from zero, over the count plus one,
+   and each node's facet is drawn from conditional_cdf of its row and that.
+   A negative is a node by guide_decode and, with k > 1, a facet from the
+   node's column of facet_cdf (k, n_nodes). Returns the steps run, or -1,
+   with the tables untouched, when a row could fall outside its table or a
+   draw outside its array: the priors' rows or the sampler's nodes times k
+   pass the tables' rows, `last` is not a node, an id lies outside its
+   prior, the uniforms are too few or outside [0, 1], or the contexts do
+   not make `steps` steps. `work` holds max((c + 2) * k, 2 * dim + r). */
+int64_t sgd_chunk(int64_t n, int64_t c, int64_t k, int64_t r,
+                  int64_t facet_rate, int64_t min_rule, int64_t first,
+                  const double *uniforms, int64_t n_uniforms,
+                  const int64_t *target, const int64_t *context,
+                  const double *dist, int64_t n_target,
+                  const double *dist_context, int64_t n_context,
+                  const int64_t *guide, int64_t m, const double *cdf,
+                  double total, int64_t last, const double *facet_cdf,
+                  int64_t n_nodes, int64_t steps, int64_t *out_target,
+                  int64_t *out_context, int64_t *out_negatives,
+                  int64_t *out_unit, double *u, int64_t n_u, double *h,
+                  int64_t n_h, int64_t dim, const double *rates,
+                  double *losses, double *work, double logit_clamp)
 {
-    if (k > 127 || !(total < INFINITY))
+    if (n_target * k > n_u || n_context * k > n_h || n_nodes * k > n_h
+        || last < 0 || last >= n_nodes || !(total < INFINITY))
         return -1;
     int64_t needed = 0, count = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -224,7 +230,7 @@ int64_t decode_steps(int64_t n, int64_t c, int64_t k, int64_t r,
     if (needed > n_uniforms || count != steps)
         return -1;
     double *p_o = work, *t_cdf = work + k, *c_cdf = work + 2 * k;
-    const double *u = uniforms;
+    const double *at = uniforms;
     int64_t s = 0;
     for (int64_t i = 0; i < n; i++) {
         const int64_t *ctx = context + i * c;
@@ -247,7 +253,7 @@ int64_t decode_steps(int64_t n, int64_t c, int64_t k, int64_t r,
                                     c_cdf + p++ * k);
         }
         int64_t per_round = k == 1 ? width * r : 1 + width + 2 * r * width;
-        for (int64_t round = 0; round < facet_rate; round++, u += per_round) {
+        for (int64_t round = 0; round < facet_rate; round++, at += per_round) {
             for (int64_t j = 0, p = 0; j < c; j++) {
                 if (ctx[j] < 0)
                     continue;
@@ -255,27 +261,27 @@ int64_t decode_steps(int64_t n, int64_t c, int64_t k, int64_t r,
                 /* k = 1: R node uniforms per context; else the target's
                    facet, the contexts' facets, then R nodes and R facets
                    per context */
-                const double *u_neg = k == 1 ? u + p * r : u + 1 + width + 2 * r * p;
+                const double *u_neg = k == 1 ? at + p * r : at + 1 + width + 2 * r * p;
                 for (int64_t e = 0; e < r; e++) {
-                    int64_t node = guide_decode(u_neg[e], guide, m, cdf, n_cdf,
+                    int64_t node = guide_decode(u_neg[e], guide, m, cdf, n_nodes + 1,
                                                 total, last);
                     if (node < 0)
                         return -1;
                     neg[e] = k == 1 ? node
                         : node * k + facet(facet_cdf + node, n_nodes, k, u_neg[r + e]);
                 }
-                out_target[s] = k == 1 ? t : t * k + facet(t_cdf, 1, k, u[0]);
+                out_target[s] = k == 1 ? t : t * k + facet(t_cdf, 1, k, at[0]);
                 out_context[s] = k == 1 ? ctx[j]
-                    : ctx[j] * k + facet(c_cdf + p * k, 1, k, u[1 + p]);
+                    : ctx[j] * k + facet(c_cdf + p * k, 1, k, at[1 + p]);
                 out_unit[s] = first + i;
                 s++;
                 p++;
             }
         }
     }
-    return s;
+    return sgd_steps(u, h, dim, out_target, out_context, out_negatives, r,
+                     steps, rates, losses, work, logit_clamp);
 }
-
 
 void csr_matmat(int64_t n_row, int64_t n_vecs, const int64_t *indptr,
                 const int64_t *indices, const double *data,

@@ -1,7 +1,7 @@
 """The compiled kernels, and the sparse matrix type whose products they run.
 
-`kernel.c` holds the SGD engine's step decode (`decode_steps`, the steps
-of the numpy `sgd.decode` bit for bit) and step loop (`sgd_steps`), two
+`kernel.c` holds the SGD engine's chunk (`sgd_chunk`: the steps of the
+numpy `sgd.decode` bit for bit, then the step loop, in one call), two
 sparse products (`csr_matmat`, `coo_matmat`), the text-matrix formatter
 (`format_rows`, exact `%.17g` in integer arithmetic) and the
 link-evaluation candidate draw (`draw_candidates`, numpy's
@@ -115,14 +115,12 @@ def _signatures() -> dict:
     out = _array(np.float64, 1, writeable=True)
     steps = _array(np.int64, 1, writeable=True)
     product = [i64, i64, rows, rows, values, _array(np.float64, 2), table]
-    return {"sgd_steps": (i64, [table, table, i64, rows, rows,
-                                _array(np.int64, 2), i64, i64, values, out,
-                                out, f64]),
-            "decode_steps": (i64, [i64] * 7 + [
+    return {"sgd_chunk": (i64, [i64] * 7 + [
                 values, i64, rows, _array(np.int64, 2), _array(np.float64, 2), i64,
-                _array(np.float64, 2), i64, rows, i64, values, i64, f64, i64,
-                _array(np.float64, 2), i64, out, i64, steps, steps,
-                _array(np.int64, 2, writeable=True), steps]),
+                _array(np.float64, 2), i64, rows, i64, values, f64, i64,
+                _array(np.float64, 2), i64, i64, steps, steps,
+                _array(np.int64, 2, writeable=True), steps, table, i64, table, i64,
+                i64, values, out, out, f64]),
             "csr_matmat": (None, product),
             "coo_matmat": (None, product),
             "format_rows": (i64, [i64, i64, i64, _array(np.int64, 2), i64,

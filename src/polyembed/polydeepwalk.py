@@ -6,7 +6,7 @@ SGD update per (center, context) pair on the selected facet vectors.
 Facets are drawn from the min-rule conditional distribution, so a facet
 the prior rules out for a node is never activated for it. The trainer
 frames the corpus into windows; the shared `sgd` engine decodes and
-applies them. Runs are bit-reproducible for a fixed seed. The tractable
+runs them. Runs are bit-reproducible for a fixed seed. The tractable
 training objective is the Jensen lower bound of the full facet-marginal
 log-likelihood; `exact_objective_small` evaluates both sides exactly on
 enumerable instances.
@@ -73,18 +73,17 @@ def _observations(corpus, num_nodes: int, window: int):
     return flat, np.flatnonzero((framed >= 0) & (present.sum(axis=1) >= 2)[:, None])
 
 
-def _decode_chunk(flat, at, offsets, first, dist, sampler, engine, facet_rate,
-                  negatives):
+def _run_chunk(flat, at, offsets, first, dist, sampler, engine, facet_rate,
+               negatives, label):
     """Draw the uniforms of the observations centred at `at` (numbered
-    from `first`) from the engine's stream in one call and decode their
-    steps for it."""
+    from `first`) from the engine's stream in one call and run their steps
+    on it."""
     ctx = flat[at[:, None] + offsets].astype(np.int64)
     per_round = sgd.uniforms_per_round((ctx >= 0).sum(axis=1), dist.shape[1],
                                        negatives)
-    return sgd.decode(engine.rng.random(int(facet_rate * per_round.sum())),
-                      flat[at].astype(np.int64),
-                      ctx, dist, dist, facet_rate, "min", first, sampler,
-                      negatives, engine.kind)
+    engine.run(engine.rng.random(int(facet_rate * per_round.sum())),
+               flat[at].astype(np.int64), ctx, dist, dist, facet_rate, "min",
+               first, sampler, negatives, label)
 
 
 def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
@@ -118,10 +117,9 @@ def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
                         pairs_per_epoch, hook)
     for epoch in range(config.epochs):
         for first in range(0, len(centers), sgd.CHUNK):
-            engine.apply(_decode_chunk(
-                flat, centers[first:first + sgd.CHUNK], offsets, first,
-                prior.dist, sampler, engine, config.facet_rate,
-                config.negatives), f"epoch {epoch}, observation")
+            _run_chunk(flat, centers[first:first + sgd.CHUNK], offsets, first,
+                       prior.dist, sampler, engine, config.facet_rate,
+                       config.negatives, f"epoch {epoch}, observation")
         engine.tables.check_finite(f"after epoch {epoch}")
     return TrainResult(engine.tables, engine.loss_trace(), engine.kind,
                        engine.facet_counts.tolist())

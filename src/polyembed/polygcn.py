@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .errors import NumericsError, ValidationError, check_settings
+from .errors import NumericsError, ValidationError, allocating, check_settings
 from .kernel import Csr, coo_matmat, csr
 from .sgd import GuideTable
 from .tables import EmbeddingTables, write_rows
@@ -154,10 +154,11 @@ def init_gcn_model(num_a: int, num_b: int, facet_adj: FacetAdjacency,
     bound = 1.0 / math.sqrt(d)
     for ss in root.spawn(facet_adj.k):
         rng = np.random.default_rng(ss)
-        x_a = rng.uniform(-bound, bound, (num_a, d))
-        x_b = rng.uniform(-bound, bound, (num_b, d))
-        w_a = [rng.uniform(-bound, bound, (d, d)) for _ in range(config.depth)]
-        w_b = [rng.uniform(-bound, bound, (d, d)) for _ in range(config.depth)]
+        with allocating(f"GCN parameters of dimension {d}"):
+            x_a = rng.uniform(-bound, bound, (num_a, d))
+            x_b = rng.uniform(-bound, bound, (num_b, d))
+            w_a = [rng.uniform(-bound, bound, (d, d)) for _ in range(config.depth)]
+            w_b = [rng.uniform(-bound, bound, (d, d)) for _ in range(config.depth)]
         facet_models.append(FacetGcn(x_a, x_b, w_a, w_b))
     return GcnModel(facet_models,
                     [_facet_ops(mat, config) for mat in facet_adj.mats])

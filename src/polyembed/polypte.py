@@ -9,7 +9,7 @@ type-A nodes, the context table H covers type-B nodes, and negatives are
 (type-B node, facet) pairs drawn from item degree**0.75 and the item's
 prior. An edge is one uniform through `sgd.GuideTable`, over the edge
 weights (`weighted_edges`) or unit weights, and an `sgd` observation with
-one context, decoded and applied by the shared engine. Runs are
+one context, decoded and run by the shared engine. Runs are
 bit-reproducible for a fixed seed.
 """
 
@@ -53,10 +53,10 @@ class PteResult(NamedTuple):
     facet_counts: list[int]  # activations per facet, as sgd.Engine
 
 
-def _decode_chunk(bipartite, prior, sampler, engine, config, facet_rate, start,
-                  count, edge_table):
+def _run_chunk(bipartite, prior, sampler, engine, config, facet_rate, start,
+               count, edge_table):
     """Draw edge samples start .. start + count - 1 from the engine's
-    stream and decode them for it.
+    stream and run them on it.
 
     Each sample's edge uniform comes ahead of its block of uniforms, all in
     one `rng.random` call; `edge_table` decodes it into the edge.
@@ -65,9 +65,9 @@ def _decode_chunk(bipartite, prior, sampler, engine, config, facet_rate, start,
     drawn = engine.rng.random((count, width + 1))
     edge, uniforms = edge_table.decode(drawn[:, 0]), drawn[:, 1:]
     a, b = bipartite.edges[edge, 0], bipartite.edges[edge, 1]
-    return sgd.decode(uniforms.ravel(), a, b[:, None], prior.dist, prior.dist_b,
-                      facet_rate, config.facet_mode, start, sampler,
-                      config.negatives, engine.kind)
+    engine.run(uniforms.ravel(), a, b[:, None], prior.dist, prior.dist_b,
+               facet_rate, config.facet_mode, start, sampler, config.negatives,
+               "edge sample")
 
 
 def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
@@ -99,9 +99,8 @@ def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
                         config.seed, config.learning_rate, steps_total,
                         max(1, steps_total // TRACE_POINTS), hook)
     for start in range(0, total, sgd.CHUNK):
-        engine.apply(_decode_chunk(bipartite, prior, sampler, engine, config,
-                                   facet_rate, start, min(sgd.CHUNK, total - start),
-                                   edge_table), "edge sample")
+        _run_chunk(bipartite, prior, sampler, engine, config, facet_rate, start,
+                   min(sgd.CHUNK, total - start), edge_table)
     engine.tables.check_finite("after training")
     return PteResult(engine.tables, engine.loss_trace(), engine.kind,
                      engine.facet_counts.tolist())

@@ -8,20 +8,18 @@ its own prior and that mean, and one negative-sampled step runs per
 (target, context) pair. It turns a chunk of observations and their
 random draws into per-step arrays of flat table rows (target, context,
 negatives). No draw depends on the tables and the stream is consumed in
-per-step order, so results do not depend on CHUNK. `Engine.apply` then
-runs the SGD steps on (rows, D) views of the tables.
+per-step order, so results do not depend on CHUNK. The SGD steps then run
+on (rows, D) views of the tables.
 
-Both halves run in the compiled kernel (see `kernel`) when `Engine.kind`
-is "c". The decode runs in `decode_steps`, which follows numpy's float
-operations in numpy's order, so its steps equal the numpy decode's bit
-for bit; it declines, and the numpy decode runs, at K >= 128, where
-numpy's row sum changes form, and on ids outside the priors. The steps
-run in `sgd_steps`, which does the arithmetic of `sgns_loss_and_grads` in
-another summation order, so its tables agree with the numpy loop within
-1e-12 of the largest entry (about 1e-14 measured), not bit for bit. The
-numpy decode and loop are the reference: they run when a `hook` is
-given, which needs per-step tables, and when the kernel cannot be built
-or loaded.
+`Engine.run` takes a chunk of observations through both halves. With
+`Engine.kind` "c" the compiled kernel's `sgd_chunk` (see `kernel`) does
+both in one call. Its decode follows numpy's float operations in numpy's
+order, so its steps equal the numpy decode's bit for bit at any K. Its
+step loop does the arithmetic of `sgns_loss_and_grads` in another
+summation order, so its tables agree with the numpy loop within 1e-12 of
+the largest entry (about 1e-14 measured), not bit for bit. The numpy
+decode and loop are the reference: they run when a `hook` is given, which
+needs per-step tables, and when the kernel cannot be built or loaded.
 
 A facet round of an observation with C contexts draws one uniform for the
 target facet, C for the context facets, then per context R for the
@@ -44,7 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernel
-from .errors import CapacityError, NumericsError, ValidationError
+from .errors import CapacityError, NumericsError, ValidationError, allocating
 from .facets import conditional_distribution, facets_from_cdf, sample_facets
 from .tables import EmbeddingTables, init_tables
 
@@ -165,8 +163,8 @@ def observation_distribution(target, context, dist, dist_context):
 
 
 def decode(uniforms, target, context, dist, dist_context, facet_rate: int,
-           mode: str, first: int, sampler: NegativeSampler, negatives: int,
-           kind: str = "numpy") -> Steps:
+           mode: str, first: int, sampler: NegativeSampler, negatives: int
+           ) -> Steps:
     """Decode the steps of observations numbered from `first`: targets
     (n,) and contexts (n, C), -1 where there is none, of nodes whose facet
     priors are the rows of `dist` and `dist_context`. Each observation
@@ -174,15 +172,7 @@ def decode(uniforms, target, context, dist, dist_context, facet_rate: int,
     out observation by observation in `uniforms`; a round runs one step per
     context, in column order. Facets come from
     `conditional_distribution(prior, observation distribution, mode)`.
-
-    With `kind` "c" (`Engine.kind`) the kernel's `decode_steps` decodes the
-    chunk, unless it declines; the numpy code below is the reference and
-    gives the same arrays."""
-    if kind == "c":
-        steps = _decode_compiled(uniforms, target, context, dist, dist_context,
-                                 facet_rate, mode, first, sampler, negatives)
-        if steps is not None:
-            return steps
+    The reference of the kernel's decode (`Engine.run`)."""
     valid = context >= 0
     width = valid.sum(axis=1)
     k = sampler.k
@@ -210,35 +200,6 @@ def decode(uniforms, target, context, dist, dist_context, facet_rate: int,
     nodes, facets = sampler.decode(uniforms[draws], uniforms[draws + negatives])
     return Steps(t_node * k + t_facet, c_node * k + c_facet,
                  nodes * k + facets, first + owner)
-
-
-def _decode_compiled(uniforms, target, context, dist, dist_context,
-                     facet_rate, mode, first, sampler, negatives) -> Steps | None:
-    """`decode` in the kernel, or None where `decode_steps` declines or a
-    mode or shape is not one it takes."""
-    fn = kernel.function("decode_steps")
-    target = np.ascontiguousarray(target, dtype=np.int64)
-    context = np.ascontiguousarray(context, dtype=np.int64)
-    dist = np.ascontiguousarray(dist, dtype=np.float64)
-    dist_context = np.ascontiguousarray(dist_context, dtype=np.float64)
-    k, table = sampler.k, sampler.nodes
-    if (fn is None or mode not in ("min", "observation") or target.ndim != 1
-            or context.ndim != 2 or len(context) != len(target)
-            or dist.ndim != 2 or dist_context.ndim != 2
-            or dist.shape[1] != k or dist_context.shape[1] != k):
-        return None
-    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64).ravel()
-    count = facet_rate * int(np.count_nonzero(context >= 0))
-    steps = Steps(np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64),
-                  np.empty((count, negatives), dtype=np.int64),
-                  np.empty(count, dtype=np.int64))
-    done = fn(len(target), context.shape[1], k, negatives, facet_rate,
-              mode == "min", first, uniforms, len(uniforms), target, context,
-              dist, len(dist), dist_context, len(dist_context), table.guide,
-              table.m, table.cdf, len(table.cdf), table.total, table.last,
-              sampler.facet_cdf, sampler.facet_cdf.shape[1],
-              np.empty((context.shape[1] + 2) * k), count, *steps)
-    return steps if done == count else None
 
 
 def _logsumexp(x) -> float:
@@ -285,7 +246,7 @@ def jensen_bound(target: int, contexts, dist, dist_context,
 class Engine:
     """One training run's tables, random stream and update loop.
 
-    Steps are numbered across `apply` calls for the learning rate, which
+    Steps are numbered across `run` calls for the learning rate, which
     decays linearly over `total_steps` to a floor of LR_FLOOR_RATIO times
     its start, for `hook(step, tables)`, and for the loss trace: the mean
     loss of each run of `bucket` consecutive steps. `facet_counts` counts
@@ -304,7 +265,8 @@ class Engine:
         self.lr0 = learning_rate
         self.decay = (1.0 - LR_FLOOR_RATIO) / total_steps
         self.total, self.bucket, self.hook = total_steps, bucket, hook
-        self.loss_sums = np.zeros(-(-total_steps // bucket))
+        with allocating(f"{-(-total_steps // bucket)} loss buckets"):
+            self.loss_sums = np.zeros(-(-total_steps // bucket))
         self.facet_counts = np.zeros(k, dtype=np.int64)
         self.step = 0
 
@@ -313,18 +275,25 @@ class Engine:
         """The engine that decodes and runs the steps: "c" (the compiled
         kernel) or "numpy" (the reference decode and loop)."""
         return ("numpy" if self.hook is not None
-                or kernel.function("sgd_steps") is None else "c")
+                or kernel.function("sgd_chunk") is None else "c")
 
-    def apply(self, steps: Steps, label: str) -> None:
-        """Run the steps; a non-finite loss raises NumericsError naming
-        `label` and the step's unit."""
-        start, count = self.step, len(steps.target)
+    def run(self, uniforms, target, context, dist, dist_context, facet_rate: int,
+            mode: str, first: int, sampler: NegativeSampler, negatives: int,
+            label: str) -> Steps:
+        """Decode a chunk of observations, given as `decode`'s arguments, and
+        run its steps; returns the steps. A non-finite loss raises
+        NumericsError naming `label` and the step's unit, after the steps
+        before it; a row outside the tables raises IndexError before any."""
+        chunk = (uniforms, target, context, dist, dist_context, facet_rate, mode,
+                 first, sampler, negatives)
+        start, count = self.step, facet_rate * int(np.count_nonzero(context >= 0))
         index = np.arange(start, start + count, dtype=np.float64)
         rates = self.lr0 * np.maximum(LR_FLOOR_RATIO, 1.0 - self.decay * index)
         losses = np.empty(count)
         if self.kind == "c":
-            done = self._run_kernel(steps, rates, losses)
+            steps, done = self._run_kernel(*chunk, rates, losses)
         else:
+            steps = decode(*chunk)
             done = self._run_numpy(steps, rates, losses)
         if done < count:
             raise NumericsError(f"training diverged at {label} {steps.unit[done]}")
@@ -334,12 +303,17 @@ class Engine:
                               + np.bincount(steps.context % k, minlength=k))
         # in step order, so each bucket sums exactly as a running total does
         np.add.at(self.loss_sums, (index // self.bucket).astype(np.int64), losses)
+        return steps
 
     def _run_numpy(self, steps: Steps, rates, losses) -> int:
         """The reference loop. Fills `losses` and returns the index of the
         first step whose loss is not finite, left unapplied, or the step
         count."""
         u, h, hook, tables = self.u, self.h, self.hook, self.tables
+        for rows, table in ((steps.target, u), (steps.context, h),
+                            (steps.negatives, h)):
+            if rows.size and (rows.min() < 0 or rows.max() >= len(table)):
+                raise IndexError("decoded step row outside its table")
         for s, (t, c, neg, lr) in enumerate(zip(
                 steps.target.tolist(), steps.context.tolist(),
                 steps.negatives, rates.tolist())):
@@ -355,22 +329,31 @@ class Engine:
                 hook(self.step + s, tables)
         return len(losses)
 
-    def _run_kernel(self, steps: Steps, rates, losses) -> int:
-        """`_run_numpy` in the compiled kernel, after checking every row it
-        will touch, since the kernel does not."""
-        target, context, negatives = (np.ascontiguousarray(a, dtype=np.int64)
-                                      for a in steps[:3])
-        count = len(target)
-        if len(context) != count or len(negatives) != count:
-            raise IndexError("decoded steps disagree on their count")
-        for rows, table in ((target, self.u), (context, self.h),
-                            (negatives, self.h)):
-            if rows.size and (rows.min() < 0 or rows.max() >= len(table)):
-                raise IndexError("decoded step row outside its table")
-        dim, r = self.u.shape[1], negatives.shape[1]
-        return kernel.function("sgd_steps")(
-            self.u, self.h, dim, target, context, negatives, r, count, rates,
-            losses, np.empty(2 * dim + r), LOGIT_CLAMP)
+    def _run_kernel(self, uniforms, target, context, dist, dist_context,
+                    facet_rate, mode, first, sampler, negatives, rates, losses):
+        """`decode` and `_run_numpy` in one call of the kernel's `sgd_chunk`,
+        which checks every row first; returns the steps and the count run."""
+        target, context = (np.ascontiguousarray(a, dtype=np.int64)
+                           for a in (target, context))
+        dist, dist_context = (np.ascontiguousarray(a, dtype=np.float64)
+                              for a in (dist, dist_context))
+        k, c, table, dim, count = (sampler.k, context.shape[1], sampler.nodes,
+                                   self.u.shape[1], len(rates))
+        if len(context) != len(target) or {dist.shape[1], dist_context.shape[1]} != {k}:
+            raise IndexError("a chunk's arrays disagree on their shapes")
+        steps = Steps(*(np.empty(shape, dtype=np.int64)
+                        for shape in (count, count, (count, negatives), count)))
+        uniforms = np.ascontiguousarray(uniforms, dtype=np.float64).ravel()
+        done = kernel.function("sgd_chunk")(
+            len(target), c, k, negatives, facet_rate, mode == "min", first,
+            uniforms, len(uniforms), target, context, dist, len(dist),
+            dist_context, len(dist_context), table.guide, table.m, table.cdf,
+            table.total, table.last, sampler.facet_cdf, sampler.facet_cdf.shape[1],
+            count, *steps, self.u, len(self.u), self.h, len(self.h), dim, rates,
+            losses, np.empty(max((c + 2) * k, 2 * dim + negatives)), LOGIT_CLAMP)
+        if done < 0:
+            raise IndexError("a chunk's ids or priors fall outside the tables")
+        return steps, done
 
     def loss_trace(self) -> list[float]:
         """Mean loss per bucket; the last bucket may be shorter."""

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernel
-from .errors import (NumericsError, ParseError, ValidationError, parse_numbers,
-                     text_lines)
+from .errors import (NumericsError, ParseError, ValidationError, allocating,
+                     parse_numbers, text_lines)
 
 
 @dataclass
@@ -61,8 +61,9 @@ def init_tables(num_nodes, k, d, seed=0, num_context=None) -> EmbeddingTables:
         raise ValidationError("table dimensions must be positive")
     rng = np.random.default_rng(seed)
     nc = num_nodes if num_context is None else num_context
-    u = (rng.random((num_nodes, k, d)) - 0.5) / d
-    h = np.zeros((nc, k, d))
+    with allocating(f"tables of ({num_nodes} + {nc}) x {k} x {d}"):
+        u = (rng.random((num_nodes, k, d)) - 0.5) / d
+        h = np.zeros((nc, k, d))
     return EmbeddingTables(u=u, h=h)
 
 

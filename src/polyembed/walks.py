@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (INT64, ParseError, ValidationError, check_settings,
-                     parse_numbers, text_lines)
+from .errors import (INT64, ParseError, ValidationError, allocating,
+                     check_settings, parse_numbers, text_lines)
 
 
 WALK_BLOCK = 65536   # walks stepped together; bounds their memory
@@ -81,8 +81,10 @@ def generate_walks(graph, config: WalkConfig) -> np.ndarray:
     total = np.zeros(graph.num_nodes)
     total[starts] = local[indptr[starts + 1] - 1]
     starts = starts[total[starts] > 0]
-    out = np.empty((config.walks_per_node, len(starts), config.walk_length),
-                   dtype=np.int64)
+    with allocating(f"{config.walks_per_node} x {len(starts)} walks of "
+                    f"{config.walk_length} nodes"):
+        out = np.empty((config.walks_per_node, len(starts), config.walk_length),
+                       dtype=np.int64)
     out[:, :, 0] = starts
     # every walk takes all its steps, so each start's walks use its first
     # walks_per_node * steps uniforms, which one call draws

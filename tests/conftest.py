@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from polyembed import graph as graphmod
-from polyembed import kernel
+from polyembed import kernel, sgd
 from polyembed.errors import NumericsError, ValidationError
 from polyembed.evaluation import _incidence, hit_ratio
 from polyembed.facets import FacetPrior
@@ -39,7 +39,20 @@ def compiled_kernel():
     """Skip without a C compiler; with one, the compiled kernel must load."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
-    assert kernel.function("sgd_steps") is not None
+    assert kernel.function("sgd_chunk") is not None
+
+
+def spy_engine_runs(monkeypatch):
+    """Records each `sgd.Engine.run` call's arguments (`decode`'s, then the
+    label) and the steps it returns."""
+    calls, run = [], sgd.Engine.run
+
+    def spy(engine, *args):
+        calls.append((args, run(engine, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sgd.Engine, "run", spy)
+    return calls
 
 
 def make_sbm(seed, n_block=60, p_in=0.3, p_out=0.02):

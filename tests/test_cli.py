@@ -48,7 +48,7 @@ def run_ok(argv):
 
 def engine_line():
     """The manifest line of the SGD engine that runs here."""
-    return f"engine={'numpy' if kernel.function('sgd_steps') is None else 'c'}\n"
+    return f"engine={'numpy' if kernel.function('sgd_chunk') is None else 'c'}\n"
 
 
 def test_facets_shape_contract(tmp_path, sbm_file):
@@ -439,6 +439,38 @@ def test_eval_link_rejects_mismatched_inputs(artifacts, capsys, argv, words):
     assert cli.run(in_artifacts(argv, artifacts)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "disagree" in err and words in err
+
+
+# every array these settings size passes 2^47 bytes, more than a process
+# can address, or 2^63 bytes, more than a numpy index holds
+HUGE, BEYOND_INDEX = str(10**14), str(10**18)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["train-pte", "--input", "b.edges", "--prior", "b.prior",
+                  "--dim", HUGE], id="train-pte-dim"),
+    pytest.param(["train-pte", "--input", "b.edges", "--prior", "b.prior",
+                  "--dim", BEYOND_INDEX], id="train-pte-dim-beyond-index"),
+    pytest.param(["train-gcn", "--input", "b.edges", "--prior", "b.prior",
+                  "--dim", HUGE], id="train-gcn-dim"),
+    pytest.param(["walks", "--input", "g.edges", "--walks-per-node", HUGE],
+                 id="walks-per-node"),
+    pytest.param(["walks", "--input", "g.edges", "--walk-length", BEYOND_INDEX],
+                 id="walk-length"),
+    pytest.param(DEEPWALK_W[:-2] + ["--epochs", HUGE], id="train-deepwalk-epochs"),
+    pytest.param(["pipeline", "--input", "g.edges", "--dim", HUGE],
+                 id="pipeline-deepwalk-dim"),
+    pytest.param(["pipeline", "--input", "b.edges", "--kind", "bipartite",
+                  "--model", "pte", "--dim", HUGE], id="pipeline-pte-dim"),
+    pytest.param(["pipeline", "--input", "b.edges", "--kind", "bipartite",
+                  "--model", "gcn", "--dim", HUGE], id="pipeline-gcn-dim"),
+])
+def test_a_size_beyond_memory_is_a_capacity_error(artifacts, capsys, tmp_path,
+                                                  argv):
+    out = ["--workdir" if argv[0] == "pipeline" else "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert cli.run(in_artifacts(argv, artifacts) + out) == 1
+    assert capsys.readouterr().err.startswith("error: no memory for ")
 
 
 def test_bad_parameter_returns_nonzero(tmp_path, sbm_file):

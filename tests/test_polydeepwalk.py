@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (finite_difference, make_two_cliques, reference_sgns_train,
-                      rel_error, walk_lists)
+                      rel_error, spy_engine_runs, walk_lists)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -303,21 +303,14 @@ def test_facet_respect_instrumented_sampler(clique_setup, monkeypatch):
     prior = facets.FacetPrior.from_factor(p)
     config = pdw.TrainConfig(dim=4, epochs=1, window=3, seed=2)
     for path in ("compiled", "numpy"):
-        calls, decode = [], sgd.decode
-
-        def spy(*args):
-            steps = decode(*args)
-            calls.append((args, steps))
-            return steps
-
         with monkeypatch.context() as patched:
-            patched.setattr(sgd, "decode", spy)
+            calls = spy_engine_runs(patched)
             if path == "numpy":
                 patched.setattr(kernel, "function", lambda name: None)
             kind = pdw.train(g, prior, corpus, config).engine
-        assert kind == ("numpy" if path == "numpy" or kernel.function("sgd_steps")
+        assert kind == ("numpy" if path == "numpy" or kernel.function("sgd_chunk")
                         is None else "c")
-        assert calls and {args[-1] for args, _ in calls} == {kind}
+        assert calls
         for (_, target, context, dist, dist_context, _, mode, first, *_), steps \
                 in calls:
             p_o = sgd.observation_distribution(target, context, dist, dist_context)
@@ -380,15 +373,10 @@ def test_observations_frame_ragged_walks_as_sliding_windows(window):
 def test_decode_sees_int64_ids_from_an_int32_frame(clique_setup, monkeypatch):
     """node * K + facet must not wrap around in int32."""
     g, prior, corpus = clique_setup
-    dtypes, decode = set(), sgd.decode
-
-    def spy(uniforms, target, context, *rest):
-        dtypes.add((target.dtype, context.dtype))
-        return decode(uniforms, target, context, *rest)
-
-    monkeypatch.setattr(sgd, "decode", spy)
+    runs = spy_engine_runs(monkeypatch)
     pdw.train(g, prior, corpus, pdw.TrainConfig(dim=4, epochs=1, window=3))
-    assert dtypes == {(np.dtype(np.int64), np.dtype(np.int64))}
+    assert {(args[1].dtype, args[2].dtype) for args, _ in runs} == {
+        (np.dtype(np.int64), np.dtype(np.int64))}
 
 
 # ------------------------------------------------------ exact objective

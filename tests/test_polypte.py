@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import make_planted_bipartite, reference_pte_train
+from conftest import make_planted_bipartite, reference_pte_train, spy_engine_runs
 
 from polyembed import cli, evaluation, facets, graph, polypte, sgd
 from polyembed.errors import ValidationError
@@ -126,18 +126,11 @@ def test_weighted_edges_are_drawn_in_proportion_to_weight(monkeypatch):
     often as one of weight 1."""
     g = graph.from_edges([(0, 0, 1.0), (1, 1, 3.0)], kind="bipartite")
     prior = facets.FacetPrior.uniform(2, 1, num_b=2)
-    targets = []
-
-    def spy(uniforms, target, *rest):
-        targets.append(target)
-        return decode(uniforms, target, *rest)
-
-    decode = sgd.decode
-    monkeypatch.setattr(sgd, "decode", spy)
+    runs = spy_engine_runs(monkeypatch)
     config = polypte.PteConfig(dim=2, negatives=1, total_samples=40_000,
                                weighted_edges=True, seed=0)
     polypte.train_pte(g, prior, config)
-    targets = np.concatenate(targets)
+    targets = np.concatenate([args[1] for args, _ in runs])
     assert len(targets) == 40_000
     assert 0.74 <= targets.mean() <= 0.76
 

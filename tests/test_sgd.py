@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (bucket_means, make_planted_bipartite, make_two_cliques,
-                      reference_polydeepwalk, reference_polypte)
+                      reference_polydeepwalk, reference_polypte, spy_engine_runs)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,7 +185,7 @@ def assert_close(got, want):
 
 
 @pytest.mark.parametrize("model,k", [("deepwalk", 4), ("deepwalk", 1),
-                                     ("pte", 3), ("pte", 1)])
+                                     ("pte", 3), ("pte", 1), ("deepwalk", 130)])
 def test_kernel_matches_numpy_engine(model, k, compiled_kernel, weighted_bipartite,
                                      monkeypatch):
     run = deepwalk_run(k) if model == "deepwalk" else pte_run(weighted_bipartite, k)
@@ -202,44 +202,85 @@ def test_kernel_matches_numpy_engine(model, k, compiled_kernel, weighted_biparti
     assert compiled.facet_counts == reference.facet_counts
 
 
-def poisoned_engine():
-    engine = sgd.Engine(6, 5, 2, 3, seed=0, learning_rate=0.1,
+def one_hot_chunk(num_target=8, num_context=5, nodes=None, counts=None):
+    """An engine with K = 2 tables for `num_target` and `num_context` nodes,
+    and the arguments of `Engine.run` for four observations with targets
+    0, 3, 7 and 1 numbered from 20, whose one-hot priors make each row
+    node * 2: every node of the priors and of the sampler's `nodes` has
+    facet 0 only, and `counts` weighs the sampler's nodes."""
+    engine = sgd.Engine(num_target, num_context, 2, 3, seed=0, learning_rate=0.1,
                         total_steps=8, bucket=4)
-    engine.u[7] = np.nan
-    rows = np.array([0, 3, 7, 1])
-    return engine, sgd.Steps(rows, rows, np.array([[1, 2]] * 4),
-                             np.array([20, 21, 22, 23]))
+    nodes = num_context if nodes is None else nodes
+    counts = np.ones(nodes) if counts is None else counts
+
+    def one_hot(rows):
+        return np.repeat([[1.0, 0.0]], rows, axis=0)
+
+    context = np.array([[1], [2], [3], [4]])
+    uniforms = np.random.default_rng(0).random(4 * sgd.uniforms_per_round(1, 2, 2))
+    return engine, [uniforms, np.array([0, 3, 7, 1]), context, one_hot(8),
+                    one_hot(5), 1, "min", 20, sgd.NegativeSampler(counts, one_hot(nodes)),
+                    2, "edge sample"]
 
 
-def test_nan_row_raises_at_its_step_on_both_engines(compiled_kernel, monkeypatch):
-    engine, steps = poisoned_engine()
-    before = engine.tables.h.copy()
-    with pytest.raises(NumericsError, match="edge sample 22"):
-        engine.apply(steps, "edge sample")
-    assert not np.array_equal(engine.tables.h, before)   # steps 0, 1 ran
-    assert np.isfinite(engine.tables.h).all()
+def on_both_engines(monkeypatch, check):
+    """`check()` with the compiled kernel, when there is one, then with the
+    numpy engine."""
+    if kernel.function("sgd_chunk") is not None:
+        check()
     monkeypatch.setattr(kernel, "function", lambda name: None)
-    engine, steps = poisoned_engine()
-    with pytest.raises(NumericsError, match="edge sample 22"):
-        engine.apply(steps, "edge sample")
+    check()
 
 
-@pytest.mark.parametrize("field", ["target", "context", "negatives"])
-def test_kernel_rejects_rows_outside_the_tables(field, compiled_kernel):
-    engine, steps = poisoned_engine()
-    engine.u[7] = 0.0
-    bad = getattr(steps, field).copy()
-    bad.flat[-1] = len(engine.u) if field == "target" else -1
-    with pytest.raises(IndexError):
-        engine.apply(steps._replace(**{field: bad}), "edge sample")
+def test_nan_row_raises_at_its_step_on_both_engines(monkeypatch):
+    """Target 7's row is NaN: the chunk's third step (unit 22) raises, after
+    the two before it ran, and leaves no NaN in the context table."""
+    def check():
+        engine, chunk = one_hot_chunk()
+        engine.u[14] = np.nan
+        before = engine.tables.h.copy()
+        with pytest.raises(NumericsError, match="edge sample 22"):
+            engine.run(*chunk)
+        assert not np.array_equal(engine.tables.h, before)   # steps 0, 1 ran
+        assert np.isfinite(engine.tables.h).all()
+
+    on_both_engines(monkeypatch, check)
+
+
+@pytest.mark.parametrize("field", ["target", "context", "negatives", "prior"])
+def test_kernel_rejects_rows_outside_the_tables(field, monkeypatch):
+    """An id outside its prior, a sampler whose nodes pass the context
+    table, or a prior whose rows pass the target table raises IndexError
+    before any step runs, on both engines."""
+    def check():
+        if field == "negatives":      # only the two nodes past the table weigh
+            engine, chunk = one_hot_chunk(nodes=7, counts=[0, 0, 0, 0, 0, 1, 1])
+        else:
+            engine, chunk = one_hot_chunk(num_target=7 if field == "prior" else 8)
+        if field == "target":
+            chunk[1] = np.array([0, 3, 8, 1])
+        elif field == "context":
+            chunk[2] = np.array([[1], [2], [5], [4]])
+        before = engine.tables.u.copy(), engine.tables.h.copy()
+        with pytest.raises(IndexError):
+            engine.run(*chunk)
+        assert np.array_equal(engine.tables.u, before[0])
+        assert np.array_equal(engine.tables.h, before[1])
+
+    on_both_engines(monkeypatch, check)
 
 
 # ------------------------------------------------------- the compiled decode
 
-def decode_both(*args):
-    """The kernel's Steps of a chunk, or None where it declines, and the
-    numpy decode's."""
-    return sgd._decode_compiled(*args), sgd.decode(*args)
+def kernel_steps(*args):
+    """The Steps that the kernel's `sgd_chunk` decodes from a chunk given
+    as `decode`'s arguments, run on fresh tables that fit its priors."""
+    dist, dist_context, sampler, context = args[3], args[4], args[8], args[2]
+    steps = max(1, args[5] * int(np.count_nonzero(context >= 0)))
+    engine = sgd.Engine(len(dist), len(dist_context), sampler.k, 2, seed=0,
+                        learning_rate=0.025, total_steps=steps, bucket=steps)
+    assert engine.kind == "c"
+    return engine.run(*args, "observation")
 
 
 def assert_same_steps(got, want):
@@ -309,16 +350,17 @@ def on_boundaries(rng, uniforms, target, context, dist, dist_context,
 
 
 @settings(max_examples=250, deadline=None)
-@given(k=st.sampled_from([1, 2, 7, 8, 9, 130]),
+@given(k=st.sampled_from([1, 2, 7, 8, 9, 127, 128, 129, 130, 257]),
        mode=st.sampled_from(["min", "observation"]),
        n=st.integers(0, 12), c=st.integers(1, 6), negatives=st.integers(0, 30),
        facet_rate=st.integers(1, 9), strided=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_compiled_decode_is_the_numpy_decode(k, mode, n, c, negatives, facet_rate,
                                              strided, seed):
-    """Every array equal to numpy's, with facet uniforms on the CDF
-    boundaries; K >= 128 declines, and `decode` then runs numpy's."""
-    if kernel.function("decode_steps") is None:
+    """Every array of `sgd_chunk`'s steps equal to numpy's, with facet
+    uniforms on the CDF boundaries, at every K: above 128 facets numpy's
+    row sum splits into halves, and the kernel's does too."""
+    if kernel.function("sgd_chunk") is None:
         pytest.skip("no compiled kernel")
     rng = np.random.default_rng(seed)
     uniforms, target, context, dist, dist_context, sampler = random_chunk(
@@ -333,11 +375,7 @@ def test_compiled_decode_is_the_numpy_decode(k, mode, n, c, negatives, facet_rat
         dist = np.asfortranarray(dist)
     args = (uniforms, target, context, dist, dist_context, facet_rate, mode,
             int(rng.integers(0, 1000)), sampler, negatives)
-    got, want = decode_both(*args)
-    assert (got is None) == (k >= 128)
-    assert_same_steps(sgd.decode(*args, "c"), want)
-    if got is not None:
-        assert_same_steps(got, want)
+    assert_same_steps(kernel_steps(*args), sgd.decode(*args))
 
 
 @pytest.mark.parametrize("shape", ["walk-sbm", "edge-bipartite-observation",
@@ -354,35 +392,34 @@ def test_compiled_decode_on_bench_shaped_chunks(shape, compiled_kernel):
         else:
             chunk = random_chunk(rng, 3, sgd.CHUNK, 1, 600, 60, 5, 9, padded=False)
             args = (*chunk[:5], 9, shape.rsplit("-", 1)[1], first, chunk[5], 5)
-        got, want = decode_both(*args)
-        assert got is not None
-        assert_same_steps(got, want)
+        assert_same_steps(kernel_steps(*args), sgd.decode(*args))
 
 
-def spied_decodes(monkeypatch):
-    """Records each `sgd.decode` call's arguments and result, and each
-    result of the kernel's decode."""
-    calls, compiled = [], []
-    decode, decode_compiled = sgd.decode, sgd._decode_compiled
+def spied_runs(monkeypatch):
+    """Records each `Engine.run` call's arguments and steps, each
+    `sgd.decode` call's arguments, and the count of `sgd_chunk` calls."""
+    runs, decodes, chunks = spy_engine_runs(monkeypatch), [], []
+    decode, function = sgd.decode, kernel.function
 
-    def spy(*args):
-        steps = decode(*args)
-        calls.append((args, steps))
-        return steps
+    def spy_decode(*args):
+        decodes.append(args)
+        return decode(*args)
 
-    def spy_compiled(*args):
-        compiled.append(decode_compiled(*args))
-        return compiled[-1]
+    def counted(*args):
+        chunks.append(len(chunks))
+        return function("sgd_chunk")(*args)
 
-    monkeypatch.setattr(sgd, "decode", spy)
-    monkeypatch.setattr(sgd, "_decode_compiled", spy_compiled)
-    return calls, compiled
+    monkeypatch.setattr(sgd, "decode", spy_decode)
+    monkeypatch.setattr(kernel, "function", lambda name: (
+        counted if name == "sgd_chunk" and function(name) is not None
+        else function(name)))
+    return runs, decodes, chunks
 
 
 WHOLE_RUNS = [("deepwalk", 4, "min", False), ("deepwalk", 1, "min", False),
               *[("pte", 3, mode, weighted) for mode in ("observation", "min")
                 for weighted in (False, True)],
-              ("pte", 1, "observation", True)]
+              ("pte", 1, "observation", True), ("deepwalk", 130, "min", False)]
 
 
 def whole_run(g, model, k, mode, weighted, hook=None):
@@ -391,21 +428,32 @@ def whole_run(g, model, k, mode, weighted, hook=None):
     return pte_run(g, k, mode, weighted, hook)
 
 
+def chunks_of(model):
+    """The chunks of a `whole_run`: 2 epochs of the corpus's observations,
+    or 301 edge samples."""
+    if model == "pte":
+        return -(-301 // sgd.CHUNK)
+    corpus = walks.generate_walks(
+        make_two_cliques(clique=4),
+        walks.WalkConfig(walks_per_node=5, walk_length=7, seed=1))
+    return 2 * -(-len(pdw._observations(corpus, 8, 3)[1]) // sgd.CHUNK)
+
+
 @pytest.mark.parametrize("model,k,mode,weighted", WHOLE_RUNS)
 def test_every_chunk_of_a_run_decodes_as_numpy(model, k, mode, weighted,
                                                compiled_kernel, weighted_bipartite,
                                                monkeypatch):
-    """The kernel decodes every chunk of a run, each as numpy does, and the
-    run's facet counts are those of the decoded rows."""
+    """Without a hook each chunk of a run is one `sgd_chunk` call and none
+    runs numpy's decode; each chunk's steps are numpy's, and the run's
+    facet counts are those of its rows."""
     numpy_decode = sgd.decode
-    calls, compiled = spied_decodes(monkeypatch)
+    runs, decodes, chunks = spied_runs(monkeypatch)
     result = whole_run(weighted_bipartite, model, k, mode, weighted)()
-    assert calls and len(compiled) == len(calls)
-    assert all(steps is not None for steps in compiled)
+    assert len(runs) == len(chunks) == chunks_of(model)
+    assert decodes == []
     counts = np.zeros(k, dtype=np.int64)
-    for (*args, kind), steps in calls:
-        assert kind == "c"
-        assert_same_steps(steps, numpy_decode(*args))
+    for args, steps in runs:
+        assert_same_steps(steps, numpy_decode(*args[:-1]))
         counts += sum(np.bincount(rows % k, minlength=k) for rows in steps[:2])
     assert result.facet_counts == counts.tolist()
 
@@ -413,8 +461,8 @@ def test_every_chunk_of_a_run_decodes_as_numpy(model, k, mode, weighted,
 @pytest.mark.parametrize("model,k,mode,weighted", WHOLE_RUNS[::2])
 def test_a_run_with_a_hook_decodes_in_numpy(model, k, mode, weighted,
                                             weighted_bipartite, monkeypatch):
-    calls, compiled = spied_decodes(monkeypatch)
+    runs, decodes, chunks = spied_runs(monkeypatch)
     whole_run(weighted_bipartite, model, k, mode, weighted,
               hook=lambda step, tables: None)()
-    assert calls and {args[-1] for args, _ in calls} == {"numpy"}
-    assert compiled == []
+    assert len(decodes) == len(runs) == chunks_of(model)
+    assert chunks == []

@@ -134,6 +134,33 @@ def test_exported_function_check_sees_only_non_static_definitions():
     assert exported_functions(source) == {"first", "second"}
 
 
+def fetched_functions(source: str) -> set[str]:
+    """The names a Python source passes as a string literal to a call of
+    `function` or `<module>.function`."""
+    return {node.args[0].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and (getattr(node.func, "id", None) == "function"
+                 or getattr(node.func, "attr", None) == "function")}
+
+
+def test_every_kernel_function_is_fetched_in_the_package():
+    """An export of kernel.c that no package code fetches is dead C."""
+    fetched = set().union(*(fetched_functions(p.read_text(encoding="utf-8"))
+                            for p in SRC.glob("*.py")))
+    assert set(kernel._signatures()) - fetched == set()
+
+
+def test_fetched_function_check_sees_only_calls_of_function():
+    source = ("from . import kernel\n"
+              "fn = kernel.function('used')\n"
+              "other = function(\"local\")\n"
+              "doc = 'function(\"quoted\")'\n"
+              "kernel.functions('plural')\n"
+              "kernel.function(name)\n")
+    assert fetched_functions(source) == {"used", "local"}
+
+
 def test_the_kernel_compiles_without_warnings():
     """No warning of -Wall -Wextra, and no implicit narrowing or sign change
     (-Wconversion), in kernel.c."""
