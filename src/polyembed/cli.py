@@ -7,12 +7,15 @@ comments) over defaults, writes its outputs, and drops a
 `<output>.manifest` recording every resolved parameter and the seed.
 
 Each parameter is declared once, in PARAMS; COMMANDS lists the parameters
-each subcommand takes. The flags, the config keys and their types, the
-manifest and the trainer configs are all built from these two tables, and
-a default that a config dataclass owns is read from that dataclass. A run
-accepts only the settings it reads: a parameter with no default for the
-run (such as `epochs` for `pipeline --model gcn`) is an error when given
-and is left out of the manifest otherwise.
+each subcommand takes, and MODELS the graph kind, link-evaluation mode and
+config dataclasses of each `pipeline` model. The flags, the config keys
+and their types, the manifest and the trainer configs are all built from
+these tables, and a default that a config dataclass owns is read from
+that dataclass, for `pipeline` as for the model's own train command. A
+run accepts only the settings it reads: a parameter with no default for
+the run (such as `epochs` for `pipeline --model gcn`) is an error when
+given and is left out of the manifest otherwise. `pipeline` runs every
+stage before it writes its first file, so a failed pipeline writes none.
 """
 
 from __future__ import annotations
@@ -49,10 +52,16 @@ class Param:
 
 
 SPLITS = {"homogeneous": "one-per-node", "bipartite": "latest-per-user"}
+# each pipeline model: its graph kind, the link-evaluation mode of its
+# tables and its config dataclasses, the trainer's first
+MODELS = {"deepwalk": ("homogeneous", "homogeneous",
+                       (polydeepwalk.TrainConfig, walks.WalkConfig)),
+          "pte": ("bipartite", "cross", (polypte.PteConfig,)),
+          "gcn": ("bipartite", "cross-diagonal", (polygcn.GcnConfig,))}
 
 PARAMS = {
     "kind": Param(str, "homogeneous", choices=tuple(SPLITS)),
-    "model": Param(str, "deepwalk", choices=("deepwalk", "pte", "gcn")),
+    "model": Param(str, "deepwalk", choices=tuple(MODELS)),
     "k": Param(int, 5, "number of facets K"),
     "alpha": Param(float, 0.05, "NMF penalty"),
     "max_iters": Param(int, 500, "NMF iteration limit"),
@@ -107,15 +116,11 @@ BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
               "0": False, "false": False, "no": False, "off": False}
 
 
-def _field_defaults(*sources) -> dict:
-    """Field name -> default of the first source that has it. A source is a
-    config dataclass, or a (dataclass, "names") pair taking only those."""
+def _field_defaults(*classes) -> dict:
+    """Field name -> default of the first config dataclass that has it."""
     out = {}
-    for source in reversed(sources):
-        cls, names = source if isinstance(source, tuple) else (source, None)
-        out.update((f.name, f.default) for f in fields(cls)
-                   if f.default is not MISSING
-                   and (names is None or f.name in names.split()))
+    for cls in reversed(classes):
+        out.update((f.name, f.default) for f in fields(cls) if f.default is not MISSING)
     return out
 
 
@@ -355,33 +360,23 @@ def cmd_eval_class(args, params) -> None:
 
 
 def _pipeline_defaults(params: dict) -> dict:
-    """The defaults `pipeline` has always run with, kept so that its outputs
-    stay the same: TrainConfig's dim for every model and its negatives for
-    both table trainers (PteConfig alone would give pte 30 and 30), the
-    rest from the model's own configs, and the split the kind supports.
+    """The defaults of the model's configs and the split its kind implies.
     A parameter of another model has no default here, so it is not read."""
-    model = {"deepwalk": (polydeepwalk.TrainConfig, walks.WalkConfig),
-             "pte": ((polydeepwalk.TrainConfig, "dim negatives"), polypte.PteConfig),
-             "gcn": ((polydeepwalk.TrainConfig, "dim"), polygcn.GcnConfig)}
-    return dict(_field_defaults(*model[params["model"]]),
+    return dict(_field_defaults(*MODELS[params["model"]][2]),
                 split=SPLITS[params["kind"]])
 
 
 def cmd_pipeline(args, params) -> None:
-    kind, model = params["kind"], params["model"]
-    if model in ("pte", "gcn") and kind != "bipartite":
-        raise ValidationError(f"model {model!r} needs --kind bipartite")
-    if model == "deepwalk" and kind != "homogeneous":
-        raise ValidationError("model 'deepwalk' needs --kind homogeneous")
+    """Every stage runs before the first file is written, so a failed run
+    writes none."""
+    kind, name = params["kind"], params["model"]
+    model_kind, mode, configs = MODELS[name]
+    if kind != model_kind:
+        raise ValidationError(f"model {name!r} needs --kind {model_kind}")
     if args.labels and kind != "homogeneous":
         raise ValidationError("--labels needs --kind homogeneous")
-    # every setting is checked before anything is loaded or written
     ks = _link_ks(params)
-    config = _config({"deepwalk": polydeepwalk.TrainConfig, "pte": polypte.PteConfig,
-                      "gcn": polygcn.GcnConfig}[model], params)
-    if model == "deepwalk":
-        walk_config = _config(walks.WalkConfig, params)
-    prefix = args.workdir
+    config, *walk_config = (_config(cls, params) for cls in configs)
     g = graphmod.load_edge_list(args.input, kind=kind)
     if args.labels:
         (names, num_nodes), _ = graphmod.sides(g)
@@ -389,41 +384,38 @@ def cmd_pipeline(args, params) -> None:
 
     train_g, test_edges = evaluation.split_links(g, params["split"],
                                                  seed=params["seed"])
-    # before any file is written: the NMF rejects a bad --k or NMF setting
     prior, _ = _estimate_prior(kind, train_g.adj, params)
-    graphmod.save_edge_list(train_g, f"{prefix}.train.edges")
-    graphmod.write_pairs(f"{prefix}.test.edges", test_edges, graphmod.sides(g))
-    _save(kind, f"{prefix}.prior", prior.dist, prior.dist_b)
-
-    if model == "deepwalk":
-        corpus = walks.generate_walks(train_g, walk_config)
-        walks.save_corpus(corpus, f"{prefix}.walks")
+    if name == "deepwalk":
+        corpus = walks.generate_walks(train_g, *walk_config)
         result = polydeepwalk.train(train_g, prior, corpus, config)
-    elif model == "pte":
+    elif name == "pte":
         result = polypte.train_pte(train_g, prior, config)
     else:
         fadj = polygcn.decompose_adjacency(train_g.adj, prior.p, prior.q)
         result = polygcn.train_gcn(train_g, fadj, config)
     tables = result.tables
-    _save(kind, f"{prefix}.emb", tables.u, tables.h)
-    record = (_gcn_record if model == "gcn" else _sgd_record)(result)
-    mode = {"deepwalk": "homogeneous", "pte": "cross", "gcn": "cross-diagonal"}[model]
-
     report = evaluation.link_prediction_report(
         train_g, test_edges, tables, prior, mode,
         num_negatives=params["num_negatives"], ks=ks, seed=params["seed"])
-
     if args.labels:
         joint = inference.concat(tables, prior, weighted=True)
-        save_matrix(f"{prefix}.joint", joint)
-        micro, macro = evaluation.classify(joint, y, seed=params["seed"],
-                                           shuffle=True)
-        report.micro_f1, report.macro_f1 = micro, macro
+        report.micro_f1, report.macro_f1 = evaluation.classify(
+            joint, y, seed=params["seed"], shuffle=True)
         report.metadata["num_classes"] = len(classes)
 
+    prefix = args.workdir
+    graphmod.save_edge_list(train_g, f"{prefix}.train.edges")
+    graphmod.write_pairs(f"{prefix}.test.edges", test_edges, graphmod.sides(g))
+    _save(kind, f"{prefix}.prior", prior.dist, prior.dist_b)
+    if name == "deepwalk":
+        walks.save_corpus(corpus, f"{prefix}.walks")
+    _save(kind, f"{prefix}.emb", tables.u, tables.h)
+    if args.labels:
+        save_matrix(f"{prefix}.joint", joint)
     evaluation.write_report(report, f"{prefix}.report")
     print(report.table())
     print(f"wrote {prefix}.report")
+    record = (_gcn_record if name == "gcn" else _sgd_record)(result)
     write_manifest(f"{prefix}.report", args, params, **record, **report.run)
 
 

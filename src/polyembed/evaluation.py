@@ -365,6 +365,9 @@ def _scored_candidates(g, test_edges, tables, prior, mode, num_negatives, seed):
     edges = np.array(test_edges).reshape(len(test_edges), 2)
     queries, truths = edges[:, 0], edges[:, 1]
     cand, sizes = _candidates(g, queries, truths, num_negatives, seed)
+    if (sizes == 1).all():   # the AUC would have no negative score
+        raise ValidationError("no test query has a non-neighbor to rank "
+                              "its true endpoint against")
     short = np.flatnonzero(sizes <= num_negatives)
     side = inference.candidate_side(tables, prior, mode)
     if len(short) == 0:

@@ -7,11 +7,13 @@ which interleaves start nodes the way stochastic training prefers.
 
 A corpus is an int matrix with one walk per row. A generated corpus has
 whole walks only; a corpus loaded from a file with walks of several
-lengths pads each shorter row with -1 after its walk. Walks step by
-inverse CDF over each row's cumulative edge weights (unit weights for
-uniform walks), all in lockstep, and consume each node's stream exactly
-as one step at a time would. Weighted walks start only from nodes whose
-edges weigh more than 0 in total, so a zero-weight edge is never taken.
+lengths pads each shorter row with -1 after its walk, and `save_corpus`
+writes it back through the one row writer, `tables.write_rows`. Walks
+step by inverse CDF over each row's cumulative edge weights (unit weights
+for uniform walks), all in lockstep, and consume each node's stream
+exactly as one step at a time would. Weighted walks start only from nodes
+whose edges weigh more than 0 in total, so a zero-weight edge is never
+taken.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 
 from .errors import (INT64, ParseError, ValidationError, allocating,
                      check_settings, parse_numbers, text_lines)
+from .tables import write_rows
 
 
 WALK_BLOCK = 65536   # walks stepped together; bounds their memory
-SAVE_ROWS = 8192     # corpus rows formatted together; bounds their memory
 
 
 @dataclass(frozen=True)
@@ -139,15 +141,14 @@ def sliding_windows(walk, window: int) -> list[Observation]:
 
 def save_corpus(walks, path) -> None:
     """One walk per line, space-separated node ids; -1 pads are left out.
-    Rows are formatted SAVE_ROWS at a time, with one `%` per block."""
+    Each run of rows of one length is written by `tables.write_rows`."""
     walks = np.asarray(walks)
-    lengths = (walks >= 0).sum(axis=1).tolist()
-    line = {n: " ".join(["%d"] * n) + "\n" for n in set(lengths)}
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        for first in range(0, len(walks), SAVE_ROWS):
-            block = walks[first:first + SAVE_ROWS]
-            fh.write("".join([line[n] for n in lengths[first:first + SAVE_ROWS]])
-                     % tuple(block[block >= 0].tolist()))
+    lengths = (walks >= 0).sum(axis=1)
+    starts = np.flatnonzero(np.diff(lengths, prepend=-1)).tolist()
+    with open(Path(path), "wb") as fh:
+        for first, end in zip(starts, starts[1:] + [len(walks)]):
+            write_rows(fh, walks[first:end, :lengths[first]],
+                       np.empty((end - first, 0)))
 
 
 def load_corpus(path) -> np.ndarray:

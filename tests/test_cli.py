@@ -674,6 +674,70 @@ def test_a_rejected_setting_leaves_no_pipeline_artifacts(tmp_path, capsys, model
     assert [p.name for p in tmp_path.iterdir()] == ["g.edges"]
 
 
+TWELVE_NODES = "".join(f"{i} {(i + 1) % 12}\n{i} {(i + 3) % 12}\n" for i in range(12))
+BLOCKS = "".join(f"{a} {b}\n" for a in range(8) for b in range(6) if (a + b) % 3 == 0)
+
+
+@pytest.mark.parametrize("model", ["deepwalk", "pte", "gcn"])
+def test_pipeline_trains_at_the_train_commands_defaults(tmp_path, model):
+    """A pipeline without trainer flags records the trainer settings that
+    `train-<model>` records. A table trainer also trains the tables that
+    its command trains on the pipeline's split, prior and walks; PolyGCN
+    does not, as the pipeline decomposes the adjacency with the NMF's own
+    factors, and `train-gcn` with the prior file's normalized rows."""
+    kind = "homogeneous" if model == "deepwalk" else "bipartite"
+    (tmp_path / "g.edges").write_text(TWELVE_NODES if model == "deepwalk" else BLOCKS)
+    w = str(tmp_path / "w")
+    run_ok(["pipeline", "--input", str(tmp_path / "g.edges"), "--kind", kind,
+            "--model", model, "--workdir", w])
+    corpus = ["--corpus", f"{w}.walks"] if model == "deepwalk" else []
+    run_ok([f"train-{model}", "--input", f"{w}.train.edges", "--prior", f"{w}.prior",
+            *corpus, "--out", str(tmp_path / "t")])
+    config = {"deepwalk": polydeepwalk.TrainConfig, "pte": polypte.PteConfig,
+              "gcn": polygcn.GcnConfig}[model]
+    lines = [set((tmp_path / name).read_text().splitlines())
+             for name in ("w.report.manifest", "t.manifest")]
+    names = {f.name for f in fields(config)} & {line.split("=")[0] for line in lines[0]}
+    assert {"dim", "negatives", "learning_rate", "seed"} <= names
+    for name in names:
+        assert {line for line in lines[0] if line.startswith(f"{name}=")} <= lines[1]
+    for suffix in {"deepwalk": [""], "pte": [".a", ".b"], "gcn": []}[model]:
+        assert ((tmp_path / f"w.emb{suffix}").read_bytes()
+                == (tmp_path / f"t{suffix}").read_bytes())
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    pytest.param({"b.edges": BLOCKS}, ["--kind", "bipartite", "--model", "pte",
+                                       "--dim", "100000000000"],
+                 "no memory for tables", id="pte-dim"),
+    pytest.param({"b.edges": BLOCKS}, ["--kind", "bipartite", "--model", "gcn",
+                                       "--dim", "100000000000"],
+                 "no memory for GCN parameters", id="gcn-dim"),
+    pytest.param({"g.edges": TWELVE_NODES}, ["--learning-rate", "1e300"],
+                 "training diverged", id="deepwalk-learning-rate"),
+    pytest.param({"b.edges": BLOCKS}, ["--kind", "bipartite", "--model", "gcn",
+                                       "--learning-rate", "1e300"],
+                 "diverged", id="gcn-learning-rate"),
+    pytest.param({"g.edges": TWELVE_NODES, "l.txt": "".join(f"{i} x\n" for i in range(12))},
+                 ["--labels", "l.txt"], "two represented classes", id="one-class"),
+    pytest.param({"g.edges": "0 1\n1 2\n2 0\n"}, ["--k", "2"],
+                 "no test query has a non-neighbor", id="no-non-neighbor"),
+])
+def test_a_late_failure_leaves_no_pipeline_artifacts(tmp_path, capsys, files, argv,
+                                                     message):
+    # each fails after the split, the prior and the walks are made, the last
+    # two after the tables too
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    capsys.readouterr()
+    assert cli.run(["pipeline", "--input", str(tmp_path / next(iter(files))), *argv,
+                    "--workdir", str(tmp_path / "w")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
 def test_manifest_records_the_candidate_draw(tmp_path, bipartite_file, monkeypatch):
     pipeline = ["pipeline", "--input", str(bipartite_file), "--kind", "bipartite",
                 "--model", "pte", "--k", "2", "--dim", "3", "--total-samples", "300",

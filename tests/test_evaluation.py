@@ -523,7 +523,7 @@ def test_link_report_equals_the_per_query_loop(case_seed, mode, k, integer, nan,
             hr, auc_ref, cands, scores = reference_link_report(
                 g, test_edges, tables, prior, mode, num_negatives, ks, seed)
         except ValidationError:   # no query has a negative
-            with pytest.raises(ValidationError, match="nonempty"):
+            with pytest.raises(ValidationError, match="non-neighbor"):
                 evaluation.link_prediction_report(
                     g, test_edges, tables, prior, mode, num_negatives, ks, seed)
             return
@@ -616,6 +616,27 @@ def test_one_warning_counts_the_pool_short_queries(monkeypatch):
             g, test_edges, tables, prior, "homogeneous", 27, (1, 5, 20), 3)
     assert sum(len(c) < 28 for c in cands) == 3
     assert hr_at_k == hr and auc_got == auc_ref
+
+
+def test_no_query_with_a_non_neighbor_is_an_error_before_scoring(monkeypatch):
+    # the path 0-1-2 held out (0, 2) both ways: each query neighbours one of
+    # the two other nodes and has the other as its truth, so no pool is left
+    g = graph.from_edges([(0, 1), (1, 2)])
+    tables = EmbeddingTables(u=np.ones((3, 1, 2)), h=np.zeros((3, 1, 2)))
+
+    def unscored(*args):
+        raise AssertionError("scored a query")
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="no test query has a non-neighbor"):
+                evaluation.link_prediction_report(
+                    g, [(0, 2), (2, 0)], tables, facets.FacetPrior.uniform(3),
+                    "homogeneous", num_negatives=5, ks=(1,))
+
+    monkeypatch.setattr(inference, "score_candidates", unscored)
+    on_both_paths(monkeypatch, run)
 
 
 @pytest.mark.parametrize("mode", ["homogeneous", "cross"])

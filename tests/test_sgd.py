@@ -247,11 +247,17 @@ def test_nan_row_raises_at_its_step_on_both_engines(monkeypatch):
     on_both_engines(monkeypatch, check)
 
 
-@pytest.mark.parametrize("field", ["target", "context", "negatives", "prior"])
+@pytest.mark.parametrize("field", ["target", "context", "negatives", "prior",
+                                   "context-prior", "uniforms", "uniform", "last",
+                                   "total", "steps"])
 def test_kernel_rejects_rows_outside_the_tables(field, monkeypatch):
     """An id outside its prior, a sampler whose nodes pass the context
-    table, or a prior whose rows pass the target table raises IndexError
-    before any step runs, on both engines."""
+    table, a prior whose rows pass its table, too few uniforms, a uniform
+    past 1 or a sampler whose `last` is not a node raises IndexError before
+    any step runs, on both engines. So does, on the kernel, an infinite
+    sampler total or a step count that the contexts do not make (the numpy
+    engine clamps the first's draws to the last node and counts the
+    second itself)."""
     def check():
         if field == "negatives":      # only the two nodes past the table weigh
             engine, chunk = one_hot_chunk(nodes=7, counts=[0, 0, 0, 0, 0, 1, 1])
@@ -259,15 +265,35 @@ def test_kernel_rejects_rows_outside_the_tables(field, monkeypatch):
             engine, chunk = one_hot_chunk(num_target=7 if field == "prior" else 8)
         if field == "target":
             chunk[1] = np.array([0, 3, 8, 1])
-        elif field == "context":
+        elif field in ("context", "context-prior"):
             chunk[2] = np.array([[1], [2], [5], [4]])
+            if field == "context-prior":   # node 5 has a prior row, not a table row
+                chunk[4] = np.repeat([[1.0, 0.0]], 6, axis=0)
+        elif field == "uniforms":     # the last is a negative's facet uniform
+            chunk[0] = chunk[0][:-1]
+        elif field == "uniform":
+            chunk[0] = np.full_like(chunk[0], 1.5)
+        elif field == "last":         # u = 1 draws it
+            chunk[8].nodes.last = 5
+            chunk[0] = np.ones_like(chunk[0])
+        elif field == "total":
+            chunk[8].nodes.total = np.inf
+        elif field == "steps":        # the kernel is told one step fewer
+            run = kernel.function("sgd_chunk")
+            monkeypatch.setattr(kernel, "function", lambda name: lambda *a: run(
+                *a[:22], a[22] - 1, *a[23:]))
         before = engine.tables.u.copy(), engine.tables.h.copy()
         with pytest.raises(IndexError):
             engine.run(*chunk)
         assert np.array_equal(engine.tables.u, before[0])
         assert np.array_equal(engine.tables.h, before[1])
 
-    on_both_engines(monkeypatch, check)
+    if field not in ("total", "steps"):
+        on_both_engines(monkeypatch, check)
+    elif kernel.function("sgd_chunk") is None:
+        pytest.skip("no compiled kernel")
+    else:
+        check()
 
 
 # ------------------------------------------------------- the compiled decode

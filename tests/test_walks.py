@@ -7,7 +7,7 @@ from conftest import make_sbm, reference_walks, to_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyembed import cli, graph, walks
+from polyembed import cli, graph, kernel, walks
 from polyembed.errors import ValidationError
 from polyembed.walks import Observation, WalkConfig, sliding_windows
 
@@ -186,12 +186,24 @@ def test_weighted_walk_into_a_row_that_sums_to_0_is_an_error():
         walks.generate_walks(g, WalkConfig(walks_per_node=1, walk_length=3))
 
 
-def test_ragged_corpus_loads_padded_and_saves_byte_identical(tmp_path,
-                                                             monkeypatch):
-    monkeypatch.setattr(walks, "SAVE_ROWS", 2)   # two blocks
+def test_ragged_corpus_loads_padded_and_saves_byte_identical(tmp_path, monkeypatch):
+    """Runs of several lengths, a length that comes back after another, and
+    a run longer than one block of `tables.write_rows`, with the kernel's
+    row formatter and then without it."""
+    rng = np.random.default_rng(5)
+    lengths = [3, 1, 1, 2, 3] + [5] * 1000 + [1, 4]
+    rows = [rng.integers(0, 2**62, n).tolist() for n in lengths]
+    text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
     source, copy = tmp_path / "in.walks", tmp_path / "out.walks"
-    source.write_text("0 1 2\n\n3\n4 5\n")
+    source.write_text(text.replace("\n", "\n\n", 1))   # a blank line is skipped
     corpus = walks.load_corpus(source)
-    assert np.array_equal(corpus, [[0, 1, 2], [3, -1, -1], [4, 5, -1]])
-    walks.save_corpus(corpus, copy)
-    assert copy.read_text() == "0 1 2\n3\n4 5\n"
+    assert corpus.shape == (len(rows), 5)
+    assert np.array_equal(corpus[:5, :3], [rows[0], [rows[1][0], -1, -1],
+                                           [rows[2][0], -1, -1], rows[3] + [-1],
+                                           rows[4]])
+    for _ in range(2):
+        walks.save_corpus(corpus, copy)
+        assert copy.read_text() == text
+        walks.save_corpus(corpus[:0], copy)
+        assert copy.read_text() == ""
+        monkeypatch.setattr(kernel, "function", lambda name: None)
