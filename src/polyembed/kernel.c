@@ -14,7 +14,8 @@
    updates. Clamps are comparisons, so a NaN logit stays NaN (C's fmin and
    fmax would return the bound and let a NaN row train on). The chunk's
    ids and arrays are checked before any step runs, so that every decoded
-   row lies inside its table.
+   row lies inside its table. It returns the count of steps run, and the
+   engine finds a diverged step's observation from the contexts.
 
    The products add a * x[j, :] into y[i, :] entry by entry in stored order,
    one multiply and one add per element, as scipy.sparse's csr_matvecs and
@@ -184,21 +185,21 @@ static int64_t guide_decode(double u, const int64_t *guide, int64_t m,
 
 /* One chunk of sgd.Engine.run: the steps of sgd.decode, then sgd_steps
    over them on the (n_u, dim) table u and (n_h, dim) table h. The n
-   observations, numbered from `first`, are targets (n,) and contexts (n, c),
-   negative where there is none; each takes facet_rate rounds of uniforms
-   laid out as sgd.uniforms_per_round says. With k > 1 an observation's
-   distribution is its target's row of dist plus its contexts' rows of
-   dist_context, added column by column from zero, over the count plus one,
-   and each node's facet is drawn from conditional_cdf of its row and that.
-   A negative is a node by guide_decode and, with k > 1, a facet from the
-   node's column of facet_cdf (k, n_nodes). Returns the steps run, or -1,
-   with the tables untouched, when a row could fall outside its table or a
-   draw outside its array: the priors' rows or the sampler's nodes times k
-   pass the tables' rows, `last` is not a node, an id lies outside its
-   prior, the uniforms are too few or outside [0, 1], or the contexts do
-   not make `steps` steps. `work` holds max((c + 2) * k, 2 * dim + r). */
+   observations are targets (n,) and contexts (n, c), negative where there
+   is none; each takes facet_rate rounds of uniforms laid out as
+   sgd.uniforms_per_round says. With k > 1 an observation's distribution is
+   its target's row of dist plus its contexts' rows of dist_context, added
+   column by column from zero, over the count plus one, and each node's
+   facet is drawn from conditional_cdf of its row and that. A negative is a
+   node by guide_decode and, with k > 1, a facet from the node's column of
+   facet_cdf (k, n_nodes). Returns the steps run, or -1, with the tables
+   untouched, when a row could fall outside its table or a draw outside its
+   array: the priors' rows or the sampler's nodes times k pass the tables'
+   rows, `last` is not a node, an id lies outside its prior, the uniforms
+   are too few or outside [0, 1], or the contexts do not make `steps`
+   steps. `work` holds max((c + 2) * k, 2 * dim + r). */
 int64_t sgd_chunk(int64_t n, int64_t c, int64_t k, int64_t r,
-                  int64_t facet_rate, int64_t min_rule, int64_t first,
+                  int64_t facet_rate, int64_t min_rule,
                   const double *uniforms, int64_t n_uniforms,
                   const int64_t *target, const int64_t *context,
                   const double *dist, int64_t n_target,
@@ -206,10 +207,10 @@ int64_t sgd_chunk(int64_t n, int64_t c, int64_t k, int64_t r,
                   const int64_t *guide, int64_t m, const double *cdf,
                   double total, int64_t last, const double *facet_cdf,
                   int64_t n_nodes, int64_t steps, int64_t *out_target,
-                  int64_t *out_context, int64_t *out_negatives,
-                  int64_t *out_unit, double *u, int64_t n_u, double *h,
-                  int64_t n_h, int64_t dim, const double *rates,
-                  double *losses, double *work, double logit_clamp)
+                  int64_t *out_context, int64_t *out_negatives, double *u,
+                  int64_t n_u, double *h, int64_t n_h, int64_t dim,
+                  const double *rates, double *losses, double *work,
+                  double logit_clamp)
 {
     if (n_target * k > n_u || n_context * k > n_h || n_nodes * k > n_h
         || last < 0 || last >= n_nodes || !(total < INFINITY))
@@ -273,7 +274,6 @@ int64_t sgd_chunk(int64_t n, int64_t c, int64_t k, int64_t r,
                 out_target[s] = k == 1 ? t : t * k + facet(t_cdf, 1, k, at[0]);
                 out_context[s] = k == 1 ? ctx[j]
                     : ctx[j] * k + facet(c_cdf + p * k, 1, k, at[1 + p]);
-                out_unit[s] = first + i;
                 s++;
                 p++;
             }

@@ -22,8 +22,7 @@ import numpy as np
 from . import sgd
 from .errors import ValidationError, check_settings
 from .facets import FacetPrior
-# sgns_loss_and_grads is public here too: the acceptance suite imports it
-from .sgd import NegativeSampler, sgns_loss_and_grads  # noqa: F401
+from .sgd import NegativeSampler
 from .tables import EmbeddingTables
 from .walks import Observation
 
@@ -73,17 +72,15 @@ def _observations(corpus, num_nodes: int, window: int):
     return flat, np.flatnonzero((framed >= 0) & (present.sum(axis=1) >= 2)[:, None])
 
 
-def _run_chunk(flat, at, offsets, first, dist, sampler, engine, facet_rate,
-               negatives, label):
+def _run_chunk(flat, at, offsets, first, engine, label):
     """Draw the uniforms of the observations centred at `at` (numbered
     from `first`) from the engine's stream in one call and run their steps
     on it."""
     ctx = flat[at[:, None] + offsets].astype(np.int64)
-    per_round = sgd.uniforms_per_round((ctx >= 0).sum(axis=1), dist.shape[1],
-                                       negatives)
-    engine.run(engine.rng.random(int(facet_rate * per_round.sum())),
-               flat[at].astype(np.int64), ctx, dist, dist, facet_rate, "min",
-               first, sampler, negatives, label)
+    per_round = sgd.uniforms_per_round((ctx >= 0).sum(axis=1), engine.sampler.k,
+                                       engine.negatives)
+    engine.run(engine.rng.random(int(engine.facet_rate * per_round.sum())),
+               flat[at].astype(np.int64), ctx, first, label)
 
 
 def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
@@ -112,14 +109,14 @@ def train(graph, prior: FacetPrior, corpus, config: TrainConfig,
     d = np.minimum(config.window, lengths - 1)
     pairs_per_epoch = config.facet_rate * int(
         (2 * (d * lengths - d * (d + 1) // 2)).sum())
-    engine = sgd.Engine(n, n, prior.k, config.dim, config.seed,
+    engine = sgd.Engine(prior.dist, prior.dist, sampler, config.facet_rate, "min",
+                        config.negatives, config.dim, config.seed,
                         config.learning_rate, pairs_per_epoch * config.epochs,
                         pairs_per_epoch, hook)
     for epoch in range(config.epochs):
         for first in range(0, len(centers), sgd.CHUNK):
             _run_chunk(flat, centers[first:first + sgd.CHUNK], offsets, first,
-                       prior.dist, sampler, engine, config.facet_rate,
-                       config.negatives, f"epoch {epoch}, observation")
+                       engine, f"epoch {epoch}, observation")
         engine.tables.check_finite(f"after epoch {epoch}")
     return TrainResult(engine.tables, engine.loss_trace(), engine.kind,
                        engine.facet_counts.tolist())

@@ -242,15 +242,13 @@ def backward_facet(facet: FacetGcn, ops: FacetOps, cache, d_u, d_h):
     return grads
 
 
-def gcn_loss_and_grads(facet: FacetGcn, ops: FacetOps, config, edge_idx, edge_w,
-                       neg_idx):
+def gcn_loss_and_grads(facet: FacetGcn, ops: FacetOps, edge_idx, edge_w, neg_idx):
     """Edge-level loss for one facet and its parameter gradients.
 
     edge_idx: (E, 2) int array of (a, b) pairs with positive facet mass;
     edge_w: (E,) weights (the facet matrix entries); neg_idx: (E, R) of
     type-B negatives per edge. The loss is the weight-normalized sum of
-    per-edge negative-sampling losses. `config` is not read: the facet
-    and its operator carry every shape.
+    per-edge negative-sampling losses.
     """
     u, h, cache = forward_facet(facet, ops, keep_cache=True)
     ai, bi = edge_idx[:, 0], edge_idx[:, 1]
@@ -344,8 +342,7 @@ def _train_facet(k: int, facet: FacetGcn, ops: FacetOps, cells, seed,
     trace: list[float] = []
     for it in range(1, (config.iterations if len(rows) else 0) + 1):
         neg_idx = degree_table.decode(rng.random((len(rows), config.negatives)))
-        loss, grads = gcn_loss_and_grads(facet, ops, config,
-                                         edge_idx, edge_w, neg_idx)
+        loss, grads = gcn_loss_and_grads(facet, ops, edge_idx, edge_w, neg_idx)
         if not math.isfinite(loss):
             raise NumericsError(f"facet {k} diverged at iteration {it}")
         trace.append(loss)

@@ -53,21 +53,19 @@ class PteResult(NamedTuple):
     facet_counts: list[int]  # activations per facet, as sgd.Engine
 
 
-def _run_chunk(bipartite, prior, sampler, engine, config, facet_rate, start,
-               count, edge_table):
+def _run_chunk(bipartite, engine, edge_table, start, count):
     """Draw edge samples start .. start + count - 1 from the engine's
     stream and run them on it.
 
     Each sample's edge uniform comes ahead of its block of uniforms, all in
     one `rng.random` call; `edge_table` decodes it into the edge.
     """
-    width = facet_rate * sgd.uniforms_per_round(1, prior.k, config.negatives)
+    width = engine.facet_rate * sgd.uniforms_per_round(1, engine.sampler.k,
+                                                       engine.negatives)
     drawn = engine.rng.random((count, width + 1))
     edge, uniforms = edge_table.decode(drawn[:, 0]), drawn[:, 1:]
     a, b = bipartite.edges[edge, 0], bipartite.edges[edge, 1]
-    engine.run(uniforms.ravel(), a, b[:, None], prior.dist, prior.dist_b,
-               facet_rate, config.facet_mode, start, sampler, config.negatives,
-               "edge sample")
+    engine.run(uniforms.ravel(), a, b[:, None], start, "edge sample")
 
 
 def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
@@ -95,12 +93,13 @@ def train_pte(bipartite, prior: FacetPrior, config: PteConfig,
     edge_table = sgd.GuideTable(bipartite.weights if config.weighted_edges
                                 else np.ones(bipartite.num_edges))
     steps_total = total * facet_rate
-    engine = sgd.Engine(bipartite.num_a, bipartite.num_b, prior.k, config.dim,
+    engine = sgd.Engine(prior.dist, prior.dist_b, sampler, facet_rate,
+                        config.facet_mode, config.negatives, config.dim,
                         config.seed, config.learning_rate, steps_total,
                         max(1, steps_total // TRACE_POINTS), hook)
     for start in range(0, total, sgd.CHUNK):
-        _run_chunk(bipartite, prior, sampler, engine, config, facet_rate, start,
-                   min(sgd.CHUNK, total - start), edge_table)
+        _run_chunk(bipartite, engine, edge_table, start,
+                   min(sgd.CHUNK, total - start))
     engine.tables.check_finite("after training")
     return PteResult(engine.tables, engine.loss_trace(), engine.kind,
                      engine.facet_counts.tolist())

@@ -11,15 +11,17 @@ negatives). No draw depends on the tables and the stream is consumed in
 per-step order, so results do not depend on CHUNK. The SGD steps then run
 on (rows, D) views of the tables.
 
-`Engine.run` takes a chunk of observations through both halves. With
-`Engine.kind` "c" the compiled kernel's `sgd_chunk` (see `kernel`) does
-both in one call. Its decode follows numpy's float operations in numpy's
-order, so its steps equal the numpy decode's bit for bit at any K. Its
-step loop does the arithmetic of `sgns_loss_and_grads` in another
-summation order, so its tables agree with the numpy loop within 1e-12 of
-the largest entry (about 1e-14 measured), not bit for bit. The numpy
-decode and loop are the reference: they run when a `hook` is given, which
-needs per-step tables, and when the kernel cannot be built or loaded.
+An `Engine` holds what stays fixed for a run (priors, negative sampler,
+facet rate and mode, negative count); `Engine.run` takes one chunk's
+uniforms, targets and contexts through both halves. With `Engine.kind`
+"c" the compiled kernel's `sgd_chunk` (see `kernel`) does both in one
+call. Its decode follows numpy's float operations in numpy's order, so
+its steps equal the numpy decode's bit for bit at any K. Its step loop
+does the arithmetic of `sgns_loss_and_grads` in another summation order,
+so its tables agree with the numpy loop within 1e-12 of the largest
+entry (about 1e-14 measured), not bit for bit. The numpy decode and loop
+are the reference: they run when a `hook` is given, which needs per-step
+tables, and when the kernel cannot be built or loaded.
 
 A facet round of an observation with C contexts draws one uniform for the
 target facet, C for the context facets, then per context R for the
@@ -142,13 +144,11 @@ def uniforms_per_round(contexts, k: int, negatives: int):
 
 
 class Steps(NamedTuple):
-    """Decoded steps: rows of the (nodes*K, D) tables, and the observation
-    each step belongs to."""
+    """Decoded steps: rows of the (nodes*K, D) tables."""
 
     target: np.ndarray      # (S,)
     context: np.ndarray     # (S,)
     negatives: np.ndarray   # (S, R)
-    unit: np.ndarray        # (S,)
 
 
 def observation_distribution(target, context, dist, dist_context):
@@ -163,16 +163,15 @@ def observation_distribution(target, context, dist, dist_context):
 
 
 def decode(uniforms, target, context, dist, dist_context, facet_rate: int,
-           mode: str, first: int, sampler: NegativeSampler, negatives: int
-           ) -> Steps:
-    """Decode the steps of observations numbered from `first`: targets
-    (n,) and contexts (n, C), -1 where there is none, of nodes whose facet
-    priors are the rows of `dist` and `dist_context`. Each observation
-    takes `facet_rate` facet rounds of `uniforms_per_round` uniforms, laid
-    out observation by observation in `uniforms`; a round runs one step per
-    context, in column order. Facets come from
-    `conditional_distribution(prior, observation distribution, mode)`.
-    The reference of the kernel's decode (`Engine.run`)."""
+           mode: str, sampler: NegativeSampler, negatives: int) -> Steps:
+    """Decode the steps of observations: targets (n,) and contexts (n, C),
+    -1 where there is none, of nodes whose facet priors are the rows of
+    `dist` and `dist_context`. Each observation takes `facet_rate` facet
+    rounds of `uniforms_per_round` uniforms, laid out observation by
+    observation in `uniforms`; a round runs one step per context, in
+    column order. Facets come from `conditional_distribution(prior,
+    observation distribution, mode)`. The reference of the kernel's decode
+    (`Engine.run`)."""
     valid = context >= 0
     width = valid.sum(axis=1)
     k = sampler.k
@@ -188,7 +187,7 @@ def decode(uniforms, target, context, dist, dist_context, facet_rate: int,
     if k == 1:
         draws = (base + position * negatives)[:, None] + offsets
         nodes, _ = sampler.decode(uniforms[draws])
-        return Steps(t_node, c_node, nodes, first + owner)
+        return Steps(t_node, c_node, nodes)
     p_o = observation_distribution(target, context, dist, dist_context)
     t_cond = conditional_distribution(dist[target], p_o, mode)[owner]
     c_cond = conditional_distribution(
@@ -198,8 +197,7 @@ def decode(uniforms, target, context, dist, dist_context, facet_rate: int,
     c_facet = sample_facets(c_cond, uniforms[base + 1 + position])
     draws = (base + 1 + width[owner] + 2 * negatives * position)[:, None] + offsets
     nodes, facets = sampler.decode(uniforms[draws], uniforms[draws + negatives])
-    return Steps(t_node * k + t_facet, c_node * k + c_facet,
-                 nodes * k + facets, first + owner)
+    return Steps(t_node * k + t_facet, c_node * k + c_facet, nodes * k + facets)
 
 
 def _logsumexp(x) -> float:
@@ -244,7 +242,9 @@ def jensen_bound(target: int, contexts, dist, dist_context,
 
 
 class Engine:
-    """One training run's tables, random stream and update loop.
+    """One training run's tables, random stream and update loop, built
+    from the arguments of `decode` that stay fixed: the priors, whose rows
+    size the tables, `sampler`, `facet_rate`, `mode` and `negatives`.
 
     Steps are numbered across `run` calls for the learning rate, which
     decays linearly over `total_steps` to a floor of LR_FLOOR_RATIO times
@@ -253,12 +253,20 @@ class Engine:
     the facets of the target and context rows of the steps applied.
     """
 
-    def __init__(self, num_target, num_context, k, dim, seed,
+    def __init__(self, dist, dist_context, sampler: NegativeSampler,
+                 facet_rate: int, mode: str, negatives: int, dim: int, seed,
                  learning_rate: float, total_steps: int, bucket: int,
                  hook: Callable | None = None):
+        self.dist, self.dist_context = (np.ascontiguousarray(a, dtype=np.float64)
+                                        for a in (dist, dist_context))
+        k = sampler.k
+        if {a.shape[1:] for a in (self.dist, self.dist_context)} != {(k,)}:
+            raise ValidationError("the priors are not (nodes, K) for the sampler's K")
+        self.sampler, self.facet_rate, self.mode, self.negatives = (
+            sampler, facet_rate, mode, negatives)
         init_ss, train_ss = np.random.SeedSequence(seed).spawn(2)
-        self.tables = init_tables(num_target, k, dim, seed=init_ss,
-                                  num_context=num_context)
+        self.tables = init_tables(len(self.dist), k, dim, seed=init_ss,
+                                  num_context=len(self.dist_context))
         self.rng = np.random.default_rng(train_ss)
         self.u = self.tables.u.reshape(-1, dim)
         self.h = self.tables.h.reshape(-1, dim)
@@ -277,26 +285,26 @@ class Engine:
         return ("numpy" if self.hook is not None
                 or kernel.function("sgd_chunk") is None else "c")
 
-    def run(self, uniforms, target, context, dist, dist_context, facet_rate: int,
-            mode: str, first: int, sampler: NegativeSampler, negatives: int,
-            label: str) -> Steps:
-        """Decode a chunk of observations, given as `decode`'s arguments, and
-        run its steps; returns the steps. A non-finite loss raises
-        NumericsError naming `label` and the step's unit, after the steps
-        before it; a row outside the tables raises IndexError before any."""
-        chunk = (uniforms, target, context, dist, dist_context, facet_rate, mode,
-                 first, sampler, negatives)
-        start, count = self.step, facet_rate * int(np.count_nonzero(context >= 0))
+    def run(self, uniforms, target, context, first: int, label: str) -> Steps:
+        """Decode a chunk of observations numbered from `first`, given as
+        `decode`'s `uniforms`, `target` and `context`, and run its steps;
+        returns the steps. A non-finite loss raises NumericsError naming
+        `label` and the step's observation, after the steps before it; a
+        row outside the tables raises IndexError before any."""
+        start, count = self.step, self.facet_rate * int(np.count_nonzero(context >= 0))
         index = np.arange(start, start + count, dtype=np.float64)
         rates = self.lr0 * np.maximum(LR_FLOOR_RATIO, 1.0 - self.decay * index)
         losses = np.empty(count)
         if self.kind == "c":
-            steps, done = self._run_kernel(*chunk, rates, losses)
+            steps, done = self._run_kernel(uniforms, target, context, rates, losses)
         else:
-            steps = decode(*chunk)
+            steps = decode(uniforms, target, context, self.dist, self.dist_context,
+                           self.facet_rate, self.mode, self.sampler, self.negatives)
             done = self._run_numpy(steps, rates, losses)
-        if done < count:
-            raise NumericsError(f"training diverged at {label} {steps.unit[done]}")
+        if done < count:   # observation i runs up to the i-th cumulative count
+            ends = np.cumsum(self.facet_rate * np.count_nonzero(context >= 0, axis=1))
+            raise NumericsError(f"training diverged at {label} "
+                                f"{first + np.searchsorted(ends, done, 'right')}")
         self.step = start + count
         k = len(self.facet_counts)
         self.facet_counts += (np.bincount(steps.target % k, minlength=k)
@@ -329,28 +337,25 @@ class Engine:
                 hook(self.step + s, tables)
         return len(losses)
 
-    def _run_kernel(self, uniforms, target, context, dist, dist_context,
-                    facet_rate, mode, first, sampler, negatives, rates, losses):
+    def _run_kernel(self, uniforms, target, context, rates, losses):
         """`decode` and `_run_numpy` in one call of the kernel's `sgd_chunk`,
         which checks every row first; returns the steps and the count run."""
         target, context = (np.ascontiguousarray(a, dtype=np.int64)
                            for a in (target, context))
-        dist, dist_context = (np.ascontiguousarray(a, dtype=np.float64)
-                              for a in (dist, dist_context))
-        k, c, table, dim, count = (sampler.k, context.shape[1], sampler.nodes,
-                                   self.u.shape[1], len(rates))
-        if len(context) != len(target) or {dist.shape[1], dist_context.shape[1]} != {k}:
-            raise IndexError("a chunk's arrays disagree on their shapes")
-        steps = Steps(*(np.empty(shape, dtype=np.int64)
-                        for shape in (count, count, (count, negatives), count)))
+        if len(context) != len(target):
+            raise IndexError("a chunk's targets and contexts disagree on their count")
+        sampler, table, k = self.sampler, self.sampler.nodes, self.sampler.k
+        c, r, count, dim = context.shape[1], self.negatives, len(rates), self.u.shape[1]
+        steps = Steps(*(np.empty(s, np.int64) for s in (count, count, (count, r))))
         uniforms = np.ascontiguousarray(uniforms, dtype=np.float64).ravel()
         done = kernel.function("sgd_chunk")(
-            len(target), c, k, negatives, facet_rate, mode == "min", first,
-            uniforms, len(uniforms), target, context, dist, len(dist),
-            dist_context, len(dist_context), table.guide, table.m, table.cdf,
-            table.total, table.last, sampler.facet_cdf, sampler.facet_cdf.shape[1],
-            count, *steps, self.u, len(self.u), self.h, len(self.h), dim, rates,
-            losses, np.empty(max((c + 2) * k, 2 * dim + negatives)), LOGIT_CLAMP)
+            len(target), c, k, r, self.facet_rate, self.mode == "min", uniforms,
+            len(uniforms), target, context, self.dist, len(self.dist),
+            self.dist_context, len(self.dist_context), table.guide, table.m,
+            table.cdf, table.total, table.last, sampler.facet_cdf,
+            sampler.facet_cdf.shape[1], count, *steps, self.u, len(self.u), self.h,
+            len(self.h), dim, rates, losses, np.empty(max((c + 2) * k, 2 * dim + r)),
+            LOGIT_CLAMP)
         if done < 0:
             raise IndexError("a chunk's ids or priors fall outside the tables")
         return steps, done

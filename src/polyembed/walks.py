@@ -36,12 +36,11 @@ WALK_BLOCK = 65536   # walks stepped together; bounds their memory
 class WalkConfig:
     walks_per_node: int = 110
     walk_length: int = 11
-    window: int = 8    # unread by generate_walks; criterion 6 builds WalkConfig(window=3)
     seed: int = 0
     weighted: bool = True
 
     def __post_init__(self):
-        check_settings(vars(self), "walks_per_node window", nonnegative="seed")
+        check_settings(vars(self), "walks_per_node", nonnegative="seed")
         if not self.walk_length >= 2:
             raise ValidationError("walk_length must be at least 2")
 

@@ -17,6 +17,7 @@ vectorised top-l scoring.
 """
 
 import math
+import re
 import shutil
 import warnings
 
@@ -43,16 +44,28 @@ def compiled_kernel():
 
 
 def spy_engine_runs(monkeypatch):
-    """Records each `sgd.Engine.run` call's arguments (`decode`'s, then the
-    label) and the steps it returns."""
+    """Records each `sgd.Engine.run` call as (engine, arguments, the steps
+    it returns)."""
     calls, run = [], sgd.Engine.run
 
     def spy(engine, *args):
-        calls.append((args, run(engine, *args)))
-        return calls[-1][1]
+        calls.append((engine, args, run(engine, *args)))
+        return calls[-1][2]
 
     monkeypatch.setattr(sgd.Engine, "run", spy)
     return calls
+
+
+def c_functions(source: str) -> dict[str, list[str]]:
+    """The functions a C source defines without `static`, each with its
+    parameters' names: a line that starts at column 0 with a return type
+    and the function's name, whose parameter list is followed by the
+    body's `{`, not by a `;`."""
+    return {name: [] if params.strip() == "void" else
+            [re.findall(r"\w+", param)[-1] for param in params.split(",")]
+            for name, params in re.findall(
+                r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(([^;{]*)\)\s*\{",
+                source, re.M)}
 
 
 def make_sbm(seed, n_block=60, p_in=0.3, p_out=0.02):
@@ -387,7 +400,7 @@ def reference_polypte(g, prior, config, hook=None):
     return tables, losses
 
 
-def reference_gcn_loss_and_grads(facet, ops, config, edge_idx, edge_w, neg_idx):
+def reference_gcn_loss_and_grads(facet, ops, edge_idx, edge_w, neg_idx):
     """PolyGCN's edge loss with the output gradients built per scored pair:
     each edge's (D,) terms are gathered, then added into their rows in
     edge order, positives before negatives (np.add.at)."""

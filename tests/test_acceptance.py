@@ -30,7 +30,7 @@ from conftest import (auc_brute_force, finite_difference, make_planted_bipartite
 
 from polyembed import cli, evaluation, facets, graph, inference
 from polyembed import polydeepwalk as pdw
-from polyembed import polygcn, polypte, walks
+from polyembed import polygcn, polypte, sgd, walks
 from polyembed.tables import init_tables
 from polyembed.walks import Observation, WalkConfig
 
@@ -123,10 +123,10 @@ def test_criterion_2_gradient_oracle():
         u = rng.normal(0, 1, d)
         h_ctx = rng.normal(0, 1, d)
         h_neg = rng.normal(0, 1, (n_neg, d))
-        _, g_u, g_ctx, g_neg = pdw.sgns_loss_and_grads(u, h_ctx, h_neg)
+        _, g_u, g_ctx, g_neg = sgd.sgns_loss_and_grads(u, h_ctx, h_neg)
         for analytic, arr in ((g_u, u), (g_ctx, h_ctx), (g_neg, h_neg)):
             numeric = finite_difference(
-                lambda: pdw.sgns_loss_and_grads(u, h_ctx, h_neg)[0], arr)
+                lambda: sgd.sgns_loss_and_grads(u, h_ctx, h_neg)[0], arr)
             worst_sgns = max(worst_sgns, rel_error(analytic, numeric))
 
     worst_gcn = 0.0
@@ -145,13 +145,13 @@ def test_criterion_2_gradient_oracle():
         edge_idx = np.stack([rows, cols], axis=1)
         edge_w = dense[rows, cols]
         neg_idx = rng.integers(0, 3, (len(rows), 2))
-        _, grads = polygcn.gcn_loss_and_grads(facet, ops, config, edge_idx,
-                                              edge_w, neg_idx)
+        _, grads = polygcn.gcn_loss_and_grads(facet, ops, edge_idx, edge_w,
+                                              neg_idx)
         analytic_all, numeric_all = [], []
         for name, arr in facet.params().items():
             numeric = finite_difference(
                 lambda: polygcn.gcn_loss_and_grads(
-                    facet, ops, config, edge_idx, edge_w, neg_idx)[0], arr)
+                    facet, ops, edge_idx, edge_w, neg_idx)[0], arr)
             analytic_all.append(grads[name].ravel())
             numeric_all.append(numeric.ravel())
         worst_gcn = max(worst_gcn, rel_error(np.concatenate(analytic_all),
@@ -280,7 +280,7 @@ def test_criterion_6_single_facet_reduction():
     start = time.time()
     g = make_two_cliques(clique=4)
     corpus = walks.generate_walks(
-        g, WalkConfig(walks_per_node=10, walk_length=8, window=3, seed=2))
+        g, WalkConfig(walks_per_node=10, walk_length=8, seed=2))
     uniform = facets.FacetPrior.uniform(g.num_nodes, 1)
 
     dw_checksums = []

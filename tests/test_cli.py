@@ -311,11 +311,12 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys, sbm_file):
     assert not (tmp_path / "p").exists()
 
 
-def loaded_scipy(code, cwd=None) -> list[str]:
-    """The scipy modules loaded after running `code` in a fresh process."""
+def loaded(code, top="scipy", cwd=None) -> list[str]:
+    """The modules of package `top` loaded after running `code` in a fresh
+    process."""
     code += ("\nimport json, sys\n"
              "print(json.dumps(sorted(m for m in sys.modules\n"
-             "                        if m.split('.')[0] == 'scipy')))")
+             f"                        if m.split('.')[0] == {top!r})))")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True)
@@ -325,7 +326,12 @@ def loaded_scipy(code, cwd=None) -> list[str]:
 
 def test_cli_import_loads_no_scipy():
     # scipy.sparse alone took about half of the import's 0.4 s
-    assert loaded_scipy("import polyembed.cli") == []
+    assert loaded("import polyembed.cli") == []
+
+
+def test_cli_import_loads_no_subprocess():
+    # only a build of the kernel runs the compiler
+    assert loaded("import polyembed.cli", "subprocess") == []
 
 
 def test_pipeline_runs_load_no_scipy(tmp_path):
@@ -346,7 +352,7 @@ def test_pipeline_runs_load_no_scipy(tmp_path):
     code = ("import polyembed.cli as cli\n"
             f"for argv in {runs!r}:\n"
             "    assert cli.run(['pipeline', *argv]) == 0\n")
-    assert loaded_scipy(code, cwd=tmp_path) == []
+    assert loaded(code, cwd=tmp_path) == []
 
 
 @pytest.fixture(scope="module")

@@ -199,7 +199,7 @@ def test_gcn_equal_on_both_paths(seed, neighbor_mode, compiled_kernel, monkeypat
         fa_again = polygcn.decompose_adjacency(a, p, q)
         ops = [polygcn._facet_ops(mat, config) for mat in fa_again.mats]
         return fa_again, ops, polygcn.gcn_loss_and_grads(
-            facet, ops[0], config, edge_idx, edge_w[order], neg_idx)
+            facet, ops[0], edge_idx, edge_w[order], neg_idx)
 
     compiled, fallback = on_both_paths(monkeypatch, run)
     for got, want in zip(compiled[0].mats, fallback[0].mats):
@@ -213,10 +213,13 @@ def test_gcn_equal_on_both_paths(seed, neighbor_mode, compiled_kernel, monkeypat
         assert same_bits(grads[name], ref), name
 
 
-def test_without_a_compiler_training_falls_back_to_numpy(tmp_path, monkeypatch):
+def train_without_the_kernel(cache, path, monkeypatch) -> str:
+    """NMF, walks and PolyDeepWalk in a process whose first kernel build
+    runs with `cache` as XDG_CACHE_HOME and `path` as PATH: one warning,
+    whose text is returned, and the numpy engine."""
     monkeypatch.setattr(kernel, "_library", functools.cache(kernel._library.__wrapped__))
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setenv("PATH", "")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setenv("PATH", path)
     g = make_two_cliques(clique=4)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -230,6 +233,23 @@ def test_without_a_compiler_training_falls_back_to_numpy(tmp_path, monkeypatch):
     assert "using the numpy engine" in str(caught[0].message)
     assert result.engine == "numpy"
     assert np.isfinite(result.tables.u).all()
+    return str(caught[0].message)
+
+
+def test_without_a_compiler_training_falls_back_to_numpy(tmp_path, monkeypatch):
+    train_without_the_kernel(tmp_path, "", monkeypatch)
+
+
+def test_a_compiler_that_fails_leaves_the_numpy_engine(tmp_path, monkeypatch):
+    """A `cc` that exits 1: its status is in the warning, and the cache
+    keeps no library, finished or not."""
+    (tmp_path / "bin").mkdir()
+    cc = tmp_path / "bin" / "cc"
+    cc.write_text("#!/bin/sh\nexit 1\n")
+    cc.chmod(0o755)
+    message = train_without_the_kernel(tmp_path / "cache", str(cc.parent), monkeypatch)
+    assert "cc exited with status 1" in message
+    assert list((tmp_path / "cache" / "polyembed").iterdir()) == []
 
 
 def test_kernel_is_cached_in_a_private_directory(tmp_path, monkeypatch,

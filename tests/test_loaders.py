@@ -1,5 +1,7 @@
 """Fuzzed text loaders: any text or bytes either loads or raises a
-PolyembedError, and a saved edge list reloads and saves byte for byte."""
+PolyembedError, and a saved edge list reloads and saves byte for byte.
+The matrix reader is fuzzed in the layouts of priors ("N K") and
+embedding tables ("N K D")."""
 
 import re
 import warnings
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from polyembed import cli, evaluation, graph, walks
+from polyembed import cli, evaluation, graph, tables, walks
 from polyembed.errors import ParseError, PolyembedError
 
 FUZZ = settings(max_examples=60, deadline=None,
@@ -27,11 +29,14 @@ LOADERS = {
     "config": cli.parse_config_file,
     "test-edges-integer": lambda path: cli._load_test_edges(path, INTEGER_GRAPH),
     "test-edges-labels": lambda path: cli._load_test_edges(path, LABEL_GRAPH),
+    "matrix-N-K": lambda path: tables.load_matrix(path, "N K"),
+    "matrix-N-K-D": lambda path: tables.load_matrix(path, "N K D"),
 }
 # one valid file of each format; a fuzzed input replaces one of its tokens
 VALID = ["# nodes 5\n# node x\n0 1 2.5\n1 2\n3 4 1 7\n",
          "# nodes 3 2\n# anode u\n0 1 1 5\nu 0\n2 1 0.5\n",
-         "0 1 2\n2 1\n", "0 a\n1 b\n2 a\n", "k=3\nalpha=0.1\n", "a b\nb c\n"]
+         "0 1 2\n2 1\n", "0 a\n1 b\n2 a\n", "k=3\nalpha=0.1\n", "a b\nb c\n",
+         "2 2\n0 0.25 0.75\n1 1 0\n", "2 2 1\n0 0 1.5\n0 1 -2\n1 0 3e-5\n1 1 0\n"]
 # Integers are small or beyond int64. An id or count in between is valid
 # input and builds a graph that large, which is a size guard's job.
 NUMBERS = st.one_of(st.integers(-10**6, 10**6),

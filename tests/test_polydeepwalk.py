@@ -223,7 +223,7 @@ def clique_setup():
     prior = facets.FacetPrior.from_factor(
         facets.symmetric_nmf(a, 2, seed=0).factors[0])
     corpus = walks.generate_walks(
-        g, WalkConfig(walks_per_node=15, walk_length=8, window=3, seed=0))
+        g, WalkConfig(walks_per_node=15, walk_length=8, seed=0))
     return g, prior, corpus
 
 
@@ -311,14 +311,17 @@ def test_facet_respect_instrumented_sampler(clique_setup, monkeypatch):
         assert kind == ("numpy" if path == "numpy" or kernel.function("sgd_chunk")
                         is None else "c")
         assert calls
-        for (_, target, context, dist, dist_context, _, mode, first, *_), steps \
-                in calls:
+        for engine, (_, target, context, *_), steps in calls:
+            dist, dist_context = engine.dist, engine.dist_context
             p_o = sgd.observation_distribution(target, context, dist, dist_context)
-            owner = steps.unit - first
+            # steps run observation by observation, facet_rate per context
+            owner = np.repeat(np.arange(len(target)),
+                              engine.facet_rate * (context >= 0).sum(axis=1))
             assert np.array_equal(steps.target // prior.k, target[owner])
             for rows, d in ((steps.target, dist), (steps.context, dist_context)):
                 node, facet = np.divmod(rows, prior.k)
-                cond = facets.conditional_distribution(d[node], p_o[owner], mode)
+                cond = facets.conditional_distribution(d[node], p_o[owner],
+                                                       engine.mode)
                 assert (cond[np.arange(len(rows)), facet] > 0).all()
                 assert (d[node, facet] > 0).all()
 
@@ -375,7 +378,7 @@ def test_decode_sees_int64_ids_from_an_int32_frame(clique_setup, monkeypatch):
     g, prior, corpus = clique_setup
     runs = spy_engine_runs(monkeypatch)
     pdw.train(g, prior, corpus, pdw.TrainConfig(dim=4, epochs=1, window=3))
-    assert {(args[1].dtype, args[2].dtype) for args, _ in runs} == {
+    assert {(args[1].dtype, args[2].dtype) for _, args, _ in runs} == {
         (np.dtype(np.int64), np.dtype(np.int64))}
 
 

@@ -252,12 +252,12 @@ def test_gcn_gradients_match_finite_differences(seed):
     edge_idx = np.stack([rows, cols], axis=1)
     edge_w = mat[rows, cols]
     neg_idx = rng.integers(0, 3, (len(rows), 2))
-    _, grads = gcn_loss_and_grads(facet, ops, config, edge_idx, edge_w, neg_idx)
+    _, grads = gcn_loss_and_grads(facet, ops, edge_idx, edge_w, neg_idx)
     analytic_all, numeric_all = [], []
     for name, p_arr in facet.params().items():
         numeric = finite_difference(
-            lambda: gcn_loss_and_grads(facet, ops, config, edge_idx,
-                                       edge_w, neg_idx)[0], p_arr)
+            lambda: gcn_loss_and_grads(facet, ops, edge_idx, edge_w,
+                                       neg_idx)[0], p_arr)
         analytic_all.append(grads[name].ravel())
         numeric_all.append(numeric.ravel())
     # per-instance relative error over the full concatenated gradient;
@@ -291,7 +291,7 @@ def test_gcn_gradients_match_reference(seed, negatives, neighbor_mode):
     neg_idx = rng.integers(0, 6, (len(order), negatives))
     neg_idx[0, 0] = edge_idx[0, 1]
     neg_idx[1, -1] = neg_idx[1, 0]
-    args = (model.facets[0], model.ops[0], config, edge_idx, edge_w, neg_idx)
+    args = (model.facets[0], model.ops[0], edge_idx, edge_w, neg_idx)
     loss, grads = gcn_loss_and_grads(*args)
     ref_loss, ref_grads = reference_gcn_loss_and_grads(*args)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)

@@ -130,7 +130,7 @@ def test_weighted_edges_are_drawn_in_proportion_to_weight(monkeypatch):
     config = polypte.PteConfig(dim=2, negatives=1, total_samples=40_000,
                                weighted_edges=True, seed=0)
     polypte.train_pte(g, prior, config)
-    targets = np.concatenate([args[1] for args, _ in runs])
+    targets = np.concatenate([args[1] for _, args, _ in runs])
     assert len(targets) == 40_000
     assert 0.74 <= targets.mean() <= 0.76
 

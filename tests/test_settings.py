@@ -19,7 +19,7 @@ BOUNDS = {
     TrainConfig: ("dim negatives facet_rate epochs learning_rate window", "seed"),
     PteConfig: ("dim negatives facet_rate total_samples learning_rate", "seed"),
     GcnConfig: ("dim depth learning_rate iterations negatives", "threshold seed"),
-    WalkConfig: ("walks_per_node window", "seed"),
+    WalkConfig: ("walks_per_node", "seed"),
 }
 # numeric fields with a bound of their own
 OWN_BOUNDS = {"walk_length"}

@@ -10,18 +10,23 @@ numpy loop's to 1e-12 relative to the largest entry.
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (bucket_means, make_planted_bipartite, make_two_cliques,
-                      reference_polydeepwalk, reference_polypte, spy_engine_runs)
+from conftest import (bucket_means, c_functions, make_planted_bipartite,
+                      make_two_cliques, reference_polydeepwalk, reference_polypte,
+                      spy_engine_runs)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyembed import facets, graph, kernel, polydeepwalk as pdw, polypte, sgd, walks
-from polyembed.errors import NumericsError
+from polyembed.errors import NumericsError, ValidationError
 
 CHUNKS = [sgd.CHUNK, 7]
+NUMPY_DECODE = sgd.decode   # as imported, before any test patches it
+SGD_CHUNK = c_functions(Path(kernel.__file__).with_name("kernel.c").read_text(
+    encoding="utf-8"))["sgd_chunk"]
 
 
 def bipartite_prior(g, k, seed):
@@ -203,24 +208,35 @@ def test_kernel_matches_numpy_engine(model, k, compiled_kernel, weighted_biparti
 
 
 def one_hot_chunk(num_target=8, num_context=5, nodes=None, counts=None):
-    """An engine with K = 2 tables for `num_target` and `num_context` nodes,
-    and the arguments of `Engine.run` for four observations with targets
-    0, 3, 7 and 1 numbered from 20, whose one-hot priors make each row
-    node * 2: every node of the priors and of the sampler's `nodes` has
-    facet 0 only, and `counts` weighs the sampler's nodes."""
-    engine = sgd.Engine(num_target, num_context, 2, 3, seed=0, learning_rate=0.1,
-                        total_steps=8, bucket=4)
+    """An engine with K = 2 priors and tables for `num_target` and
+    `num_context` nodes, and the arguments of `Engine.run` for four
+    observations with targets 0, 3, 7 and 1 numbered from 20, whose one-hot
+    priors make each row node * 2: every node of the priors and of the
+    sampler's `nodes` has facet 0 only, and `counts` weighs the sampler's
+    nodes."""
     nodes = num_context if nodes is None else nodes
     counts = np.ones(nodes) if counts is None else counts
 
     def one_hot(rows):
         return np.repeat([[1.0, 0.0]], rows, axis=0)
 
-    context = np.array([[1], [2], [3], [4]])
+    engine = sgd.Engine(one_hot(num_target), one_hot(num_context),
+                        sgd.NegativeSampler(counts, one_hot(nodes)), 1, "min", 2,
+                        dim=3, seed=0, learning_rate=0.1, total_steps=8, bucket=4)
     uniforms = np.random.default_rng(0).random(4 * sgd.uniforms_per_round(1, 2, 2))
-    return engine, [uniforms, np.array([0, 3, 7, 1]), context, one_hot(8),
-                    one_hot(5), 1, "min", 20, sgd.NegativeSampler(counts, one_hot(nodes)),
-                    2, "edge sample"]
+    return engine, [uniforms, np.array([0, 3, 7, 1]), np.array([[1], [2], [3], [4]]),
+                    20, "edge sample"]
+
+
+def test_engine_rejects_priors_that_are_not_nodes_by_k():
+    """The kernel reads K columns of every prior row, K from the sampler."""
+    sampler = sgd.NegativeSampler(np.ones(3), np.full((3, 2), 0.5))
+    fit = np.full((3, 2), 0.5)
+    for dist, dist_context in ((np.full((3, 3), 1 / 3), fit), (fit, np.full(3, 1.0)),
+                               (fit, np.full((3, 2, 1), 0.5))):
+        with pytest.raises(ValidationError, match="sampler's K"):
+            sgd.Engine(dist, dist_context, sampler, 1, "min", 2, dim=2, seed=0,
+                       learning_rate=0.1, total_steps=4, bucket=4)
 
 
 def on_both_engines(monkeypatch, check):
@@ -233,8 +249,9 @@ def on_both_engines(monkeypatch, check):
 
 
 def test_nan_row_raises_at_its_step_on_both_engines(monkeypatch):
-    """Target 7's row is NaN: the chunk's third step (unit 22) raises, after
-    the two before it ran, and leaves no NaN in the context table."""
+    """Target 7's row is NaN: the chunk's third step (observation 22)
+    raises, after the two before it ran, and leaves no NaN in the context
+    table."""
     def check():
         engine, chunk = one_hot_chunk()
         engine.u[14] = np.nan
@@ -257,31 +274,36 @@ def test_kernel_rejects_rows_outside_the_tables(field, monkeypatch):
     any step runs, on both engines. So does, on the kernel, an infinite
     sampler total or a step count that the contexts do not make (the numpy
     engine clamps the first's draws to the last node and counts the
-    second itself)."""
+    second itself). The engine sizes its tables from its priors, so a
+    prior that passes its table is made by trimming the engine's view of
+    the table."""
     def check():
         if field == "negatives":      # only the two nodes past the table weigh
             engine, chunk = one_hot_chunk(nodes=7, counts=[0, 0, 0, 0, 0, 1, 1])
         else:
-            engine, chunk = one_hot_chunk(num_target=7 if field == "prior" else 8)
+            engine, chunk = one_hot_chunk(num_context=6 if field == "context-prior"
+                                          else 5, nodes=5)
         if field == "target":
             chunk[1] = np.array([0, 3, 8, 1])
+        elif field == "prior":        # target 7 has a prior row, not a table row
+            engine.u = engine.u[:14]
         elif field in ("context", "context-prior"):
             chunk[2] = np.array([[1], [2], [5], [4]])
             if field == "context-prior":   # node 5 has a prior row, not a table row
-                chunk[4] = np.repeat([[1.0, 0.0]], 6, axis=0)
+                engine.h = engine.h[:10]
         elif field == "uniforms":     # the last is a negative's facet uniform
             chunk[0] = chunk[0][:-1]
         elif field == "uniform":
             chunk[0] = np.full_like(chunk[0], 1.5)
         elif field == "last":         # u = 1 draws it
-            chunk[8].nodes.last = 5
+            engine.sampler.nodes.last = 5
             chunk[0] = np.ones_like(chunk[0])
         elif field == "total":
-            chunk[8].nodes.total = np.inf
+            engine.sampler.nodes.total = np.inf
         elif field == "steps":        # the kernel is told one step fewer
-            run = kernel.function("sgd_chunk")
+            run, at = kernel.function("sgd_chunk"), SGD_CHUNK.index("steps")
             monkeypatch.setattr(kernel, "function", lambda name: lambda *a: run(
-                *a[:22], a[22] - 1, *a[23:]))
+                *a[:at], a[at] - 1, *a[at + 1:]))
         before = engine.tables.u.copy(), engine.tables.h.copy()
         with pytest.raises(IndexError):
             engine.run(*chunk)
@@ -298,15 +320,23 @@ def test_kernel_rejects_rows_outside_the_tables(field, monkeypatch):
 
 # ------------------------------------------------------- the compiled decode
 
-def kernel_steps(*args):
+def kernel_steps(uniforms, target, context, dist, dist_context, facet_rate, mode,
+                 sampler, negatives):
     """The Steps that the kernel's `sgd_chunk` decodes from a chunk given
     as `decode`'s arguments, run on fresh tables that fit its priors."""
-    dist, dist_context, sampler, context = args[3], args[4], args[8], args[2]
-    steps = max(1, args[5] * int(np.count_nonzero(context >= 0)))
-    engine = sgd.Engine(len(dist), len(dist_context), sampler.k, 2, seed=0,
-                        learning_rate=0.025, total_steps=steps, bucket=steps)
+    steps = max(1, facet_rate * int(np.count_nonzero(context >= 0)))
+    engine = sgd.Engine(dist, dist_context, sampler, facet_rate, mode, negatives,
+                        dim=2, seed=0, learning_rate=0.025, total_steps=steps,
+                        bucket=steps)
     assert engine.kind == "c"
-    return engine.run(*args, "observation")
+    return engine.run(uniforms, target, context, 0, "observation")
+
+
+def numpy_steps(engine, uniforms, target, context, *_):
+    """The numpy decode of a chunk given as `engine.run`'s arguments."""
+    return NUMPY_DECODE(uniforms, target, context, engine.dist, engine.dist_context,
+                        engine.facet_rate, engine.mode, engine.sampler,
+                        engine.negatives)
 
 
 def assert_same_steps(got, want):
@@ -400,7 +430,7 @@ def test_compiled_decode_is_the_numpy_decode(k, mode, n, c, negatives, facet_rat
         context = wide[:, ::2]
         dist = np.asfortranarray(dist)
     args = (uniforms, target, context, dist, dist_context, facet_rate, mode,
-            int(rng.integers(0, 1000)), sampler, negatives)
+            sampler, negatives)
     assert_same_steps(kernel_steps(*args), sgd.decode(*args))
 
 
@@ -411,13 +441,13 @@ def test_compiled_decode_on_bench_shaped_chunks(shape, compiled_kernel):
     them: a window of 2 with its pads (K = 4, R = 5, 2 rounds), and one
     item per edge (K = 3, R = 5, 9 rounds) in both facet modes."""
     rng = np.random.default_rng(len(shape))
-    for first in range(0, 10 * sgd.CHUNK, sgd.CHUNK):
+    for _ in range(10):
         if shape == "walk-sbm":
             chunk = random_chunk(rng, 4, sgd.CHUNK, 4, 400, 400, 5, 2)
-            args = (*chunk[:5], 2, "min", first, chunk[5], 5)
+            args = (*chunk[:5], 2, "min", chunk[5], 5)
         else:
             chunk = random_chunk(rng, 3, sgd.CHUNK, 1, 600, 60, 5, 9, padded=False)
-            args = (*chunk[:5], 9, shape.rsplit("-", 1)[1], first, chunk[5], 5)
+            args = (*chunk[:5], 9, shape.rsplit("-", 1)[1], chunk[5], 5)
         assert_same_steps(kernel_steps(*args), sgd.decode(*args))
 
 
@@ -472,14 +502,13 @@ def test_every_chunk_of_a_run_decodes_as_numpy(model, k, mode, weighted,
     """Without a hook each chunk of a run is one `sgd_chunk` call and none
     runs numpy's decode; each chunk's steps are numpy's, and the run's
     facet counts are those of its rows."""
-    numpy_decode = sgd.decode
     runs, decodes, chunks = spied_runs(monkeypatch)
     result = whole_run(weighted_bipartite, model, k, mode, weighted)()
     assert len(runs) == len(chunks) == chunks_of(model)
     assert decodes == []
     counts = np.zeros(k, dtype=np.int64)
-    for args, steps in runs:
-        assert_same_steps(steps, numpy_decode(*args[:-1]))
+    for engine, args, steps in runs:
+        assert_same_steps(steps, numpy_steps(engine, *args))
         counts += sum(np.bincount(rows % k, minlength=k) for rows in steps[:2])
     assert result.facet_counts == counts.tolist()
 

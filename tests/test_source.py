@@ -1,12 +1,12 @@
 """Static checks of the package source."""
 
 import ast
-import re
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+from conftest import c_functions
 
 from polyembed import kernel
 
@@ -109,17 +109,13 @@ def test_unreferenced_definition_check_sees_calls_across_files():
                                                  "b.py: entry", "c.py: lonely"]
 
 
-def exported_functions(source: str) -> set[str]:
-    """The functions a C source defines without `static`: a line that
-    starts at column 0 with a return type and the function's name, whose
-    parameter list is followed by the body's `{`, not by a `;`."""
-    return set(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\([^;{]*\)\s*\{",
-                          source, re.M))
-
-
 def test_every_kernel_function_has_a_signature():
+    """Each exported function of kernel.c has a signature with one argument
+    type per parameter."""
     source = (SRC / "kernel.c").read_text(encoding="utf-8")
-    assert exported_functions(source) == set(kernel._signatures())
+    assert ({name: len(params) for name, params in c_functions(source).items()}
+            == {name: len(argtypes)
+                for name, (_, argtypes) in kernel._signatures().items()})
 
 
 def test_exported_function_check_sees_only_non_static_definitions():
@@ -131,7 +127,7 @@ def test_exported_function_check_sees_only_non_static_definitions():
               "int64_t first(int64_t n, const double *x,\n"
               "              double *restrict y)\n{\n    return helper(n);\n}\n\n"
               "void second(void) {\n}\n")
-    assert exported_functions(source) == {"first", "second"}
+    assert c_functions(source) == {"first": ["n", "x", "y"], "second": []}
 
 
 def fetched_functions(source: str) -> set[str]:

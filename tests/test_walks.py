@@ -105,8 +105,6 @@ def test_corpus_round_trip(tmp_path):
 def test_walk_config_validation():
     with pytest.raises(ValidationError):
         WalkConfig(walk_length=1)
-    with pytest.raises(ValidationError):
-        WalkConfig(window=0)
 
 
 def reference_matrix(g, config):
